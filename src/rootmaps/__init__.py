@@ -26,11 +26,14 @@ from .coefficients import (
     solve_coefficients,
 )
 from .maps1d import (
+    EvaluationError,
     IterationResult,
     IterationStatus,
     IterativeMap,
     MapFamily,
     ScalarProblem,
+    SingularModelError,
+    StepFailureError,
     barycentric_model,
     compose,
     estimate_order,
@@ -44,12 +47,9 @@ from .maps1d import (
 )
 from .mapsnd import (
     Box,
-    StepStatus,
-    VectorIterationResult,
     VectorProblem,
     VectorStepResult,
     vector_barycentric_step,
-    vector_iterate,
     vector_map_step,
     vector_newton_step,
 )
@@ -73,15 +73,16 @@ __all__ = [
     "CapturedPoint",
     "CaptureResult",
     "Cluster",
+    "EvaluationError",
     "GridSpec",
     "IterationResult",
     "IterationStatus",
     "IterativeMap",
     "MapFamily",
     "ScalarProblem",
+    "SingularModelError",
     "SingularSystemError",
-    "StepStatus",
-    "VectorIterationResult",
+    "StepFailureError",
     "VectorProblem",
     "VectorStepResult",
     "ackley_gradient",
@@ -107,7 +108,6 @@ __all__ = [
     "solve_coefficients",
     "taylor_model",
     "vector_barycentric_step",
-    "vector_iterate",
     "vector_map_step",
     "vector_newton_step",
     "vector_problem",

@@ -8,13 +8,14 @@ cluster near the fixed points of the map; a greedy pass groups them.
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .maps1d import IterativeMap
-from .mapsnd import Box, StepStatus, VectorProblem, try_evaluate, jacobian_is_singular, vector_map_step
+from .maps1d import EvaluationError, IterativeMap, StepFailureError
+from .mapsnd import Box, VectorProblem, evaluate, jacobian_is_singular, vector_map_step
 
 DEFAULT_CLUSTER_RADIUS = 1e-3
 
@@ -55,10 +56,12 @@ class CaptureConfig:
     norm: str = "max"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.cluster_radius <= 0:
-            raise ValueError(f"cluster_radius must be positive, got {self.cluster_radius}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if not 0 < self.cluster_radius < math.inf:
+            raise ValueError(
+                f"cluster_radius must be positive and finite, got {self.cluster_radius}"
+            )
         if self.norm not in ("max", "euclidean"):
             raise ValueError(f"norm must be 'max' or 'euclidean', got {self.norm!r}")
 
@@ -119,8 +122,8 @@ def cluster_points(points: list[np.ndarray], radius: float) -> list[Cluster]:
     A point joins the first cluster whose representative lies within radius
     (Euclidean); the representative is the member mean, recomputed on join.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     sums: list[np.ndarray] = []
     members: list[list[int]] = []
     for position, point in enumerate(points):
@@ -147,30 +150,36 @@ def _residual_norm(vec: np.ndarray, norm: str) -> float:
 
 
 def _classify_seed(problem, config, index_and_seed):
+    """The CaptureCounts field the seed is tallied under, and its CapturedPoint if captured."""
     (grid_i, grid_j), seed = index_and_seed
-    if try_evaluate(problem.f, seed) is None or jacobian_is_singular(problem, seed):
-        return ("singular", None)
-    first = vector_map_step(problem, config.map, seed)
-    if first.status is not StepStatus.OK:
-        return ("step_failure", None)
-    second = vector_map_step(problem, config.map, first.next)
-    if second.status is not StepStatus.OK:
-        return ("step_failure", None)
+    try:
+        evaluate(problem.f, seed)
+    except EvaluationError:
+        return ("skipped_singular", None)
+    if jacobian_is_singular(problem, seed):
+        return ("skipped_singular", None)
+    try:
+        first = vector_map_step(problem, config.map, seed).next
+        second = vector_map_step(problem, config.map, first).next
+    except StepFailureError:
+        return ("step_failures", None)
     domain = config.grid.domain
-    if not domain.contains(first.next) and not domain.contains(second.next):
-        return ("outside", None)
-    residual = try_evaluate(problem.f, second.next)
-    fnorm = math.inf if residual is None else _residual_norm(residual, config.norm)
+    if not domain.contains(first) and not domain.contains(second):
+        return ("skipped_outside", None)
+    try:
+        fnorm = _residual_norm(evaluate(problem.f, second), config.norm)
+    except EvaluationError:
+        return ("rejected_tolerance", None)
     if not fnorm <= config.tolerance:
-        return ("rejected", None)
-    objective = float(problem.objective(second.next)) if problem.objective else None
+        return ("rejected_tolerance", None)
+    objective = float(problem.objective(second)) if problem.objective else None
     return (
         "captured",
         CapturedPoint(
             grid_i=grid_i,
             grid_j=grid_j,
             seed=seed,
-            point=second.next,
+            point=second,
             fnorm=fnorm,
             objective=objective,
         ),
@@ -194,19 +203,7 @@ def run_capture(problem: VectorProblem, config: CaptureConfig, threads: int = 1)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(lambda item: _classify_seed(problem, config, item), work))
-    tally = {"singular": 0, "step_failure": 0, "outside": 0, "rejected": 0, "captured": 0}
-    captured = []
-    for kind, payload in outcomes:
-        tally[kind] += 1
-        if payload is not None:
-            captured.append(payload)
-    counts = CaptureCounts(
-        seeded=len(seeds),
-        skipped_singular=tally["singular"],
-        step_failures=tally["step_failure"],
-        skipped_outside=tally["outside"],
-        rejected_tolerance=tally["rejected"],
-        captured=tally["captured"],
-    )
+    counts = CaptureCounts(seeded=len(seeds), **Counter(kind for kind, _ in outcomes))
+    captured = [point for _, point in outcomes if point is not None]
     clusters = cluster_points([c.point for c in captured], config.cluster_radius)
     return CaptureResult(captured=captured, clusters=clusters, counts=counts)

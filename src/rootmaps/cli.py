@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -304,7 +305,6 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
                 "cluster_radius": args.cluster_radius,
                 "norm": args.norm,
                 "threads": args.threads,
-                "seed": args.seed,
                 "format": args.format,
                 "out": args.out,
             },
@@ -450,7 +450,6 @@ def _cmd_reproduce(args) -> int:
                 "example": args.example,
                 "threads": args.threads,
                 "cluster_radius": args.cluster_radius,
-                "seed": args.seed,
                 "format": args.format,
                 "out": args.out,
             },
@@ -467,10 +466,17 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -485,6 +491,13 @@ def _vertices(text: str) -> int:
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"need at least 2 vertices per axis, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
@@ -513,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--problem", required=True, help=f"scalar problem name ({names})")
     p_order.add_argument("--family", choices=["newton", "taylor", "bary"], required=True)
     p_order.add_argument("--k", type=_order_index, default=0, help="order index for taylor/bary")
-    p_order.add_argument("--x0", type=float, required=True, help="starting point")
-    p_order.add_argument("--max-iter", type=int, default=30)
+    p_order.add_argument("--x0", type=_finite_float, required=True, help="starting point")
+    p_order.add_argument("--max-iter", type=_positive_int, default=30)
     p_order.add_argument("--tol", type=_positive_float, default=1e-12)
     p_order.add_argument("--out", help="write JSON to this path instead of stdout")
 
@@ -529,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_capture.add_argument("--cluster-radius", type=_positive_float, default=1e-3)
     p_capture.add_argument("--norm", choices=["max", "euclidean"], default="max")
     p_capture.add_argument("--threads", type=_nonnegative_int, default=1, help="0 = auto")
-    p_capture.add_argument("--seed", type=int, default=0, help="recorded for reproducibility")
     p_capture.add_argument("--format", choices=["csv", "json"], default="csv")
     p_capture.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -537,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--example", choices=sorted(REPRODUCE_SETUPS), required=True)
     p_repro.add_argument("--cluster-radius", type=_positive_float, default=1e-3)
     p_repro.add_argument("--threads", type=_nonnegative_int, default=1, help="0 = auto")
-    p_repro.add_argument("--seed", type=int, default=0, help="recorded for reproducibility")
     p_repro.add_argument("--format", choices=["text", "json"], default="text")
     p_repro.add_argument("--out", help="directory for per-map CSVs, report, and manifest")
     return parser
@@ -554,9 +565,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "capture":
             return _cmd_capture(args, parser)
         return _cmd_reproduce(args)
-    except (ProblemFormatError, KeyError, FileNotFoundError, IsADirectoryError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"rootmaps: problem definition error: {message}", file=sys.stderr)
+    except (ProblemFormatError, OSError) as exc:
+        print(f"rootmaps: problem definition error: {exc}", file=sys.stderr)
         return 3
 
 

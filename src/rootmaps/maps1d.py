@@ -29,8 +29,12 @@ class StepFailureError(ArithmeticError):
     """A map step could not be completed."""
 
 
-class DerivativeSingularityError(StepFailureError):
-    """A model-function denominator fell below the configured floor."""
+class SingularModelError(StepFailureError):
+    """The model function phi is singular.
+
+    A scalar denominator fell below the floor, or an R^n model matrix failed
+    the pivot test.
+    """
 
 
 class EvaluationError(StepFailureError):
@@ -140,7 +144,7 @@ def newton_step(problem: ScalarProblem, x: float, floor: float = DENOMINATOR_FLO
     fx = _call(problem.f, x)
     dfx = _call(problem.derivative(1), x)
     if abs(dfx) < floor:
-        raise DerivativeSingularityError(f"|f'(x)|={abs(dfx):.3e} below floor at x={x!r}")
+        raise SingularModelError(f"|f'(x)|={abs(dfx):.3e} below floor at x={x!r}")
     return x - fx / dfx
 
 
@@ -200,7 +204,7 @@ def recursive_map_step(
         if not math.isfinite(phi):
             raise EvaluationError(f"non-finite model value at x={x!r} (index {j})")
         if abs(phi) < floor:
-            raise DerivativeSingularityError(f"|phi_{j}(x)|={abs(phi):.3e} below floor at x={x!r}")
+            raise SingularModelError(f"|phi_{j}(x)|={abs(phi):.3e} below floor at x={x!r}")
         t = x - fx / phi
     return t
 

@@ -8,20 +8,16 @@ maps would need higher derivative tensors and are not supported here.
 """
 
 from dataclasses import dataclass
-from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .coefficients import BarycentricCoefficients, barycentric_coefficients
-from .maps1d import IterativeMap, MapFamily
+from .maps1d import EvaluationError, IterativeMap, MapFamily, SingularModelError, StepFailureError
 
 # Pivots below 1e-12 times the matrix row norm are treated as singular.
 PIVOT_RTOL = 1e-12
-
-
-class SingularModelError(ArithmeticError):
-    """A model-function matrix could not be factorized."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +47,8 @@ class VectorProblem:
 
     objective, when present, is the scalar function whose gradient is f; it is
     only used for reporting.  The Jacobian callable returns NaN entries where
-    it is undefined (e.g. a non-differentiable point), which the steps and the
-    grid scan treat as singular.
+    it is undefined (e.g. a non-differentiable point); a step there raises
+    EvaluationError, and the grid scan skips such a seed as singular.
     """
 
     n: int
@@ -63,17 +59,10 @@ class VectorProblem:
     name: str = ""
 
 
-class StepStatus(Enum):
-    OK = "ok"
-    SINGULAR_MODEL = "singular_model"
-    NON_FINITE = "non_finite"
-
-
 @dataclass(frozen=True)
 class VectorStepResult:
     next: np.ndarray
     delta: np.ndarray
-    status: StepStatus
 
 
 def _solve_2x2(a: np.ndarray, b: np.ndarray, pivot_floor: float) -> np.ndarray:
@@ -125,46 +114,34 @@ def lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def try_evaluate(fn: Callable, x: np.ndarray) -> np.ndarray | None:
+def evaluate(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """fn(x) as a float array; raises EvaluationError unless every entry is finite."""
     # plain-float closures raise OverflowError / math domain ValueError where
-    # numpy would return inf or nan; fold all of it into "not evaluable"
+    # numpy would return inf or nan; fold both into the evaluation failure
     try:
         value = np.asarray(fn(x), dtype=float)
-    except (OverflowError, ValueError):
-        return None
+    except (OverflowError, ValueError) as exc:
+        raise EvaluationError(f"evaluation failed at x={x!r}: {exc}") from exc
     if not np.all(np.isfinite(value)):
-        return None
+        raise EvaluationError(f"non-finite evaluation at x={x!r}")
     return value
 
 
 def jacobian_is_singular(problem: VectorProblem, x: np.ndarray) -> bool:
     """True when J_f(x) is not evaluable, non-finite, or fails the pivot test."""
-    jac = try_evaluate(problem.jacobian, x)
-    if jac is None:
-        return True
     try:
-        lu_solve(jac, np.zeros(problem.n))
-    except SingularModelError:
+        lu_solve(evaluate(problem.jacobian, x), np.zeros(problem.n))
+    except StepFailureError:
         return True
     return False
-
-
-def _failed(x: np.ndarray, status: StepStatus) -> VectorStepResult:
-    return VectorStepResult(next=np.array(x, dtype=float), delta=np.zeros(len(x)), status=status)
 
 
 def vector_newton_step(problem: VectorProblem, x: np.ndarray) -> VectorStepResult:
     """Solve J_f(x) * delta = -f(x); next = x + delta."""
     x = np.asarray(x, dtype=float)
-    fx = try_evaluate(problem.f, x)
-    jac = try_evaluate(problem.jacobian, x)
-    if fx is None or jac is None:
-        return _failed(x, StepStatus.NON_FINITE)
-    try:
-        delta = lu_solve(jac, -fx)
-    except SingularModelError:
-        return _failed(x, StepStatus.SINGULAR_MODEL)
-    return VectorStepResult(next=x + delta, delta=delta, status=StepStatus.OK)
+    fx = evaluate(problem.f, x)
+    delta = lu_solve(evaluate(problem.jacobian, x), -fx)
+    return VectorStepResult(next=x + delta, delta=delta)
 
 
 def barycentric_model_matrix(
@@ -184,66 +161,28 @@ def vector_barycentric_step(
 
     Runs the step recursion: the Newton delta seeds h, then for j = 1..k the
     order-j model matrix is assembled and solved against -f(x), each solution
-    becoming the next step vector.
+    becoming the next step vector.  Raises SingularModelError or
+    EvaluationError, like the scalar steps.
     """
     x = np.asarray(x, dtype=float)
-    fx = try_evaluate(problem.f, x)
-    jac = try_evaluate(problem.jacobian, x)
-    if fx is None or jac is None:
-        return _failed(x, StepStatus.NON_FINITE)
-    try:
-        delta = lu_solve(jac, -fx)
-        for j in range(1, coeffs.k + 1):
-            weights = coeffs if j == coeffs.k else barycentric_coefficients(j)
-            phi = barycentric_model_matrix(problem, weights, delta, x)
-            if not np.all(np.isfinite(phi)):
-                return _failed(x, StepStatus.NON_FINITE)
-            delta = lu_solve(phi, -fx)
-    except SingularModelError:
-        return _failed(x, StepStatus.SINGULAR_MODEL)
-    except (OverflowError, ValueError):
-        return _failed(x, StepStatus.NON_FINITE)
-    return VectorStepResult(next=x + delta, delta=delta, status=StepStatus.OK)
+    fx = evaluate(problem.f, x)
+    delta = lu_solve(evaluate(problem.jacobian, x), -fx)
+    for j in range(1, coeffs.k + 1):
+        weights = coeffs if j == coeffs.k else barycentric_coefficients(j)
+        # one finiteness check on the assembled matrix, not one per sample
+        phi = evaluate(partial(barycentric_model_matrix, problem, weights, delta), x)
+        delta = lu_solve(phi, -fx)
+    return VectorStepResult(next=x + delta, delta=delta)
 
 
 def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray) -> VectorStepResult:
     """Apply one step of a Newton, barycentric, or composed map."""
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
-        first = vector_map_step(problem, inner, x)
-        if first.status is not StepStatus.OK:
-            return first
-        second = vector_map_step(problem, outer, first.next)
-        if second.status is not StepStatus.OK:
-            return second
-        return VectorStepResult(
-            next=second.next, delta=second.next - np.asarray(x, dtype=float), status=StepStatus.OK
-        )
+        second = vector_map_step(problem, outer, vector_map_step(problem, inner, x).next)
+        return VectorStepResult(next=second.next, delta=second.next - np.asarray(x, dtype=float))
     if iter_map.family is MapFamily.NEWTON:
         return vector_newton_step(problem, x)
     if iter_map.family is MapFamily.NEWTON_BARYCENTRIC:
         return vector_barycentric_step(problem, barycentric_coefficients(iter_map.k), x)
     raise ValueError(f"{iter_map.family.value} maps are not defined on R^n")
-
-
-@dataclass(frozen=True)
-class VectorIterationResult:
-    points: tuple[np.ndarray, ...]
-    status: StepStatus
-
-
-def vector_iterate(
-    problem: VectorProblem, iter_map: IterativeMap, x0: np.ndarray, num_iters: int
-) -> VectorIterationResult:
-    """Apply exactly num_iters steps, stopping early on a failure status."""
-    if num_iters < 1:
-        raise ValueError(f"num_iters must be >= 1, got {num_iters}")
-    points = [np.array(x0, dtype=float)]
-    status = StepStatus.OK
-    for _ in range(num_iters):
-        result = vector_map_step(problem, iter_map, points[-1])
-        if result.status is not StepStatus.OK:
-            status = result.status
-            break
-        points.append(result.next)
-    return VectorIterationResult(points=tuple(points), status=status)

@@ -10,7 +10,7 @@ from .mapsnd import Box, VectorProblem
 
 
 class ProblemFormatError(ValueError):
-    """A polynomial-system file could not be parsed."""
+    """A problem could not be defined: an unknown name or a malformed file."""
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def scalar_problem(name: str) -> ScalarProblem:
         if problem.name == name:
             return problem
     known = ", ".join(p.name for p in scalar_test_set())
-    raise KeyError(f"unknown scalar problem {name!r} (known: {known})")
+    raise ProblemFormatError(f"unknown scalar problem {name!r} (known: {known})")
 
 
 # ---------------------------------------------------------------------------

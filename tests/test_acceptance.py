@@ -309,7 +309,6 @@ def test_c9_vector_step_oracle():
         for k in (1, 2):
             expected_next, phi, delta, fx = _oracle_barycentric_next(problem, k, x)
             result = vector_barycentric_step(problem, barycentric_coefficients(k), x)
-            assert result.status.value == "ok"
             assert result.next == pytest.approx(expected_next, rel=1e-10)
             residual = np.max(np.abs(phi @ result.delta + fx))
             bound = 1e-9 * (

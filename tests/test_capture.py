@@ -11,6 +11,7 @@ from rootmaps import (
     newton_barycentric,
     newton_map,
     run_capture,
+    vector_map_step,
 )
 from rootmaps.problems import ackley_gradient, rutishauser
 
@@ -91,8 +92,9 @@ class TestClusterPoints:
         assert clusters[0].representative == pytest.approx([5e-5, 0.0], abs=1e-18)
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            cluster_points([np.zeros(2)], 0.0)
+        for radius in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                cluster_points([np.zeros(2)], radius)
 
 
 class TestRunCapture:
@@ -161,6 +163,36 @@ class TestRunCapture:
         result = run_capture(problem, config)
         assert result.counts.skipped_singular >= 1
 
+    def test_two_iterations_reproduce_step_sequence(self):
+        problem = rutishauser()
+        t1 = newton_barycentric(1)
+        config = CaptureConfig(
+            grid=GridSpec(domain=problem.domain, nx=9, ny=9), tolerance=1e-3, map=t1
+        )
+        result = run_capture(problem, config)
+        assert result.captured
+        for captured in result.captured:
+            first = vector_map_step(problem, t1, captured.seed)
+            second = vector_map_step(problem, t1, first.next)
+            assert np.array_equal(captured.point, second.next)
+
+    @pytest.mark.parametrize("jacobian_at_zero", [np.zeros((2, 2)), np.full((2, 2), np.nan)])
+    def test_failed_steps_are_tallied_as_step_failures(self, jacobian_at_zero):
+        # f(x) = x: Newton sends every seed to the origin in one step, where
+        # the Jacobian is singular (SingularModelError) or undefined
+        # (EvaluationError); the origin seed itself fails the seed check
+        problem = VectorProblem(
+            n=2,
+            f=lambda p: p.copy(),
+            jacobian=lambda p: jacobian_at_zero if not p.any() else np.eye(2),
+            domain=Box(lo=(-1.0, -1.0), hi=(1.0, 1.0)),
+        )
+        config = CaptureConfig(
+            grid=GridSpec(domain=problem.domain, nx=3, ny=3), tolerance=1e-3, map=newton_map()
+        )
+        counts = run_capture(problem, config).counts
+        assert (counts.seeded, counts.skipped_singular, counts.step_failures) == (9, 1, 8)
+
     def test_thread_fanout_is_deterministic(self):
         problem = rutishauser()
         config = CaptureConfig(
@@ -199,6 +231,11 @@ class TestRunCapture:
             CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map(), cluster_radius=-1.0)
         with pytest.raises(ValueError):
             CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map(), norm="l7")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                CaptureConfig(grid=grid, tolerance=bad, map=newton_map())
+            with pytest.raises(ValueError):
+                CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map(), cluster_radius=bad)
 
     def test_overflowing_iterates_are_counted_not_raised(self):
         # steep polynomial: f = x^7 - 2 + 0*y-ish second component, iterates

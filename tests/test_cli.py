@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -54,7 +55,7 @@ class TestCoeffsCommand:
     def test_csv_output_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "coeffs.csv"
         assert main(["coeffs", "--k", "1", "--format", "csv", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert [r["fraction"] for r in rows] == ["1/2", "1/2"]
         manifest = json.loads((tmp_path / "coeffs.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "coeffs"
@@ -108,7 +109,7 @@ class TestCaptureCommand:
                 str(out),
             ]
         ) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 25
         assert rows[0]["g"] == ""  # file-based systems carry no objective
         zero = np.linalg.solve([[3.0, 1.0], [1.0, 2.0]], [1.0, -1.0])
@@ -180,6 +181,17 @@ class TestCaptureCommand:
             ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "0.1", "--nx", "1"],
             ["coeffs", "--k", "3", "--bogus"],
             ["coeffs", "--k", "-2"],
+            ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "nan"],
+            ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "0.1",
+             "--cluster-radius", "inf"],
+            ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "0.1",
+             "--seed", "1"],
+            ["reproduce", "--example", "example1", "--seed", "1"],
+            ["order", "--problem", "cubic", "--family", "newton", "--x0", "1.4", "--tol", "nan"],
+            ["order", "--problem", "cubic", "--family", "newton", "--x0", "nan"],
+            ["order", "--problem", "cubic", "--family", "newton", "--x0", "-inf"],
+            ["order", "--problem", "cubic", "--family", "newton", "--x0", "1.4", "--max-iter", "0"],
+            ["order", "--problem", "cubic", "--family", "newton", "--x0", "1.4", "--max-iter", "-3"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
@@ -190,6 +202,13 @@ class TestCaptureCommand:
         assert main(
             ["capture", "--problem", "no-such-file", "--map", "bary:1", "--eps", "0.1"]
         ) == 3
+        assert "no-such-file" in capsys.readouterr().err
+        assert main(
+            ["capture", "--problem", str(tmp_path), "--map", "bary:1", "--eps", "0.1"]
+        ) == 3
+        assert str(tmp_path) in capsys.readouterr().err
+        assert main(["order", "--problem", "quartic", "--family", "newton", "--x0", "1.0"]) == 3
+        assert "quartic" in capsys.readouterr().err
         bad = tmp_path / "bad.poly"
         bad.write_text("wibble\n")
         assert main(["capture", "--problem", str(bad), "--map", "bary:1", "--eps", "0.1"]) == 3

@@ -20,10 +20,10 @@ from rootmaps import (
     taylor_model,
 )
 from rootmaps.maps1d import (
-    DerivativeSingularityError,
     InsufficientDataError,
     InsufficientDerivativesError,
     MapFamily,
+    SingularModelError,
 )
 
 CUBIC, EXP2, SINE = scalar_test_set()
@@ -77,7 +77,7 @@ class TestNewtonStep:
         assert newton_step(CUBIC, root) == pytest.approx(root, rel=1e-14)
 
     def test_flat_derivative_raises(self):
-        with pytest.raises(DerivativeSingularityError):
+        with pytest.raises(SingularModelError):
             newton_step(SQUARE_P1, 0.0)
 
 
@@ -177,7 +177,7 @@ class TestRecursiveStep:
                 assert abs(t - z_prime) <= 10.0 * abs(z_prime - z)
 
     def test_intermediate_singularity_surfaces(self):
-        with pytest.raises(DerivativeSingularityError):
+        with pytest.raises(SingularModelError):
             recursive_map_step(SQUARE_P1, newton_barycentric(1), 0.0)
 
 

@@ -146,7 +146,7 @@ class TestScalarSet:
                 assert fd == pytest.approx(upper(x), abs=1e-4)
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ProblemFormatError):
             scalar_problem("quartic")
 
 

@@ -20,7 +20,6 @@ from .coefficients import (
     BarycentricCoefficients,
     BarycentricSystem,
     SingularSystemError,
-    alternating_binomial_sum,
     barycentric_coefficients,
     build_system,
     solve_coefficients,
@@ -86,7 +85,6 @@ __all__ = [
     "VectorProblem",
     "VectorStepResult",
     "ackley_gradient",
-    "alternating_binomial_sum",
     "barycentric_coefficients",
     "barycentric_model",
     "build_system",

@@ -6,7 +6,9 @@ box, and finally X2 is kept iff ||f(X2)|| <= tolerance.  Captured points
 cluster near the fixed points of the map; a greedy pass groups them.
 """
 
+import itertools
 import math
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -116,30 +118,83 @@ def make_grid(spec: GridSpec) -> list[np.ndarray]:
     return [np.array([xs[i], ys[j]]) for i in range(spec.nx) for j in range(spec.ny)]
 
 
+# Quotients are clamped to +-2**52 before the floor, as one that overflows is
+# inf and has no floor.  Below 2**52 rounding moves a quotient by at most a
+# quarter, so coordinates within radius still floor to adjacent cells; clamped
+# ones share the end cell of their axis.
+_MAX_CELL_INDEX = 2.0**52
+# np.linalg.norm squares the offsets, and a square below the normal range
+# loses its relative accuracy: offsets under about 2**-511 can pass any radius.
+# Cells at least this wide keep such offsets within the neighbouring cells.
+_MIN_CELL_WIDTH = 2.0**-500
+
+
+def _cell(point: np.ndarray, width: float) -> tuple[int, ...]:
+    return tuple(
+        math.floor(min(max(v / width, -_MAX_CELL_INDEX), _MAX_CELL_INDEX))
+        for v in point.tolist()
+    )
+
+
 def cluster_points(points: list[np.ndarray], radius: float) -> list[Cluster]:
     """Greedy clustering in input order.
 
-    A point joins the first cluster whose representative lies within radius
-    (Euclidean); the representative is the member mean, recomputed on join.
+    A point joins the lowest-index cluster whose representative lies within
+    radius (Euclidean); the representative is the member mean, recomputed on
+    join.  Otherwise the point starts a new cluster.
+
+    Representatives are bucketed in a uniform grid of cell width 2*radius, so
+    a point is tested only against the clusters in the 3**n cells around its
+    own: an offset of at most radius per axis moves the cell index by at most
+    one.  A representative that moves to another cell is re-bucketed.  The
+    expected cost is O(N * 3**n) instead of O(N * C) for C clusters.
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    width = max(2.0 * radius, _MIN_CELL_WIDTH)
     sums: list[np.ndarray] = []
+    means: list[np.ndarray] = []
     members: list[list[int]] = []
+    cells: list[tuple[int, ...]] = []
+    grid: dict[tuple[int, ...], list[int]] = {}
+    shape = neighbourhood = None
     for position, point in enumerate(points):
         point = np.asarray(point, dtype=float)
-        for idx in range(len(sums)):
-            rep = sums[idx] / len(members[idx])
-            if float(np.linalg.norm(point - rep)) <= radius:
+        if shape is None:
+            shape = (point.size,)
+            neighbourhood = list(itertools.product((-1, 0, 1), repeat=point.size))
+        if point.shape != shape:
+            raise ValueError(f"point {position} has shape {point.shape}, expected {shape}")
+        if not np.all(np.isfinite(point)):
+            raise ValueError(f"point {position} has a non-finite coordinate: {point}")
+        home = _cell(point, width)
+        candidates = sorted(
+            idx
+            for offset in neighbourhood
+            for idx in grid.get(tuple(map(operator.add, home, offset)), ())
+        )
+        for idx in candidates:
+            if float(np.linalg.norm(point - means[idx])) <= radius:
                 sums[idx] = sums[idx] + point
                 members[idx].append(position)
+                means[idx] = sums[idx] / len(members[idx])
+                cell = _cell(means[idx], width)
+                if cell != cells[idx]:
+                    grid[cells[idx]].remove(idx)
+                    grid.setdefault(cell, []).append(idx)
+                    cells[idx] = cell
                 break
         else:
-            sums.append(point.copy())
+            grid.setdefault(home, []).append(len(sums))
+            # sums are replaced, never updated in place, so one copy serves both
+            point = point.copy()
+            sums.append(point)
+            means.append(point)
             members.append([position])
+            cells.append(home)
     return [
-        Cluster(representative=s / len(m), count=len(m), members=tuple(m))
-        for s, m in zip(sums, members)
+        Cluster(representative=mean, count=len(m), members=tuple(m))
+        for mean, m in zip(means, members)
     ]
 
 

@@ -7,10 +7,9 @@ side, solved here in exact rational arithmetic so the published coefficient
 tables are reproduced digit for digit.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 # Beyond this index the maps are limited by floating-point evaluation noise,
 # not coefficient accuracy.
@@ -37,8 +36,13 @@ class BarycentricCoefficients:
     k: int
     a: tuple[Fraction, ...]
 
-    def as_floats(self) -> tuple[float, ...]:
+    @cached_property
+    def floats(self) -> tuple[float, ...]:
+        """The weights rounded to float once, for model evaluation."""
         return tuple(float(v) for v in self.a)
+
+    def as_floats(self) -> tuple[float, ...]:
+        return self.floats
 
 
 def build_system(k: int) -> BarycentricSystem:
@@ -103,16 +107,3 @@ def barycentric_coefficients(k: int, max_index: int | None = MAX_ORDER_INDEX) ->
         raise ValueError(f"order index {k} exceeds the supported maximum {max_index}")
     return _solved(k)
 
-
-def alternating_binomial_sum(m: int) -> Fraction:
-    """Term-by-term exact value of sum_{i=0}^{m} (-1)^i C(m,i)/(i+1).
-
-    Closed form is 1/(m+1); computing it termwise gives the property tests an
-    implementation to check the identity against.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    total = Fraction(0)
-    for i in range(m + 1):
-        total += Fraction((-1) ** i * math.comb(m, i), i + 1)
-    return total

@@ -166,11 +166,11 @@ def taylor_model(problem: ScalarProblem, k: int, h: float, x: float) -> float:
 def barycentric_model(
     problem: ScalarProblem, coeffs: BarycentricCoefficients, h: float, x: float
 ) -> float:
-    """Barycentric model sum_i a_i * f'(x + i*h); weights go float at call time."""
+    """Barycentric model sum_i a_i * f'(x + i*h), with the cached float weights."""
     df = problem.derivative(1)
     total = 0.0
-    for i, a_i in enumerate(coeffs.a):
-        total += float(a_i) * _call(df, x + i * h)
+    for i, a_i in enumerate(coeffs.floats):
+        total += a_i * _call(df, x + i * h)
     return total
 
 

@@ -149,8 +149,8 @@ def barycentric_model_matrix(
 ) -> np.ndarray:
     """The n x n model matrix sum_i a_i * J_f(x + i*h)."""
     phi = np.zeros((problem.n, problem.n))
-    for i, a_i in enumerate(coeffs.a):
-        phi += float(a_i) * np.asarray(problem.jacobian(x + i * h), dtype=float)
+    for i, a_i in enumerate(coeffs.floats):
+        phi += a_i * np.asarray(problem.jacobian(x + i * h), dtype=float)
     return phi
 
 

@@ -16,7 +16,6 @@ import pytest
 from rootmaps import (
     CaptureConfig,
     GridSpec,
-    alternating_binomial_sum,
     barycentric_coefficients,
     build_system,
     compose,
@@ -33,6 +32,7 @@ from rootmaps import (
 from rootmaps.cli import render_capture_csv
 from rootmaps.maps1d import InsufficientDataError
 from rootmaps.problems import ackley_gradient, rutishauser
+from test_coefficients import alternating_binomial_sum
 
 CUBIC, EXP2, SINE = scalar_test_set()
 

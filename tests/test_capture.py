@@ -4,6 +4,7 @@ import pytest
 from rootmaps import (
     Box,
     CaptureConfig,
+    Cluster,
     GridSpec,
     VectorProblem,
     cluster_points,
@@ -12,7 +13,10 @@ from rootmaps import (
     newton_map,
     run_capture,
     vector_map_step,
+    vector_problem,
 )
+from rootmaps.capture import DEFAULT_CLUSTER_RADIUS
+from rootmaps.cli import REPRODUCE_SETUPS, parse_map_spec
 from rootmaps.problems import ackley_gradient, rutishauser
 
 
@@ -56,6 +60,36 @@ class TestMakeGrid:
             GridSpec(domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), nx=1, ny=5)
 
 
+def _reference_cluster_points(points, radius):
+    """The O(N*C) greedy loop that cluster_points must match bit for bit."""
+    sums = []
+    members = []
+    for position, point in enumerate(points):
+        point = np.asarray(point, dtype=float)
+        for idx in range(len(sums)):
+            rep = sums[idx] / len(members[idx])
+            if float(np.linalg.norm(point - rep)) <= radius:
+                sums[idx] = sums[idx] + point
+                members[idx].append(position)
+                break
+        else:
+            sums.append(point.copy())
+            members.append([position])
+    return [
+        Cluster(representative=s / len(m), count=len(m), members=tuple(m))
+        for s, m in zip(sums, members)
+    ]
+
+
+def assert_matches_reference(points, radius):
+    clusters = cluster_points(points, radius)
+    expected = _reference_cluster_points(points, radius)
+    assert [(c.members, c.count) for c in clusters] == [(c.members, c.count) for c in expected]
+    for got, want in zip(clusters, expected):
+        assert got.representative.tobytes() == want.representative.tobytes()
+    return clusters
+
+
 class TestClusterPoints:
     def test_identical_points_form_one_cluster(self):
         points = [np.array([0.5, 0.5])] * 7
@@ -95,6 +129,121 @@ class TestClusterPoints:
         for radius in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 cluster_points([np.zeros(2)], radius)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([0.0, np.nan]), "point 2 has a non-finite coordinate"),
+            (np.array([np.inf, 0.0]), "point 2 has a non-finite coordinate"),
+            (np.array([0.0, 0.0, 0.0]), r"point 2 has shape \(3,\), expected \(2,\)"),
+            (np.zeros((2, 1)), r"point 2 has shape \(2, 1\), expected \(2,\)"),
+        ],
+    )
+    def test_rejects_bad_points_by_index(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            cluster_points([np.zeros(2), np.ones(2), bad], 1e-3)
+
+
+class TestClusterPointsAgainstReference:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [1e-3, 0.05, 0.3, 1.0])
+    def test_random_points(self, dim, radius):
+        rng = np.random.default_rng(1000 * dim + int(radius * 1000))
+        for _ in range(25):
+            # knots on and near cell boundaries (multiples of 2*radius) and
+            # around zero, with jitter on the scale of the radius
+            knots = rng.integers(-3, 4, size=(rng.integers(1, 6), dim)) * radius
+            picks = knots[rng.integers(0, len(knots), size=rng.integers(1, 60))]
+            points = list(picks + rng.normal(scale=radius, size=picks.shape))
+            points += [points[i] for i in rng.integers(0, len(points), size=5)]
+            rng.shuffle(points)
+            assert_matches_reference(points, radius)
+
+    def test_distance_exactly_radius_joins(self):
+        # binary fractions: every difference and norm below is exact
+        radius = 0.25
+        for mean, point in [(0.0, 0.25), (0.375, 0.625), (-0.125, 0.125), (0.5, 0.25)]:
+            clusters = assert_matches_reference([np.array([mean]), np.array([point])], radius)
+            assert len(clusters) == 1
+        clusters = assert_matches_reference([np.zeros(2), np.array([0.375, 0.5])], 0.625)
+        assert len(clusters) == 1
+
+    def test_one_ulp_beyond_radius_stays_apart(self):
+        radius = 0.25
+        beyond = np.nextafter(radius, 1.0)
+        for mean, point in [
+            (0.0, beyond),
+            (0.375, np.nextafter(0.625, 1.0)),
+            (-0.125, 0.125 + 2.0**-54),
+            (-beyond, 0.0),
+        ]:
+            assert point - mean >= beyond
+            clusters = assert_matches_reference([np.array([mean]), np.array([point])], radius)
+            assert len(clusters) == 2
+
+    def test_migrated_mean_captures_later_point(self):
+        # each point sits 0.24 above the current mean, so the mean walks out
+        # of its first cell (width 0.5); points from 1.0 up look only at
+        # cells 1 and beyond and find the cluster only if it was re-bucketed
+        radius = 0.25
+        points = [np.array([0.49])]
+        mean = points[0]
+        while mean[0] < 1.0:
+            points.append(mean + 0.24)
+            mean = sum(points) / len(points)
+        points.append(mean + 0.24)
+        clusters = assert_matches_reference(points, radius)
+        assert [c.count for c in clusters] == [len(points)]
+
+    def test_overflowing_cell_index(self):
+        # the coordinate over the cell width is far beyond 2**52, and for
+        # 1e200 it overflows to inf; the index is clamped instead
+        radius = 1e-300
+        big = 1e10
+        points = [
+            np.array([big, big]),
+            np.array([big, big]),
+            np.array([np.nextafter(big, np.inf), big]),
+            np.array([-big, big]),
+            np.array([big, -big]),
+            np.array([big, big]),
+            np.array([1e100, -1e100]),
+            np.array([-big, big]),
+        ]
+        clusters = assert_matches_reference(points, radius)
+        assert [c.count for c in clusters] == [3, 1, 2, 1, 1]
+        points = [np.array([1e200, y]) for y in (0.0, 1e-3, 1e-170, 1e-3, -1e-3, 0.0)]
+        clusters = assert_matches_reference(points, radius)
+        assert [c.count for c in clusters] == [3, 2, 1]
+
+    def test_underflowing_offsets(self):
+        # offsets below about 1e-154 square to less than the smallest normal
+        # double in np.linalg.norm, so the reference joins them whatever the
+        # radius; 1e-150 squares to a normal number and stays apart
+        radius = 1e-300
+        points = [np.array([v]) for v in (0.0, 1e-300, 1e-290, -2e-290, 1e-170, 1e-150)]
+        clusters = assert_matches_reference(points, radius)
+        assert [c.count for c in clusters] == [5, 1]
+
+    def test_large_coordinates_near_clamp(self):
+        rng = np.random.default_rng(7)
+        for radius in (0.3, 0.5, 1.0, 2.5):
+            for scale in (2.0**51, 2.0**52, 2.0**53):
+                base = scale * 2.0 * radius
+                points = [
+                    np.array([base + rng.integers(-8, 9) * radius * 0.5, 1.0]) for _ in range(60)
+                ]
+                assert_matches_reference(points, radius)
+
+    def test_example2_coarse_captures(self):
+        problem_name, nx, ny, eps, map_rows = REPRODUCE_SETUPS["example2-coarse"]
+        problem = vector_problem(problem_name)
+        grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
+        for _, spec, _ in map_rows:
+            config = CaptureConfig(grid=grid, tolerance=eps, map=parse_map_spec(spec))
+            points = [c.point for c in run_capture(problem, config).captured]
+            assert points
+            assert_matches_reference(points, DEFAULT_CLUSTER_RADIUS)
 
 
 class TestRunCapture:

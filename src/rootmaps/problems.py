@@ -2,6 +2,10 @@
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import add
+from typing import Callable
 
 import numpy as np
 
@@ -233,15 +237,6 @@ class PolynomialComponent:
     n: int
     terms: tuple[tuple[float, tuple[int, ...]], ...]
 
-    def __call__(self, point) -> float:
-        total = 0.0
-        for coeff, exponents in self.terms:
-            value = coeff
-            for x_i, e_i in zip(point, exponents):
-                value *= float(x_i) ** e_i
-            total += value
-        return total
-
     def partial(self, axis: int) -> "PolynomialComponent":
         terms = []
         for coeff, exponents in self.terms:
@@ -252,6 +247,36 @@ class PolynomialComponent:
             lowered[axis] = e - 1
             terms.append((coeff * e, tuple(lowered)))
         return PolynomialComponent(n=self.n, terms=tuple(terms))
+
+
+def _polynomial_map(components: list[PolynomialComponent], shape: tuple[int, ...]) -> Callable:
+    """The callable mapping a point to the components' values, as an array of shape.
+
+    Each coordinate v is read once and raised to every power v**e up to the
+    highest exponent the components use on its axis, so float ** int raises
+    OverflowError exactly where evaluating each term's powers would, and never
+    for a power no term uses.  A term is coeff * t_0[e_0] * t_1[e_1] * ...,
+    and a component sums its terms left to right from 0.0.  These are the
+    operations, in the same order, of evaluating term by term (coeff times
+    each x_i ** e_i in turn, then a running sum), so every value is that
+    evaluation's bit for bit.
+    """
+    terms = [term for c in components for term in c.terms]
+    coeffs = [coeff for coeff, _ in terms]
+    axis_exponents = list(zip(*(exponents for _, exponents in terms)))
+    degrees = [max(column) for column in axis_exponents]
+    ends = list(accumulate(len(c.terms) for c in components))
+    spans = list(zip([0, *ends[:-1]], ends))
+
+    def values_at(point: np.ndarray) -> np.ndarray:
+        products = coeffs
+        for v, degree, exponents in zip(np.asarray(point, dtype=float).tolist(), degrees, axis_exponents):
+            table = [v**e for e in range(degree + 1)]
+            products = [p * table[e] for p, e in zip(products, exponents)]
+        # not sum(): from Python 3.12 it compensates the rounding of float sums
+        return np.array([reduce(add, products[start:stop], 0.0) for start, stop in spans]).reshape(shape)
+
+    return values_at
 
 
 def _parse_poly_line(line: str, lineno: int) -> PolynomialComponent:
@@ -317,14 +342,10 @@ def load_polynomial_problem(path: str, name: str = "") -> VectorProblem:
         raise ProblemFormatError(f"{n}-dimensional system needs {n} components, got {len(components)}")
     if domain is not None and domain.dim != n:
         raise ProblemFormatError("domain dimension does not match the system")
-    partials = [[c.partial(j) for j in range(n)] for c in components]
-
-    def f(p: np.ndarray) -> np.ndarray:
-        return np.array([c(p) for c in components])
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        return np.array([[partials[i][j](p) for j in range(n)] for i in range(n)])
-
+    # f and the Jacobian keep separate tables: one reaching x**7 for f would
+    # overflow at points where every partial, needing only x**6, is finite
+    f = _polynomial_map(components, (n,))
+    jacobian = _polynomial_map([c.partial(j) for c in components for j in range(n)], (n, n))
     return VectorProblem(n=n, f=f, jacobian=jacobian, domain=domain, name=name or path)
 
 

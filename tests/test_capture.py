@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from rootmaps import (
 )
 from rootmaps.capture import DEFAULT_CLUSTER_RADIUS
 from rootmaps.cli import REPRODUCE_SETUPS, parse_map_spec
-from rootmaps.problems import ackley_gradient, rutishauser
+from rootmaps import mapsnd
+from rootmaps.problems import ackley_gradient, load_polynomial_problem, rutishauser
+from test_problems import write_random_gradient_file
 
 
 def affine_problem():
@@ -423,3 +428,37 @@ class TestRunCapture:
         euclid_keys = {(c.grid_i, c.grid_j) for c in by_euclid.captured}
         max_keys = {(c.grid_i, c.grid_j) for c in by_max.captured}
         assert euclid_keys <= max_keys
+
+
+def counted(fn, counts, key):
+    def wrapper(*args):
+        counts[key] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+class TestWorkCounters:
+    """The exact work a scan does.  The counts repeat bit for bit, so a change
+    to the work per seed fails here without any timing noise."""
+
+    def scan_counts(self, problem, spec, grid, eps, monkeypatch):
+        counts = Counter()
+        problem = dataclasses.replace(
+            problem, f=counted(problem.f, counts, "f"), jacobian=counted(problem.jacobian, counts, "jacobian")
+        )
+        monkeypatch.setattr(mapsnd, "lu_solve", counted(mapsnd.lu_solve, counts, "solves"))
+        config = CaptureConfig(
+            grid=GridSpec(domain=problem.domain, nx=grid, ny=grid), tolerance=eps, map=parse_map_spec(spec)
+        )
+        result = run_capture(problem, config)
+        return dict(counts, seeds=result.counts.seeded, captured=result.counts.captured)
+
+    def test_example1_t32(self, monkeypatch):
+        counts = self.scan_counts(rutishauser(), "compose:bary:3,bary:2", 19, 1e-3, monkeypatch)
+        assert counts == {"seeds": 361, "jacobian": 11913, "f": 2105, "solves": 5415, "captured": 156}
+
+    def test_polynomial_file(self, tmp_path, monkeypatch):
+        problem = load_polynomial_problem(str(write_random_gradient_file(tmp_path / "p.poly", 61)))
+        counts = self.scan_counts(problem, "compose:bary:2,bary:1", 11, 1e-3, monkeypatch)
+        assert counts == {"seeds": 121, "jacobian": 2299, "f": 713, "solves": 1331, "captured": 78}

@@ -1,12 +1,23 @@
 import csv
 import io
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
 
 from rootmaps import MapFamily, cluster_points
 from rootmaps.cli import MapSpecError, main, parse_map_spec
+
+
+def assert_environment(manifest):
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
+    assert list(manifest)[-2:] == ["argv", "environment"]
 
 
 class TestMapSpecParsing:
@@ -61,6 +72,8 @@ class TestCoeffsCommand:
         assert manifest["subcommand"] == "coeffs"
         assert manifest["config"]["k"] == 1
         assert manifest["outputs"] == [str(out)]
+        assert manifest["argv"] == ["coeffs", "--k", "1", "--format", "csv", "--out", str(out)]
+        assert_environment(manifest)
 
 
 class TestOrderCommand:
@@ -73,6 +86,16 @@ class TestOrderCommand:
         assert payload["map"] == "bary:1"
         assert payload["estimated_order"] == pytest.approx(3.0, abs=0.3)
         assert payload["trajectory"][-1] == pytest.approx(1.2599210498948732, rel=1e-15)
+
+    def test_out_and_manifest(self, tmp_path):
+        out = tmp_path / "order.json"
+        argv = ["order", "--problem", "cubic", "--family", "newton", "--x0", "1.4", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["status"] == "converged"
+        manifest = json.loads((tmp_path / "order.json.manifest.json").read_text())
+        assert manifest["subcommand"] == "order"
+        assert manifest["argv"] == argv
+        assert_environment(manifest)
 
     def test_insufficient_data_is_reported_not_raised(self, capsys):
         assert main(
@@ -123,6 +146,9 @@ class TestCaptureCommand:
         manifest = json.loads((tmp_path / "affine.csv.manifest.json").read_text())
         assert manifest["config"]["map"] == "newton"
         assert manifest["version"]
+        assert manifest["argv"][:3] == ["capture", "--problem", str(poly)]
+        assert manifest["argv"][-2:] == ["--out", str(out)]
+        assert_environment(manifest)
 
     def test_json_format(self, capsys):
         assert main(
@@ -244,6 +270,10 @@ class TestReproduceCommand:
         assert (out_dir / "example1-t_32.csv").exists()
         manifest = json.loads((out_dir / "example1-manifest.json").read_text())
         assert len(manifest["outputs"]) == 9
+        assert manifest["argv"] == [
+            "reproduce", "--example", "example1", "--threads", "2", "--out", str(out_dir)
+        ]
+        assert_environment(manifest)
 
     def test_example1_report_is_deterministic(self, capsys):
         assert main(["reproduce", "--example", "example1", "--threads", "1"]) == 0

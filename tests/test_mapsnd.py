@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ from rootmaps import (
     vector_map_step,
     vector_newton_step,
 )
-from rootmaps.mapsnd import barycentric_model_matrix, lu_solve
-from rootmaps.problems import ackley_gradient
+from rootmaps.mapsnd import PIVOT_RTOL, barycentric_model_matrix, lu_solve
+from rootmaps.problems import ackley_gradient, load_polynomial_problem
+from test_problems import write_random_gradient_file
 
 
 def affine_problem(a, c):
@@ -61,6 +64,143 @@ class TestLuSolve:
             lu_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
         with pytest.raises(SingularModelError):
             lu_solve(np.zeros((3, 3)), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "matrix,rhs",
+        [
+            (np.eye(2), np.ones(3)),
+            (np.ones((2, 3)), np.ones(2)),
+            (np.ones((3, 2)), np.ones(3)),
+            (np.eye(2), np.ones((2, 1))),
+            (np.ones(4), np.ones(2)),
+            (np.eye(3), np.ones(2)),
+        ],
+    )
+    def test_mis_shaped_system_raises(self, matrix, rhs):
+        with pytest.raises(ValueError, match=re.escape(f"{matrix.shape} and {rhs.shape}")):
+            lu_solve(matrix, rhs)
+
+    def test_three_component_f_on_a_2d_problem_raises(self):
+        # f returns one component more than the Jacobian has rows
+        problem = VectorProblem(n=2, f=lambda x: np.array([x[0], x[1], 1.0]), jacobian=lambda x: np.eye(2))
+        with pytest.raises(ValueError, match="shapes"):
+            vector_newton_step(problem, np.array([0.5, 0.5]))
+
+
+def _reference_lu_solve_2x2(matrix, rhs):
+    """The 2x2 branch of lu_solve on numpy arrays, as it was before the 2-D
+    kernel: the oracle of that kernel's bits and of its failures."""
+    a = np.array(matrix, dtype=float)
+    b = np.array(rhs, dtype=float)
+    with np.errstate(over="ignore"):
+        scale = float(np.abs(a).sum(axis=1).max())
+    pivot_floor = PIVOT_RTOL * scale
+    if scale == 0.0 or not np.isfinite(scale):
+        raise SingularModelError("matrix has zero or non-finite row norms")
+    m00, m01 = float(a[0, 0]), float(a[0, 1])
+    m10, m11 = float(a[1, 0]), float(a[1, 1])
+    det = m00 * m11 - m01 * m10
+    pivot1 = max(abs(m00), abs(m10))
+    if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1:
+        raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
+    b0, b1 = float(b[0]), float(b[1])
+    return np.array([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det])
+
+
+def _reference_model_matrix(problem, coeffs, h, x):
+    """barycentric_model_matrix's numpy assembly, the path every n but 2 takes."""
+    phi = np.zeros((problem.n, problem.n))
+    for i, a_i in enumerate(coeffs.floats):
+        phi += a_i * np.asarray(problem.jacobian(x + i * h), dtype=float)
+    return phi
+
+
+ROW_NORMS = "SingularModelError: matrix has zero or non-finite row norms"
+PIVOTS = "SingularModelError: 2x2 pivots below floor"
+
+
+def solve_outcome(solve, matrix, rhs):
+    """The bytes of the solution, or the failure message."""
+    try:
+        return solve(matrix, rhs).tobytes()
+    except (SingularModelError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestTwoByTwoKernel:
+    """The float kernel against the numpy code it replaces, bit for bit."""
+
+    def test_solve_matches_reference_on_random_systems(self):
+        rng = np.random.default_rng(51)
+        for _ in range(2000):
+            matrix = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-160, 160, size=(2, 2))
+            matrix[rng.random((2, 2)) < 0.1] = rng.choice([0.0, -0.0])
+            rhs = rng.normal(size=2) * 10.0 ** rng.integers(-20, 20, size=2)
+            assert solve_outcome(lu_solve, matrix, rhs) == solve_outcome(
+                _reference_lu_solve_2x2, matrix, rhs
+            )
+
+    @pytest.mark.parametrize(
+        "matrix,failure",
+        [
+            ([[0.0, 0.0], [0.0, -0.0]], ROW_NORMS),
+            ([[1e308, 1e308], [1.0, 1.0]], ROW_NORMS),  # a row sum overflows to inf
+            ([[1.0, 1.0], [-1e308, 1e308]], ROW_NORMS),
+            ([[np.nan, 1.0], [1.0, 1.0]], ROW_NORMS),
+            ([[1.0, 1.0], [1.0, np.nan]], ROW_NORMS),
+            ([[np.inf, 1.0], [1.0, 1.0]], ROW_NORMS),
+            ([[1e-13, 1.0], [-1e-13, 1.0]], PIVOTS),  # first pivot below the floor
+            ([[0.0, 1.0], [np.nextafter(1e-12, 0.0), 0.5]], PIVOTS),
+            ([[0.0, 1.0], [1e-12, 0.5]], None),  # first pivot exactly at the floor
+            ([[1.0, 2.0], [2.0, 4.0]], PIVOTS),  # determinant below the floor
+            ([[1.0, 2.0], [2.0, 4.0 + 1e-14]], PIVOTS),
+            ([[1.0, 0.0], [0.0, np.nextafter(1e-12, 0.0)]], PIVOTS),
+            ([[1.0, 0.0], [0.0, 1e-12]], None),  # determinant exactly at the floor
+            ([[1.0, 2.0], [2.0, 4.0 + 1e-10]], None),
+        ],
+    )
+    def test_each_failure_raises_on_the_same_inputs(self, matrix, failure):
+        matrix = np.array(matrix)
+        rhs = np.array([1.0, -2.0])
+        got = solve_outcome(lu_solve, matrix, rhs)
+        assert got == solve_outcome(_reference_lu_solve_2x2, matrix, rhs)
+        assert got.startswith(failure) if failure else isinstance(got, bytes)
+
+    @pytest.mark.parametrize("name", ["rutishauser", "ackley", "gradient", "asymmetric"])
+    def test_model_matrix_matches_numpy_assembly(self, name, tmp_path):
+        if name == "rutishauser":
+            problem = rutishauser()
+        elif name == "ackley":
+            problem = ackley_gradient()
+        else:
+            path = tmp_path / "p.poly"
+            if name == "gradient":
+                write_random_gradient_file(path, 52)
+            else:
+                # not a gradient, so the Jacobian is not symmetric
+                path.write_text("domain -1 1 -1 1\npoly 2 : 1.5 2 1 ; -0.5 0 3\npoly 2 : 0.7 3 0 ; -2 0 1\n")
+            problem = load_polynomial_problem(str(path))
+        lo, hi = np.array(problem.domain.lo), np.array(problem.domain.hi)
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            x = rng.uniform(lo, hi)
+            h = rng.normal(size=2) * 10.0 ** rng.integers(-8, 1)
+            h[rng.random(2) < 0.1] = rng.choice([0.0, -0.0])
+            for k in range(6):
+                coeffs = barycentric_coefficients(k)
+                got = barycentric_model_matrix(problem, coeffs, h, x)
+                expected = _reference_model_matrix(problem, coeffs, h, x)
+                assert got.tobytes() == expected.tobytes()
+                rhs = rng.normal(size=2)
+                assert solve_outcome(lu_solve, got, rhs) == solve_outcome(_reference_lu_solve_2x2, got, rhs)
+
+    def test_model_matrix_through_an_undefined_sample(self):
+        # the i = 1 sample of x = -h is Ackley's origin, where J is NaN
+        problem = ackley_gradient()
+        h = np.array([0.25, -0.5])
+        got = barycentric_model_matrix(problem, barycentric_coefficients(2), h, -h)
+        assert np.isnan(got).all()
+        assert np.isnan(_reference_model_matrix(problem, barycentric_coefficients(2), h, -h)).all()
 
 
 class TestNewtonStep:

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from rootmaps import ackley_gradient, load_polynomial_problem, rutishauser, scalar_test_set
-from rootmaps.problems import ProblemFormatError, scalar_problem, vector_problem
+from rootmaps import (
+    EvaluationError,
+    ackley_gradient,
+    load_polynomial_problem,
+    rutishauser,
+    scalar_test_set,
+)
+from rootmaps.mapsnd import evaluate
+from rootmaps.problems import ProblemFormatError, _parse_poly_line, scalar_problem, vector_problem
 
 RUT = rutishauser()
 ACK = ackley_gradient()
@@ -205,3 +212,125 @@ class TestPolynomialFiles:
         assert vector_problem(str(path)).n == 1
         with pytest.raises(FileNotFoundError):
             vector_problem("nonexistent")
+
+
+def write_random_gradient_file(path, seed, n=2, degree=7):
+    """The gradient of a seeded random polynomial in n variables, as a poly file.
+
+    Every monomial of total degree <= degree gets a standard normal
+    coefficient; the file declares the domain [-1, 1]^2 when n is 2.
+    """
+    rng = np.random.default_rng(seed)
+    monomials = [e for e in np.ndindex(*(degree + 1,) * n) if sum(e) <= degree]
+    coeffs = rng.standard_normal(len(monomials)).tolist()
+    lines = ["domain -1 1 -1 1"] if n == 2 else []
+    for axis in range(n):
+        terms = []
+        for coeff, exponents in zip(coeffs, monomials):
+            if exponents[axis] > 0:
+                lowered = list(exponents)
+                lowered[axis] -= 1
+                terms.append(" ".join([repr(coeff * exponents[axis]), *map(str, lowered)]))
+        lines.append(f"poly {n} : " + " ; ".join(terms))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def reference_component(component, point):
+    """The term-by-term loop the loader evaluated before power tables: the
+    oracle of the loaded f and Jacobian."""
+    total = 0.0
+    for coeff, exponents in component.terms:
+        value = coeff
+        for x_i, e_i in zip(point, exponents):
+            value *= float(x_i) ** e_i
+        total += value
+    return total
+
+
+def reference_problem(path):
+    """(f, jacobian) of a poly file, evaluated by reference_component."""
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    components = [_parse_poly_line(line, 0) for line in lines if line.startswith("poly")]
+    n = len(components)
+    partials = [[c.partial(j) for j in range(n)] for c in components]
+
+    def f(p):
+        return np.array([reference_component(c, p) for c in components])
+
+    def jacobian(p):
+        return np.array([[reference_component(partials[i][j], p) for j in range(n)] for i in range(n)])
+
+    return f, jacobian
+
+
+def outcome(fn, point):
+    """The bytes of fn(point), or the name of the exception it raised.
+
+    NaNs compare as one value: which operand's sign and payload a NaN sum
+    carries depends on the interpreter's code path, not on the operations,
+    and a NaN fails evaluation whatever its bits.
+    """
+    try:
+        value = np.asarray(fn(point))
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+    return np.where(np.isnan(value), np.nan, value).tobytes()
+
+
+# coordinates whose powers are exact, signed zeros, large enough to overflow
+# from some power on, subnormal on squaring, or not finite
+SPECIAL_COORDINATES = (
+    0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 1e-200, -1e-170, 1e40, -1e43, 1e44, 1e45, -1e45,
+    1e52, 1e155, -1e300, math.inf, -math.inf, math.nan,
+)
+
+
+class TestPowerTables:
+    @pytest.mark.parametrize("n,seed", [(1, 40), (2, 41), (2, 42), (2, 43), (3, 44)])
+    def test_matches_term_loop_bit_for_bit(self, tmp_path, n, seed):
+        path = write_random_gradient_file(tmp_path / "random.poly", seed, n=n)
+        problem = load_polynomial_problem(str(path))
+        ref_f, ref_jacobian = reference_problem(path)
+        rng = np.random.default_rng(seed)
+        points = [rng.uniform(-1.5, 1.5, size=n) for _ in range(50)]
+        points += [rng.choice(SPECIAL_COORDINATES, size=n) for _ in range(200)]
+        points += [np.full(n, v) for v in SPECIAL_COORDINATES]
+        raised = 0
+        for point in points:
+            assert outcome(problem.f, point) == outcome(ref_f, point), point
+            assert outcome(problem.jacobian, point) == outcome(ref_jacobian, point), point
+            raised += outcome(problem.f, point) == "OverflowError"
+        assert 0 < raised < len(points)
+
+    def test_signed_zero_sums(self, tmp_path):
+        # -0.0 terms sum to +0.0 from the 0.0 start, as in the term loop
+        path = tmp_path / "zeros.poly"
+        path.write_text("poly 2 : -1.0 1 0 ; 1.0 0 1\npoly 2 : 1.0 1 1\n")
+        problem = load_polynomial_problem(str(path))
+        for point in ([0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]):
+            value = problem.f(np.array(point))
+            assert value.tobytes() == np.array([0.0, 0.0]).tobytes()
+            assert value.tobytes() == reference_problem(path)[0](np.array(point)).tobytes()
+
+    def test_unused_power_does_not_overflow(self, tmp_path):
+        # f needs x**7, which overflows at x = 1e45; every partial needs at
+        # most x**6 (1e270), so the Jacobian stays finite
+        path = tmp_path / "seventh.poly"
+        path.write_text("poly 2 : 1.0 7 0 ; 1.0 0 1\npoly 2 : 1.0 1 0 ; 1.0 0 1\n")
+        problem = load_polynomial_problem(str(path))
+        ref_f, ref_jacobian = reference_problem(path)
+        point = np.array([1e45, 0.5])
+        assert outcome(problem.f, point) == outcome(ref_f, point) == "OverflowError"
+        with pytest.raises(EvaluationError):
+            evaluate(problem.f, point)
+        jacobian = evaluate(problem.jacobian, point)
+        assert jacobian.tobytes() == ref_jacobian(point).tobytes()
+        assert jacobian[0, 0] == 7.0 * 1e45**6
+
+    def test_constant_system_has_zero_jacobian(self, tmp_path):
+        path = tmp_path / "constant.poly"
+        path.write_text("poly 1 : 2.5 0 ; -1.0 0\n")
+        problem = load_polynomial_problem(str(path))
+        assert problem.f(np.array([3.0])).tolist() == [1.5]
+        assert problem.jacobian(np.array([3.0])).tolist() == [[0.0]]

@@ -9,9 +9,7 @@ cluster near the fixed points of the map; a greedy pass groups them.
 import itertools
 import math
 import operator
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,23 +239,15 @@ def _classify_seed(problem, config, index_and_seed):
     )
 
 
-def run_capture(problem: VectorProblem, config: CaptureConfig, threads: int = 1) -> CaptureResult:
+def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
     """Scan the grid with two iterations of the configured map.
 
-    Per-seed outcomes are independent, so the work may fan out across
-    threads; results are merged in grid-index order and the clustering pass
-    runs after the merge, so the output is identical for any thread count.
+    Seeds are classified in grid-index order, then the captured points are
+    clustered in that order.
     """
     seeds = make_grid(config.grid)
     indices = [(i, j) for i in range(config.grid.nx) for j in range(config.grid.ny)]
-    work = list(zip(indices, seeds))
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads == 1:
-        outcomes = [_classify_seed(problem, config, item) for item in work]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda item: _classify_seed(problem, config, item), work))
+    outcomes = [_classify_seed(problem, config, item) for item in zip(indices, seeds)]
     counts = CaptureCounts(seeded=len(seeds), **Counter(kind for kind, _ in outcomes))
     captured = [point for _, point in outcomes if point is not None]
     clusters = cluster_points([c.point for c in captured], config.cluster_radius)

@@ -27,7 +27,6 @@ from .maps1d import (
     newton_map,
     newton_taylor,
 )
-from .mapsnd import VectorProblem
 from .problems import ProblemFormatError, scalar_problem, scalar_test_set, vector_problem
 
 
@@ -273,18 +272,6 @@ def capture_result_to_dict(result: CaptureResult) -> dict:
     }
 
 
-def _capture_once(problem: VectorProblem, args, map_spec: IterativeMap) -> CaptureResult:
-    grid = GridSpec(domain=problem.domain, nx=args.nx, ny=args.ny)
-    config = CaptureConfig(
-        grid=grid,
-        tolerance=args.eps,
-        map=map_spec,
-        cluster_radius=args.cluster_radius,
-        norm=args.norm,
-    )
-    return run_capture(problem, config, threads=args.threads)
-
-
 def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
     try:
@@ -296,7 +283,14 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
     problem = vector_problem(args.problem)
     if problem.domain is None:
         raise ProblemFormatError(f"problem {args.problem!r} declares no domain; add a `domain` line")
-    result = _capture_once(problem, args, map_spec)
+    config = CaptureConfig(
+        grid=GridSpec(domain=problem.domain, nx=args.nx, ny=args.ny),
+        tolerance=args.eps,
+        map=map_spec,
+        cluster_radius=args.cluster_radius,
+        norm=args.norm,
+    )
+    result = run_capture(problem, config)
     if args.format == "json":
         payload = capture_result_to_dict(result)
         payload["problem"] = args.problem
@@ -316,7 +310,6 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
                 "eps": args.eps,
                 "cluster_radius": args.cluster_radius,
                 "norm": args.norm,
-                "threads": args.threads,
                 "format": args.format,
                 "out": args.out,
             },
@@ -365,7 +358,7 @@ REPRODUCE_SETUPS = {
 _MAX_CLUSTER_ROWS = 8
 
 
-def _reproduce_report(example: str, threads: int, cluster_radius: float) -> tuple[dict, dict]:
+def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
     problem_name, nx, ny, eps, map_rows = REPRODUCE_SETUPS[example]
     problem = vector_problem(problem_name)
     grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
@@ -374,7 +367,7 @@ def _reproduce_report(example: str, threads: int, cluster_radius: float) -> tupl
     for label, spec_text, reference_count in map_rows:
         map_spec = parse_map_spec(spec_text)
         config = CaptureConfig(grid=grid, tolerance=eps, map=map_spec, cluster_radius=cluster_radius)
-        result = run_capture(problem, config, threads=threads)
+        result = run_capture(problem, config)
         results[label] = result
         clusters = sorted(result.clusters, key=lambda c: -c.count)[:_MAX_CLUSTER_ROWS]
         maps.append(
@@ -441,7 +434,7 @@ def _render_report_text(report: dict) -> str:
 
 def _cmd_reproduce(args) -> int:
     start = time.perf_counter()
-    report, results = _reproduce_report(args.example, args.threads, args.cluster_radius)
+    report, results = _reproduce_report(args.example, args.cluster_radius)
     text = json.dumps(report, indent=2) + "\n" if args.format == "json" else _render_report_text(report)
     sys.stdout.write(text)
     if args.out:
@@ -461,7 +454,6 @@ def _cmd_reproduce(args) -> int:
             subcommand="reproduce",
             config={
                 "example": args.example,
-                "threads": args.threads,
                 "cluster_radius": args.cluster_radius,
                 "format": args.format,
                 "out": args.out,
@@ -515,13 +507,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootmaps",
@@ -555,14 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_capture.add_argument("--eps", type=_positive_float, required=True, help="capture tolerance")
     p_capture.add_argument("--cluster-radius", type=_positive_float, default=1e-3)
     p_capture.add_argument("--norm", choices=["max", "euclidean"], default="max")
-    p_capture.add_argument("--threads", type=_nonnegative_int, default=1, help="0 = auto")
     p_capture.add_argument("--format", choices=["csv", "json"], default="csv")
     p_capture.add_argument("--out", help="write output to this path instead of stdout")
 
     p_repro = sub.add_parser("reproduce", help="re-run a published example end to end")
     p_repro.add_argument("--example", choices=sorted(REPRODUCE_SETUPS), required=True)
     p_repro.add_argument("--cluster-radius", type=_positive_float, default=1e-3)
-    p_repro.add_argument("--threads", type=_nonnegative_int, default=1, help="0 = auto")
     p_repro.add_argument("--format", choices=["text", "json"], default="text")
     p_repro.add_argument("--out", help="directory for per-map CSVs, report, and manifest")
     return parser

@@ -139,11 +139,11 @@ def compose(outer: IterativeMap, inner: IterativeMap) -> IterativeMap:
     return IterativeMap(family=MapFamily.COMPOSITION, components=(outer, inner))
 
 
-def newton_step(problem: ScalarProblem, x: float, floor: float = DENOMINATOR_FLOOR) -> float:
+def newton_step(problem: ScalarProblem, x: float) -> float:
     """One Newton step x - f(x)/f'(x)."""
     fx = _call(problem.f, x)
     dfx = _call(problem.derivative(1), x)
-    if abs(dfx) < floor:
+    if abs(dfx) < DENOMINATOR_FLOOR:
         raise SingularModelError(f"|f'(x)|={abs(dfx):.3e} below floor at x={x!r}")
     return x - fx / dfx
 
@@ -174,12 +174,7 @@ def barycentric_model(
     return total
 
 
-def recursive_map_step(
-    problem: ScalarProblem,
-    iter_map: IterativeMap,
-    x: float,
-    floor: float = DENOMINATOR_FLOOR,
-) -> float:
+def recursive_map_step(problem: ScalarProblem, iter_map: IterativeMap, x: float) -> float:
     """Evaluate the map at one point.
 
     For the recursive families this computes t_0(x)..t_k(x) in sequence, each
@@ -189,12 +184,12 @@ def recursive_map_step(
     """
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
-        return recursive_map_step(problem, outer, recursive_map_step(problem, inner, x, floor), floor)
+        return recursive_map_step(problem, outer, recursive_map_step(problem, inner, x))
     if iter_map.family is MapFamily.NEWTON:
-        return newton_step(problem, x, floor)
+        return newton_step(problem, x)
 
     fx = _call(problem.f, x)
-    t = newton_step(problem, x, floor)
+    t = newton_step(problem, x)
     for j in range(1, iter_map.k + 1):
         h = t - x
         if iter_map.family is MapFamily.NEWTON_TAYLOR:
@@ -203,7 +198,7 @@ def recursive_map_step(
             phi = barycentric_model(problem, barycentric_coefficients(j), h, x)
         if not math.isfinite(phi):
             raise EvaluationError(f"non-finite model value at x={x!r} (index {j})")
-        if abs(phi) < floor:
+        if abs(phi) < DENOMINATOR_FLOOR:
             raise SingularModelError(f"|phi_{j}(x)|={abs(phi):.3e} below floor at x={x!r}")
         t = x - fx / phi
     return t
@@ -268,22 +263,18 @@ def iterate(
     return IterationResult(points=tuple(points), status=status)
 
 
-def estimate_order(
-    trajectory: tuple[float, ...] | list[float],
-    root: float,
-    floor: float = ERROR_FLOOR,
-    start_below: float = PRE_ASYMPTOTIC_CEILING,
-) -> float:
+def estimate_order(trajectory: tuple[float, ...] | list[float], root: float) -> float:
     """Median of log-error ratios ln|e_{k+1}| / ln|e_k| along a trajectory.
 
-    Pairs qualify when the earlier error is below start_below (the estimate is
-    local), both errors sit above the round-off floor, and the error strictly
-    decreases.  Sign conventions do not matter: only |x_k - root| is used.
+    Pairs qualify when the earlier error is below PRE_ASYMPTOTIC_CEILING (the
+    estimate is local), both errors sit above ERROR_FLOOR, and the error
+    strictly decreases.  Sign conventions do not matter: only |x_k - root| is
+    used.
     """
     errors = [abs(x - root) for x in trajectory]
     ratios = []
     for e0, e1 in zip(errors, errors[1:]):
-        if e0 >= start_below or e0 <= floor or e1 <= floor or e1 >= e0:
+        if e0 >= PRE_ASYMPTOTIC_CEILING or e0 <= ERROR_FLOOR or e1 <= ERROR_FLOOR or e1 >= e0:
             continue
         ratios.append(math.log(e1) / math.log(e0))
     if len(ratios) < 2:

@@ -127,27 +127,30 @@ def lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         )
     if n == 2:
         return _solve_2x2(a.tolist(), b.tolist())
-    a, b = a.copy(), b.copy()
-    scale = float(np.abs(a).sum(axis=1).max())
-    pivot_floor = PIVOT_RTOL * scale
-    if scale == 0.0 or not np.isfinite(scale):
-        raise SingularModelError("matrix has zero or non-finite row norms")
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) < pivot_floor:
-            raise SingularModelError(f"pivot {abs(a[piv, col]):.3e} below floor {pivot_floor:.3e}")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        for r in range(col + 1, n):
-            factor = a[r, col] / a[col, col]
-            if factor != 0.0:
-                a[r, col + 1 :] -= factor * a[col, col + 1 :]
-                b[r] -= factor * b[col]
-    x = np.zeros(n)
-    for r in range(n - 1, -1, -1):
-        x[r] = (b[r] - a[r, r + 1 :] @ x[r + 1 :]) / a[r, r]
-    return x
+    # Overflow is caught by the finiteness test on the scale or shows in the
+    # solution, as on the 2-D path; numpy must not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = a.copy(), b.copy()
+        scale = float(np.abs(a).sum(axis=1).max())
+        pivot_floor = PIVOT_RTOL * scale
+        if scale == 0.0 or not np.isfinite(scale):
+            raise SingularModelError("matrix has zero or non-finite row norms")
+        for col in range(n):
+            piv = col + int(np.argmax(np.abs(a[col:, col])))
+            if abs(a[piv, col]) < pivot_floor:
+                raise SingularModelError(f"pivot {abs(a[piv, col]):.3e} below floor {pivot_floor:.3e}")
+            if piv != col:
+                a[[col, piv]] = a[[piv, col]]
+                b[[col, piv]] = b[[piv, col]]
+            for r in range(col + 1, n):
+                factor = a[r, col] / a[col, col]
+                if factor != 0.0:
+                    a[r, col + 1 :] -= factor * a[col, col + 1 :]
+                    b[r] -= factor * b[col]
+        x = np.zeros(n)
+        for r in range(n - 1, -1, -1):
+            x[r] = (b[r] - a[r, r + 1 :] @ x[r + 1 :]) / a[r, r]
+        return x
 
 
 def evaluate(fn: Callable, x: np.ndarray) -> np.ndarray:

@@ -131,9 +131,9 @@ def _ackley_jacobian(p: np.ndarray) -> np.ndarray:
     if r == 0.0:
         return np.full((2, 2), math.nan)
     e_radial = math.exp(-_ACKLEY_DECAY * r)
-    e_wave = math.exp(0.5 * (math.cos(_TWO_PI * x) + math.cos(_TWO_PI * y)))
     sx, cx = math.sin(_TWO_PI * x), math.cos(_TWO_PI * x)
     sy, cy = math.sin(_TWO_PI * y), math.cos(_TWO_PI * y)
+    e_wave = math.exp(0.5 * (cx + cy))
     r2, r3 = r * r, r * r * r
     j11 = -_ACKLEY_RADIAL * e_radial * (1.0 / r - x * x / r3 - _ACKLEY_DECAY * x * x / r2) - (
         _ACKLEY_WAVE * e_wave * (_TWO_PI * cx - math.pi * sx * sx)

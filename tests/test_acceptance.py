@@ -87,7 +87,7 @@ def rutishauser_capture():
         tolerance=0.001,
         map=compose(newton_barycentric(3), newton_barycentric(2)),
     )
-    return problem, config, run_capture(problem, config, threads=1)
+    return problem, config, run_capture(problem, config)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ def ackley_fine_capture():
         map=compose(newton_barycentric(5), newton_barycentric(4)),
     )
     start = time.perf_counter()
-    result = run_capture(problem, config, threads=1)
+    result = run_capture(problem, config)
     elapsed = time.perf_counter() - start
     return problem, config, result, elapsed
 
@@ -269,14 +269,15 @@ def test_c7_ackley_symmetry(ackley_fine_capture):
     _report(7, f"four-fold reflection symmetry holds (worst counterpart distance {worst:.2e})")
 
 
-def test_c8_thread_determinism(rutishauser_capture, ackley_fine_capture):
-    rut_problem, rut_config, rut_result = rutishauser_capture
-    ack_problem, ack_config, ack_result, _ = ackley_fine_capture
-    rut_csv_threaded = render_capture_csv(run_capture(rut_problem, rut_config, threads=4))
-    assert render_capture_csv(rut_result) == rut_csv_threaded
-    ack_csv_threaded = render_capture_csv(run_capture(ack_problem, ack_config, threads=4))
-    assert render_capture_csv(ack_result) == ack_csv_threaded
-    _report(8, "capture CSVs are byte-identical for 1-thread and 4-thread runs")
+def test_c8_run_determinism(rutishauser_capture, ackley_fine_capture):
+    _, rut_config, rut_result = rutishauser_capture
+    _, ack_config, ack_result, _ = ackley_fine_capture
+    # a second scan on fresh problem objects must repeat the first byte for byte
+    rut_csv_again = render_capture_csv(run_capture(rutishauser(), rut_config))
+    assert render_capture_csv(rut_result) == rut_csv_again
+    ack_csv_again = render_capture_csv(run_capture(ackley_gradient(), ack_config))
+    assert render_capture_csv(ack_result) == ack_csv_again
+    _report(8, "capture CSVs are byte-identical across two runs on fresh problems")
 
 
 def _float_weights(k: int) -> np.ndarray:

@@ -213,6 +213,9 @@ class TestCaptureCommand:
             ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "0.1",
              "--seed", "1"],
             ["reproduce", "--example", "example1", "--seed", "1"],
+            ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "0.1",
+             "--threads", "2"],
+            ["reproduce", "--example", "example1", "--threads", "2"],
             ["order", "--problem", "cubic", "--family", "newton", "--x0", "1.4", "--tol", "nan"],
             ["order", "--problem", "cubic", "--family", "newton", "--x0", "nan"],
             ["order", "--problem", "cubic", "--family", "newton", "--x0", "-inf"],
@@ -250,9 +253,7 @@ class TestCaptureCommand:
 class TestReproduceCommand:
     def test_example1_report(self, tmp_path, capsys):
         out_dir = tmp_path / "report"
-        assert main(
-            ["reproduce", "--example", "example1", "--threads", "2", "--out", str(out_dir)]
-        ) == 0
+        assert main(["reproduce", "--example", "example1", "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "reference counts: 1, 50, 8, 89, 4, 77, 6, 18" in out
         assert "t_32" in out
@@ -270,20 +271,18 @@ class TestReproduceCommand:
         assert (out_dir / "example1-t_32.csv").exists()
         manifest = json.loads((out_dir / "example1-manifest.json").read_text())
         assert len(manifest["outputs"]) == 9
-        assert manifest["argv"] == [
-            "reproduce", "--example", "example1", "--threads", "2", "--out", str(out_dir)
-        ]
+        assert manifest["argv"] == ["reproduce", "--example", "example1", "--out", str(out_dir)]
         assert_environment(manifest)
 
     def test_example1_report_is_deterministic(self, capsys):
-        assert main(["reproduce", "--example", "example1", "--threads", "1"]) == 0
+        assert main(["reproduce", "--example", "example1"]) == 0
         first = capsys.readouterr().out
-        assert main(["reproduce", "--example", "example1", "--threads", "3"]) == 0
+        assert main(["reproduce", "--example", "example1"]) == 0
         second = capsys.readouterr().out
         assert first == second
 
     def test_example2_coarse_report(self, capsys):
-        assert main(["reproduce", "--example", "example2-coarse", "--threads", "2"]) == 0
+        assert main(["reproduce", "--example", "example2-coarse"]) == 0
         out = capsys.readouterr().out
         assert "reference counts: 12, 28, 60, 64, 52, 208" in out
         assert "t_54" in out

@@ -65,6 +65,12 @@ class TestLuSolve:
         with pytest.raises(SingularModelError):
             lu_solve(np.zeros((3, 3)), np.ones(3))
 
+    def test_overflowing_row_norms_raise_singular_model(self):
+        # the numpy path's row sums overflow to inf: a step failure, not a
+        # numpy warning (the 2x2 cases are in TestTwoByTwoKernel)
+        with pytest.raises(SingularModelError, match="non-finite row norms"):
+            lu_solve(np.full((3, 3), 1e308), np.ones(3))
+
     @pytest.mark.parametrize(
         "matrix,rhs",
         [

@@ -2,7 +2,8 @@
 
 Every grid vertex X0 goes through three filters: the Jacobian at X0 must be
 nonsingular, at least one of the two iterates X1, X2 must stay in the search
-box, and finally X2 is kept iff ||f(X2)|| <= tolerance.  Captured points
+box, and finally X2 is kept iff ||f(X2)|| <= tolerance.  All seeds pass
+through each filter together, as one batch (see mapsnd).  Captured points
 cluster near the fixed points of the map; a greedy pass groups them.
 """
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps1d import EvaluationError, IterativeMap, StepFailureError
-from .mapsnd import Box, VectorProblem, evaluate, jacobian_is_singular, vector_map_step
+from .maps1d import IterativeMap, StepFailureError
+from .mapsnd import Box, VectorProblem, evaluate_rows, map_rows, solve_rows
 
 DEFAULT_CLUSTER_RADIUS = 1e-3
 
@@ -109,11 +110,11 @@ def _axis_vertices(lo: float, hi: float, count: int) -> np.ndarray:
     return vertices
 
 
-def make_grid(spec: GridSpec) -> list[np.ndarray]:
-    """Vertices in row-major order: index i scans x, j scans y, j fastest."""
+def make_grid(spec: GridSpec) -> np.ndarray:
+    """Vertices as rows, in row-major order: index i scans x, j scans y, j fastest."""
     xs = _axis_vertices(spec.domain.lo[0], spec.domain.hi[0], spec.nx)
     ys = _axis_vertices(spec.domain.lo[1], spec.domain.hi[1], spec.ny)
-    return [np.array([xs[i], ys[j]]) for i in range(spec.nx) for j in range(spec.ny)]
+    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 # Quotients are clamped to +-2**52 before the floor, as one that overflows is
@@ -202,53 +203,39 @@ def _residual_norm(vec: np.ndarray, norm: str) -> float:
     return float(np.max(np.abs(vec)))
 
 
-def _classify_seed(problem, config, index_and_seed):
-    """The CaptureCounts field the seed is tallied under, and its CapturedPoint if captured."""
-    (grid_i, grid_j), seed = index_and_seed
-    try:
-        evaluate(problem.f, seed)
-    except EvaluationError:
-        return ("skipped_singular", None)
-    if jacobian_is_singular(problem, seed):
-        return ("skipped_singular", None)
-    try:
-        first = vector_map_step(problem, config.map, seed).next
-        second = vector_map_step(problem, config.map, first).next
-    except StepFailureError:
-        return ("step_failures", None)
-    domain = config.grid.domain
-    if not domain.contains(first) and not domain.contains(second):
-        return ("skipped_outside", None)
-    try:
-        fnorm = _residual_norm(evaluate(problem.f, second), config.norm)
-    except EvaluationError:
-        return ("rejected_tolerance", None)
-    if not fnorm <= config.tolerance:
-        return ("rejected_tolerance", None)
-    objective = float(problem.objective(second)) if problem.objective else None
-    return (
-        "captured",
-        CapturedPoint(
-            grid_i=grid_i,
-            grid_j=grid_j,
-            seed=seed,
-            point=second,
-            fnorm=fnorm,
-            objective=objective,
-        ),
-    )
+def _settle(fates: list, fate: str) -> list:
+    return [fate if isinstance(value, StepFailureError) else value for value in fates]
 
 
 def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
     """Scan the grid with two iterations of the configured map.
 
-    Seeds are classified in grid-index order, then the captured points are
-    clustered in that order.
+    fates[r] is None while seed r is live.  The batch engine marks a seed that
+    fails with its StepFailureError, which _settle replaces with the
+    CaptureCounts field of the stage that stopped it.  Captured points are
+    clustered in grid-index order.
     """
     seeds = make_grid(config.grid)
-    indices = [(i, j) for i in range(config.grid.nx) for j in range(config.grid.ny)]
-    outcomes = [_classify_seed(problem, config, item) for item in zip(indices, seeds)]
-    counts = CaptureCounts(seeded=len(seeds), **Counter(kind for kind, _ in outcomes))
-    captured = [point for _, point in outcomes if point is not None]
+    n = problem.n
+    fates: list = [None] * len(seeds)
+    evaluate_rows(problem.f, (n,), seeds, fates)
+    solve_rows(evaluate_rows(problem.jacobian, (n, n), seeds, fates), np.zeros(seeds.shape), fates)
+    fates = _settle(fates, "skipped_singular")
+    first = map_rows(problem, config.map, seeds, fates)[0]
+    second = map_rows(problem, config.map, first, fates)[0]
+    fates = _settle(fates, "step_failures")
+    inside = (config.grid.domain.contains(first) | config.grid.domain.contains(second)).tolist()
+    fates = [fate if fate or ok else "skipped_outside" for fate, ok in zip(fates, inside)]
+    residuals = evaluate_rows(problem.f, (n,), second, fates)
+    fates = _settle(fates, "rejected_tolerance")
+    captured = []
+    for r in [r for r, fate in enumerate(fates) if fate is None]:
+        fnorm = _residual_norm(residuals[r], config.norm)
+        fates[r] = "captured" if fnorm <= config.tolerance else "rejected_tolerance"
+        if fates[r] == "captured":
+            grid_i, grid_j = divmod(r, config.grid.ny)
+            objective = float(problem.objective(second[r])) if problem.objective else None
+            captured.append(CapturedPoint(grid_i, grid_j, seeds[r], second[r], fnorm, objective))
+    counts = CaptureCounts(seeded=len(seeds), **Counter(fates))
     clusters = cluster_points([c.point for c in captured], config.cluster_radius)
     return CaptureResult(captured=captured, clusters=clusters, counts=counts)

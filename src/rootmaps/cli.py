@@ -100,18 +100,28 @@ class RunManifest:
     environment: dict = field(default_factory=_environment)
 
 
-def _write_manifest(path: str, manifest: RunManifest) -> None:
+def _write_manifest(path: str, args, config: dict, start: float, outputs: list[str]) -> None:
+    manifest = RunManifest(
+        subcommand=args.subcommand,
+        config=config,
+        version=__version__,
+        duration_seconds=time.perf_counter() - start,
+        outputs=outputs,
+        argv=args.argv,
+    )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(asdict(manifest), fh, indent=2)
         fh.write("\n")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(text: str, args, config: dict, start: float) -> None:
+    """Write text to stdout, or to args.out with its manifest beside it."""
+    if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    _write_manifest(args.out + ".manifest.json", args, config, start, [args.out])
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +161,8 @@ def _render_coeffs(k: int, fmt: str) -> str:
 
 def _cmd_coeffs(args) -> int:
     start = time.perf_counter()
-    text = _render_coeffs(args.k, args.format)
-    _emit(text, args.out)
-    if args.out:
-        manifest = RunManifest(
-            subcommand="coeffs",
-            config={"k": args.k, "format": args.format, "out": args.out},
-            version=__version__,
-            argv=args.argv,
-            duration_seconds=time.perf_counter() - start,
-            outputs=[args.out],
-        )
-        _write_manifest(args.out + ".manifest.json", manifest)
+    config = {"k": args.k, "format": args.format, "out": args.out}
+    _emit(_render_coeffs(args.k, args.format), args, config, start)
     return 0
 
 
@@ -174,12 +174,7 @@ def _cmd_coeffs(args) -> int:
 def _cmd_order(args) -> int:
     start = time.perf_counter()
     problem = scalar_problem(args.problem)
-    if args.family == "newton":
-        spec = newton_map()
-    elif args.family == "taylor":
-        spec = newton_taylor(args.k)
-    else:
-        spec = newton_barycentric(args.k)
+    spec = parse_map_spec("newton" if args.family == "newton" else f"{args.family}:{args.k}")
     result = iterate(problem, spec, args.x0, max_iter=args.max_iter, tol=args.tol)
     payload = {
         "problem": args.problem,
@@ -194,26 +189,16 @@ def _cmd_order(args) -> int:
         payload["estimated_order"] = estimate_order(result.points, problem.known_root)
     except InsufficientDataError as exc:
         payload["order_estimate_note"] = str(exc)
-    text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, args.out)
-    if args.out:
-        manifest = RunManifest(
-            subcommand="order",
-            config={
-                "problem": args.problem,
-                "family": args.family,
-                "k": args.k,
-                "x0": args.x0,
-                "max_iter": args.max_iter,
-                "tol": args.tol,
-                "out": args.out,
-            },
-            version=__version__,
-            argv=args.argv,
-            duration_seconds=time.perf_counter() - start,
-            outputs=[args.out],
-        )
-        _write_manifest(args.out + ".manifest.json", manifest)
+    config = {
+        "problem": args.problem,
+        "family": args.family,
+        "k": args.k,
+        "x0": args.x0,
+        "max_iter": args.max_iter,
+        "tol": args.tol,
+        "out": args.out,
+    }
+    _emit(json.dumps(payload, indent=2) + "\n", args, config, start)
     return 0
 
 
@@ -283,14 +268,14 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
     problem = vector_problem(args.problem)
     if problem.domain is None:
         raise ProblemFormatError(f"problem {args.problem!r} declares no domain; add a `domain` line")
-    config = CaptureConfig(
+    scan = CaptureConfig(
         grid=GridSpec(domain=problem.domain, nx=args.nx, ny=args.ny),
         tolerance=args.eps,
         map=map_spec,
         cluster_radius=args.cluster_radius,
         norm=args.norm,
     )
-    result = run_capture(problem, config)
+    result = run_capture(problem, scan)
     if args.format == "json":
         payload = capture_result_to_dict(result)
         payload["problem"] = args.problem
@@ -298,27 +283,18 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = render_capture_csv(result)
-    _emit(text, args.out)
-    if args.out:
-        manifest = RunManifest(
-            subcommand="capture",
-            config={
-                "problem": args.problem,
-                "map": map_spec.describe(),
-                "nx": args.nx,
-                "ny": args.ny,
-                "eps": args.eps,
-                "cluster_radius": args.cluster_radius,
-                "norm": args.norm,
-                "format": args.format,
-                "out": args.out,
-            },
-            version=__version__,
-            argv=args.argv,
-            duration_seconds=time.perf_counter() - start,
-            outputs=[args.out],
-        )
-        _write_manifest(args.out + ".manifest.json", manifest)
+    config = {
+        "problem": args.problem,
+        "map": map_spec.describe(),
+        "nx": args.nx,
+        "ny": args.ny,
+        "eps": args.eps,
+        "cluster_radius": args.cluster_radius,
+        "norm": args.norm,
+        "format": args.format,
+        "out": args.out,
+    }
+    _emit(text, args, config, start)
     return 0
 
 
@@ -450,20 +426,13 @@ def _cmd_reproduce(args) -> int:
             with open(csv_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(render_capture_csv(result))
             outputs.append(csv_path)
-        manifest = RunManifest(
-            subcommand="reproduce",
-            config={
-                "example": args.example,
-                "cluster_radius": args.cluster_radius,
-                "format": args.format,
-                "out": args.out,
-            },
-            version=__version__,
-            argv=args.argv,
-            duration_seconds=time.perf_counter() - start,
-            outputs=outputs,
-        )
-        _write_manifest(os.path.join(args.out, f"{args.example}-manifest.json"), manifest)
+        config = {
+            "example": args.example,
+            "cluster_radius": args.cluster_radius,
+            "format": args.format,
+            "out": args.out,
+        }
+        _write_manifest(os.path.join(args.out, f"{args.example}-manifest.json"), args, config, start, outputs)
     return 0
 
 

@@ -41,9 +41,6 @@ class BarycentricCoefficients:
         """The weights rounded to float once, for model evaluation."""
         return tuple(float(v) for v in self.a)
 
-    def as_floats(self) -> tuple[float, ...]:
-        return self.floats
-
 
 def build_system(k: int) -> BarycentricSystem:
     """Build the order-k weight system.

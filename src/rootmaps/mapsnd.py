@@ -5,17 +5,22 @@ phi_k(x) = sum_i a_i * J(x + i*h), and each step solves phi_k * delta = -f(x).
 The step recursion mirrors the scalar one componentwise: h_1 is the Newton
 delta and h_{j+1} = t_j(x) - x.  Only barycentric maps extend this way; Taylor
 maps would need higher derivative tensors and are not supported here.
+
+The recursion runs on a batch: an (N, n) array of points and a list in which
+failures[r] is None while row r is live, and otherwise the StepFailureError
+that stopped it.  f and the Jacobian are called per point, at the points a
+one-point step evaluates; the arithmetic between the calls is vectorised with
+the same IEEE operations in the same order, so each row's result is the
+one-point result bit for bit.  The one-point functions run batches of one.
 """
 
-import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .coefficients import BarycentricCoefficients, barycentric_coefficients
-from .maps1d import EvaluationError, IterativeMap, MapFamily, SingularModelError, StepFailureError
+from .maps1d import EvaluationError, IterativeMap, MapFamily, SingularModelError
 
 # Pivots below 1e-12 times the matrix row norm are treated as singular.
 PIVOT_RTOL = 1e-12
@@ -38,8 +43,9 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    def contains(self, point) -> bool:
-        return all(lo <= v <= hi for lo, v, hi in zip(self.lo, point, self.hi))
+    def contains(self, points) -> np.ndarray:
+        """Membership of a point, or of each row of an array of points."""
+        return np.all((np.asarray(self.lo) <= points) & (points <= np.asarray(self.hi)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -66,71 +72,57 @@ class VectorStepResult:
     delta: np.ndarray
 
 
-# ---------------------------------------------------------------------------
-# The 2-D kernel.  Grid scans are 2-D, and on 2-vectors numpy's per-call
-# overhead costs more than the arithmetic, so for n == 2 the model matrix and
-# the linear solve run on Python floats.  Each value goes through the same
-# IEEE double operations in the same order as on the numpy path below, which
-# stays the only path for n != 2: the results are the same bit for bit.
-# ---------------------------------------------------------------------------
+def _live(failures: list) -> list[int]:
+    return [r for r, failure in enumerate(failures) if failure is None]
 
 
-def _model_matrix_2x2(
-    jacobian: Callable, weights: tuple[float, ...], h: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    x0, x1 = x.tolist()
-    h0, h1 = h.tolist()
-    m00 = m01 = m10 = m11 = 0.0
-    for i, a_i in enumerate(weights):
-        sample = np.array([x0 + i * h0, x1 + i * h1])
-        (j00, j01), (j10, j11) = np.asarray(jacobian(sample), dtype=float).tolist()
-        m00 += a_i * j00
-        m01 += a_i * j01
-        m10 += a_i * j10
-        m11 += a_i * j11
-    return np.array([[m00, m01], [m10, m11]])
+def _fail(failures: list, rows: np.ndarray, failure: Callable[[int], Exception]) -> None:
+    """Give failure(r) to every live row r that rows marks."""
+    for r in np.flatnonzero(rows).tolist():
+        if failures[r] is None:
+            failures[r] = failure(r)
 
 
-def _solve_2x2(a: list[list[float]], b: list[float]) -> np.ndarray:
-    # Determinant form instead of row-swapping elimination: it is bitwise
-    # equivariant under signed coordinate permutations, so mirror-symmetric
-    # problems scanned from mirror-symmetric seeds stay exactly symmetric.
-    # The pivot magnitudes tested are the ones partial pivoting would use.
-    (m00, m01), (m10, m11) = a
-    row0, row1 = abs(m00) + abs(m01), abs(m10) + abs(m11)
-    scale = max(row0, row1)
-    if scale == 0.0 or not (math.isfinite(row0) and math.isfinite(row1)):
-        raise SingularModelError("matrix has zero or non-finite row norms")
-    pivot_floor = PIVOT_RTOL * scale
-    det = m00 * m11 - m01 * m10
-    pivot1 = max(abs(m00), abs(m10))
-    if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1:
-        raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
-    b0, b1 = b
-    return np.array([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det])
+def _sample(fn: Callable, shape: tuple, points: np.ndarray, at: np.ndarray, failures: list) -> np.ndarray:
+    """fn at each live row of points, as an array of shape (len(points), *shape).
 
-
-def lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve matrix @ x = rhs densely with partial-pivot singularity checks.
-
-    Raises ValueError unless matrix is (n, n) and rhs is (n,), and
-    SingularModelError when the best available pivot is below PIVOT_RTOL
-    times the max row norm of the input, so near-singular systems fail loudly
-    instead of amplifying noise.
+    Plain-float closures raise OverflowError or math domain ValueError where
+    numpy would return inf or nan: such a call fails its row with an
+    EvaluationError naming at[r], caused by that exception.  A value of
+    another shape raises ValueError before it can be broadcast.
     """
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    n = b.size
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError(
-            f"need an (n, n) matrix and an (n,) right-hand side, got shapes {a.shape} and {b.shape}"
-        )
-    if n == 2:
-        return _solve_2x2(a.tolist(), b.tolist())
+    values = np.zeros((len(points), *shape))
+    for r in _live(failures):
+        try:
+            value = np.asarray(fn(points[r]), dtype=float)
+        except (OverflowError, ValueError) as exc:
+            failures[r] = EvaluationError(f"evaluation failed at x={at[r]!r}: {exc}")
+            failures[r].__cause__ = exc
+            continue
+        if value.shape != shape:
+            raise ValueError(f"value shapes differ: expected {shape}, got {value.shape} at x={points[r]!r}")
+        values[r] = value
+    return values
+
+
+def _finite(values: np.ndarray, at: np.ndarray, failures: list) -> np.ndarray:
+    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    _fail(failures, bad, lambda r: EvaluationError(f"non-finite evaluation at x={at[r]!r}"))
+    return values
+
+
+def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: list) -> np.ndarray:
+    """fn at each live row of points; a row whose value is not finite fails."""
+    return _finite(_sample(fn, shape, points, points, failures), points, failures)
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """lu_solve for n != 2: Gaussian elimination with partial pivoting."""
     # Overflow is caught by the finiteness test on the scale or shows in the
     # solution, as on the 2-D path; numpy must not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = a.copy(), b.copy()
+        n = b.size
         scale = float(np.abs(a).sum(axis=1).max())
         pivot_floor = PIVOT_RTOL * scale
         if scale == 0.0 or not np.isfinite(scale):
@@ -153,46 +145,118 @@ def lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return x
 
 
-def evaluate(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """fn(x) as a float array; raises EvaluationError unless every entry is finite."""
-    # plain-float closures raise OverflowError / math domain ValueError where
-    # numpy would return inf or nan; fold both into the evaluation failure
-    try:
-        value = np.asarray(fn(x), dtype=float)
-    except (OverflowError, ValueError) as exc:
-        raise EvaluationError(f"evaluation failed at x={x!r}: {exc}") from exc
-    if not np.isfinite(value).all():
-        raise EvaluationError(f"non-finite evaluation at x={x!r}")
-    return value
+def solve_rows(a: np.ndarray, b: np.ndarray, failures: list) -> np.ndarray:
+    """Each live row's solution of a[r] @ x = b[r]; a row failing lu_solve's tests fails."""
+    if a.shape[1:] != (2, 2):
+        x = np.zeros(b.shape)
+        for r in _live(failures):
+            try:
+                x[r] = _eliminate(a[r], b[r])
+            except SingularModelError as exc:
+                failures[r] = exc
+        return x
+    # Determinant form instead of row-swapping elimination: it is bitwise
+    # equivariant under signed coordinate permutations, so mirror-symmetric
+    # problems scanned from mirror-symmetric seeds stay exactly symmetric.
+    # The pivot magnitudes tested are the ones partial pivoting would use.
+    (m00, m01), (m10, m11) = a.transpose(1, 2, 0)
+    b0, b1 = b.T
+    with np.errstate(all="ignore"):
+        row0, row1 = abs(m00) + abs(m01), abs(m10) + abs(m11)
+        scale = np.maximum(row0, row1)
+        _fail(failures, (scale == 0.0) | ~(np.isfinite(row0) & np.isfinite(row1)),
+              lambda r: SingularModelError("matrix has zero or non-finite row norms"))
+        pivot_floor = PIVOT_RTOL * scale
+        det = m00 * m11 - m01 * m10
+        pivot1 = np.maximum(abs(m00), abs(m10))
+        _fail(failures, (pivot1 < pivot_floor) | (abs(det) < pivot_floor * pivot1),
+              lambda r: SingularModelError(f"2x2 pivots below floor {pivot_floor[r]:.3e}"))
+        # a zero determinant passes when pivot_floor * pivot1 underflows
+        if any(failures[r] is None for r in np.flatnonzero(det == 0.0).tolist()):
+            raise ZeroDivisionError("float division by zero")
+        return np.stack([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det], axis=1)
 
 
-def jacobian_is_singular(problem: VectorProblem, x: np.ndarray) -> bool:
-    """True when J_f(x) is not evaluable, non-finite, or fails the pivot test."""
-    try:
-        lu_solve(evaluate(problem.jacobian, x), np.zeros(problem.n))
-    except StepFailureError:
-        return True
-    return False
+def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.ndarray, failures: list):
+    """Each live row's sum_i a_i * J_f(x + i*h) from 0.0 in order of i; a row whose
+    sample raises takes no more.  The caller checks the sum, not each sample, for finiteness."""
+    phi = np.zeros((len(x), problem.n, problem.n))
+    for i, a_i in enumerate(weights):
+        with np.errstate(all="ignore"):
+            samples = x + i * h
+        values = _sample(problem.jacobian, phi.shape[1:], samples, x, failures)
+        with np.errstate(all="ignore"):
+            phi += a_i * values
+    return phi
+
+
+def _barycentric_rows(problem: VectorProblem, coeffs: BarycentricCoefficients, x: np.ndarray, failures: list):
+    """(next, delta) of the order-k barycentric step from each live row of x: the Newton
+    delta seeds h, then each order-j model matrix, j = 1..k, is solved against -f(x) for the next h."""
+    fx = evaluate_rows(problem.f, (problem.n,), x, failures)
+    delta = solve_rows(evaluate_rows(problem.jacobian, (problem.n,) * 2, x, failures), -fx, failures)
+    for j in range(1, coeffs.k + 1):
+        weights = coeffs if j == coeffs.k else barycentric_coefficients(j)
+        phi = _finite(_model_matrix(problem, weights.floats, delta, x, failures), x, failures)
+        delta = solve_rows(phi, -fx, failures)
+    with np.errstate(all="ignore"):
+        return x + delta, delta
+
+
+def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: list):
+    """(next, delta) of one step of a Newton, barycentric or composed map from each live row of x."""
+    if iter_map.family is MapFamily.COMPOSITION:
+        outer, inner = iter_map.components
+        second = map_rows(problem, outer, map_rows(problem, inner, x, failures)[0], failures)[0]
+        with np.errstate(all="ignore"):
+            return second, second - x
+    if iter_map.family not in (MapFamily.NEWTON, MapFamily.NEWTON_BARYCENTRIC):
+        raise ValueError(f"{iter_map.family.value} maps are not defined on R^n")
+    k = iter_map.k if iter_map.family is MapFamily.NEWTON_BARYCENTRIC else 0
+    return _barycentric_rows(problem, barycentric_coefficients(k), x, failures)
+
+
+def _one_row(engine: Callable, *args):
+    """engine(*args, failures) on a batch of one row; raises the row's failure."""
+    failures = [None]
+    result = engine(*args, failures)
+    if failures[0] is not None:
+        raise failures[0]
+    return result
+
+
+def lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve matrix @ x = rhs densely with partial-pivot singularity checks.
+
+    Raises ValueError unless matrix is (n, n) and rhs is (n,), and
+    SingularModelError when the best available pivot is below PIVOT_RTOL
+    times the max row norm of the input, so near-singular systems fail loudly
+    instead of amplifying noise.
+    """
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    n = b.size
+    if a.shape != (n, n) or b.shape != (n,):
+        raise ValueError(
+            f"need an (n, n) matrix and an (n,) right-hand side, got shapes {a.shape} and {b.shape}"
+        )
+    return _one_row(solve_rows, a[None], b[None])[0]
 
 
 def vector_newton_step(problem: VectorProblem, x: np.ndarray) -> VectorStepResult:
     """Solve J_f(x) * delta = -f(x); next = x + delta."""
-    x = np.asarray(x, dtype=float)
-    fx = evaluate(problem.f, x)
-    delta = lu_solve(evaluate(problem.jacobian, x), -fx)
-    return VectorStepResult(next=x + delta, delta=delta)
+    return vector_barycentric_step(problem, barycentric_coefficients(0), x)
 
 
 def barycentric_model_matrix(
     problem: VectorProblem, coeffs: BarycentricCoefficients, h: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """The n x n model matrix sum_i a_i * J_f(x + i*h)."""
-    if problem.n == 2:
-        return _model_matrix_2x2(problem.jacobian, coeffs.floats, h, x)
-    phi = np.zeros((problem.n, problem.n))
-    for i, a_i in enumerate(coeffs.floats):
-        phi += a_i * np.asarray(problem.jacobian(x + i * h), dtype=float)
-    return phi
+    """The n x n model matrix sum_i a_i * J_f(x + i*h); an exception a sample raises propagates."""
+    h, x = (np.asarray(v, dtype=float)[None] for v in (h, x))
+    try:
+        return _one_row(_model_matrix, problem, coeffs.floats, h, x)[0]
+    except EvaluationError as exc:
+        raise exc.__cause__ from None
 
 
 def vector_barycentric_step(
@@ -200,30 +264,13 @@ def vector_barycentric_step(
 ) -> VectorStepResult:
     """One step of the order-k barycentric map at x.
 
-    Runs the step recursion: the Newton delta seeds h, then for j = 1..k the
-    order-j model matrix is assembled and solved against -f(x), each solution
-    becoming the next step vector.  Raises SingularModelError or
-    EvaluationError, like the scalar steps.
+    Raises SingularModelError or EvaluationError, like the scalar steps.
     """
-    x = np.asarray(x, dtype=float)
-    fx = evaluate(problem.f, x)
-    delta = lu_solve(evaluate(problem.jacobian, x), -fx)
-    for j in range(1, coeffs.k + 1):
-        weights = coeffs if j == coeffs.k else barycentric_coefficients(j)
-        # one finiteness check on the assembled matrix, not one per sample
-        phi = evaluate(partial(barycentric_model_matrix, problem, weights, delta), x)
-        delta = lu_solve(phi, -fx)
-    return VectorStepResult(next=x + delta, delta=delta)
+    next_, delta = _one_row(_barycentric_rows, problem, coeffs, np.asarray(x, dtype=float)[None])
+    return VectorStepResult(next=next_[0], delta=delta[0])
 
 
 def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray) -> VectorStepResult:
     """Apply one step of a Newton, barycentric, or composed map."""
-    if iter_map.family is MapFamily.COMPOSITION:
-        outer, inner = iter_map.components
-        second = vector_map_step(problem, outer, vector_map_step(problem, inner, x).next)
-        return VectorStepResult(next=second.next, delta=second.next - np.asarray(x, dtype=float))
-    if iter_map.family is MapFamily.NEWTON:
-        return vector_newton_step(problem, x)
-    if iter_map.family is MapFamily.NEWTON_BARYCENTRIC:
-        return vector_barycentric_step(problem, barycentric_coefficients(iter_map.k), x)
-    raise ValueError(f"{iter_map.family.value} maps are not defined on R^n")
+    next_, delta = _one_row(map_rows, problem, iter_map, np.asarray(x, dtype=float)[None])
+    return VectorStepResult(next=next_[0], delta=delta[0])

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,9 +9,17 @@ import pytest
 from rootmaps import (
     Box,
     CaptureConfig,
+    CaptureCounts,
+    CapturedPoint,
+    CaptureResult,
     Cluster,
+    EvaluationError,
     GridSpec,
+    MapFamily,
+    SingularModelError,
+    StepFailureError,
     VectorProblem,
+    barycentric_coefficients,
     cluster_points,
     make_grid,
     newton_barycentric,
@@ -18,9 +28,10 @@ from rootmaps import (
     vector_map_step,
     vector_problem,
 )
-from rootmaps.capture import DEFAULT_CLUSTER_RADIUS
+from rootmaps.capture import DEFAULT_CLUSTER_RADIUS, _axis_vertices
 from rootmaps.cli import REPRODUCE_SETUPS, parse_map_spec
-from rootmaps import mapsnd
+from rootmaps import capture, mapsnd
+from rootmaps.mapsnd import PIVOT_RTOL
 from rootmaps.problems import ackley_gradient, load_polynomial_problem, rutishauser
 from test_problems import write_random_gradient_file
 
@@ -420,6 +431,292 @@ def counted(fn, counts, key):
     return wrapper
 
 
+# ---------------------------------------------------------------------------
+# The per-seed scan that the batched one replaced, kept as its oracle: each
+# seed runs through the filters alone, and a failure is an exception.  For
+# n == 2 the model matrix and the solve are the plain-float kernels the scan
+# used; for other n, the numpy assembly and elimination.
+# ---------------------------------------------------------------------------
+
+
+def _reference_evaluate(fn, x):
+    try:
+        value = np.asarray(fn(x), dtype=float)
+    except (OverflowError, ValueError) as exc:
+        raise EvaluationError(f"evaluation failed at x={x!r}: {exc}") from exc
+    if not np.isfinite(value).all():
+        raise EvaluationError(f"non-finite evaluation at x={x!r}")
+    return value
+
+
+def _reference_model_matrix(problem, coeffs, h, x):
+    if problem.n != 2:
+        phi = np.zeros((problem.n, problem.n))
+        for i, a_i in enumerate(coeffs.floats):
+            phi += a_i * np.asarray(problem.jacobian(x + i * h), dtype=float)
+        return phi
+    x0, x1 = x.tolist()
+    h0, h1 = h.tolist()
+    m00 = m01 = m10 = m11 = 0.0
+    for i, a_i in enumerate(coeffs.floats):
+        sample = np.array([x0 + i * h0, x1 + i * h1])
+        (j00, j01), (j10, j11) = np.asarray(problem.jacobian(sample), dtype=float).tolist()
+        m00 += a_i * j00
+        m01 += a_i * j01
+        m10 += a_i * j10
+        m11 += a_i * j11
+    return np.array([[m00, m01], [m10, m11]])
+
+
+def _reference_lu_solve(matrix, rhs):
+    n = len(rhs)
+    if n == 2:
+        (m00, m01), (m10, m11) = matrix.tolist()
+        row0, row1 = abs(m00) + abs(m01), abs(m10) + abs(m11)
+        scale = max(row0, row1)
+        if scale == 0.0 or not (math.isfinite(row0) and math.isfinite(row1)):
+            raise SingularModelError("matrix has zero or non-finite row norms")
+        pivot_floor = PIVOT_RTOL * scale
+        det = m00 * m11 - m01 * m10
+        pivot1 = max(abs(m00), abs(m10))
+        if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1:
+            raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
+        b0, b1 = rhs.tolist()
+        return np.array([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det])
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = matrix.copy(), rhs.copy()
+        scale = float(np.abs(a).sum(axis=1).max())
+        pivot_floor = PIVOT_RTOL * scale
+        if scale == 0.0 or not np.isfinite(scale):
+            raise SingularModelError("matrix has zero or non-finite row norms")
+        for col in range(n):
+            piv = col + int(np.argmax(np.abs(a[col:, col])))
+            if abs(a[piv, col]) < pivot_floor:
+                raise SingularModelError(f"pivot {abs(a[piv, col]):.3e} below floor {pivot_floor:.3e}")
+            if piv != col:
+                a[[col, piv]] = a[[piv, col]]
+                b[[col, piv]] = b[[piv, col]]
+            for r in range(col + 1, n):
+                factor = a[r, col] / a[col, col]
+                if factor != 0.0:
+                    a[r, col + 1 :] -= factor * a[col, col + 1 :]
+                    b[r] -= factor * b[col]
+        x = np.zeros(n)
+        for r in range(n - 1, -1, -1):
+            x[r] = (b[r] - a[r, r + 1 :] @ x[r + 1 :]) / a[r, r]
+        return x
+
+
+def _reference_map_step(problem, iter_map, x):
+    """The next point of one step from x, by the one-point step recursion."""
+    if iter_map.family is MapFamily.COMPOSITION:
+        outer, inner = iter_map.components
+        return _reference_map_step(problem, outer, _reference_map_step(problem, inner, x))
+    k = iter_map.k if iter_map.family is MapFamily.NEWTON_BARYCENTRIC else 0
+    fx = _reference_evaluate(problem.f, x)
+    delta = _reference_lu_solve(_reference_evaluate(problem.jacobian, x), -fx)
+    for j in range(1, k + 1):
+        matrix = partial(_reference_model_matrix, problem, barycentric_coefficients(j), delta)
+        delta = _reference_lu_solve(_reference_evaluate(matrix, x), -fx)
+    return x + delta
+
+
+def _reference_classify_seed(problem, config, grid_i, grid_j, seed):
+    try:
+        _reference_evaluate(problem.f, seed)
+        _reference_lu_solve(_reference_evaluate(problem.jacobian, seed), np.zeros(problem.n))
+    except StepFailureError:
+        return "skipped_singular", None
+    try:
+        first = _reference_map_step(problem, config.map, seed)
+        second = _reference_map_step(problem, config.map, first)
+    except StepFailureError:
+        return "step_failures", None
+    domain = config.grid.domain
+    if not any(all(lo <= v <= hi for lo, v, hi in zip(domain.lo, p, domain.hi)) for p in (first, second)):
+        return "skipped_outside", None
+    try:
+        residual = _reference_evaluate(problem.f, second)
+    except EvaluationError:
+        return "rejected_tolerance", None
+    if config.norm == "euclidean":
+        fnorm = float(np.linalg.norm(residual))
+    else:
+        fnorm = float(np.max(np.abs(residual)))
+    if not fnorm <= config.tolerance:
+        return "rejected_tolerance", None
+    objective = float(problem.objective(second)) if problem.objective else None
+    return "captured", CapturedPoint(grid_i, grid_j, seed, second, fnorm, objective)
+
+
+def _reference_run_capture(problem, config):
+    grid = config.grid
+    xs = _axis_vertices(grid.domain.lo[0], grid.domain.hi[0], grid.nx)
+    ys = _axis_vertices(grid.domain.lo[1], grid.domain.hi[1], grid.ny)
+    outcomes = [
+        _reference_classify_seed(problem, config, i, j, np.array([xs[i], ys[j]]))
+        for i in range(grid.nx)
+        for j in range(grid.ny)
+    ]
+    counts = CaptureCounts(seeded=len(outcomes), **Counter(kind for kind, _ in outcomes))
+    captured = [point for _, point in outcomes if point is not None]
+    clusters = cluster_points([c.point for c in captured], config.cluster_radius)
+    return CaptureResult(captured=captured, clusters=clusters, counts=counts)
+
+
+def counting_problem(problem, calls):
+    return dataclasses.replace(
+        problem, f=counted(problem.f, calls, "f"), jacobian=counted(problem.jacobian, calls, "jacobian")
+    )
+
+
+def assert_scan_matches_reference(problem, config):
+    """run_capture against the per-seed oracle: counts, every captured value's
+    bytes, the clusters and the number of f and Jacobian calls."""
+    got_calls, want_calls = Counter(), Counter()
+    got = run_capture(counting_problem(problem, got_calls), config)
+    want = _reference_run_capture(counting_problem(problem, want_calls), config)
+    assert got.counts == want.counts
+    assert got_calls == want_calls
+    assert len(got.captured) == len(want.captured)
+    for a, b in zip(got.captured, want.captured):
+        assert (a.grid_i, a.grid_j) == (b.grid_i, b.grid_j)
+        assert (a.seed.tobytes(), a.point.tobytes()) == (b.seed.tobytes(), b.point.tobytes())
+        assert (repr(a.fnorm), repr(a.objective)) == (repr(b.fnorm), repr(b.objective))
+    assert [(c.members, c.representative.tobytes()) for c in got.clusters] == [
+        (c.members, c.representative.tobytes()) for c in want.clusters
+    ]
+    return got, got_calls
+
+
+def reproduce_configs(example):
+    problem_name, nx, ny, eps, map_rows = REPRODUCE_SETUPS[example]
+    problem = vector_problem(problem_name)
+    grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
+    return [
+        pytest.param(problem, CaptureConfig(grid=grid, tolerance=eps, map=parse_map_spec(spec)), id=label)
+        for label, spec, _ in map_rows
+    ]
+
+
+class TestBatchedScanAgainstReference:
+    @pytest.mark.parametrize("problem, config", reproduce_configs("example1"))
+    def test_example1(self, problem, config):
+        assert_scan_matches_reference(problem, config)
+
+    @pytest.mark.parametrize("problem, config", reproduce_configs("example2-coarse"))
+    def test_example2_coarse(self, problem, config):
+        result, _ = assert_scan_matches_reference(problem, config)
+        # the origin vertex, where the Ackley Jacobian is NaN, is one of them
+        assert result.counts.skipped_singular >= 1
+
+    @pytest.mark.parametrize("problem", [rutishauser(), ackley_gradient()], ids=["rutishauser", "ackley"])
+    @pytest.mark.parametrize("norm", ["max", "euclidean"])
+    def test_newton(self, problem, norm):
+        grid = GridSpec(domain=problem.domain, nx=15, ny=15)
+        assert_scan_matches_reference(
+            problem, CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map(), norm=norm)
+        )
+
+    def test_euclidean_norm(self):
+        problem = rutishauser()
+        grid = GridSpec(domain=problem.domain, nx=19, ny=19)
+        config = CaptureConfig(grid=grid, tolerance=1e-3, map=parse_map_spec("bary:2"), norm="euclidean")
+        assert_scan_matches_reference(problem, config)
+
+    @pytest.mark.parametrize("spec", ["newton", "bary:2", "compose:bary:1,bary:1"])
+    def test_ackley_origin(self, spec):
+        # the origin is a seed, and the odd grids around it send steps near it
+        problem = ackley_gradient()
+        for size in (3, 5, 7):
+            grid = GridSpec(domain=Box(lo=(-2.0, -2.0), hi=(2.0, 2.0)), nx=size, ny=size)
+            result, _ = assert_scan_matches_reference(
+                problem, CaptureConfig(grid=grid, tolerance=1e-2, map=parse_map_spec(spec))
+            )
+            assert result.counts.skipped_singular >= 1
+
+
+    @pytest.mark.parametrize("spec", ["bary:1", "bary:3"])
+    def test_undefined_jacobian_at_a_sample(self, spec):
+        # Newton lands exactly on c, where J is NaN: the last sample of the
+        # first assembly is NaN, and the assembled matrix fails the step
+        c = np.array([0.5, 0.5])
+        problem = VectorProblem(
+            n=2,
+            f=lambda p: p - c,
+            jacobian=lambda p: np.full((2, 2), np.nan) if (p == c).all() else np.eye(2),
+            domain=Box(lo=(-1.0, -1.0), hi=(1.0, 1.0)),
+        )
+        grid = GridSpec(domain=problem.domain, nx=5, ny=5)
+        result, _ = assert_scan_matches_reference(
+            problem, CaptureConfig(grid=grid, tolerance=1e-3, map=parse_map_spec(spec))
+        )
+        assert (result.counts.skipped_singular, result.counts.step_failures) == (1, 24)
+
+    @pytest.mark.parametrize("spec", ["bary:1", "bary:3", "compose:bary:3,bary:2"])
+    def test_polynomial_overflowing_between_samples(self, tmp_path, spec):
+        # a seeded x**7 system on a tiny box: J is so small there that the
+        # Newton delta reaches ~1e51, and J at x + i*h raises OverflowError
+        # for some i >= 1, after the samples before it were taken
+        a, b, c, d = np.random.default_rng(70).uniform(0.5, 2.0, size=4).tolist()
+        path = tmp_path / "seventh.poly"
+        path.write_text(
+            "domain -1e-8 1e-8 -1e-8 1e-8\n"
+            f"poly 2 : {a!r} 7 0 ; {-b!r} 0 0\npoly 2 : {c!r} 0 7 ; {-d!r} 0 0\n"
+        )
+        problem = load_polynomial_problem(str(path))
+        jacobian = problem.jacobian
+        jacobian_calls = []
+
+        def logged_jacobian(x):
+            try:
+                value = jacobian(x)
+            except OverflowError:
+                jacobian_calls.append("raised")
+                raise
+            jacobian_calls.append("ok")
+            return value
+
+        grid = GridSpec(domain=problem.domain, nx=11, ny=11)
+        config = CaptureConfig(grid=grid, tolerance=1e-3, map=parse_map_spec(spec))
+        problem = dataclasses.replace(problem, jacobian=logged_jacobian)
+        _reference_run_capture(problem, config)
+        # in the one-point scan a sample that raises right after a sample that
+        # did not lies inside one assembly
+        assert ("ok", "raised") in set(zip(jacobian_calls, jacobian_calls[1:]))
+        result, _ = assert_scan_matches_reference(problem, config)
+        assert result.counts.step_failures > 0
+
+    @pytest.mark.parametrize("spec", ["newton", "bary:1", "bary:3", "compose:bary:2,bary:1"])
+    def test_three_dimensional_polynomial(self, tmp_path, spec):
+        # n = 3 takes the numpy assembly and one elimination per row
+        problem = load_polynomial_problem(str(write_random_gradient_file(tmp_path / "p3.poly", 63, n=3)))
+        iter_map = parse_map_spec(spec)
+        rng = np.random.default_rng(64)
+        special = [[0.0, 0.0, 0.0], [1e40, 0.5, -0.5], [1e60, 0.5, -0.5], [np.nan, 0.0, 0.0]]
+        points = np.concatenate([rng.uniform(-1.5, 1.5, size=(60, 3)), special])
+
+        def outcome(step, x):
+            try:
+                return step(x).tobytes()
+            except StepFailureError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        got_calls, want_calls = Counter(), Counter()
+        got_problem = counting_problem(problem, got_calls)
+        want_problem = counting_problem(problem, want_calls)
+        got = [outcome(lambda x: vector_map_step(got_problem, iter_map, x).next, x) for x in points]
+        want = [outcome(lambda x: _reference_map_step(want_problem, iter_map, x), x) for x in points]
+        assert got == want
+        assert got_calls == want_calls
+        assert any(isinstance(o, bytes) for o in got) and any(isinstance(o, str) for o in got)
+        # all the points as one batch: the same next points and failures
+        failures = [None] * len(points)
+        batched, _ = mapsnd.map_rows(problem, iter_map, points, failures)
+        for row, failure, expected in zip(batched, failures, want):
+            assert (row.tobytes() if failure is None else f"{type(failure).__name__}: {failure}") == expected
+
+
 class TestWorkCounters:
     """The exact work a scan does.  The counts repeat bit for bit, so a change
     to the work per seed fails here without any timing noise."""
@@ -429,7 +726,13 @@ class TestWorkCounters:
         problem = dataclasses.replace(
             problem, f=counted(problem.f, counts, "f"), jacobian=counted(problem.jacobian, counts, "jacobian")
         )
-        monkeypatch.setattr(mapsnd, "lu_solve", counted(mapsnd.lu_solve, counts, "solves"))
+        # one solve per live row passed to the batched solve (failures[r] is None)
+        def solve_rows(a, b, failures, solve=mapsnd.solve_rows):
+            counts["solves"] += failures.count(None)
+            return solve(a, b, failures)
+
+        monkeypatch.setattr(mapsnd, "solve_rows", solve_rows)
+        monkeypatch.setattr(capture, "solve_rows", solve_rows)
         config = CaptureConfig(
             grid=GridSpec(domain=problem.domain, nx=grid, ny=grid), tolerance=eps, map=parse_map_spec(spec)
         )

@@ -5,6 +5,8 @@ import pytest
 
 from rootmaps import (
     Box,
+    CaptureConfig,
+    GridSpec,
     EvaluationError,
     ScalarProblem,
     SingularModelError,
@@ -15,6 +17,7 @@ from rootmaps import (
     newton_barycentric,
     newton_map,
     newton_taylor,
+    run_capture,
     rutishauser,
     vector_barycentric_step,
     vector_map_step,
@@ -172,6 +175,13 @@ class TestTwoByTwoKernel:
         assert got == solve_outcome(_reference_lu_solve_2x2, matrix, rhs)
         assert got.startswith(failure) if failure else isinstance(got, bytes)
 
+    def test_zero_determinant_passing_the_pivot_test(self):
+        # pivot_floor * pivot1 underflows to 0.0, so det = 0.0 is not below
+        # it; the division raises, in a batch as in a one-point solve
+        matrix, rhs = np.array([[1e-160, 0.0], [0.0, 0.0]]), np.ones(2)
+        assert solve_outcome(lu_solve, matrix, rhs) == solve_outcome(_reference_lu_solve_2x2, matrix, rhs)
+        assert solve_outcome(lu_solve, matrix, rhs).startswith("ZeroDivisionError")
+
     @pytest.mark.parametrize("name", ["rutishauser", "ackley", "gradient", "asymmetric"])
     def test_model_matrix_matches_numpy_assembly(self, name, tmp_path):
         if name == "rutishauser":
@@ -207,6 +217,49 @@ class TestTwoByTwoKernel:
         got = barycentric_model_matrix(problem, barycentric_coefficients(2), h, -h)
         assert np.isnan(got).all()
         assert np.isnan(_reference_model_matrix(problem, barycentric_coefficients(2), h, -h)).all()
+
+
+class TestValueShapes:
+    """f values must have shape (n,) and Jacobian values (n, n); anything else
+    is a ValueError naming both shapes, never an EvaluationError."""
+
+    @staticmethod
+    def problem(n, jacobian, f=None):
+        return VectorProblem(n=n, f=f or (lambda x: x - 0.5), jacobian=jacobian)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flat_jacobian_raises(self, n):
+        problem = self.problem(n, lambda x: np.ones(n))
+        message = re.escape(f"expected {(n, n)}, got {(n,)}")
+        x = np.full(n, 0.25)
+        with pytest.raises(ValueError, match=message):
+            vector_newton_step(problem, x)
+        with pytest.raises(ValueError, match=message):
+            vector_barycentric_step(problem, barycentric_coefficients(2), x)
+        with pytest.raises(ValueError, match=message):
+            barycentric_model_matrix(problem, barycentric_coefficients(2), np.full(n, 0.1), x)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_wrong_jacobian_at_a_later_sample_raises(self, n):
+        # J is right at x and flat at x + h: the assembly raises, unfolded
+        problem = self.problem(n, lambda p: np.eye(n) if p[0] < 0.3 else np.ones(n))
+        with pytest.raises(ValueError, match=re.escape(f"expected {(n, n)}, got {(n,)}")):
+            vector_barycentric_step(problem, barycentric_coefficients(1), np.full(n, 0.25))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mis_shaped_f_raises(self, n):
+        problem = self.problem(n, lambda x: np.eye(n), f=lambda x: np.zeros((n, 1)))
+        with pytest.raises(ValueError, match=re.escape(f"expected {(n,)}, got {(n, 1)}")):
+            vector_map_step(problem, newton_barycentric(1), np.full(n, 0.25))
+
+    def test_scan_raises_instead_of_tallying(self):
+        problem = VectorProblem(
+            n=2, f=lambda x: x - 0.5, jacobian=lambda x: np.ones(2), domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0))
+        )
+        grid = GridSpec(domain=problem.domain, nx=3, ny=3)
+        config = CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map())
+        with pytest.raises(ValueError, match=re.escape("expected (2, 2), got (2,)")):
+            run_capture(problem, config)
 
 
 class TestNewtonStep:

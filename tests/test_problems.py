@@ -10,7 +10,7 @@ from rootmaps import (
     rutishauser,
     scalar_test_set,
 )
-from rootmaps.mapsnd import evaluate
+from rootmaps.mapsnd import evaluate_rows
 from rootmaps.problems import ProblemFormatError, _parse_poly_line, scalar_problem, vector_problem
 
 RUT = rutishauser()
@@ -322,9 +322,12 @@ class TestPowerTables:
         ref_f, ref_jacobian = reference_problem(path)
         point = np.array([1e45, 0.5])
         assert outcome(problem.f, point) == outcome(ref_f, point) == "OverflowError"
-        with pytest.raises(EvaluationError):
-            evaluate(problem.f, point)
-        jacobian = evaluate(problem.jacobian, point)
+        failures = [None]
+        evaluate_rows(problem.f, (2,), point[None], failures)
+        assert isinstance(failures[0], EvaluationError)
+        failures = [None]
+        jacobian = evaluate_rows(problem.jacobian, (2, 2), point[None], failures)[0]
+        assert failures == [None]
         assert jacobian.tobytes() == ref_jacobian(point).tobytes()
         assert jacobian[0, 0] == 7.0 * 1e45**6
 

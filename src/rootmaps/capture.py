@@ -228,14 +228,15 @@ def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
     fates = [fate if fate or ok else "skipped_outside" for fate, ok in zip(fates, inside)]
     residuals = evaluate_rows(problem.f, (n,), second, fates)
     fates = _settle(fates, "rejected_tolerance")
-    captured = []
-    for r in [r for r, fate in enumerate(fates) if fate is None]:
-        fnorm = _residual_norm(residuals[r], config.norm)
+    fnorms = {r: _residual_norm(residuals[r], config.norm) for r, fate in enumerate(fates) if fate is None}
+    for r, fnorm in fnorms.items():
         fates[r] = "captured" if fnorm <= config.tolerance else "rejected_tolerance"
-        if fates[r] == "captured":
-            grid_i, grid_j = divmod(r, config.grid.ny)
-            objective = float(problem.objective(second[r])) if problem.objective else None
-            captured.append(CapturedPoint(grid_i, grid_j, seeds[r], second[r], fnorm, objective))
+    rows = [r for r, fate in enumerate(fates) if fate == "captured"]
+    objectives = problem.objective(second[rows]).tolist() if problem.objective else [None] * len(rows)
+    captured = [
+        CapturedPoint(*divmod(r, config.grid.ny), seeds[r], second[r], fnorms[r], objective)
+        for r, objective in zip(rows, objectives)
+    ]
     counts = CaptureCounts(seeded=len(seeds), **Counter(fates))
     clusters = cluster_points([c.point for c in captured], config.cluster_radius)
     return CaptureResult(captured=captured, clusters=clusters, counts=counts)

@@ -8,9 +8,9 @@ maps would need higher derivative tensors and are not supported here.
 
 The recursion runs on a batch: an (N, n) array of points and a list in which
 failures[r] is None while row r is live, and otherwise the StepFailureError
-that stopped it.  f and the Jacobian are called per point, at the points a
-one-point step evaluates; the arithmetic between the calls is vectorised with
-the same IEEE operations in the same order, so each row's result is the
+that stopped it.  f and the Jacobian take the live rows in one call, at the
+points a one-point step evaluates; the arithmetic between the calls uses the
+same IEEE operations in the same order, so each row's result is the
 one-point result bit for bit.  The one-point functions run batches of one.
 """
 
@@ -52,16 +52,17 @@ class Box:
 class VectorProblem:
     """An R^n -> R^n function with its Jacobian.
 
-    objective, when present, is the scalar function whose gradient is f; it is
-    only used for reporting.  The Jacobian callable returns NaN entries where
-    it is undefined (e.g. a non-differentiable point); a step there raises
-    EvaluationError, and the grid scan skips such a seed as singular.
+    Each callable maps a (..., n) array of points: f to (..., n), jacobian to
+    (..., n, n) and objective, the scalar whose gradient is f (only reported),
+    to (...).  Where a point cannot be evaluated (a non-differentiable point,
+    an overflow) its own row is non-finite and the call does not raise; a
+    step there raises EvaluationError, and a scan skips such a seed as singular.
     """
 
     n: int
     f: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
-    objective: Callable[[np.ndarray], float] | None = None
+    objective: Callable[[np.ndarray], np.ndarray] | None = None
     domain: Box | None = None
     name: str = ""
 
@@ -83,37 +84,26 @@ def _fail(failures: list, rows: np.ndarray, failure: Callable[[int], Exception])
             failures[r] = failure(r)
 
 
-def _sample(fn: Callable, shape: tuple, points: np.ndarray, at: np.ndarray, failures: list) -> np.ndarray:
-    """fn at each live row of points, as an array of shape (len(points), *shape).
+def _finite(values: np.ndarray, at: np.ndarray, failures: list) -> np.ndarray:
+    _fail(failures, ~np.isfinite(values).all(axis=tuple(range(1, values.ndim))),
+          lambda r: EvaluationError(f"non-finite evaluation at x={at[r]!r}"))
+    return values
 
-    Plain-float closures raise OverflowError or math domain ValueError where
-    numpy would return inf or nan: such a call fails its row with an
-    EvaluationError naming at[r], caused by that exception.  A value of
-    another shape raises ValueError before it can be broadcast.
+
+def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: list, at=None) -> np.ndarray:
+    """fn at the live rows of points in one call, as an array of shape (len(points), *shape).
+
+    A live row whose value is not finite fails with an EvaluationError naming
+    at[r] (default points[r]); a value of another shape raises ValueError.
     """
     values = np.zeros((len(points), *shape))
-    for r in _live(failures):
-        try:
-            value = np.asarray(fn(points[r]), dtype=float)
-        except (OverflowError, ValueError) as exc:
-            failures[r] = EvaluationError(f"evaluation failed at x={at[r]!r}: {exc}")
-            failures[r].__cause__ = exc
-            continue
-        if value.shape != shape:
-            raise ValueError(f"value shapes differ: expected {shape}, got {value.shape} at x={points[r]!r}")
-        values[r] = value
-    return values
-
-
-def _finite(values: np.ndarray, at: np.ndarray, failures: list) -> np.ndarray:
-    bad = ~np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-    _fail(failures, bad, lambda r: EvaluationError(f"non-finite evaluation at x={at[r]!r}"))
-    return values
-
-
-def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: list) -> np.ndarray:
-    """fn at each live row of points; a row whose value is not finite fails."""
-    return _finite(_sample(fn, shape, points, points, failures), points, failures)
+    live = _live(failures)
+    if live:
+        value = np.asarray(fn(points[live]), dtype=float)
+        if value.shape != (len(live), *shape):
+            raise ValueError(f"value shapes differ: expected {(len(live), *shape)}, got {value.shape}")
+        values[live] = value
+    return _finite(values, points if at is None else at, failures)
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,8 +119,10 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise SingularModelError("matrix has zero or non-finite row norms")
         for col in range(n):
             piv = col + int(np.argmax(np.abs(a[col:, col])))
-            if abs(a[piv, col]) < pivot_floor:
-                raise SingularModelError(f"pivot {abs(a[piv, col]):.3e} below floor {pivot_floor:.3e}")
+            pivot = abs(a[piv, col])
+            # a zero pivot passes when pivot_floor underflows to 0.0
+            if pivot < pivot_floor or pivot == 0.0:
+                raise SingularModelError(f"pivot {pivot:.3e} below floor {pivot_floor:.3e}")
             if piv != col:
                 a[[col, piv]] = a[[piv, col]]
                 b[[col, piv]] = b[[piv, col]]
@@ -169,22 +161,20 @@ def solve_rows(a: np.ndarray, b: np.ndarray, failures: list) -> np.ndarray:
         pivot_floor = PIVOT_RTOL * scale
         det = m00 * m11 - m01 * m10
         pivot1 = np.maximum(abs(m00), abs(m10))
-        _fail(failures, (pivot1 < pivot_floor) | (abs(det) < pivot_floor * pivot1),
+        # a zero determinant passes the second test when pivot_floor * pivot1 underflows
+        _fail(failures, (pivot1 < pivot_floor) | (abs(det) < pivot_floor * pivot1) | (det == 0.0),
               lambda r: SingularModelError(f"2x2 pivots below floor {pivot_floor[r]:.3e}"))
-        # a zero determinant passes when pivot_floor * pivot1 underflows
-        if any(failures[r] is None for r in np.flatnonzero(det == 0.0).tolist()):
-            raise ZeroDivisionError("float division by zero")
         return np.stack([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det], axis=1)
 
 
 def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.ndarray, failures: list):
     """Each live row's sum_i a_i * J_f(x + i*h) from 0.0 in order of i; a row whose
-    sample raises takes no more.  The caller checks the sum, not each sample, for finiteness."""
+    sample is not finite fails there and takes no more.  The caller checks the sum for finiteness."""
     phi = np.zeros((len(x), problem.n, problem.n))
     for i, a_i in enumerate(weights):
         with np.errstate(all="ignore"):
             samples = x + i * h
-        values = _sample(problem.jacobian, phi.shape[1:], samples, x, failures)
+        values = evaluate_rows(problem.jacobian, phi.shape[1:], samples, failures, at=x)
         with np.errstate(all="ignore"):
             phi += a_i * values
     return phi
@@ -251,12 +241,9 @@ def vector_newton_step(problem: VectorProblem, x: np.ndarray) -> VectorStepResul
 def barycentric_model_matrix(
     problem: VectorProblem, coeffs: BarycentricCoefficients, h: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """The n x n model matrix sum_i a_i * J_f(x + i*h); an exception a sample raises propagates."""
+    """The n x n model matrix sum_i a_i * J_f(x + i*h); raises EvaluationError at a non-finite sample."""
     h, x = (np.asarray(v, dtype=float)[None] for v in (h, x))
-    try:
-        return _one_row(_model_matrix, problem, coeffs.floats, h, x)[0]
-    except EvaluationError as exc:
-        raise exc.__cause__ from None
+    return _one_row(_model_matrix, problem, coeffs.floats, h, x)[0]
 
 
 def vector_barycentric_step(

@@ -2,8 +2,8 @@
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
+from functools import partial, reduce
+from itertools import accumulate, repeat
 from operator import add
 from typing import Callable
 
@@ -18,79 +18,102 @@ class ProblemFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Every VectorProblem callable below maps a (..., n) array of points with the
+# operations, in the same order, of evaluating one point in Python floats.
+# Products, sums, np.sqrt, np.sin and np.cos are vectorised, as numpy rounds
+# them as libm does (the tests guard the trigonometry); powers and
+# exponentials are Python calls per element, as numpy's ** and np.exp round
+# some inputs differently.  Where such a call overflows the element is inf,
+# so only the rows using it are not finite, and no batch raises.
+# ---------------------------------------------------------------------------
+
+_quiet = np.errstate(all="ignore")
+
+
+def _inf_on_overflow(fn: Callable[..., float], *args) -> float:
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _each(fn: Callable[..., float], values: np.ndarray, *args) -> np.ndarray:
+    """fn(v, *args) at each element v of values as a Python float; inf where it overflows."""
+    flat = values.ravel().tolist()
+    try:
+        out = list(map(fn, flat, *map(repeat, args)))
+    except OverflowError:
+        out = [_inf_on_overflow(fn, v, *args) for v in flat]
+    return np.array(out, dtype=float).reshape(values.shape)
+
+
+def _power_table(values: np.ndarray, exponents) -> dict[int, np.ndarray]:
+    """{e: v ** e (Python float ** int) at every element v of values} for each e in exponents."""
+    return {e: _each(pow, values, e) for e in exponents}
+
+
+_exp = partial(_each, math.exp)
+
+
+def _coordinates(points: np.ndarray, exponents: tuple) -> tuple:
+    """x, y and their power tables, from a (..., 2) array."""
+    x, y = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    return x, y, _power_table(x, exponents), _power_table(y, exponents)
+
+
+# ---------------------------------------------------------------------------
 # Rutishauser least-squares system
 #
 # Objective g = s1^2 + s2^2 + s3^2 + s4^2 with residuals
 #   s1 = x + y - 1,  s2 = x^2 + y^2 - 0.8,
 #   s3 = x^3 + y^3 - 0.68,  s4 = x^4 + y^4 - 0.01,
 # and f = grad g.  Both gradient components come from the same helper with
-# the arguments swapped, so f1(x, y) == f2(y, x) holds exactly in floating
-# point.
+# the arguments swapped, so f1(x, y) == f2(y, x) holds exactly.
 # ---------------------------------------------------------------------------
 
 
-def _rutishauser_component(u: float, v: float) -> float:
+def _rutishauser_component(u, v, pu, pv):
     return (
-        -2.0
-        - 1.2 * u
-        + 2.0 * v
-        - 4.08 * u * u
-        + 3.92 * u**3
-        + 4.0 * u * v * v
-        + 6.0 * u**5
-        + 6.0 * u * u * v**3
-        + 8.0 * u**7
-        + 8.0 * u**3 * v**4
+        -2.0 - 1.2 * u + 2.0 * v - 4.08 * u * u + 3.92 * pu[3] + 4.0 * u * v * v
+        + 6.0 * pu[5] + 6.0 * u * u * pv[3] + 8.0 * pu[7] + 8.0 * pu[3] * pv[4]
     )
 
 
-def _rutishauser_diag(u: float, v: float) -> float:
+def _rutishauser_diag(u, v, pu, pv):
     return (
-        -1.2
-        - 8.16 * u
-        + 11.76 * u * u
-        + 4.0 * v * v
-        + 30.0 * u**4
-        + 12.0 * u * v**3
-        + 56.0 * u**6
-        + 24.0 * u * u * v**4
+        -1.2 - 8.16 * u + 11.76 * u * u + 4.0 * v * v
+        + 30.0 * pu[4] + 12.0 * u * pv[3] + 56.0 * pu[6] + 24.0 * u * u * pv[4]
     )
 
 
-def _rutishauser_cross(u: float, v: float) -> float:
-    return 2.0 + 8.0 * u * v + 18.0 * u * u * v * v + 32.0 * u**3 * v**3
-
-
+@_quiet
 def _rutishauser_f(p: np.ndarray) -> np.ndarray:
-    x, y = float(p[0]), float(p[1])
-    return np.array([_rutishauser_component(x, y), _rutishauser_component(y, x)])
+    x, y, px, py = _coordinates(p, (3, 4, 5, 7))
+    return np.stack([_rutishauser_component(x, y, px, py), _rutishauser_component(y, x, py, px)], axis=-1)
 
 
+@_quiet
 def _rutishauser_jacobian(p: np.ndarray) -> np.ndarray:
-    x, y = float(p[0]), float(p[1])
-    cross = _rutishauser_cross(x, y)
-    return np.array([[_rutishauser_diag(x, y), cross], [cross, _rutishauser_diag(y, x)]])
+    x, y, px, py = _coordinates(p, (3, 4, 6))
+    cross = 2.0 + 8.0 * x * y + 18.0 * x * x * y * y + 32.0 * px[3] * py[3]
+    rows = [[_rutishauser_diag(x, y, px, py), cross], [cross, _rutishauser_diag(y, x, py, px)]]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def _rutishauser_objective(p: np.ndarray) -> float:
-    x, y = float(p[0]), float(p[1])
+@_quiet
+def _rutishauser_objective(p: np.ndarray) -> np.ndarray:
+    x, y, px, py = _coordinates(p, (3, 4))
     s1 = x + y - 1.0
     s2 = x * x + y * y - 0.8
-    s3 = x**3 + y**3 - 0.68
-    s4 = x**4 + y**4 - 0.01
+    s3 = px[3] + py[3] - 0.68
+    s4 = px[4] + py[4] - 0.01
     return s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4
 
 
 def rutishauser() -> VectorProblem:
     """Gradient system of the four-residual least-squares objective."""
-    return VectorProblem(
-        n=2,
-        f=_rutishauser_f,
-        jacobian=_rutishauser_jacobian,
-        objective=_rutishauser_objective,
-        domain=Box(lo=(-0.5, -0.7), hi=(1.1, 1.1)),
-        name="rutishauser",
-    )
+    f, jacobian, objective = _rutishauser_f, _rutishauser_jacobian, _rutishauser_objective
+    return VectorProblem(2, f, jacobian, objective, Box(lo=(-0.5, -0.7), hi=(1.1, 1.1)), "rutishauser")
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +123,7 @@ def rutishauser() -> VectorProblem:
 #           - 20 - e
 # has a global maximum g(0, 0) = 0 and a lattice of local extrema.  f = grad g
 # extends continuously to the origin with f(0, 0) = (0, 0), but g is not
-# differentiable there, so the Jacobian is undefined at the origin (returned
-# as NaN).
+# differentiable there: the Jacobian is NaN wherever sqrt(x^2 + y^2) is 0.
 # ---------------------------------------------------------------------------
 
 _ACKLEY_RADIAL = 2.8284271247461907
@@ -110,60 +132,51 @@ _ACKLEY_WAVE = 3.141592653589793
 _TWO_PI = 2.0 * math.pi
 
 
+def _polar(p: np.ndarray) -> tuple:
+    x, y = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    return x, y, np.sqrt(x * x + y * y)
+
+
+@_quiet
 def _ackley_f(p: np.ndarray) -> np.ndarray:
-    x, y = float(p[0]), float(p[1])
-    r = math.sqrt(x * x + y * y)
-    if r == 0.0:
-        return np.zeros(2)
-    e_radial = math.exp(-_ACKLEY_DECAY * r)
-    e_wave = math.exp(0.5 * (math.cos(_TWO_PI * x) + math.cos(_TWO_PI * y)))
-    return np.array(
-        [
-            -_ACKLEY_RADIAL * e_radial * x / r - _ACKLEY_WAVE * e_wave * math.sin(_TWO_PI * x),
-            -_ACKLEY_RADIAL * e_radial * y / r - _ACKLEY_WAVE * e_wave * math.sin(_TWO_PI * y),
-        ]
-    )
+    x, y, r = _polar(p)
+    e_radial = _exp(-_ACKLEY_DECAY * r)
+    e_wave = _exp(0.5 * (np.cos(_TWO_PI * x) + np.cos(_TWO_PI * y)))
+    f = [-_ACKLEY_RADIAL * e_radial * v / r - _ACKLEY_WAVE * e_wave * np.sin(_TWO_PI * v) for v in (x, y)]
+    return np.where((r == 0.0)[..., None], 0.0, np.stack(f, axis=-1))
 
 
+@_quiet
 def _ackley_jacobian(p: np.ndarray) -> np.ndarray:
-    x, y = float(p[0]), float(p[1])
-    r = math.sqrt(x * x + y * y)
-    if r == 0.0:
-        return np.full((2, 2), math.nan)
-    e_radial = math.exp(-_ACKLEY_DECAY * r)
-    sx, cx = math.sin(_TWO_PI * x), math.cos(_TWO_PI * x)
-    sy, cy = math.sin(_TWO_PI * y), math.cos(_TWO_PI * y)
-    e_wave = math.exp(0.5 * (cx + cy))
+    x, y, r = _polar(p)
+    e_radial = _exp(-_ACKLEY_DECAY * r)
+    sx, cx = np.sin(_TWO_PI * x), np.cos(_TWO_PI * x)
+    sy, cy = np.sin(_TWO_PI * y), np.cos(_TWO_PI * y)
+    e_wave = _exp(0.5 * (cx + cy))
     r2, r3 = r * r, r * r * r
-    j11 = -_ACKLEY_RADIAL * e_radial * (1.0 / r - x * x / r3 - _ACKLEY_DECAY * x * x / r2) - (
-        _ACKLEY_WAVE * e_wave * (_TWO_PI * cx - math.pi * sx * sx)
+    j11, j22 = (
+        -_ACKLEY_RADIAL * e_radial * (1.0 / r - v * v / r3 - _ACKLEY_DECAY * v * v / r2)
+        - (_ACKLEY_WAVE * e_wave * (_TWO_PI * c - math.pi * s * s))
+        for v, s, c in ((x, sx, cx), (y, sy, cy))
     )
-    j22 = -_ACKLEY_RADIAL * e_radial * (1.0 / r - y * y / r3 - _ACKLEY_DECAY * y * y / r2) - (
-        _ACKLEY_WAVE * e_wave * (_TWO_PI * cy - math.pi * sy * sy)
-    )
-    j12 = _ACKLEY_RADIAL * e_radial * x * y * (_ACKLEY_DECAY / r2 + 1.0 / r3) + (
-        _ACKLEY_WAVE * math.pi * e_wave * sx * sy
-    )
-    return np.array([[j11, j12], [j12, j22]])
+    j12 = _ACKLEY_RADIAL * e_radial * x * y * (_ACKLEY_DECAY / r2 + 1.0 / r3)
+    j12 = j12 + _ACKLEY_WAVE * math.pi * e_wave * sx * sy
+    jacobian = np.stack([np.stack([j11, j12], axis=-1), np.stack([j12, j22], axis=-1)], axis=-2)
+    return np.where((r == 0.0)[..., None, None], math.nan, jacobian)
 
 
-def _ackley_objective(p: np.ndarray) -> float:
-    x, y = float(p[0]), float(p[1])
-    s1 = -0.2 * math.sqrt(0.5 * (x * x + y * y))
-    s2 = 0.5 * (math.cos(_TWO_PI * x) + math.cos(_TWO_PI * y))
-    return 20.0 * math.exp(s1) + math.exp(s2) - 20.0 - math.e
+@_quiet
+def _ackley_objective(p: np.ndarray) -> np.ndarray:
+    x, y, _ = _polar(p)
+    s1 = -0.2 * np.sqrt(0.5 * (x * x + y * y))
+    s2 = 0.5 * (np.cos(_TWO_PI * x) + np.cos(_TWO_PI * y))
+    return 20.0 * _exp(s1) + _exp(s2) - 20.0 - math.e
 
 
 def ackley_gradient() -> VectorProblem:
     """Gradient of the negated Ackley function on the standard search box."""
-    return VectorProblem(
-        n=2,
-        f=_ackley_f,
-        jacobian=_ackley_jacobian,
-        objective=_ackley_objective,
-        domain=Box(lo=(-32.768, -32.768), hi=(32.768, 32.768)),
-        name="ackley",
-    )
+    domain = Box(lo=(-32.768, -32.768), hi=(32.768, 32.768))
+    return VectorProblem(2, _ackley_f, _ackley_jacobian, _ackley_objective, domain, "ackley")
 
 
 # ---------------------------------------------------------------------------
@@ -250,31 +263,31 @@ class PolynomialComponent:
 
 
 def _polynomial_map(components: list[PolynomialComponent], shape: tuple[int, ...]) -> Callable:
-    """The callable mapping a point to the components' values, as an array of shape.
+    """The callable mapping a (..., n) array of points to the components' values, shape (..., *shape).
 
-    Each coordinate v is read once and raised to every power v**e up to the
-    highest exponent the components use on its axis, so float ** int raises
-    OverflowError exactly where evaluating each term's powers would, and never
-    for a power no term uses.  A term is coeff * t_0[e_0] * t_1[e_1] * ...,
-    and a component sums its terms left to right from 0.0.  These are the
-    operations, in the same order, of evaluating term by term (coeff times
-    each x_i ** e_i in turn, then a running sum), so every value is that
-    evaluation's bit for bit.
+    Each axis has one power table up to the highest exponent used on it.  A
+    term is coeff * t_0[e_0] * t_1[e_1] * ..., and a component sums its terms
+    left to right from 0.0: the operations, in the same order, of evaluating
+    one point term by term, so every value is that evaluation's bit for bit.
     """
     terms = [term for c in components for term in c.terms]
-    coeffs = [coeff for coeff, _ in terms]
-    axis_exponents = list(zip(*(exponents for _, exponents in terms)))
-    degrees = [max(column) for column in axis_exponents]
+    coeffs = np.array([coeff for coeff, _ in terms])
+    exponents = np.array([e for _, e in terms], dtype=int).reshape(len(terms), components[0].n).T
+    degrees = exponents.max(axis=1, initial=0).tolist()
     ends = list(accumulate(len(c.terms) for c in components))
     spans = list(zip([0, *ends[:-1]], ends))
 
-    def values_at(point: np.ndarray) -> np.ndarray:
-        products = coeffs
-        for v, degree, exponents in zip(np.asarray(point, dtype=float).tolist(), degrees, axis_exponents):
-            table = [v**e for e in range(degree + 1)]
-            products = [p * table[e] for p, e in zip(products, exponents)]
-        # not sum(): from Python 3.12 it compensates the rounding of float sums
-        return np.array([reduce(add, products[start:stop], 0.0) for start, stop in spans]).reshape(shape)
+    @_quiet
+    def values_at(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        batch = points.shape[:-1]
+        products = coeffs.reshape(-1, *(1,) * len(batch))
+        for axis, degree in enumerate(degrees):
+            table = np.stack(list(_power_table(points[..., axis], range(degree + 1)).values()))
+            products = products * table[exponents[axis]]
+        # not sum() or np.sum: they do not add term by term from 0.0
+        sums = [reduce(add, products[start:stop], np.zeros(batch)) for start, stop in spans]
+        return np.stack(sums, axis=-1).reshape(*batch, *shape)
 
     return values_at
 
@@ -342,8 +355,6 @@ def load_polynomial_problem(path: str, name: str = "") -> VectorProblem:
         raise ProblemFormatError(f"{n}-dimensional system needs {n} components, got {len(components)}")
     if domain is not None and domain.dim != n:
         raise ProblemFormatError("domain dimension does not match the system")
-    # f and the Jacobian keep separate tables: one reaching x**7 for f would
-    # overflow at points where every partial, needing only x**6, is finite
     f = _polynomial_map(components, (n,))
     jacobian = _polynomial_map([c.partial(j) for c in components for j in range(n)], (n, n))
     return VectorProblem(n=n, f=f, jacobian=jacobian, domain=domain, name=name or path)

@@ -31,9 +31,15 @@ from rootmaps import (
 from rootmaps.capture import DEFAULT_CLUSTER_RADIUS, _axis_vertices
 from rootmaps.cli import REPRODUCE_SETUPS, parse_map_spec
 from rootmaps import capture, mapsnd
-from rootmaps.mapsnd import PIVOT_RTOL
+from rootmaps.mapsnd import PIVOT_RTOL, evaluate_rows
 from rootmaps.problems import ackley_gradient, load_polynomial_problem, rutishauser
-from test_problems import write_random_gradient_file
+from test_mapsnd import constant
+from test_problems import (
+    reference_ackley,
+    reference_problem,
+    reference_rutishauser,
+    write_random_gradient_file,
+)
 
 
 def affine_problem():
@@ -41,8 +47,8 @@ def affine_problem():
     c = np.array([1.0, -1.0])
     return VectorProblem(
         n=2,
-        f=lambda x: a @ x - c,
-        jacobian=lambda x: a.copy(),
+        f=lambda x: x @ a.T - c,
+        jacobian=constant(a),
         domain=Box(lo=(-2.0, -2.0), hi=(2.0, 2.0)),
         name="affine",
     )
@@ -349,7 +355,7 @@ class TestRunCapture:
         problem = VectorProblem(
             n=2,
             f=lambda p: p.copy(),
-            jacobian=lambda p: jacobian_at_zero if not p.any() else np.eye(2),
+            jacobian=lambda p: np.where(~p.any(axis=-1)[..., None, None], jacobian_at_zero, np.eye(2)),
             domain=Box(lo=(-1.0, -1.0), hi=(1.0, 1.0)),
         )
         config = CaptureConfig(
@@ -386,15 +392,19 @@ class TestRunCapture:
 
     def test_overflowing_iterates_are_counted_not_raised(self):
         # steep polynomial: f = x^7 - 2 + 0*y-ish second component, iterates
-        # from far seeds overflow float powers
-        problem = VectorProblem(
-            n=2,
-            f=lambda p: np.array([float(p[0]) ** 7 - 2.0, float(p[1]) ** 7 + float(p[0])]),
-            jacobian=lambda p: np.array(
-                [[7.0 * float(p[0]) ** 6, 0.0], [1.0, 7.0 * float(p[1]) ** 6]]
-            ),
-            domain=Box(lo=(-1e40, -1e40), hi=(1e40, 1e40)),
-        )
+        # from far seeds overflow float powers to inf
+        @np.errstate(all="ignore")
+        def f(p):
+            x, y = p[..., 0], p[..., 1]
+            return np.stack([x**7 - 2.0, y**7 + x], axis=-1)
+
+        @np.errstate(all="ignore")
+        def jacobian(p):
+            x, y = p[..., 0], p[..., 1]
+            rows = [[7.0 * x**6, 0.0 * x], [1.0 + 0.0 * y, 7.0 * y**6]]
+            return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+        problem = VectorProblem(n=2, f=f, jacobian=jacobian, domain=Box(lo=(-1e40, -1e40), hi=(1e40, 1e40)))
         config = CaptureConfig(
             grid=GridSpec(domain=problem.domain, nx=3, ny=3),
             tolerance=1e-3,
@@ -424,9 +434,11 @@ class TestRunCapture:
 
 
 def counted(fn, counts, key):
-    def wrapper(*args):
-        counts[key] += 1
-        return fn(*args)
+    """fn, counting the points it is evaluated at: one per (n,) point, N per (N, n) batch."""
+
+    def wrapper(points):
+        counts[key] += math.prod(np.shape(points)[:-1])
+        return fn(points)
 
     return wrapper
 
@@ -435,32 +447,38 @@ def counted(fn, counts, key):
 # The per-seed scan that the batched one replaced, kept as its oracle: each
 # seed runs through the filters alone, and a failure is an exception.  For
 # n == 2 the model matrix and the solve are the plain-float kernels the scan
-# used; for other n, the numpy assembly and elimination.
+# used; for other n, the numpy assembly and elimination.  Run with the
+# per-point kernels of test_problems, it checks the array-in problems and the
+# batched scan together.
 # ---------------------------------------------------------------------------
 
 
-def _reference_evaluate(fn, x):
+def _reference_evaluate(fn, x, at=None):
+    """fn(x), or EvaluationError naming at (default x) where it is not
+    finite or, for a per-point kernel, raises because x cannot be evaluated."""
     try:
         value = np.asarray(fn(x), dtype=float)
-    except (OverflowError, ValueError) as exc:
-        raise EvaluationError(f"evaluation failed at x={x!r}: {exc}") from exc
-    if not np.isfinite(value).all():
-        raise EvaluationError(f"non-finite evaluation at x={x!r}")
+        finite = np.isfinite(value).all()
+    except (ArithmeticError, ValueError):
+        finite = False
+    if not finite:
+        raise EvaluationError(f"non-finite evaluation at x={x if at is None else at!r}")
     return value
 
 
 def _reference_model_matrix(problem, coeffs, h, x):
+    """The assembly; it stops at the first sample that is not finite."""
     if problem.n != 2:
         phi = np.zeros((problem.n, problem.n))
         for i, a_i in enumerate(coeffs.floats):
-            phi += a_i * np.asarray(problem.jacobian(x + i * h), dtype=float)
+            phi += a_i * _reference_evaluate(problem.jacobian, x + i * h, at=x)
         return phi
     x0, x1 = x.tolist()
     h0, h1 = h.tolist()
     m00 = m01 = m10 = m11 = 0.0
     for i, a_i in enumerate(coeffs.floats):
         sample = np.array([x0 + i * h0, x1 + i * h1])
-        (j00, j01), (j10, j11) = np.asarray(problem.jacobian(sample), dtype=float).tolist()
+        (j00, j01), (j10, j11) = _reference_evaluate(problem.jacobian, sample, at=x).tolist()
         m00 += a_i * j00
         m01 += a_i * j01
         m10 += a_i * j10
@@ -479,7 +497,7 @@ def _reference_lu_solve(matrix, rhs):
         pivot_floor = PIVOT_RTOL * scale
         det = m00 * m11 - m01 * m10
         pivot1 = max(abs(m00), abs(m10))
-        if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1:
+        if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1 or det == 0.0:
             raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
         b0, b1 = rhs.tolist()
         return np.array([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det])
@@ -491,7 +509,7 @@ def _reference_lu_solve(matrix, rhs):
             raise SingularModelError("matrix has zero or non-finite row norms")
         for col in range(n):
             piv = col + int(np.argmax(np.abs(a[col:, col])))
-            if abs(a[piv, col]) < pivot_floor:
+            if abs(a[piv, col]) < pivot_floor or a[piv, col] == 0.0:
                 raise SingularModelError(f"pivot {abs(a[piv, col]):.3e} below floor {pivot_floor:.3e}")
             if piv != col:
                 a[[col, piv]] = a[[piv, col]]
@@ -570,12 +588,20 @@ def counting_problem(problem, calls):
     )
 
 
-def assert_scan_matches_reference(problem, config):
-    """run_capture against the per-seed oracle: counts, every captured value's
-    bytes, the clusters and the number of f and Jacobian calls."""
+def oracle_of(problem):
+    """The problem with the per-point kernels it was checked against."""
+    oracles = {"rutishauser": reference_rutishauser, "ackley": reference_ackley}
+    return oracles[problem.name]() if problem.name in oracles else problem
+
+
+def assert_scan_matches_reference(problem, config, oracle=None):
+    """run_capture against the per-seed oracle run on the per-point kernels
+    (default: those of a built-in problem, else the problem itself): counts,
+    every captured value's bytes, the clusters and the number of points f and
+    the Jacobian are evaluated at."""
     got_calls, want_calls = Counter(), Counter()
     got = run_capture(counting_problem(problem, got_calls), config)
-    want = _reference_run_capture(counting_problem(problem, want_calls), config)
+    want = _reference_run_capture(counting_problem(oracle or oracle_of(problem), want_calls), config)
     assert got.counts == want.counts
     assert got_calls == want_calls
     assert len(got.captured) == len(want.captured)
@@ -644,7 +670,7 @@ class TestBatchedScanAgainstReference:
         problem = VectorProblem(
             n=2,
             f=lambda p: p - c,
-            jacobian=lambda p: np.full((2, 2), np.nan) if (p == c).all() else np.eye(2),
+            jacobian=lambda p: np.where((p == c).all(axis=-1)[..., None, None], np.nan, np.eye(2)),
             domain=Box(lo=(-1.0, -1.0), hi=(1.0, 1.0)),
         )
         grid = GridSpec(domain=problem.domain, nx=5, ny=5)
@@ -656,8 +682,8 @@ class TestBatchedScanAgainstReference:
     @pytest.mark.parametrize("spec", ["bary:1", "bary:3", "compose:bary:3,bary:2"])
     def test_polynomial_overflowing_between_samples(self, tmp_path, spec):
         # a seeded x**7 system on a tiny box: J is so small there that the
-        # Newton delta reaches ~1e51, and J at x + i*h raises OverflowError
-        # for some i >= 1, after the samples before it were taken
+        # Newton delta reaches ~1e51, and J at x + i*h overflows for some
+        # i >= 1, after the samples before it were taken
         a, b, c, d = np.random.default_rng(70).uniform(0.5, 2.0, size=4).tolist()
         path = tmp_path / "seventh.poly"
         path.write_text(
@@ -665,12 +691,12 @@ class TestBatchedScanAgainstReference:
             f"poly 2 : {a!r} 7 0 ; {-b!r} 0 0\npoly 2 : {c!r} 0 7 ; {-d!r} 0 0\n"
         )
         problem = load_polynomial_problem(str(path))
-        jacobian = problem.jacobian
+        ref_f, ref_jacobian = reference_problem(path)
         jacobian_calls = []
 
         def logged_jacobian(x):
             try:
-                value = jacobian(x)
+                value = ref_jacobian(x)
             except OverflowError:
                 jacobian_calls.append("raised")
                 raise
@@ -679,18 +705,20 @@ class TestBatchedScanAgainstReference:
 
         grid = GridSpec(domain=problem.domain, nx=11, ny=11)
         config = CaptureConfig(grid=grid, tolerance=1e-3, map=parse_map_spec(spec))
-        problem = dataclasses.replace(problem, jacobian=logged_jacobian)
-        _reference_run_capture(problem, config)
+        oracle = dataclasses.replace(problem, f=ref_f, jacobian=logged_jacobian)
+        _reference_run_capture(oracle, config)
         # in the one-point scan a sample that raises right after a sample that
         # did not lies inside one assembly
         assert ("ok", "raised") in set(zip(jacobian_calls, jacobian_calls[1:]))
-        result, _ = assert_scan_matches_reference(problem, config)
+        result, _ = assert_scan_matches_reference(problem, config, oracle)
         assert result.counts.step_failures > 0
 
     @pytest.mark.parametrize("spec", ["newton", "bary:1", "bary:3", "compose:bary:2,bary:1"])
     def test_three_dimensional_polynomial(self, tmp_path, spec):
         # n = 3 takes the numpy assembly and one elimination per row
-        problem = load_polynomial_problem(str(write_random_gradient_file(tmp_path / "p3.poly", 63, n=3)))
+        path = write_random_gradient_file(tmp_path / "p3.poly", 63, n=3)
+        problem = load_polynomial_problem(str(path))
+        ref_f, ref_jacobian = reference_problem(path)
         iter_map = parse_map_spec(spec)
         rng = np.random.default_rng(64)
         special = [[0.0, 0.0, 0.0], [1e40, 0.5, -0.5], [1e60, 0.5, -0.5], [np.nan, 0.0, 0.0]]
@@ -704,7 +732,8 @@ class TestBatchedScanAgainstReference:
 
         got_calls, want_calls = Counter(), Counter()
         got_problem = counting_problem(problem, got_calls)
-        want_problem = counting_problem(problem, want_calls)
+        oracle = dataclasses.replace(problem, f=ref_f, jacobian=ref_jacobian)
+        want_problem = counting_problem(oracle, want_calls)
         got = [outcome(lambda x: vector_map_step(got_problem, iter_map, x).next, x) for x in points]
         want = [outcome(lambda x: _reference_map_step(want_problem, iter_map, x), x) for x in points]
         assert got == want
@@ -717,9 +746,53 @@ class TestBatchedScanAgainstReference:
             assert (row.tobytes() if failure is None else f"{type(failure).__name__}: {failure}") == expected
 
 
+def batched_steps(problem, iter_map, seeds, size):
+    """The singular filter and both map_rows steps, run on batches of size
+    seeds in turn: per seed, its failure or the bytes of both next points."""
+    n = problem.n
+    fates = []
+    for start in range(0, len(seeds), size):
+        rows = seeds[start : start + size]
+        failures = [None] * len(rows)
+        evaluate_rows(problem.f, (n,), rows, failures)
+        jacobians = evaluate_rows(problem.jacobian, (n, n), rows, failures)
+        mapsnd.solve_rows(jacobians, np.zeros(rows.shape), failures)
+        singular = [f is not None for f in failures]
+        first = mapsnd.map_rows(problem, iter_map, rows, failures)[0]
+        second = mapsnd.map_rows(problem, iter_map, first, failures)[0]
+        for failure, was_singular, a, b in zip(failures, singular, first, second):
+            if failure is None:
+                fates.append((a.tobytes(), b.tobytes()))
+            else:
+                fates.append((was_singular, type(failure).__name__, str(failure)))
+    return fates
+
+
+class TestBatchSizeIndependence:
+    """A seed's next points and failure do not depend on the seeds batched with it."""
+
+    @pytest.mark.parametrize(
+        "example, label", [("example1", "t_32"), ("example1", "t_1"), ("example2-coarse", "t_54")]
+    )
+    def test_batches_of_1_7_and_all(self, example, label):
+        problem_name, nx, ny, _, map_rows = REPRODUCE_SETUPS[example]
+        problem = vector_problem(problem_name)
+        iter_map = parse_map_spec(dict((row[0], row[1]) for row in map_rows)[label])
+        seeds = make_grid(GridSpec(domain=problem.domain, nx=nx, ny=ny))
+        whole = batched_steps(problem, iter_map, seeds, len(seeds))
+        assert batched_steps(problem, iter_map, seeds, 7) == whole
+        assert batched_steps(problem, iter_map, seeds, 1) == whole
+        # most seeds step on; on Ackley the origin seed, at least, fails
+        failed = sum(len(fate) == 3 for fate in whole)
+        assert failed < len(seeds) / 2 and (failed > 0) == (problem_name == "ackley")
+        # and a batch of none steps to none
+        assert mapsnd.map_rows(problem, iter_map, seeds[:0], [])[0].shape == (0, 2)
+
+
 class TestWorkCounters:
-    """The exact work a scan does.  The counts repeat bit for bit, so a change
-    to the work per seed fails here without any timing noise."""
+    """The exact work a scan does: the points f and the Jacobian are
+    evaluated at, and the linear solves.  The counts repeat bit for bit, so a
+    change to the work per seed fails here without any timing noise."""
 
     def scan_counts(self, problem, spec, grid, eps, monkeypatch):
         counts = Counter()

@@ -250,6 +250,22 @@ class TestCaptureCommand:
         capsys.readouterr()
 
 
+    def test_zero_determinant_seeds_are_skipped_as_singular(self, tmp_path, capsys):
+        # J is [[1e-160, 0], [0, 0]] everywhere: the pivot floor underflows to
+        # 0.0, and the zero determinant still marks every seed singular
+        path = tmp_path / "zero_det.poly"
+        path.write_text("domain -1 1 -1 1\npoly 2 : 1e-160 1 0 ; 1.0 0 0\npoly 2 : 0.0 0 1\n")
+        argv = ["capture", "--problem", str(path), "--map", "bary:1", "--eps", "0.001"]
+        assert main(argv + ["--format", "json"]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert counts == {
+            "seeded": 361, "skipped_singular": 361, "step_failures": 0,
+            "skipped_outside": 0, "rejected_tolerance": 0, "captured": 0,
+        }
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "grid_i,grid_j,x0,y0,x2,y2,fnorm,g\n"
+
+
 class TestReproduceCommand:
     def test_example1_report(self, tmp_path, capsys):
         out_dir = tmp_path / "report"

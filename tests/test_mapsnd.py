@@ -23,9 +23,15 @@ from rootmaps import (
     vector_map_step,
     vector_newton_step,
 )
-from rootmaps.mapsnd import PIVOT_RTOL, barycentric_model_matrix, lu_solve
+from rootmaps.mapsnd import PIVOT_RTOL, barycentric_model_matrix, lu_solve, solve_rows
 from rootmaps.problems import ackley_gradient, load_polynomial_problem
 from test_problems import write_random_gradient_file
+
+
+def constant(value):
+    """The array-in callable with the same value at every point."""
+    value = np.asarray(value, dtype=float)
+    return lambda x: np.broadcast_to(value, (*np.shape(x)[:-1], *value.shape))
 
 
 def affine_problem(a, c):
@@ -33,8 +39,8 @@ def affine_problem(a, c):
     c = np.asarray(c, dtype=float)
     return VectorProblem(
         n=len(c),
-        f=lambda x: a @ x - c,
-        jacobian=lambda x: a.copy(),
+        f=lambda x: x @ a.T - c,
+        jacobian=constant(a),
         domain=Box(lo=(-10.0, -10.0), hi=(10.0, 10.0)),
         name="affine",
     )
@@ -91,14 +97,18 @@ class TestLuSolve:
 
     def test_three_component_f_on_a_2d_problem_raises(self):
         # f returns one component more than the Jacobian has rows
-        problem = VectorProblem(n=2, f=lambda x: np.array([x[0], x[1], 1.0]), jacobian=lambda x: np.eye(2))
+        problem = VectorProblem(
+            n=2, f=lambda x: np.concatenate([x, x[..., :1]], axis=-1), jacobian=constant(np.eye(2))
+        )
         with pytest.raises(ValueError, match="shapes"):
             vector_newton_step(problem, np.array([0.5, 0.5]))
 
 
 def _reference_lu_solve_2x2(matrix, rhs):
     """The 2x2 branch of lu_solve on numpy arrays, as it was before the 2-D
-    kernel: the oracle of that kernel's bits and of its failures."""
+    kernel: the oracle of that kernel's bits and of its failures.  A zero
+    determinant is singular also where the pivot floor underflows; before,
+    the division raised ZeroDivisionError there."""
     a = np.array(matrix, dtype=float)
     b = np.array(rhs, dtype=float)
     with np.errstate(over="ignore"):
@@ -110,7 +120,7 @@ def _reference_lu_solve_2x2(matrix, rhs):
     m10, m11 = float(a[1, 0]), float(a[1, 1])
     det = m00 * m11 - m01 * m10
     pivot1 = max(abs(m00), abs(m10))
-    if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1:
+    if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1 or det == 0.0:
         raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
     b0, b1 = float(b[0]), float(b[1])
     return np.array([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det])
@@ -132,7 +142,7 @@ def solve_outcome(solve, matrix, rhs):
     """The bytes of the solution, or the failure message."""
     try:
         return solve(matrix, rhs).tobytes()
-    except (SingularModelError, ZeroDivisionError) as exc:
+    except SingularModelError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -177,10 +187,21 @@ class TestTwoByTwoKernel:
 
     def test_zero_determinant_passing_the_pivot_test(self):
         # pivot_floor * pivot1 underflows to 0.0, so det = 0.0 is not below
-        # it; the division raises, in a batch as in a one-point solve
+        # it; the zero determinant is singular all the same
         matrix, rhs = np.array([[1e-160, 0.0], [0.0, 0.0]]), np.ones(2)
         assert solve_outcome(lu_solve, matrix, rhs) == solve_outcome(_reference_lu_solve_2x2, matrix, rhs)
-        assert solve_outcome(lu_solve, matrix, rhs).startswith("ZeroDivisionError")
+        assert solve_outcome(lu_solve, matrix, rhs).startswith(PIVOTS)
+        # in a batch, only that row fails
+        failures = [None, None]
+        x = solve_rows(np.stack([matrix, np.eye(2)]), np.ones((2, 2)), failures)
+        assert isinstance(failures[0], SingularModelError) and failures[1] is None
+        assert x[1].tolist() == [1.0, 1.0]
+
+    def test_zero_pivot_passing_the_floor_on_the_elimination_path(self):
+        matrix = np.zeros((3, 3))
+        matrix[0, 0] = 1e-160
+        with pytest.raises(SingularModelError, match="pivot 0.000e"):
+            lu_solve(matrix, np.ones(3))
 
     @pytest.mark.parametrize("name", ["rutishauser", "ackley", "gradient", "asymmetric"])
     def test_model_matrix_matches_numpy_assembly(self, name, tmp_path):
@@ -211,17 +232,19 @@ class TestTwoByTwoKernel:
                 assert solve_outcome(lu_solve, got, rhs) == solve_outcome(_reference_lu_solve_2x2, got, rhs)
 
     def test_model_matrix_through_an_undefined_sample(self):
-        # the i = 1 sample of x = -h is Ackley's origin, where J is NaN
+        # the i = 1 sample of x = -h is Ackley's origin, where J is NaN: the
+        # assembly fails at that sample, where the sum would be NaN
         problem = ackley_gradient()
         h = np.array([0.25, -0.5])
-        got = barycentric_model_matrix(problem, barycentric_coefficients(2), h, -h)
-        assert np.isnan(got).all()
+        with pytest.raises(EvaluationError, match=re.escape(f"non-finite evaluation at x={-h!r}")):
+            barycentric_model_matrix(problem, barycentric_coefficients(2), h, -h)
         assert np.isnan(_reference_model_matrix(problem, barycentric_coefficients(2), h, -h)).all()
 
 
 class TestValueShapes:
-    """f values must have shape (n,) and Jacobian values (n, n); anything else
-    is a ValueError naming both shapes, never an EvaluationError."""
+    """For N points, f values must have shape (N, n) and Jacobian values
+    (N, n, n); anything else is a ValueError naming both shapes, never an
+    EvaluationError."""
 
     @staticmethod
     def problem(n, jacobian, f=None):
@@ -229,8 +252,8 @@ class TestValueShapes:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_flat_jacobian_raises(self, n):
-        problem = self.problem(n, lambda x: np.ones(n))
-        message = re.escape(f"expected {(n, n)}, got {(n,)}")
+        problem = self.problem(n, lambda x: np.ones(x.shape))
+        message = re.escape(f"expected {(1, n, n)}, got {(1, n)}")
         x = np.full(n, 0.25)
         with pytest.raises(ValueError, match=message):
             vector_newton_step(problem, x)
@@ -242,23 +265,24 @@ class TestValueShapes:
     @pytest.mark.parametrize("n", [2, 3])
     def test_wrong_jacobian_at_a_later_sample_raises(self, n):
         # J is right at x and flat at x + h: the assembly raises, unfolded
-        problem = self.problem(n, lambda p: np.eye(n) if p[0] < 0.3 else np.ones(n))
-        with pytest.raises(ValueError, match=re.escape(f"expected {(n, n)}, got {(n,)}")):
+        identity = constant(np.eye(n))
+        problem = self.problem(n, lambda p: identity(p) if (p[..., 0] < 0.3).all() else np.ones(p.shape))
+        with pytest.raises(ValueError, match=re.escape(f"expected {(1, n, n)}, got {(1, n)}")):
             vector_barycentric_step(problem, barycentric_coefficients(1), np.full(n, 0.25))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_mis_shaped_f_raises(self, n):
-        problem = self.problem(n, lambda x: np.eye(n), f=lambda x: np.zeros((n, 1)))
-        with pytest.raises(ValueError, match=re.escape(f"expected {(n,)}, got {(n, 1)}")):
+        problem = self.problem(n, constant(np.eye(n)), f=lambda x: x[..., None] - 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"expected {(1, n)}, got {(1, n, 1)}")):
             vector_map_step(problem, newton_barycentric(1), np.full(n, 0.25))
 
     def test_scan_raises_instead_of_tallying(self):
         problem = VectorProblem(
-            n=2, f=lambda x: x - 0.5, jacobian=lambda x: np.ones(2), domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0))
+            n=2, f=lambda x: x - 0.5, jacobian=np.ones_like, domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0))
         )
         grid = GridSpec(domain=problem.domain, nx=3, ny=3)
         config = CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map())
-        with pytest.raises(ValueError, match=re.escape("expected (2, 2), got (2,)")):
+        with pytest.raises(ValueError, match=re.escape("expected (9, 2, 2), got (9, 2)")):
             run_capture(problem, config)
 
 
@@ -287,8 +311,8 @@ class TestNewtonStep:
     def test_singular_jacobian_reports_status(self):
         flat = VectorProblem(
             n=2,
-            f=lambda x: np.array([x[0] + x[1], 2.0 * (x[0] + x[1])]),
-            jacobian=lambda x: np.array([[1.0, 1.0], [2.0, 2.0]]),
+            f=lambda x: np.stack([x[..., 0] + x[..., 1], 2.0 * (x[..., 0] + x[..., 1])], axis=-1),
+            jacobian=constant([[1.0, 1.0], [2.0, 2.0]]),
         )
         with pytest.raises(SingularModelError):
             vector_newton_step(flat, np.array([0.3, 0.4]))
@@ -323,16 +347,16 @@ class TestBarycentricStep:
         result = vector_barycentric_step(problem, barycentric_coefficients(1), x)
         assert result.next == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("far_jacobian", [lambda: np.full((2, 2), np.nan), lambda: 1e300**2])
+    @pytest.mark.parametrize("far_jacobian", [lambda: np.nan, lambda: 1e300 * 1e300])
     def test_non_evaluable_model_matrix_raises(self, far_jacobian):
         # J is the identity at x but undefined at the sample x + h: a NaN
-        # matrix and a raised OverflowError are the same failure kind
+        # and an overflow to inf are the same failure kind, named by x
         problem = VectorProblem(
             n=2,
             f=lambda p: p - 1.0,
-            jacobian=lambda p: np.eye(2) if p[0] < 0.5 else far_jacobian(),
+            jacobian=lambda p: np.where((p[..., 0] < 0.5)[..., None, None], np.eye(2), far_jacobian()),
         )
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match=re.escape("non-finite evaluation at x=array([0., 0.])")):
             vector_barycentric_step(problem, barycentric_coefficients(1), np.zeros(2))
 
     def test_scalar_embedding_matches_scalar_model(self):
@@ -340,11 +364,7 @@ class TestBarycentricStep:
             f=lambda x: x**3 - 2.0,
             derivatives=(lambda x: 3.0 * x * x,),
         )
-        embedded = VectorProblem(
-            n=1,
-            f=lambda x: np.array([scalar.f(float(x[0]))]),
-            jacobian=lambda x: np.array([[scalar.derivatives[0](float(x[0]))]]),
-        )
+        embedded = VectorProblem(n=1, f=scalar.f, jacobian=lambda x: scalar.derivatives[0](x)[..., None])
         for k in (0, 1, 2, 3):
             coeffs = barycentric_coefficients(k)
             x, h = 1.37, -0.21

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from rootmaps import (
+    Box,
     EvaluationError,
+    GridSpec,
+    VectorProblem,
     ackley_gradient,
     load_polynomial_problem,
+    make_grid,
     rutishauser,
     scalar_test_set,
 )
@@ -249,7 +253,8 @@ def reference_component(component, point):
 
 
 def reference_problem(path):
-    """(f, jacobian) of a poly file, evaluated by reference_component."""
+    """(f, jacobian) of a poly file, evaluated one point at a time by
+    reference_component."""
     lines = [line.strip() for line in path.read_text().splitlines()]
     components = [_parse_poly_line(line, 0) for line in lines if line.startswith("poly")]
     n = len(components)
@@ -264,18 +269,171 @@ def reference_problem(path):
     return f, jacobian
 
 
-def outcome(fn, point):
-    """The bytes of fn(point), or the name of the exception it raised.
+# ---------------------------------------------------------------------------
+# The per-point kernels of the built-in problems, in plain Python floats, as
+# they were before the problems took arrays of points: the oracles of the
+# array-in problems.  They raise OverflowError or ValueError where a point
+# cannot be evaluated.
+# ---------------------------------------------------------------------------
+
+
+def _rutishauser_component(u, v):
+    return (
+        -2.0
+        - 1.2 * u
+        + 2.0 * v
+        - 4.08 * u * u
+        + 3.92 * u**3
+        + 4.0 * u * v * v
+        + 6.0 * u**5
+        + 6.0 * u * u * v**3
+        + 8.0 * u**7
+        + 8.0 * u**3 * v**4
+    )
+
+
+def _rutishauser_diag(u, v):
+    return (
+        -1.2
+        - 8.16 * u
+        + 11.76 * u * u
+        + 4.0 * v * v
+        + 30.0 * u**4
+        + 12.0 * u * v**3
+        + 56.0 * u**6
+        + 24.0 * u * u * v**4
+    )
+
+
+def _rutishauser_cross(u, v):
+    return 2.0 + 8.0 * u * v + 18.0 * u * u * v * v + 32.0 * u**3 * v**3
+
+
+def _rutishauser_f(p):
+    x, y = float(p[0]), float(p[1])
+    return np.array([_rutishauser_component(x, y), _rutishauser_component(y, x)])
+
+
+def _rutishauser_jacobian(p):
+    x, y = float(p[0]), float(p[1])
+    cross = _rutishauser_cross(x, y)
+    return np.array([[_rutishauser_diag(x, y), cross], [cross, _rutishauser_diag(y, x)]])
+
+
+def _rutishauser_objective(p):
+    x, y = float(p[0]), float(p[1])
+    s1 = x + y - 1.0
+    s2 = x * x + y * y - 0.8
+    s3 = x**3 + y**3 - 0.68
+    s4 = x**4 + y**4 - 0.01
+    return s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4
+
+
+_ACKLEY_RADIAL = 2.8284271247461907
+_ACKLEY_DECAY = 0.14142135623730953
+_ACKLEY_WAVE = 3.141592653589793
+_TWO_PI = 2.0 * math.pi
+
+
+def _ackley_f(p):
+    x, y = float(p[0]), float(p[1])
+    r = math.sqrt(x * x + y * y)
+    if r == 0.0:
+        return np.zeros(2)
+    e_radial = math.exp(-_ACKLEY_DECAY * r)
+    e_wave = math.exp(0.5 * (math.cos(_TWO_PI * x) + math.cos(_TWO_PI * y)))
+    return np.array(
+        [
+            -_ACKLEY_RADIAL * e_radial * x / r - _ACKLEY_WAVE * e_wave * math.sin(_TWO_PI * x),
+            -_ACKLEY_RADIAL * e_radial * y / r - _ACKLEY_WAVE * e_wave * math.sin(_TWO_PI * y),
+        ]
+    )
+
+
+def _ackley_jacobian(p):
+    x, y = float(p[0]), float(p[1])
+    r = math.sqrt(x * x + y * y)
+    if r == 0.0:
+        return np.full((2, 2), math.nan)
+    e_radial = math.exp(-_ACKLEY_DECAY * r)
+    sx, cx = math.sin(_TWO_PI * x), math.cos(_TWO_PI * x)
+    sy, cy = math.sin(_TWO_PI * y), math.cos(_TWO_PI * y)
+    e_wave = math.exp(0.5 * (cx + cy))
+    r2, r3 = r * r, r * r * r
+    j11 = -_ACKLEY_RADIAL * e_radial * (1.0 / r - x * x / r3 - _ACKLEY_DECAY * x * x / r2) - (
+        _ACKLEY_WAVE * e_wave * (_TWO_PI * cx - math.pi * sx * sx)
+    )
+    j22 = -_ACKLEY_RADIAL * e_radial * (1.0 / r - y * y / r3 - _ACKLEY_DECAY * y * y / r2) - (
+        _ACKLEY_WAVE * e_wave * (_TWO_PI * cy - math.pi * sy * sy)
+    )
+    j12 = _ACKLEY_RADIAL * e_radial * x * y * (_ACKLEY_DECAY / r2 + 1.0 / r3) + (
+        _ACKLEY_WAVE * math.pi * e_wave * sx * sy
+    )
+    return np.array([[j11, j12], [j12, j22]])
+
+
+def _ackley_objective(p):
+    x, y = float(p[0]), float(p[1])
+    s1 = -0.2 * math.sqrt(0.5 * (x * x + y * y))
+    s2 = 0.5 * (math.cos(_TWO_PI * x) + math.cos(_TWO_PI * y))
+    return 20.0 * math.exp(s1) + math.exp(s2) - 20.0 - math.e
+
+
+def reference_rutishauser():
+    """rutishauser() with its per-point oracle kernels."""
+    return VectorProblem(
+        n=2, f=_rutishauser_f, jacobian=_rutishauser_jacobian, objective=_rutishauser_objective,
+        domain=RUT.domain, name="rutishauser",
+    )
+
+
+def reference_ackley():
+    """ackley_gradient() with its per-point oracle kernels."""
+    return VectorProblem(
+        n=2, f=_ackley_f, jacobian=_ackley_jacobian, objective=_ackley_objective,
+        domain=ACK.domain, name="ackley",
+    )
+
+
+def reference_outcome(fn, point):
+    """The bytes of a per-point oracle's value at point, or "fails" where it
+    raises because the point cannot be evaluated (a float division by zero
+    included: the oracles raise it where r**3 underflows near Ackley's origin).
 
     NaNs compare as one value: which operand's sign and payload a NaN sum
     carries depends on the interpreter's code path, not on the operations,
     and a NaN fails evaluation whatever its bits.
     """
     try:
-        value = np.asarray(fn(point))
-    except (OverflowError, ValueError) as exc:
-        return type(exc).__name__
+        value = np.asarray(fn(point), dtype=float)
+    except (ArithmeticError, ValueError):
+        return "fails"
     return np.where(np.isnan(value), np.nan, value).tobytes()
+
+
+def outcome(value, expected):
+    """value's outcome in the terms of reference_outcome, given the oracle's
+    outcome expected: where the oracle raises, the array-in problems give a
+    non-finite value instead, which fails evaluation the same way."""
+    value = np.asarray(value, dtype=float)
+    if expected == "fails" and not np.isfinite(value).all():
+        return "fails"
+    return np.where(np.isnan(value), np.nan, value).tobytes()
+
+
+def assert_matches_oracle(fn, oracle, points):
+    """fn on each point alone, as an (n,) array, and on all of them as one
+    (N, n) batch, against the per-point oracle, bit for bit; the number of
+    points that cannot be evaluated."""
+    points = np.asarray(points, dtype=float)
+    batch = fn(points)
+    fails = 0
+    for point, row in zip(points, batch):
+        expected = reference_outcome(oracle, point)
+        assert outcome(fn(point), expected) == expected, point
+        assert outcome(row, expected) == expected, point
+        fails += expected == "fails"
+    return fails
 
 
 # coordinates whose powers are exact, signed zeros, large enough to overflow
@@ -286,32 +444,95 @@ SPECIAL_COORDINATES = (
 )
 
 
+def oracle_points(n, seed, lo=-1.5, hi=1.5):
+    """Random points, random mixes of special coordinates and every special
+    coordinate on all axes."""
+    rng = np.random.default_rng(seed)
+    points = [rng.uniform(lo, hi, size=n) for _ in range(50)]
+    points += [rng.choice(SPECIAL_COORDINATES, size=n) for _ in range(200)]
+    points += [np.full(n, v) for v in SPECIAL_COORDINATES]
+    return np.array(points)
+
+
+def grid_points(domain, size):
+    return make_grid(GridSpec(domain=domain, nx=size, ny=size))
+
+
+class TestBuiltinsAgainstOracles:
+    """The array-in built-in problems against their per-point kernels."""
+
+    @pytest.mark.parametrize("name", ["rutishauser", "ackley"])
+    @pytest.mark.parametrize("field", ["f", "jacobian", "objective"])
+    def test_bit_for_bit(self, name, field):
+        problem = RUT if name == "rutishauser" else ACK
+        oracle = reference_rutishauser() if name == "rutishauser" else reference_ackley()
+        lo, hi = np.array(problem.domain.lo), np.array(problem.domain.hi)
+        sets = [grid_points(problem.domain, 19), grid_points(problem.domain, 41)]
+        sets += [np.random.default_rng(90).uniform(lo, hi, size=(500, 2)), oracle_points(2, 91)]
+        fails = [assert_matches_oracle(getattr(problem, field), getattr(oracle, field), s) for s in sets]
+        # the special coordinates include points no kernel can evaluate
+        assert fails[:3] == [0, 0, 0] and fails[3] > 0
+
+    def test_ackley_origin_in_a_batch(self):
+        # every point where the radius rounds to 0 is the origin, inside a
+        # batch as alone; at radius 1e-150, r**3 underflows and J fails
+        points = np.array([[0.0, 0.0], [-0.0, 0.0], [1e-200, -1e-170], [1.0, 2.0], [0.0, 1e-150]])
+        assert_matches_oracle(ACK.f, _ackley_f, points)
+        assert assert_matches_oracle(ACK.jacobian, _ackley_jacobian, points) == 1
+        assert np.isnan(ACK.jacobian(points)[:3]).all() and np.isfinite(ACK.jacobian(points)[3]).all()
+
+    def test_leading_batch_axes(self):
+        points = grid_points(RUT.domain, 6).reshape(3, 12, 2)
+        for problem in (RUT, ACK):
+            assert problem.f(points).shape == (3, 12, 2)
+            assert problem.jacobian(points).shape == (3, 12, 2, 2)
+            assert problem.objective(points).shape == (3, 12)
+            assert problem.jacobian(points).tobytes() == problem.jacobian(points.reshape(-1, 2)).tobytes()
+
+    def test_numpy_trigonometry_matches_libm(self):
+        # the Ackley kernels take np.sin and np.cos for math.sin and math.cos;
+        # a numpy build whose trigonometry rounds otherwise fails here, not
+        # in the scan outputs
+        coordinates = np.concatenate(
+            [
+                grid_points(ACK.domain, 19).ravel(),
+                grid_points(ACK.domain, 41).ravel(),
+                np.random.default_rng(92).uniform(-32.768, 32.768, size=2000),
+                [v for v in SPECIAL_COORDINATES if math.isfinite(v)],
+            ]
+        )
+        arguments = _TWO_PI * coordinates
+        for numpy_fn, math_fn in ((np.sin, math.sin), (np.cos, math.cos)):
+            expected = np.array([math_fn(a) for a in arguments.tolist()])
+            assert numpy_fn(arguments).tobytes() == expected.tobytes()
+
+
 class TestPowerTables:
     @pytest.mark.parametrize("n,seed", [(1, 40), (2, 41), (2, 42), (2, 43), (3, 44)])
     def test_matches_term_loop_bit_for_bit(self, tmp_path, n, seed):
         path = write_random_gradient_file(tmp_path / "random.poly", seed, n=n)
         problem = load_polynomial_problem(str(path))
         ref_f, ref_jacobian = reference_problem(path)
-        rng = np.random.default_rng(seed)
-        points = [rng.uniform(-1.5, 1.5, size=n) for _ in range(50)]
-        points += [rng.choice(SPECIAL_COORDINATES, size=n) for _ in range(200)]
-        points += [np.full(n, v) for v in SPECIAL_COORDINATES]
-        raised = 0
-        for point in points:
-            assert outcome(problem.f, point) == outcome(ref_f, point), point
-            assert outcome(problem.jacobian, point) == outcome(ref_jacobian, point), point
-            raised += outcome(problem.f, point) == "OverflowError"
-        assert 0 < raised < len(points)
+        points = oracle_points(n, seed)
+        fails = assert_matches_oracle(problem.f, ref_f, points)
+        assert_matches_oracle(problem.jacobian, ref_jacobian, points)
+        assert 0 < fails < len(points)
+        if n == 2:
+            for size in (19, 41):
+                points = grid_points(Box(lo=(-1.0, -1.0), hi=(1.0, 1.0)), size)
+                assert assert_matches_oracle(problem.f, ref_f, points) == 0
+                assert assert_matches_oracle(problem.jacobian, ref_jacobian, points) == 0
 
     def test_signed_zero_sums(self, tmp_path):
         # -0.0 terms sum to +0.0 from the 0.0 start, as in the term loop
         path = tmp_path / "zeros.poly"
         path.write_text("poly 2 : -1.0 1 0 ; 1.0 0 1\npoly 2 : 1.0 1 1\n")
         problem = load_polynomial_problem(str(path))
-        for point in ([0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]):
-            value = problem.f(np.array(point))
+        points = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+        for value in (*problem.f(points), *map(problem.f, points)):
             assert value.tobytes() == np.array([0.0, 0.0]).tobytes()
-            assert value.tobytes() == reference_problem(path)[0](np.array(point)).tobytes()
+        for point in points:
+            assert problem.f(point).tobytes() == reference_problem(path)[0](point).tobytes()
 
     def test_unused_power_does_not_overflow(self, tmp_path):
         # f needs x**7, which overflows at x = 1e45; every partial needs at
@@ -321,7 +542,8 @@ class TestPowerTables:
         problem = load_polynomial_problem(str(path))
         ref_f, ref_jacobian = reference_problem(path)
         point = np.array([1e45, 0.5])
-        assert outcome(problem.f, point) == outcome(ref_f, point) == "OverflowError"
+        assert reference_outcome(ref_f, point) == "fails"
+        assert outcome(problem.f(point), "fails") == "fails"
         failures = [None]
         evaluate_rows(problem.f, (2,), point[None], failures)
         assert isinstance(failures[0], EvaluationError)
@@ -331,9 +553,18 @@ class TestPowerTables:
         assert jacobian.tobytes() == ref_jacobian(point).tobytes()
         assert jacobian[0, 0] == 7.0 * 1e45**6
 
+    def test_overflow_stays_in_its_row(self, tmp_path):
+        path = write_random_gradient_file(tmp_path / "random.poly", 45)
+        problem = load_polynomial_problem(str(path))
+        points = np.array([[0.5, -0.25], [1e60, 0.5], [0.25, 0.75]])
+        values = problem.f(points)
+        assert np.isfinite(values[[0, 2]]).all() and not np.isfinite(values[1]).all()
+        assert values[[0, 2]].tobytes() == problem.f(points[[0, 2]]).tobytes()
+
     def test_constant_system_has_zero_jacobian(self, tmp_path):
         path = tmp_path / "constant.poly"
         path.write_text("poly 1 : 2.5 0 ; -1.0 0\n")
         problem = load_polynomial_problem(str(path))
         assert problem.f(np.array([3.0])).tolist() == [1.5]
         assert problem.jacobian(np.array([3.0])).tolist() == [[0.0]]
+        assert problem.jacobian(np.array([[3.0], [4.0]])).tolist() == [[[0.0]], [[0.0]]]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps1d import IterativeMap, StepFailureError
-from .mapsnd import Box, VectorProblem, evaluate_rows, map_rows, solve_rows
+from .maps1d import IterativeMap
+from .mapsnd import Box, Failures, VectorProblem, evaluate_rows, map_rows, newton_rows
 
 DEFAULT_CLUSTER_RADIUS = 1e-3
 
@@ -32,6 +32,8 @@ class GridSpec:
     def __post_init__(self):
         if self.domain.dim != 2:
             raise ValueError("grid scans are 2-D")
+        if not all(map(math.isfinite, self.domain.lo + self.domain.hi)):
+            raise ValueError(f"grid bounds must be finite, got {self.domain.lo} to {self.domain.hi}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"need at least 2 vertices per axis, got {self.nx}x{self.ny}")
 
@@ -151,22 +153,27 @@ def cluster_points(points: list[np.ndarray], radius: float) -> list[Cluster]:
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     width = max(2.0 * radius, _MIN_CELL_WIDTH)
+    points = [np.asarray(point, dtype=float) for point in points]
+    shape = (points[0].size,) if points else (0,)
+    # the first bad point is the first of another shape, or a non-finite one before it
+    end = next((position for position, point in enumerate(points) if point.shape != shape), len(points))
+    rows = np.array(points[:end]).reshape(end, *shape)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        position = int(np.argmin(finite))
+        raise ValueError(f"point {position} has a non-finite coordinate: {points[position]}")
+    if end < len(points):
+        raise ValueError(f"point {end} has shape {points[end].shape}, expected {shape}")
+    # the cells of _cell, for every point at once
+    with np.errstate(over="ignore"):
+        homes = np.floor(np.clip(rows / width, -_MAX_CELL_INDEX, _MAX_CELL_INDEX)).astype(np.int64)
+    neighbourhood = list(itertools.product((-1, 0, 1), repeat=rows.shape[1]))
     sums: list[np.ndarray] = []
     means: list[np.ndarray] = []
     members: list[list[int]] = []
     cells: list[tuple[int, ...]] = []
     grid: dict[tuple[int, ...], list[int]] = {}
-    shape = neighbourhood = None
-    for position, point in enumerate(points):
-        point = np.asarray(point, dtype=float)
-        if shape is None:
-            shape = (point.size,)
-            neighbourhood = list(itertools.product((-1, 0, 1), repeat=point.size))
-        if point.shape != shape:
-            raise ValueError(f"point {position} has shape {point.shape}, expected {shape}")
-        if not np.all(np.isfinite(point)):
-            raise ValueError(f"point {position} has a non-finite coordinate: {point}")
-        home = _cell(point, width)
+    for position, (point, home) in enumerate(zip(rows, map(tuple, homes.tolist()))):
         candidates = sorted(
             idx
             for offset in neighbourhood
@@ -197,46 +204,43 @@ def cluster_points(points: list[np.ndarray], radius: float) -> list[Cluster]:
     ]
 
 
-def _residual_norm(vec: np.ndarray, norm: str) -> float:
+def _residual_norms(residuals: np.ndarray, norm: str) -> np.ndarray:
     if norm == "euclidean":
-        return float(np.linalg.norm(vec))
-    return float(np.max(np.abs(vec)))
-
-
-def _settle(fates: list, fate: str) -> list:
-    return [fate if isinstance(value, StepFailureError) else value for value in fates]
+        # per row: np.linalg.norm of a vector is a BLAS dot, whose rounding may differ from a batched form
+        return np.array([np.linalg.norm(vec) for vec in residuals])
+    return np.abs(residuals).max(axis=1)
 
 
 def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
     """Scan the grid with two iterations of the configured map.
 
-    fates[r] is None while seed r is live.  The batch engine marks a seed that
-    fails with its StepFailureError, which _settle replaces with the
-    CaptureCounts field of the stage that stopped it.  Captured points are
-    clustered in grid-index order.
+    All seeds go through each stage as one batch (see mapsnd); the singular
+    filter's Newton solve is the first step's.  A seed's fate is the
+    CaptureCounts field of the first stage that stopped it.  Captured points
+    are clustered in grid-index order.
     """
     seeds = make_grid(config.grid)
-    n = problem.n
-    fates: list = [None] * len(seeds)
-    evaluate_rows(problem.f, (n,), seeds, fates)
-    solve_rows(evaluate_rows(problem.jacobian, (n, n), seeds, fates), np.zeros(seeds.shape), fates)
-    fates = _settle(fates, "skipped_singular")
-    first = map_rows(problem, config.map, seeds, fates)[0]
-    second = map_rows(problem, config.map, first, fates)[0]
-    fates = _settle(fates, "step_failures")
-    inside = (config.grid.domain.contains(first) | config.grid.domain.contains(second)).tolist()
-    fates = [fate if fate or ok else "skipped_outside" for fate, ok in zip(fates, inside)]
-    residuals = evaluate_rows(problem.f, (n,), second, fates)
-    fates = _settle(fates, "rejected_tolerance")
-    fnorms = {r: _residual_norm(residuals[r], config.norm) for r, fate in enumerate(fates) if fate is None}
-    for r, fnorm in fnorms.items():
-        fates[r] = "captured" if fnorm <= config.tolerance else "rejected_tolerance"
-    rows = [r for r, fate in enumerate(fates) if fate == "captured"]
+    failures = Failures(len(seeds))
+    start = newton_rows(problem, seeds, failures)
+    singular = ~failures.live
+    first = map_rows(problem, config.map, seeds, failures, start)[0]
+    second = map_rows(problem, config.map, first, failures)[0]
+    stepped = failures.live
+    inside = stepped & (config.grid.domain.contains(first) | config.grid.domain.contains(second))
+    rows = np.flatnonzero(inside)
+    evaluated = Failures(len(rows))
+    fnorms = _residual_norms(evaluate_rows(problem.f, (problem.n,), second[rows], evaluated), config.norm)
+    passed = evaluated.live & (fnorms <= config.tolerance)
+    rows, fnorms = rows[passed], fnorms[passed]
+    fates = np.select(
+        [singular, ~stepped, ~inside], ["skipped_singular", "step_failures", "skipped_outside"], "rejected_tolerance"
+    )
+    fates[rows] = "captured"
     objectives = problem.objective(second[rows]).tolist() if problem.objective else [None] * len(rows)
     captured = [
-        CapturedPoint(*divmod(r, config.grid.ny), seeds[r], second[r], fnorms[r], objective)
-        for r, objective in zip(rows, objectives)
+        CapturedPoint(*divmod(r, config.grid.ny), seeds[r], second[r], fnorm, objective)
+        for r, fnorm, objective in zip(rows.tolist(), fnorms.tolist(), objectives)
     ]
-    counts = CaptureCounts(seeded=len(seeds), **Counter(fates))
+    counts = CaptureCounts(seeded=len(seeds), **Counter(fates.tolist()))
     clusters = cluster_points([c.point for c in captured], config.cluster_radius)
     return CaptureResult(captured=captured, clusters=clusters, counts=counts)

@@ -6,12 +6,19 @@ The step recursion mirrors the scalar one componentwise: h_1 is the Newton
 delta and h_{j+1} = t_j(x) - x.  Only barycentric maps extend this way; Taylor
 maps would need higher derivative tensors and are not supported here.
 
-The recursion runs on a batch: an (N, n) array of points and a list in which
-failures[r] is None while row r is live, and otherwise the StepFailureError
-that stopped it.  f and the Jacobian take the live rows in one call, at the
-points a one-point step evaluates; the arithmetic between the calls uses the
-same IEEE operations in the same order, so each row's result is the
-one-point result bit for bit.  The one-point functions run batches of one.
+The recursion runs on a batch: an (N, n) array of points and a Failures list
+in which failures[r] is None while row r is live, and otherwise the
+StepFailureError that stopped it.  f and the Jacobian take the live rows in
+one call; the arithmetic between the calls uses the same IEEE operations in
+the same order, so each row's result is the one-point result bit for bit.
+The one-point functions run batches of one.
+
+Each point is evaluated once.  A step evaluates f and J at x, and J(x) is the
+i = 0 term of every model matrix it assembles; a scan's singular filter hands
+its f, J and Newton solve at the seeds to the first step.  The i = 0 sample
+x + 0*h differs from x only in the sign of a zero coordinate, and the
+assembly adds a_0 * J(x) to 0.0, which erases the sign of a zero, so the
+model matrices keep their bits.
 """
 
 from dataclasses import dataclass
@@ -73,35 +80,43 @@ class VectorStepResult:
     delta: np.ndarray
 
 
-def _live(failures: list) -> list[int]:
-    return [r for r, failure in enumerate(failures) if failure is None]
+class Failures(list):
+    """failures[r] is None while row r is live, else the StepFailureError that
+    stopped it; live is the mask of the rows that are None, kept by item assignment."""
+
+    def __init__(self, size: int):
+        super().__init__([None] * size)
+        self.live = np.ones(size, dtype=bool)
+
+    def __setitem__(self, r: int, failure) -> None:
+        super().__setitem__(r, failure)
+        self.live[r] = failure is None
+
+    def fail(self, rows: np.ndarray, failure: Callable[[int], Exception]) -> None:
+        """Give failure(r) to every live row r that the boolean mask rows marks."""
+        for r in np.flatnonzero(rows & self.live).tolist():
+            self[r] = failure(r)
 
 
-def _fail(failures: list, rows: np.ndarray, failure: Callable[[int], Exception]) -> None:
-    """Give failure(r) to every live row r that rows marks."""
-    for r in np.flatnonzero(rows).tolist():
-        if failures[r] is None:
-            failures[r] = failure(r)
-
-
-def _finite(values: np.ndarray, at: np.ndarray, failures: list) -> np.ndarray:
-    _fail(failures, ~np.isfinite(values).all(axis=tuple(range(1, values.ndim))),
-          lambda r: EvaluationError(f"non-finite evaluation at x={at[r]!r}"))
+def _finite(values: np.ndarray, at: np.ndarray, failures: Failures) -> np.ndarray:
+    failures.fail(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))),
+                  lambda r: EvaluationError(f"non-finite evaluation at x={at[r]!r}"))
     return values
 
 
-def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: list, at=None) -> np.ndarray:
+def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: Failures, at=None) -> np.ndarray:
     """fn at the live rows of points in one call, as an array of shape (len(points), *shape).
 
     A live row whose value is not finite fails with an EvaluationError naming
     at[r] (default points[r]); a value of another shape raises ValueError.
     """
     values = np.zeros((len(points), *shape))
-    live = _live(failures)
-    if live:
+    live = failures.live
+    count = int(np.count_nonzero(live))
+    if count:
         value = np.asarray(fn(points[live]), dtype=float)
-        if value.shape != (len(live), *shape):
-            raise ValueError(f"value shapes differ: expected {(len(live), *shape)}, got {value.shape}")
+        if value.shape != (count, *shape):
+            raise ValueError(f"value shapes differ: expected {(count, *shape)}, got {value.shape}")
         values[live] = value
     return _finite(values, points if at is None else at, failures)
 
@@ -137,11 +152,11 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def solve_rows(a: np.ndarray, b: np.ndarray, failures: list) -> np.ndarray:
+def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
     """Each live row's solution of a[r] @ x = b[r]; a row failing lu_solve's tests fails."""
     if a.shape[1:] != (2, 2):
         x = np.zeros(b.shape)
-        for r in _live(failures):
+        for r in np.flatnonzero(failures.live).tolist():
             try:
                 x[r] = _eliminate(a[r], b[r])
             except SingularModelError as exc:
@@ -156,59 +171,74 @@ def solve_rows(a: np.ndarray, b: np.ndarray, failures: list) -> np.ndarray:
     with np.errstate(all="ignore"):
         row0, row1 = abs(m00) + abs(m01), abs(m10) + abs(m11)
         scale = np.maximum(row0, row1)
-        _fail(failures, (scale == 0.0) | ~(np.isfinite(row0) & np.isfinite(row1)),
+        failures.fail((scale == 0.0) | ~(np.isfinite(row0) & np.isfinite(row1)),
               lambda r: SingularModelError("matrix has zero or non-finite row norms"))
         pivot_floor = PIVOT_RTOL * scale
         det = m00 * m11 - m01 * m10
         pivot1 = np.maximum(abs(m00), abs(m10))
         # a zero determinant passes the second test when pivot_floor * pivot1 underflows
-        _fail(failures, (pivot1 < pivot_floor) | (abs(det) < pivot_floor * pivot1) | (det == 0.0),
+        failures.fail((pivot1 < pivot_floor) | (abs(det) < pivot_floor * pivot1) | (det == 0.0),
               lambda r: SingularModelError(f"2x2 pivots below floor {pivot_floor[r]:.3e}"))
         return np.stack([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det], axis=1)
 
 
-def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.ndarray, failures: list):
-    """Each live row's sum_i a_i * J_f(x + i*h) from 0.0 in order of i; a row whose
-    sample is not finite fails there and takes no more.  The caller checks the sum for finiteness."""
-    phi = np.zeros((len(x), problem.n, problem.n))
-    for i, a_i in enumerate(weights):
+def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.ndarray, jx: np.ndarray,
+                  failures: Failures) -> np.ndarray:
+    """Each live row's sum_i a_i * J_f(x + i*h) from 0.0 in order of i, with jx = J_f(x)
+    as the i = 0 term; a row whose sample is not finite fails there and takes no more.
+    The caller checks the sum for finiteness."""
+    with np.errstate(all="ignore"):
+        phi = 0.0 + weights[0] * jx
+    for i in range(1, len(weights)):
         with np.errstate(all="ignore"):
             samples = x + i * h
         values = evaluate_rows(problem.jacobian, phi.shape[1:], samples, failures, at=x)
         with np.errstate(all="ignore"):
-            phi += a_i * values
+            phi += weights[i] * values
     return phi
 
 
-def _barycentric_rows(problem: VectorProblem, coeffs: BarycentricCoefficients, x: np.ndarray, failures: list):
-    """(next, delta) of the order-k barycentric step from each live row of x: the Newton
-    delta seeds h, then each order-j model matrix, j = 1..k, is solved against -f(x) for the next h."""
+def newton_rows(problem: VectorProblem, x: np.ndarray, failures: Failures) -> tuple:
+    """(f(x), J_f(x), delta) at each live row of x, with J_f(x) * delta = -f(x).  A row fails
+    where f or J_f is not finite or J_f is singular: a scan's singular filter."""
     fx = evaluate_rows(problem.f, (problem.n,), x, failures)
-    delta = solve_rows(evaluate_rows(problem.jacobian, (problem.n,) * 2, x, failures), -fx, failures)
+    jx = evaluate_rows(problem.jacobian, (problem.n,) * 2, x, failures)
+    return fx, jx, solve_rows(jx, -fx, failures)
+
+
+def _barycentric_rows(problem: VectorProblem, coeffs: BarycentricCoefficients, x: np.ndarray,
+                      failures: Failures, start: tuple | None = None):
+    """(next, delta) of the order-k barycentric step from each live row of x: the Newton
+    delta seeds h, then each order-j model matrix, j = 1..k, is solved against -f(x) for the
+    next h.  start is newton_rows(problem, x, failures) when the caller has it."""
+    fx, jx, delta = newton_rows(problem, x, failures) if start is None else start
     for j in range(1, coeffs.k + 1):
         weights = coeffs if j == coeffs.k else barycentric_coefficients(j)
-        phi = _finite(_model_matrix(problem, weights.floats, delta, x, failures), x, failures)
+        phi = _finite(_model_matrix(problem, weights.floats, delta, x, jx, failures), x, failures)
         delta = solve_rows(phi, -fx, failures)
     with np.errstate(all="ignore"):
         return x + delta, delta
 
 
-def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: list):
-    """(next, delta) of one step of a Newton, barycentric or composed map from each live row of x."""
+def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: Failures,
+             start: tuple | None = None):
+    """(next, delta) of one step of a Newton, barycentric or composed map from each live row
+    of x.  start is newton_rows(problem, x, failures) when the caller has it; for a
+    composition, the innermost component takes it."""
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
-        second = map_rows(problem, outer, map_rows(problem, inner, x, failures)[0], failures)[0]
+        second = map_rows(problem, outer, map_rows(problem, inner, x, failures, start)[0], failures)[0]
         with np.errstate(all="ignore"):
             return second, second - x
     if iter_map.family not in (MapFamily.NEWTON, MapFamily.NEWTON_BARYCENTRIC):
         raise ValueError(f"{iter_map.family.value} maps are not defined on R^n")
     k = iter_map.k if iter_map.family is MapFamily.NEWTON_BARYCENTRIC else 0
-    return _barycentric_rows(problem, barycentric_coefficients(k), x, failures)
+    return _barycentric_rows(problem, barycentric_coefficients(k), x, failures, start)
 
 
 def _one_row(engine: Callable, *args):
     """engine(*args, failures) on a batch of one row; raises the row's failure."""
-    failures = [None]
+    failures = Failures(1)
     result = engine(*args, failures)
     if failures[0] is not None:
         raise failures[0]
@@ -243,7 +273,12 @@ def barycentric_model_matrix(
 ) -> np.ndarray:
     """The n x n model matrix sum_i a_i * J_f(x + i*h); raises EvaluationError at a non-finite sample."""
     h, x = (np.asarray(v, dtype=float)[None] for v in (h, x))
-    return _one_row(_model_matrix, problem, coeffs.floats, h, x)[0]
+
+    def assemble(failures: Failures) -> np.ndarray:
+        jx = evaluate_rows(problem.jacobian, (problem.n,) * 2, x, failures)
+        return _model_matrix(problem, coeffs.floats, h, x, jx, failures)
+
+    return _one_row(assemble)[0]
 
 
 def vector_barycentric_step(

@@ -47,18 +47,27 @@ def _each(fn: Callable[..., float], values: np.ndarray, *args) -> np.ndarray:
     return np.array(out, dtype=float).reshape(values.shape)
 
 
-def _power_table(values: np.ndarray, exponents) -> dict[int, np.ndarray]:
-    """{e: v ** e (Python float ** int) at every element v of values} for each e in exponents."""
-    return {e: _each(pow, values, e) for e in exponents}
+def _power_table(values: np.ndarray, exponents) -> np.ndarray:
+    """v ** e (Python float ** int; inf where it overflows) at every element v of values,
+    one row per e in exponents: shape (len(exponents), *values.shape)."""
+    flat = values.ravel().tolist()
+    rows = []
+    for e in exponents:
+        try:
+            rows.append(list(map(pow, flat, repeat(e))))
+        except OverflowError:
+            rows.append([_inf_on_overflow(pow, v, e) for v in flat])
+    return np.array(rows, dtype=float).reshape(len(rows), *values.shape)
 
 
 _exp = partial(_each, math.exp)
 
 
 def _coordinates(points: np.ndarray, exponents: tuple) -> tuple:
-    """x, y and their power tables, from a (..., 2) array."""
+    """x, y and their power tables {e: v ** e}, from a (..., 2) array."""
     x, y = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
-    return x, y, _power_table(x, exponents), _power_table(y, exponents)
+    px, py = (dict(zip(exponents, _power_table(v, exponents))) for v in (x, y))
+    return x, y, px, py
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +292,7 @@ def _polynomial_map(components: list[PolynomialComponent], shape: tuple[int, ...
         batch = points.shape[:-1]
         products = coeffs.reshape(-1, *(1,) * len(batch))
         for axis, degree in enumerate(degrees):
-            table = np.stack(list(_power_table(points[..., axis], range(degree + 1)).values()))
+            table = _power_table(points[..., axis], range(degree + 1))
             products = products * table[exponents[axis]]
         # not sum() or np.sum: they do not add term by term from 0.0
         sums = [reduce(add, products[start:stop], np.zeros(batch)) for start, stop in spans]
@@ -316,6 +325,8 @@ def _parse_poly_line(line: str, lineno: int) -> PolynomialComponent:
             exponents = tuple(int(v) for v in fields[1:])
         except ValueError as exc:
             raise ProblemFormatError(f"line {lineno}: bad term {chunk!r}") from exc
+        if not math.isfinite(coeff):
+            raise ProblemFormatError(f"line {lineno}: non-finite coefficient in {chunk!r}")
         if any(e < 0 for e in exponents):
             raise ProblemFormatError(f"line {lineno}: negative exponent in {chunk!r}")
         terms.append((coeff, exponents))
@@ -341,6 +352,8 @@ def load_polynomial_problem(path: str, name: str = "") -> VectorProblem:
                     x_min, x_max, y_min, y_max = (float(v) for v in fields)
                 except ValueError as exc:
                     raise ProblemFormatError(f"line {lineno}: bad domain {line!r}") from exc
+                if not all(map(math.isfinite, (x_min, x_max, y_min, y_max))):
+                    raise ProblemFormatError(f"line {lineno}: non-finite domain bound in {line!r}")
                 domain = Box(lo=(x_min, y_min), hi=(x_max, y_max))
             elif line.startswith("poly"):
                 components.append(_parse_poly_line(line, lineno))

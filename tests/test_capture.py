@@ -30,8 +30,8 @@ from rootmaps import (
 )
 from rootmaps.capture import DEFAULT_CLUSTER_RADIUS, _axis_vertices
 from rootmaps.cli import REPRODUCE_SETUPS, parse_map_spec
-from rootmaps import capture, mapsnd
-from rootmaps.mapsnd import PIVOT_RTOL, evaluate_rows
+from rootmaps import mapsnd
+from rootmaps.mapsnd import PIVOT_RTOL, Failures
 from rootmaps.problems import ackley_gradient, load_polynomial_problem, rutishauser
 from test_mapsnd import constant
 from test_problems import (
@@ -80,6 +80,12 @@ class TestMakeGrid:
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             GridSpec(domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), nx=1, ny=5)
+
+    @pytest.mark.parametrize("lo, hi", [((-math.inf, -1.0), (math.inf, 1.0)), ((math.nan, -1.0), (1.0, 1.0)),
+                                        ((0.0, 0.0), (1.0, math.inf))])
+    def test_rejects_non_finite_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            GridSpec(domain=Box(lo=lo, hi=hi), nx=5, ny=5)
 
 
 def _reference_cluster_points(points, radius):
@@ -450,6 +456,13 @@ def counted(fn, counts, key):
 # used; for other n, the numpy assembly and elimination.  Run with the
 # per-point kernels of test_problems, it checks the array-in problems and the
 # batched scan together.
+#
+# The oracle evaluates at the points the scan evaluated at before it reused
+# them, and tallies in `skipped` the evaluations the scan now skips: f and J
+# at the seed in the first step (the singular filter's), and the i = 0
+# sample x + 0*h of each model matrix (J(x) is reused).  Where that sample is
+# not finite the scan fails the row at i = 1 instead, one evaluation either
+# way, so it is not tallied.
 # ---------------------------------------------------------------------------
 
 
@@ -466,12 +479,14 @@ def _reference_evaluate(fn, x, at=None):
     return value
 
 
-def _reference_model_matrix(problem, coeffs, h, x):
+def _reference_model_matrix(problem, coeffs, h, x, skipped):
     """The assembly; it stops at the first sample that is not finite."""
     if problem.n != 2:
         phi = np.zeros((problem.n, problem.n))
         for i, a_i in enumerate(coeffs.floats):
             phi += a_i * _reference_evaluate(problem.jacobian, x + i * h, at=x)
+            if i == 0:
+                skipped["jacobian"] += 1
         return phi
     x0, x1 = x.tolist()
     h0, h1 = h.tolist()
@@ -479,6 +494,8 @@ def _reference_model_matrix(problem, coeffs, h, x):
     for i, a_i in enumerate(coeffs.floats):
         sample = np.array([x0 + i * h0, x1 + i * h1])
         (j00, j01), (j10, j11) = _reference_evaluate(problem.jacobian, sample, at=x).tolist()
+        if i == 0:
+            skipped["jacobian"] += 1
         m00 += a_i * j00
         m01 += a_i * j01
         m10 += a_i * j10
@@ -525,29 +542,32 @@ def _reference_lu_solve(matrix, rhs):
         return x
 
 
-def _reference_map_step(problem, iter_map, x):
-    """The next point of one step from x, by the one-point step recursion."""
+def _reference_map_step(problem, iter_map, x, skipped, filtered=False):
+    """The next point of one step from x, by the one-point step recursion;
+    filtered when x is a seed that passed the singular filter."""
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
-        return _reference_map_step(problem, outer, _reference_map_step(problem, inner, x))
+        return _reference_map_step(problem, outer, _reference_map_step(problem, inner, x, skipped, filtered), skipped)
     k = iter_map.k if iter_map.family is MapFamily.NEWTON_BARYCENTRIC else 0
     fx = _reference_evaluate(problem.f, x)
     delta = _reference_lu_solve(_reference_evaluate(problem.jacobian, x), -fx)
+    if filtered:
+        skipped.update(["f", "jacobian"])
     for j in range(1, k + 1):
-        matrix = partial(_reference_model_matrix, problem, barycentric_coefficients(j), delta)
+        matrix = partial(_reference_model_matrix, problem, barycentric_coefficients(j), delta, skipped=skipped)
         delta = _reference_lu_solve(_reference_evaluate(matrix, x), -fx)
     return x + delta
 
 
-def _reference_classify_seed(problem, config, grid_i, grid_j, seed):
+def _reference_classify_seed(problem, config, grid_i, grid_j, seed, skipped):
     try:
         _reference_evaluate(problem.f, seed)
         _reference_lu_solve(_reference_evaluate(problem.jacobian, seed), np.zeros(problem.n))
     except StepFailureError:
         return "skipped_singular", None
     try:
-        first = _reference_map_step(problem, config.map, seed)
-        second = _reference_map_step(problem, config.map, first)
+        first = _reference_map_step(problem, config.map, seed, skipped, filtered=True)
+        second = _reference_map_step(problem, config.map, first, skipped)
     except StepFailureError:
         return "step_failures", None
     domain = config.grid.domain
@@ -567,12 +587,13 @@ def _reference_classify_seed(problem, config, grid_i, grid_j, seed):
     return "captured", CapturedPoint(grid_i, grid_j, seed, second, fnorm, objective)
 
 
-def _reference_run_capture(problem, config):
+def _reference_run_capture(problem, config, skipped=None):
+    skipped = Counter() if skipped is None else skipped
     grid = config.grid
     xs = _axis_vertices(grid.domain.lo[0], grid.domain.hi[0], grid.nx)
     ys = _axis_vertices(grid.domain.lo[1], grid.domain.hi[1], grid.ny)
     outcomes = [
-        _reference_classify_seed(problem, config, i, j, np.array([xs[i], ys[j]]))
+        _reference_classify_seed(problem, config, i, j, np.array([xs[i], ys[j]]), skipped)
         for i in range(grid.nx)
         for j in range(grid.ny)
     ]
@@ -598,12 +619,12 @@ def assert_scan_matches_reference(problem, config, oracle=None):
     """run_capture against the per-seed oracle run on the per-point kernels
     (default: those of a built-in problem, else the problem itself): counts,
     every captured value's bytes, the clusters and the number of points f and
-    the Jacobian are evaluated at."""
-    got_calls, want_calls = Counter(), Counter()
+    the Jacobian are evaluated at, which is the oracle's less those skipped."""
+    got_calls, want_calls, skipped = Counter(), Counter(), Counter()
     got = run_capture(counting_problem(problem, got_calls), config)
-    want = _reference_run_capture(counting_problem(oracle or oracle_of(problem), want_calls), config)
+    want = _reference_run_capture(counting_problem(oracle or oracle_of(problem), want_calls), config, skipped)
     assert got.counts == want.counts
-    assert got_calls == want_calls
+    assert got_calls == want_calls - skipped
     assert len(got.captured) == len(want.captured)
     for a, b in zip(got.captured, want.captured):
         assert (a.grid_i, a.grid_j) == (b.grid_i, b.grid_j)
@@ -730,35 +751,33 @@ class TestBatchedScanAgainstReference:
             except StepFailureError as exc:
                 return f"{type(exc).__name__}: {exc}"
 
-        got_calls, want_calls = Counter(), Counter()
+        got_calls, want_calls, skipped = Counter(), Counter(), Counter()
         got_problem = counting_problem(problem, got_calls)
         oracle = dataclasses.replace(problem, f=ref_f, jacobian=ref_jacobian)
         want_problem = counting_problem(oracle, want_calls)
         got = [outcome(lambda x: vector_map_step(got_problem, iter_map, x).next, x) for x in points]
-        want = [outcome(lambda x: _reference_map_step(want_problem, iter_map, x), x) for x in points]
+        want = [outcome(lambda x: _reference_map_step(want_problem, iter_map, x, skipped), x) for x in points]
         assert got == want
-        assert got_calls == want_calls
+        assert got_calls == want_calls - skipped
         assert any(isinstance(o, bytes) for o in got) and any(isinstance(o, str) for o in got)
         # all the points as one batch: the same next points and failures
-        failures = [None] * len(points)
+        failures = Failures(len(points))
         batched, _ = mapsnd.map_rows(problem, iter_map, points, failures)
         for row, failure, expected in zip(batched, failures, want):
             assert (row.tobytes() if failure is None else f"{type(failure).__name__}: {failure}") == expected
 
 
 def batched_steps(problem, iter_map, seeds, size):
-    """The singular filter and both map_rows steps, run on batches of size
-    seeds in turn: per seed, its failure or the bytes of both next points."""
-    n = problem.n
+    """The singular filter and both map_rows steps, the first from the
+    filter's Newton solve, run on batches of size seeds in turn: per seed,
+    its failure or the bytes of both next points."""
     fates = []
-    for start in range(0, len(seeds), size):
-        rows = seeds[start : start + size]
-        failures = [None] * len(rows)
-        evaluate_rows(problem.f, (n,), rows, failures)
-        jacobians = evaluate_rows(problem.jacobian, (n, n), rows, failures)
-        mapsnd.solve_rows(jacobians, np.zeros(rows.shape), failures)
+    for begin in range(0, len(seeds), size):
+        rows = seeds[begin : begin + size]
+        failures = Failures(len(rows))
+        start = mapsnd.newton_rows(problem, rows, failures)
         singular = [f is not None for f in failures]
-        first = mapsnd.map_rows(problem, iter_map, rows, failures)[0]
+        first = mapsnd.map_rows(problem, iter_map, rows, failures, start)[0]
         second = mapsnd.map_rows(problem, iter_map, first, failures)[0]
         for failure, was_singular, a, b in zip(failures, singular, first, second):
             if failure is None:
@@ -786,13 +805,21 @@ class TestBatchSizeIndependence:
         failed = sum(len(fate) == 3 for fate in whole)
         assert failed < len(seeds) / 2 and (failed > 0) == (problem_name == "ackley")
         # and a batch of none steps to none
-        assert mapsnd.map_rows(problem, iter_map, seeds[:0], [])[0].shape == (0, 2)
+        assert mapsnd.map_rows(problem, iter_map, seeds[:0], Failures(0))[0].shape == (0, 2)
 
 
 class TestWorkCounters:
     """The exact work a scan does: the points f and the Jacobian are
     evaluated at, and the linear solves.  The counts repeat bit for bit, so a
-    change to the work per seed fails here without any timing noise."""
+    change to the work per seed fails here without any timing noise.
+
+    Per live seed: the singular filter evaluates f and J once and solves
+    once; that is the first step's Newton solve.  A bary:k step from x
+    evaluates f at x, J at 1 + k(k+1)/2 points (x, then i = 1..j for each
+    model matrix j = 1..k; J(x) is each matrix's i = 0 term) and solves
+    k + 1 times.  compose:bary:3,bary:2 is 11 J points and 7 solves a step,
+    so two steps from a seed are 22 J points, 4 f points and 14 solves;
+    the residual test evaluates f once more."""
 
     def scan_counts(self, problem, spec, grid, eps, monkeypatch):
         counts = Counter()
@@ -805,7 +832,6 @@ class TestWorkCounters:
             return solve(a, b, failures)
 
         monkeypatch.setattr(mapsnd, "solve_rows", solve_rows)
-        monkeypatch.setattr(capture, "solve_rows", solve_rows)
         config = CaptureConfig(
             grid=GridSpec(domain=problem.domain, nx=grid, ny=grid), tolerance=eps, map=parse_map_spec(spec)
         )
@@ -814,9 +840,17 @@ class TestWorkCounters:
 
     def test_example1_t32(self, monkeypatch):
         counts = self.scan_counts(rutishauser(), "compose:bary:3,bary:2", 19, 1e-3, monkeypatch)
-        assert counts == {"seeds": 361, "jacobian": 11913, "f": 2105, "solves": 5415, "captured": 156}
+        # every seed steps twice: 361 * 22 J, 361 * 4 f + 300 residuals, 361 * 14 solves
+        assert counts == {"seeds": 361, "jacobian": 7942, "f": 1744, "solves": 5054, "captured": 156}
+
+    def test_example2_fine_t54(self, monkeypatch):
+        # bary:5 then bary:4 is 27 J points and 11 solves a step; the origin
+        # seed is singular after its f and J: 1680 * 54 + 1 J, 1680 * 22 solves
+        counts = self.scan_counts(ackley_gradient(), "compose:bary:5,bary:4", 41, 0.1, monkeypatch)
+        assert counts == {"seeds": 1681, "jacobian": 90721, "f": 8353, "solves": 36960, "captured": 1600}
 
     def test_polynomial_file(self, tmp_path, monkeypatch):
         problem = load_polynomial_problem(str(write_random_gradient_file(tmp_path / "p.poly", 61)))
         counts = self.scan_counts(problem, "compose:bary:2,bary:1", 11, 1e-3, monkeypatch)
-        assert counts == {"seeds": 121, "jacobian": 2299, "f": 713, "solves": 1331, "captured": 78}
+        # compose:bary:2,bary:1 is 6 J points and 5 solves a step: 121 * 12 J, 121 * 10 solves
+        assert counts == {"seeds": 121, "jacobian": 1452, "f": 592, "solves": 1210, "captured": 78}

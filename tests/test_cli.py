@@ -248,6 +248,13 @@ class TestCaptureCommand:
             ["capture", "--problem", str(nodomain), "--map", "bary:1", "--eps", "0.1"]
         ) == 3
         capsys.readouterr()
+        # non-finite numbers in a file: the line is named, nothing is scanned
+        for line in ("domain -inf inf -1 1", "domain nan 1 -1 1", "poly 2 : nan 1 0", "poly 2 : 1.0 1 0 ; inf 0 1"):
+            nonfinite = tmp_path / "nonfinite.poly"
+            nonfinite.write_text(f"{line}\npoly 2 : 1.0 1 0 ; 1.0 0 1\npoly 2 : 1.0 0 1\n")
+            assert main(["capture", "--problem", str(nonfinite), "--map", "bary:1", "--eps", "0.1"]) == 3
+            captured = capsys.readouterr()
+            assert "line 1: non-finite" in captured.err and captured.out == ""
 
 
     def test_zero_determinant_seeds_are_skipped_as_singular(self, tmp_path, capsys):

@@ -23,7 +23,7 @@ from rootmaps import (
     vector_map_step,
     vector_newton_step,
 )
-from rootmaps.mapsnd import PIVOT_RTOL, barycentric_model_matrix, lu_solve, solve_rows
+from rootmaps.mapsnd import PIVOT_RTOL, Failures, barycentric_model_matrix, lu_solve, solve_rows
 from rootmaps.problems import ackley_gradient, load_polynomial_problem
 from test_problems import write_random_gradient_file
 
@@ -192,7 +192,7 @@ class TestTwoByTwoKernel:
         assert solve_outcome(lu_solve, matrix, rhs) == solve_outcome(_reference_lu_solve_2x2, matrix, rhs)
         assert solve_outcome(lu_solve, matrix, rhs).startswith(PIVOTS)
         # in a batch, only that row fails
-        failures = [None, None]
+        failures = Failures(2)
         x = solve_rows(np.stack([matrix, np.eye(2)]), np.ones((2, 2)), failures)
         assert isinstance(failures[0], SingularModelError) and failures[1] is None
         assert x[1].tolist() == [1.0, 1.0]
@@ -372,6 +372,48 @@ class TestBarycentricStep:
             assert matrix[0, 0] == pytest.approx(
                 barycentric_model(scalar, coeffs, h, x), rel=1e-12
             )
+
+
+def _reference_step(problem, coeffs, x):
+    """The next point of the order-k step that samples J at x + 0*h for each model matrix."""
+    fx = problem.f(x)
+    delta = lu_solve(problem.jacobian(x), -fx)
+    for j in range(1, coeffs.k + 1):
+        weights = coeffs if j == coeffs.k else barycentric_coefficients(j)
+        delta = lu_solve(_reference_model_matrix(problem, weights, delta, x), -fx)
+    return x + delta
+
+
+class TestJacobianReuse:
+    """J(x) is each model matrix's i = 0 term in place of J(x + 0*h).  The two
+    points differ only where a coordinate of x is -0.0 and h is positive
+    there; the sum from 0.0 erases the sign of a zero, so the bits hold."""
+
+    @pytest.mark.parametrize("name", ["rutishauser", "ackley", "polynomial"])
+    def test_negative_zero_coordinate(self, name, tmp_path):
+        if name == "polynomial":
+            path = tmp_path / "p.poly"
+            path.write_text("domain -1 1 -1 1\npoly 2 : 1.5 2 1 ; -0.5 0 3 ; 0.25 1 0\npoly 2 : 0.7 3 0 ; -2 0 1\n")
+            problem = load_polynomial_problem(str(path))
+        else:
+            problem = rutishauser() if name == "rutishauser" else ackley_gradient()
+        lo, hi = np.array(problem.domain.lo), np.array(problem.domain.hi)
+        rng = np.random.default_rng(55)
+        jacobians_differ = 0
+        # one zero coordinate: both would be Ackley's origin, where J is NaN
+        for zeros in ([True, False], [False, True]) * 30:
+            x = np.where(zeros, -0.0, rng.uniform(lo, hi))
+            h = rng.uniform(0.01, 1.0, size=2) * np.where(zeros, 1.0, rng.choice([-1.0, 1.0], size=2))
+            assert (x + 0 * h).tobytes() != x.tobytes()
+            jacobians_differ += problem.jacobian(x).tobytes() != problem.jacobian(x + 0 * h).tobytes()
+            for k in (1, 2, 3):
+                coeffs = barycentric_coefficients(k)
+                got = barycentric_model_matrix(problem, coeffs, h, x)
+                assert got.tobytes() == _reference_model_matrix(problem, coeffs, h, x).tobytes()
+                step = vector_barycentric_step(problem, coeffs, x)
+                assert step.next.tobytes() == _reference_step(problem, coeffs, x).tobytes()
+        # on Ackley J itself has signed zeros, which the assembly erases
+        assert (jacobians_differ > 0) == (name == "ackley")
 
 
 class TestMapDispatch:

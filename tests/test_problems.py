@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from rootmaps import (
     rutishauser,
     scalar_test_set,
 )
-from rootmaps.mapsnd import evaluate_rows
+from rootmaps.mapsnd import Failures, evaluate_rows
 from rootmaps.problems import ProblemFormatError, _parse_poly_line, scalar_problem, vector_problem
 
 RUT = rutishauser()
@@ -206,6 +207,23 @@ class TestPolynomialFiles:
         path = tmp_path / "bad.poly"
         path.write_text(content)
         with pytest.raises(ProblemFormatError):
+            load_polynomial_problem(str(path))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("domain -inf inf -1 1", "line 2: non-finite domain bound"),
+            ("domain nan 1 -1 1", "line 2: non-finite domain bound"),
+            ("domain -1 1 -1 1e400", "line 2: non-finite domain bound"),
+            ("poly 2 : nan 1 0 ; 1.0 0 1", "line 2: non-finite coefficient in 'nan 1 0'"),
+            ("poly 2 : 1.0 1 0 ; -inf 0 1", "line 2: non-finite coefficient in '-inf 0 1'"),
+            ("poly 2 : 1e400 1 0", "line 2: non-finite coefficient in '1e400 1 0'"),
+        ],
+    )
+    def test_non_finite_numbers_raise_naming_the_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.poly"
+        path.write_text(f"# a non-finite number\n{line}\npoly 2 : 1.0 1 0 ; 2.0 0 1\npoly 2 : 1.0 0 1\n")
+        with pytest.raises(ProblemFormatError, match=re.escape(message)):
             load_polynomial_problem(str(path))
 
     def test_vector_problem_lookup(self, tmp_path):
@@ -544,10 +562,10 @@ class TestPowerTables:
         point = np.array([1e45, 0.5])
         assert reference_outcome(ref_f, point) == "fails"
         assert outcome(problem.f(point), "fails") == "fails"
-        failures = [None]
+        failures = Failures(1)
         evaluate_rows(problem.f, (2,), point[None], failures)
         assert isinstance(failures[0], EvaluationError)
-        failures = [None]
+        failures = Failures(1)
         jacobian = evaluate_rows(problem.jacobian, (2, 2), point[None], failures)[0]
         assert failures == [None]
         assert jacobian.tobytes() == ref_jacobian(point).tobytes()

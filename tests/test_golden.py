@@ -1,5 +1,6 @@
 """Whole-output golden digests: a change that alters one byte of a
-`reproduce` report or of a `capture --format json` dump fails here.
+`reproduce` report, of a `capture --format json` dump or of an `order`
+trajectory fails here.
 
 The digests were recorded before problems became array-in/array-out; an
 intended change of output must update them and say why.
@@ -12,6 +13,7 @@ import pytest
 from rootmaps.cli import main
 
 CAPTURE = "capture --eps 0.001 --format json --problem"
+ORDER = "order --problem"
 
 GOLDEN = [
     (
@@ -45,6 +47,42 @@ GOLDEN = [
     (
         f"{CAPTURE} ackley --map compose:bary:5,bary:4 --nx 31 --ny 31",
         "f8049689d012d56dd6ed495ef77eb665e07ab362798ec650ad8c09b0abef213a",
+    ),
+    (
+        f"{ORDER} cubic --family newton --x0 4.0",
+        "f3c286391cd6efc2081d3b1495c96981725128b2c7743212e70fcd41dc9a18a6",
+    ),
+    (
+        f"{ORDER} cubic --family taylor --k 3 --x0 4.0",
+        "58d6e55cac13d8a3fce410f4a9e066fe4f9e12daf8d03065aa4f261a4a1333dd",
+    ),
+    (
+        f"{ORDER} cubic --family bary --k 3 --x0 4.0",
+        "90fd34471446d56e1598dacf7684ae028d3d91afb08859ae8034ef905a6ba92a",
+    ),
+    (
+        f"{ORDER} exp2 --family newton --x0 3.0",
+        "02c8310fb3d6a1600b7865236d59f41f129bb7b0f629bfbde90e79a8aeac1565",
+    ),
+    (
+        f"{ORDER} exp2 --family taylor --k 3 --x0 3.0",
+        "e465186ece9845d9527070538828c2ab3139a723e8ad8c529373317b36e65f71",
+    ),
+    (
+        f"{ORDER} exp2 --family bary --k 3 --x0 3.0",
+        "d44e10abf0879588c7c21f35e727911156b522fb36d4d118b3d88570ac277577",
+    ),
+    (
+        f"{ORDER} sine --family newton --x0 2.3",
+        "93d059dd1587c09d0e4e9d87fbd2e6a69ed3c80a7a46b30311bdba1342423336",
+    ),
+    (
+        f"{ORDER} sine --family taylor --k 3 --x0 2.3",
+        "0e2c6773b5082f8dabd15fe92a3a17da86d4c18111c4025c4b4ca7d0d9e7dbba",
+    ),
+    (
+        f"{ORDER} sine --family bary --k 3 --x0 2.3",
+        "ba6a4574eb0b5f41fecbb7fdde6cd8d691171505153cccbab2f00d60186a01a3",
     ),
 ]
 

@@ -39,7 +39,6 @@ from .maps1d import (
     iterate,
     newton_barycentric,
     newton_map,
-    newton_step,
     newton_taylor,
     recursive_map_step,
     taylor_model,
@@ -48,9 +47,7 @@ from .mapsnd import (
     Box,
     VectorProblem,
     VectorStepResult,
-    vector_barycentric_step,
     vector_map_step,
-    vector_newton_step,
 )
 from .problems import (
     ackley_gradient,
@@ -96,7 +93,6 @@ __all__ = [
     "make_grid",
     "newton_barycentric",
     "newton_map",
-    "newton_step",
     "newton_taylor",
     "recursive_map_step",
     "rutishauser",
@@ -105,8 +101,6 @@ __all__ = [
     "scalar_test_set",
     "solve_coefficients",
     "taylor_model",
-    "vector_barycentric_step",
     "vector_map_step",
-    "vector_newton_step",
     "vector_problem",
 ]

@@ -9,7 +9,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -82,46 +82,33 @@ def _map_uses_taylor(spec: IterativeMap) -> bool:
     return spec.family is MapFamily.NEWTON_TAYLOR
 
 
-def _environment() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()}
-
-
-@dataclass
-class RunManifest:
-    """Enough resolved configuration to re-run a command exactly, and the
-    command line and environment it ran with, so that two runs can be diffed."""
-
-    subcommand: str
-    config: dict
-    version: str
-    duration_seconds: float
-    outputs: list[str]
-    argv: list[str]
-    environment: dict = field(default_factory=_environment)
-
-
-def _write_manifest(path: str, args, config: dict, start: float, outputs: list[str]) -> None:
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        config=config,
-        version=__version__,
-        duration_seconds=time.perf_counter() - start,
-        outputs=outputs,
-        argv=args.argv,
-    )
+def _write_manifest(path: str, args, start: float, outputs: list[str]) -> None:
+    """Write the parsed arguments, the command line and the environment it ran
+    with, and the outputs, so that a run can be repeated and two runs diffed."""
+    manifest = {
+        "subcommand": args.subcommand,
+        "config": {key: value for key, value in vars(args).items() if key not in ("subcommand", "argv")},
+        "version": __version__,
+        "duration_seconds": time.perf_counter() - start,
+        "outputs": outputs,
+        "argv": args.argv,
+        "environment": {
+            "python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()
+        },
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
-def _emit(text: str, args, config: dict, start: float) -> None:
+def _emit(text: str, args, start: float) -> None:
     """Write text to stdout, or to args.out with its manifest beside it."""
     if args.out is None:
         sys.stdout.write(text)
         return
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    _write_manifest(args.out + ".manifest.json", args, config, start, [args.out])
+    _write_manifest(args.out + ".manifest.json", args, start, [args.out])
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +146,9 @@ def _render_coeffs(k: int, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_coeffs(args) -> int:
+def _cmd_coeffs(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
-    config = {"k": args.k, "format": args.format, "out": args.out}
-    _emit(_render_coeffs(args.k, args.format), args, config, start)
+    _emit(_render_coeffs(args.k, args.format), args, start)
     return 0
 
 
@@ -171,9 +157,12 @@ def _cmd_coeffs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
     problem = scalar_problem(args.problem)
+    if args.family == "taylor" and args.k + 1 > problem.max_derivative_order:
+        parser.error(f"argument --k: taylor:{args.k} needs derivatives up to order {args.k + 1}; "
+                     f"problem {args.problem!r} supplies {problem.max_derivative_order}")
     spec = parse_map_spec("newton" if args.family == "newton" else f"{args.family}:{args.k}")
     result = iterate(problem, spec, args.x0, max_iter=args.max_iter, tol=args.tol)
     payload = {
@@ -189,16 +178,7 @@ def _cmd_order(args) -> int:
         payload["estimated_order"] = estimate_order(result.points, problem.known_root)
     except InsufficientDataError as exc:
         payload["order_estimate_note"] = str(exc)
-    config = {
-        "problem": args.problem,
-        "family": args.family,
-        "k": args.k,
-        "x0": args.x0,
-        "max_iter": args.max_iter,
-        "tol": args.tol,
-        "out": args.out,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args, config, start)
+    _emit(json.dumps(payload, indent=2) + "\n", args, start)
     return 0
 
 
@@ -283,18 +263,7 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = render_capture_csv(result)
-    config = {
-        "problem": args.problem,
-        "map": map_spec.describe(),
-        "nx": args.nx,
-        "ny": args.ny,
-        "eps": args.eps,
-        "cluster_radius": args.cluster_radius,
-        "norm": args.norm,
-        "format": args.format,
-        "out": args.out,
-    }
-    _emit(text, args, config, start)
+    _emit(text, args, start)
     return 0
 
 
@@ -408,7 +377,7 @@ def _render_report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
     report, results = _reproduce_report(args.example, args.cluster_radius)
     text = json.dumps(report, indent=2) + "\n" if args.format == "json" else _render_report_text(report)
@@ -426,13 +395,7 @@ def _cmd_reproduce(args) -> int:
             with open(csv_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(render_capture_csv(result))
             outputs.append(csv_path)
-        config = {
-            "example": args.example,
-            "cluster_radius": args.cluster_radius,
-            "format": args.format,
-            "out": args.out,
-        }
-        _write_manifest(os.path.join(args.out, f"{args.example}-manifest.json"), args, config, start, outputs)
+        _write_manifest(os.path.join(args.out, f"{args.example}-manifest.json"), args, start, outputs)
     return 0
 
 
@@ -441,39 +404,29 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+def _checked(name: str, parse, valid, message: str):
+    """The argparse type called name: parse(text), rejected with message.format(text)
+    unless valid(value)."""
+
+    def convert(text: str):
+        value = parse(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(message.format(text))
+        return value
+
+    convert.__name__ = name
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
-def _order_index(text: str) -> int:
-    value = int(text)
-    if value < 0 or value > MAX_ORDER_INDEX:
-        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_ORDER_INDEX}, got {text}")
-    return value
-
-
-def _vertices(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 vertices per axis, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
+_finite_float = _checked("_finite_float", float, math.isfinite, "must be finite, got {}")
+_positive_float = _checked(
+    "_positive_float", float, lambda v: 0 < v < math.inf, "must be positive and finite, got {}"
+)
+_order_index = _checked(
+    "_order_index", int, lambda v: 0 <= v <= MAX_ORDER_INDEX, f"must be in 0..{MAX_ORDER_INDEX}, got {{}}"
+)
+_vertices = _checked("_vertices", int, lambda v: v >= 2, "need at least 2 vertices per axis, got {}")
+_positive_int = _checked("_positive_int", int, lambda v: v >= 1, "must be >= 1, got {}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,14 +477,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
+    commands = {"coeffs": _cmd_coeffs, "order": _cmd_order, "capture": _cmd_capture, "reproduce": _cmd_reproduce}
     try:
-        if args.subcommand == "coeffs":
-            return _cmd_coeffs(args)
-        if args.subcommand == "order":
-            return _cmd_order(args)
-        if args.subcommand == "capture":
-            return _cmd_capture(args, parser)
-        return _cmd_reproduce(args)
+        return commands[args.subcommand](args, parser)
     except (ProblemFormatError, OSError) as exc:
         print(f"rootmaps: problem definition error: {exc}", file=sys.stderr)
         return 3

@@ -96,11 +96,10 @@ def _solved(k: int) -> BarycentricCoefficients:
     return solve_coefficients(build_system(k))
 
 
-def barycentric_coefficients(k: int, max_index: int | None = MAX_ORDER_INDEX) -> BarycentricCoefficients:
-    """Cached exact weights for order index k (capped at max_index by default)."""
-    if k < 0:
-        raise ValueError(f"order index must be >= 0, got {k}")
-    if max_index is not None and k > max_index:
-        raise ValueError(f"order index {k} exceeds the supported maximum {max_index}")
+def barycentric_coefficients(k: int) -> BarycentricCoefficients:
+    """Cached exact weights for order index k, 0 <= k <= MAX_ORDER_INDEX (build_system
+    rejects k < 0)."""
+    if k > MAX_ORDER_INDEX:
+        raise ValueError(f"order index {k} exceeds the supported maximum {MAX_ORDER_INDEX}")
     return _solved(k)
 

@@ -105,8 +105,6 @@ class IterativeMap:
         if self.family is MapFamily.COMPOSITION:
             outer, inner = self.components
             return outer.order * inner.order
-        if self.family is MapFamily.NEWTON:
-            return 2
         return self.k + 2
 
     def describe(self) -> str:
@@ -139,15 +137,6 @@ def compose(outer: IterativeMap, inner: IterativeMap) -> IterativeMap:
     return IterativeMap(family=MapFamily.COMPOSITION, components=(outer, inner))
 
 
-def newton_step(problem: ScalarProblem, x: float) -> float:
-    """One Newton step x - f(x)/f'(x)."""
-    fx = _call(problem.f, x)
-    dfx = _call(problem.derivative(1), x)
-    if abs(dfx) < DENOMINATOR_FLOOR:
-        raise SingularModelError(f"|f'(x)|={abs(dfx):.3e} below floor at x={x!r}")
-    return x - fx / dfx
-
-
 def taylor_model(problem: ScalarProblem, k: int, h: float, x: float) -> float:
     """Taylor-type model sum_{i=0}^{k} f^(i+1)(x) * h^i / (i+1)!."""
     if problem.max_derivative_order < k + 1:
@@ -177,19 +166,20 @@ def barycentric_model(
 def recursive_map_step(problem: ScalarProblem, iter_map: IterativeMap, x: float) -> float:
     """Evaluate the map at one point.
 
-    For the recursive families this computes t_0(x)..t_k(x) in sequence, each
-    t_j reusing the previous value through h_j = t_{j-1}(x) - x, so one call
-    costs k model evaluations instead of the exponential blowup of literal
-    recursion.
+    f(x) and f'(x) are evaluated once, and t_0(x) = x - f(x)/f'(x) is the
+    Newton step, the k = 0 member of both families.  t_1(x)..t_k(x) follow in
+    sequence, each t_j reusing the previous value through h_j = t_{j-1}(x) - x,
+    so one call costs k model evaluations instead of the exponential blowup
+    of literal recursion.
     """
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
         return recursive_map_step(problem, outer, recursive_map_step(problem, inner, x))
-    if iter_map.family is MapFamily.NEWTON:
-        return newton_step(problem, x)
-
     fx = _call(problem.f, x)
-    t = newton_step(problem, x)
+    dfx = _call(problem.derivative(1), x)
+    if abs(dfx) < DENOMINATOR_FLOOR:
+        raise SingularModelError(f"|f'(x)|={abs(dfx):.3e} below floor at x={x!r}")
+    t = x - fx / dfx
     for j in range(1, iter_map.k + 1):
         h = t - x
         if iter_map.family is MapFamily.NEWTON_TAYLOR:
@@ -233,33 +223,23 @@ def iterate(
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     points = [x0]
+    status = IterationStatus.MAX_ITER
     try:
         if abs(_call(problem.f, x0)) <= tol:
             return IterationResult(points=tuple(points), status=IterationStatus.CONVERGED)
+        for _ in range(max_iter):
+            points.append(recursive_map_step(problem, iter_map, points[-1]))
+            # f can be finite at +-inf, so the iterate itself is checked
+            if not math.isfinite(points[-1]):
+                status = IterationStatus.NON_FINITE
+                break
+            if abs(_call(problem.f, points[-1])) <= tol:
+                status = IterationStatus.CONVERGED
+                break
     except EvaluationError:
-        return IterationResult(points=tuple(points), status=IterationStatus.NON_FINITE)
-    status = IterationStatus.MAX_ITER
-    for _ in range(max_iter):
-        try:
-            nxt = recursive_map_step(problem, iter_map, points[-1])
-        except EvaluationError:
-            status = IterationStatus.NON_FINITE
-            break
-        except StepFailureError:
-            status = IterationStatus.STEP_FAILURE
-            break
-        points.append(nxt)
-        if not math.isfinite(nxt):
-            status = IterationStatus.NON_FINITE
-            break
-        try:
-            fv = _call(problem.f, nxt)
-        except EvaluationError:
-            status = IterationStatus.NON_FINITE
-            break
-        if abs(fv) <= tol:
-            status = IterationStatus.CONVERGED
-            break
+        status = IterationStatus.NON_FINITE
+    except StepFailureError:
+        status = IterationStatus.STEP_FAILURE
     return IterationResult(points=tuple(points), status=status)
 
 

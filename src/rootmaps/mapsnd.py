@@ -11,7 +11,8 @@ in which failures[r] is None while row r is live, and otherwise the
 StepFailureError that stopped it.  f and the Jacobian take the live rows in
 one call; the arithmetic between the calls uses the same IEEE operations in
 the same order, so each row's result is the one-point result bit for bit.
-The one-point functions run batches of one.
+The one-point functions (vector_map_step, barycentric_model_matrix,
+lu_solve) run batches of one.
 
 Each point is evaluated once.  A step evaluates f and J at x, and J(x) is the
 i = 0 term of every model matrix it assembles; a scan's singular filter hands
@@ -206,25 +207,12 @@ def newton_rows(problem: VectorProblem, x: np.ndarray, failures: Failures) -> tu
     return fx, jx, solve_rows(jx, -fx, failures)
 
 
-def _barycentric_rows(problem: VectorProblem, coeffs: BarycentricCoefficients, x: np.ndarray,
-                      failures: Failures, start: tuple | None = None):
-    """(next, delta) of the order-k barycentric step from each live row of x: the Newton
-    delta seeds h, then each order-j model matrix, j = 1..k, is solved against -f(x) for the
-    next h.  start is newton_rows(problem, x, failures) when the caller has it."""
-    fx, jx, delta = newton_rows(problem, x, failures) if start is None else start
-    for j in range(1, coeffs.k + 1):
-        weights = coeffs if j == coeffs.k else barycentric_coefficients(j)
-        phi = _finite(_model_matrix(problem, weights.floats, delta, x, jx, failures), x, failures)
-        delta = solve_rows(phi, -fx, failures)
-    with np.errstate(all="ignore"):
-        return x + delta, delta
-
-
 def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: Failures,
              start: tuple | None = None):
     """(next, delta) of one step of a Newton, barycentric or composed map from each live row
-    of x.  start is newton_rows(problem, x, failures) when the caller has it; for a
-    composition, the innermost component takes it."""
+    of x.  The Newton delta seeds h, then each order-j model matrix, j = 1..k, is solved
+    against -f(x) for the next h; Newton is k = 0.  start is newton_rows(problem, x, failures)
+    when the caller has it; for a composition, the innermost component takes it."""
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
         second = map_rows(problem, outer, map_rows(problem, inner, x, failures, start)[0], failures)[0]
@@ -232,8 +220,13 @@ def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, fail
             return second, second - x
     if iter_map.family not in (MapFamily.NEWTON, MapFamily.NEWTON_BARYCENTRIC):
         raise ValueError(f"{iter_map.family.value} maps are not defined on R^n")
-    k = iter_map.k if iter_map.family is MapFamily.NEWTON_BARYCENTRIC else 0
-    return _barycentric_rows(problem, barycentric_coefficients(k), x, failures, start)
+    fx, jx, delta = newton_rows(problem, x, failures) if start is None else start
+    for j in range(1, iter_map.k + 1):
+        weights = barycentric_coefficients(j).floats
+        phi = _finite(_model_matrix(problem, weights, delta, x, jx, failures), x, failures)
+        delta = solve_rows(phi, -fx, failures)
+    with np.errstate(all="ignore"):
+        return x + delta, delta
 
 
 def _one_row(engine: Callable, *args):
@@ -263,11 +256,6 @@ def lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _one_row(solve_rows, a[None], b[None])[0]
 
 
-def vector_newton_step(problem: VectorProblem, x: np.ndarray) -> VectorStepResult:
-    """Solve J_f(x) * delta = -f(x); next = x + delta."""
-    return vector_barycentric_step(problem, barycentric_coefficients(0), x)
-
-
 def barycentric_model_matrix(
     problem: VectorProblem, coeffs: BarycentricCoefficients, h: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
@@ -281,18 +269,10 @@ def barycentric_model_matrix(
     return _one_row(assemble)[0]
 
 
-def vector_barycentric_step(
-    problem: VectorProblem, coeffs: BarycentricCoefficients, x: np.ndarray
-) -> VectorStepResult:
-    """One step of the order-k barycentric map at x.
+def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray) -> VectorStepResult:
+    """Apply one step of a Newton, barycentric, or composed map.
 
     Raises SingularModelError or EvaluationError, like the scalar steps.
     """
-    next_, delta = _one_row(_barycentric_rows, problem, coeffs, np.asarray(x, dtype=float)[None])
-    return VectorStepResult(next=next_[0], delta=delta[0])
-
-
-def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray) -> VectorStepResult:
-    """Apply one step of a Newton, barycentric, or composed map."""
     next_, delta = _one_row(map_rows, problem, iter_map, np.asarray(x, dtype=float)[None])
     return VectorStepResult(next=next_[0], delta=delta[0])

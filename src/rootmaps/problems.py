@@ -274,7 +274,7 @@ class PolynomialComponent:
 def _polynomial_map(components: list[PolynomialComponent], shape: tuple[int, ...]) -> Callable:
     """The callable mapping a (..., n) array of points to the components' values, shape (..., *shape).
 
-    Each axis has one power table up to the highest exponent used on it.  A
+    Each axis has one power table with a row per exponent used on it.  A
     term is coeff * t_0[e_0] * t_1[e_1] * ..., and a component sums its terms
     left to right from 0.0: the operations, in the same order, of evaluating
     one point term by term, so every value is that evaluation's bit for bit.
@@ -282,7 +282,9 @@ def _polynomial_map(components: list[PolynomialComponent], shape: tuple[int, ...
     terms = [term for c in components for term in c.terms]
     coeffs = np.array([coeff for coeff, _ in terms])
     exponents = np.array([e for _, e in terms], dtype=int).reshape(len(terms), components[0].n).T
-    degrees = exponents.max(axis=1, initial=0).tolist()
+    # per axis: the distinct exponents as Python ints (float ** numpy int rounds
+    # differently), and each term's row among them
+    tables = [(used.tolist(), rows) for used, rows in (np.unique(e, return_inverse=True) for e in exponents)]
     ends = list(accumulate(len(c.terms) for c in components))
     spans = list(zip([0, *ends[:-1]], ends))
 
@@ -291,9 +293,8 @@ def _polynomial_map(components: list[PolynomialComponent], shape: tuple[int, ...
         points = np.asarray(points, dtype=float)
         batch = points.shape[:-1]
         products = coeffs.reshape(-1, *(1,) * len(batch))
-        for axis, degree in enumerate(degrees):
-            table = _power_table(points[..., axis], range(degree + 1))
-            products = products * table[exponents[axis]]
+        for axis, (used, rows) in enumerate(tables):
+            products = products * _power_table(points[..., axis], used)[rows]
         # not sum() or np.sum: they do not add term by term from 0.0
         sums = [reduce(add, products[start:stop], np.zeros(batch)) for start, stop in spans]
         return np.stack(sums, axis=-1).reshape(*batch, *shape)
@@ -339,26 +340,32 @@ def load_polynomial_problem(path: str, name: str = "") -> VectorProblem:
     """Load a polynomial system (and optional domain) from a text file."""
     components: list[PolynomialComponent] = []
     domain: Box | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("domain"):
-                fields = line.split()[1:]
-                if len(fields) != 4:
-                    raise ProblemFormatError(f"line {lineno}: domain needs 4 numbers")
-                try:
-                    x_min, x_max, y_min, y_max = (float(v) for v in fields)
-                except ValueError as exc:
-                    raise ProblemFormatError(f"line {lineno}: bad domain {line!r}") from exc
-                if not all(map(math.isfinite, (x_min, x_max, y_min, y_max))):
-                    raise ProblemFormatError(f"line {lineno}: non-finite domain bound in {line!r}")
-                domain = Box(lo=(x_min, y_min), hi=(x_max, y_max))
-            elif line.startswith("poly"):
-                components.append(_parse_poly_line(line, lineno))
-            else:
-                raise ProblemFormatError(f"line {lineno}: unrecognized line {line!r}")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("domain"):
+            fields = line.split()[1:]
+            if len(fields) != 4:
+                raise ProblemFormatError(f"line {lineno}: domain needs 4 numbers")
+            try:
+                x_min, x_max, y_min, y_max = (float(v) for v in fields)
+            except ValueError as exc:
+                raise ProblemFormatError(f"line {lineno}: bad domain {line!r}") from exc
+            if not all(map(math.isfinite, (x_min, x_max, y_min, y_max))):
+                raise ProblemFormatError(f"line {lineno}: non-finite domain bound in {line!r}")
+            if x_min > x_max or y_min > y_max:
+                raise ProblemFormatError(f"line {lineno}: domain has lo > hi in {line!r}")
+            domain = Box(lo=(x_min, y_min), hi=(x_max, y_max))
+        elif line.startswith("poly"):
+            components.append(_parse_poly_line(line, lineno))
+        else:
+            raise ProblemFormatError(f"line {lineno}: unrecognized line {line!r}")
     if not components:
         raise ProblemFormatError("file defines no components")
     n = components[0].n

@@ -27,7 +27,7 @@ from rootmaps import (
     run_capture,
     scalar_test_set,
     solve_coefficients,
-    vector_barycentric_step,
+    vector_map_step,
 )
 from rootmaps.cli import render_capture_csv
 from rootmaps.maps1d import InsufficientDataError
@@ -309,7 +309,7 @@ def test_c9_vector_step_oracle():
         x = rng.uniform([-0.45, -0.65], [1.05, 1.05])
         for k in (1, 2):
             expected_next, phi, delta, fx = _oracle_barycentric_next(problem, k, x)
-            result = vector_barycentric_step(problem, barycentric_coefficients(k), x)
+            result = vector_map_step(problem, newton_barycentric(k), x)
             assert result.next == pytest.approx(expected_next, rel=1e-10)
             residual = np.max(np.abs(phi @ result.delta + fx))
             bound = 1e-9 * (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rootmaps import MapFamily, cluster_points
-from rootmaps.cli import MapSpecError, main, parse_map_spec
+from rootmaps.cli import MapSpecError, build_parser, main, parse_map_spec
 
 
 def assert_environment(manifest):
@@ -104,6 +104,31 @@ class TestOrderCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["estimated_order"] is None
         assert "order_estimate_note" in payload
+
+
+@pytest.mark.parametrize(
+    "argv, manifest",
+    [
+        (["coeffs", "--k", "4", "--format", "csv"], "out.manifest.json"),
+        (["order", "--problem", "exp2", "--family", "taylor", "--k", "2", "--x0", "0.9", "--tol", "1e-10"],
+         "out.manifest.json"),
+        (["capture", "--problem", "rutishauser", "--map", "bary:02", "--nx", "4", "--ny", "3", "--eps", "0.01",
+          "--norm", "euclidean"], "out.manifest.json"),
+        (["reproduce", "--example", "example1", "--cluster-radius", "0.01", "--format", "json"],
+         "out/example1-manifest.json"),
+    ],
+    ids=["coeffs", "order", "capture", "reproduce"],
+)
+def test_manifest_config_is_the_parsed_arguments(argv, manifest, tmp_path, capsys):
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    written = json.loads((tmp_path / manifest).read_text())
+    parsed = vars(build_parser().parse_args(argv))
+    assert written["subcommand"] == parsed.pop("subcommand") == argv[0]
+    assert written["config"] == parsed
+    assert list(written) == ["subcommand", "config", "version", "duration_seconds", "outputs", "argv", "environment"]
+    assert written["argv"] == argv
+    assert_environment(written)
 
 
 class TestCaptureCommand:
@@ -221,11 +246,23 @@ class TestCaptureCommand:
             ["order", "--problem", "cubic", "--family", "newton", "--x0", "-inf"],
             ["order", "--problem", "cubic", "--family", "newton", "--x0", "1.4", "--max-iter", "0"],
             ["order", "--problem", "cubic", "--family", "newton", "--x0", "1.4", "--max-iter", "-3"],
+            ["order", "--problem", "cubic", "--family", "taylor", "--k", "6", "--x0", "1.5"],
+            ["order", "--problem", "exp2", "--family", "taylor", "--k", "6", "--x0", "1.0"],
+            ["order", "--problem", "sine", "--family", "taylor", "--k", "20", "--x0", "3.0"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
             capsys.readouterr()
+
+    def test_taylor_index_beyond_the_derivatives_names_both_orders(self, capsys):
+        # every built-in scalar problem supplies 6 derivatives; taylor:k needs k + 1
+        with pytest.raises(SystemExit) as excinfo:
+            main(["order", "--problem", "cubic", "--family", "taylor", "--k", "6", "--x0", "1.5"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "taylor:6 needs derivatives up to order 7; problem 'cubic' supplies 6" in captured.err
+        assert captured.out == ""
 
     def test_problem_errors_exit_three(self, tmp_path, capsys):
         assert main(
@@ -255,6 +292,16 @@ class TestCaptureCommand:
             assert main(["capture", "--problem", str(nonfinite), "--map", "bary:1", "--eps", "0.1"]) == 3
             captured = capsys.readouterr()
             assert "line 1: non-finite" in captured.err and captured.out == ""
+        inverted = tmp_path / "inverted.poly"
+        inverted.write_text("poly 2 : 1.0 1 0\npoly 2 : 1.0 0 1\ndomain 1 -1 -1 1\n")
+        assert main(["capture", "--problem", str(inverted), "--map", "bary:1", "--eps", "0.1"]) == 3
+        captured = capsys.readouterr()
+        assert "line 3: domain has lo > hi" in captured.err and captured.out == ""
+        latin1 = tmp_path / "latin1.poly"
+        latin1.write_bytes("# coefficients by G\u00f6del\npoly 1 : 1.0 1\n".encode("latin-1"))
+        assert main(["capture", "--problem", str(latin1), "--map", "bary:1", "--eps", "0.1"]) == 3
+        captured = capsys.readouterr()
+        assert "not UTF-8 text" in captured.err and captured.out == ""
 
 
     def test_zero_determinant_seeds_are_skipped_as_singular(self, tmp_path, capsys):

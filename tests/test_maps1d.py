@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -13,13 +15,13 @@ from rootmaps import (
     iterate,
     newton_barycentric,
     newton_map,
-    newton_step,
     newton_taylor,
     recursive_map_step,
     scalar_test_set,
     taylor_model,
 )
 from rootmaps.maps1d import (
+    EvaluationError,
     InsufficientDataError,
     InsufficientDerivativesError,
     MapFamily,
@@ -67,18 +69,18 @@ def order4_closed_form(problem, x):
 
 class TestNewtonStep:
     def test_linear_one_step(self):
-        assert newton_step(LINEAR, 5.0) == 0.0
+        assert recursive_map_step(LINEAR, newton_map(), 5.0) == 0.0
 
     def test_hand_value(self):
-        assert newton_step(SQUARE_M1, 2.0) == pytest.approx(1.25, rel=1e-15)
+        assert recursive_map_step(SQUARE_M1, newton_map(), 2.0) == pytest.approx(1.25, rel=1e-15)
 
     def test_root_is_fixed_point(self):
         root = 2.0 ** (1.0 / 3.0)
-        assert newton_step(CUBIC, root) == pytest.approx(root, rel=1e-14)
+        assert recursive_map_step(CUBIC, newton_map(), root) == pytest.approx(root, rel=1e-14)
 
     def test_flat_derivative_raises(self):
         with pytest.raises(SingularModelError):
-            newton_step(SQUARE_P1, 0.0)
+            recursive_map_step(SQUARE_P1, newton_map(), 0.0)
 
 
 class TestModels:
@@ -176,6 +178,24 @@ class TestRecursiveStep:
                 t = recursive_map_step(problem, spec, z_prime)
                 assert abs(t - z_prime) <= 10.0 * abs(z_prime - z)
 
+    @pytest.mark.parametrize("spec", [newton_map(), newton_taylor(3), newton_barycentric(3)],
+                             ids=lambda spec: spec.describe())
+    def test_one_step_evaluates_f_once(self, spec):
+        # t_0 = x - f(x)/f'(x) is the j = 0 step, so every member shares one f(x)
+        calls = []
+        counted = dataclasses.replace(CUBIC, f=lambda x: calls.append(x) or CUBIC.f(x))
+        assert recursive_map_step(counted, spec, 1.5) == recursive_map_step(CUBIC, spec, 1.5)
+        assert calls == [1.5]
+
+    @pytest.mark.parametrize("spec", [newton_map(), newton_taylor(1), newton_barycentric(2)],
+                             ids=lambda spec: spec.describe())
+    def test_f_fails_before_the_derivative_is_tested(self, spec):
+        flat = ScalarProblem(f=lambda x: math.inf, derivatives=(lambda x: 0.0, lambda x: 0.0))
+        with pytest.raises(EvaluationError):
+            recursive_map_step(flat, spec, 1.0)
+        with pytest.raises(SingularModelError, match=re.escape("|f'(x)|=0.000e+00 below floor at x=1.0")):
+            recursive_map_step(dataclasses.replace(flat, f=lambda x: 1.0), spec, 1.0)
+
     def test_intermediate_singularity_surfaces(self):
         with pytest.raises(SingularModelError):
             recursive_map_step(SQUARE_P1, newton_barycentric(1), 0.0)
@@ -232,6 +252,19 @@ class TestIterate:
         )
         result = iterate(spiky, newton_map(), 40.0, max_iter=10, tol=1e-12)
         assert result.status is IterationStatus.NON_FINITE
+
+    def test_non_finite_iterate_stops_where_f_is_finite(self):
+        # f(-inf) is finite, so only the test of the iterate itself stops here
+        steep = ScalarProblem(f=lambda x: 1e10, derivatives=(lambda x: 1e-299,))
+        result = iterate(steep, newton_map(), 1.0, max_iter=10, tol=1e-12)
+        assert result.status is IterationStatus.NON_FINITE
+        assert result.points == (1.0, -math.inf)
+
+    def test_step_failure_after_progress_keeps_the_points(self):
+        # x^2 + 1 has f'(0) = 0: Newton from 1.0 lands on 0.0, then fails
+        result = iterate(SQUARE_P1, newton_map(), 1.0, max_iter=10, tol=1e-12)
+        assert result.status is IterationStatus.STEP_FAILURE
+        assert result.points == (1.0, 0.0)
 
 
 class TestEstimateOrder:

@@ -19,9 +19,7 @@ from rootmaps import (
     newton_taylor,
     run_capture,
     rutishauser,
-    vector_barycentric_step,
     vector_map_step,
-    vector_newton_step,
 )
 from rootmaps.mapsnd import PIVOT_RTOL, Failures, barycentric_model_matrix, lu_solve, solve_rows
 from rootmaps.problems import ackley_gradient, load_polynomial_problem
@@ -101,7 +99,7 @@ class TestLuSolve:
             n=2, f=lambda x: np.concatenate([x, x[..., :1]], axis=-1), jacobian=constant(np.eye(2))
         )
         with pytest.raises(ValueError, match="shapes"):
-            vector_newton_step(problem, np.array([0.5, 0.5]))
+            vector_map_step(problem, newton_map(), np.array([0.5, 0.5]))
 
 
 def _reference_lu_solve_2x2(matrix, rhs):
@@ -256,9 +254,9 @@ class TestValueShapes:
         message = re.escape(f"expected {(1, n, n)}, got {(1, n)}")
         x = np.full(n, 0.25)
         with pytest.raises(ValueError, match=message):
-            vector_newton_step(problem, x)
+            vector_map_step(problem, newton_map(), x)
         with pytest.raises(ValueError, match=message):
-            vector_barycentric_step(problem, barycentric_coefficients(2), x)
+            vector_map_step(problem, newton_barycentric(2), x)
         with pytest.raises(ValueError, match=message):
             barycentric_model_matrix(problem, barycentric_coefficients(2), np.full(n, 0.1), x)
 
@@ -268,7 +266,7 @@ class TestValueShapes:
         identity = constant(np.eye(n))
         problem = self.problem(n, lambda p: identity(p) if (p[..., 0] < 0.3).all() else np.ones(p.shape))
         with pytest.raises(ValueError, match=re.escape(f"expected {(1, n, n)}, got {(1, n)}")):
-            vector_barycentric_step(problem, barycentric_coefficients(1), np.full(n, 0.25))
+            vector_map_step(problem, newton_barycentric(1), np.full(n, 0.25))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_mis_shaped_f_raises(self, n):
@@ -289,24 +287,24 @@ class TestValueShapes:
 class TestNewtonStep:
     def test_affine_one_step_exact(self):
         for start in ([0.0, 0.0], [4.0, -3.0], [1.5, 2.5]):
-            result = vector_newton_step(AFFINE, np.array(start))
+            result = vector_map_step(AFFINE, newton_map(), np.array(start))
             assert result.next == pytest.approx(AFFINE_ZERO, rel=1e-14)
 
     def test_zero_residual_means_zero_delta(self):
-        result = vector_newton_step(AFFINE, AFFINE_ZERO)
+        result = vector_map_step(AFFINE, newton_map(), AFFINE_ZERO)
         assert result.delta == pytest.approx(np.zeros(2), abs=1e-15)
 
     def test_rutishauser_step_matches_numpy_oracle(self):
         problem = rutishauser()
         x = np.array([0.45, 0.70])
-        result = vector_newton_step(problem, x)
+        result = vector_map_step(problem, newton_map(), x)
         expected = x + np.linalg.solve(problem.jacobian(x), -problem.f(x))
         assert result.next == pytest.approx(expected, rel=1e-12)
 
     def test_non_finite_jacobian_reports_status(self):
         problem = ackley_gradient()
         with pytest.raises(EvaluationError):
-            vector_newton_step(problem, np.zeros(2))
+            vector_map_step(problem, newton_map(), np.zeros(2))
 
     def test_singular_jacobian_reports_status(self):
         flat = VectorProblem(
@@ -315,27 +313,25 @@ class TestNewtonStep:
             jacobian=constant([[1.0, 1.0], [2.0, 2.0]]),
         )
         with pytest.raises(SingularModelError):
-            vector_newton_step(flat, np.array([0.3, 0.4]))
+            vector_map_step(flat, newton_map(), np.array([0.3, 0.4]))
 
 
 class TestBarycentricStep:
     def test_k0_equals_newton_bit_for_bit(self):
         problem = rutishauser()
-        coeffs = barycentric_coefficients(0)
         rng = np.random.default_rng(21)
         for _ in range(20):
             x = rng.uniform([-0.5, -0.7], [1.1, 1.1])
-            a = vector_newton_step(problem, x)
-            b = vector_barycentric_step(problem, coeffs, x)
+            a = vector_map_step(problem, newton_map(), x)
+            b = vector_map_step(problem, newton_barycentric(0), x)
             assert np.array_equal(a.next, b.next)
             assert np.array_equal(a.delta, b.delta)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_affine_membership(self, k):
         # constant Jacobian plus weights summing to 1 collapse to Newton
-        coeffs = barycentric_coefficients(k)
-        newton = vector_newton_step(AFFINE, np.array([2.0, -1.0]))
-        bary = vector_barycentric_step(AFFINE, coeffs, np.array([2.0, -1.0]))
+        newton = vector_map_step(AFFINE, newton_map(), np.array([2.0, -1.0]))
+        bary = vector_map_step(AFFINE, newton_barycentric(k), np.array([2.0, -1.0]))
         assert bary.delta == pytest.approx(newton.delta, rel=1e-12)
 
     def test_k1_matches_hand_composed_oracle(self):
@@ -344,7 +340,7 @@ class TestBarycentricStep:
         h1 = np.linalg.solve(problem.jacobian(x), -problem.f(x))
         phi1 = 0.5 * problem.jacobian(x) + 0.5 * problem.jacobian(x + h1)
         expected = x + np.linalg.solve(phi1, -problem.f(x))
-        result = vector_barycentric_step(problem, barycentric_coefficients(1), x)
+        result = vector_map_step(problem, newton_barycentric(1), x)
         assert result.next == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("far_jacobian", [lambda: np.nan, lambda: 1e300 * 1e300])
@@ -357,7 +353,7 @@ class TestBarycentricStep:
             jacobian=lambda p: np.where((p[..., 0] < 0.5)[..., None, None], np.eye(2), far_jacobian()),
         )
         with pytest.raises(EvaluationError, match=re.escape("non-finite evaluation at x=array([0., 0.])")):
-            vector_barycentric_step(problem, barycentric_coefficients(1), np.zeros(2))
+            vector_map_step(problem, newton_barycentric(1), np.zeros(2))
 
     def test_scalar_embedding_matches_scalar_model(self):
         scalar = ScalarProblem(
@@ -410,7 +406,7 @@ class TestJacobianReuse:
                 coeffs = barycentric_coefficients(k)
                 got = barycentric_model_matrix(problem, coeffs, h, x)
                 assert got.tobytes() == _reference_model_matrix(problem, coeffs, h, x).tobytes()
-                step = vector_barycentric_step(problem, coeffs, x)
+                step = vector_map_step(problem, newton_barycentric(k), x)
                 assert step.next.tobytes() == _reference_step(problem, coeffs, x).tobytes()
         # on Ackley J itself has signed zeros, which the assembly erases
         assert (jacobians_differ > 0) == (name == "ackley")
@@ -435,7 +431,7 @@ class TestMapDispatch:
         problem = rutishauser()
         x = np.array([0.5, 0.6])
         a = vector_map_step(problem, newton_map(), x)
-        b = vector_newton_step(problem, x)
+        b = vector_map_step(problem, newton_barycentric(0), x)
         assert np.array_equal(a.next, b.next)
 
 

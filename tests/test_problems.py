@@ -16,6 +16,7 @@ from rootmaps import (
     scalar_test_set,
 )
 from rootmaps.mapsnd import Failures, evaluate_rows
+from rootmaps import problems
 from rootmaps.problems import ProblemFormatError, _parse_poly_line, scalar_problem, vector_problem
 
 RUT = rutishauser()
@@ -578,6 +579,24 @@ class TestPowerTables:
         values = problem.f(points)
         assert np.isfinite(values[[0, 2]]).all() and not np.isfinite(values[1]).all()
         assert values[[0, 2]].tobytes() == problem.f(points[[0, 2]]).tobytes()
+
+    def test_tables_hold_only_the_exponents_used(self, tmp_path, monkeypatch):
+        # one term x**(2**20): a table up to the highest exponent would build
+        # 2**20 + 1 rows per evaluation
+        path = tmp_path / "huge.poly"
+        path.write_text(f"poly 2 : 1.0 {2**20} 0 ; 2.0 0 1 ; -1.0 3 0\npoly 2 : 1.0 1 1 ; 0.5 0 2\n")
+        problem = load_polynomial_problem(str(path))
+        ref_f, ref_jacobian = reference_problem(path)
+        rows = []
+        build = problems._power_table
+        monkeypatch.setattr(problems, "_power_table", lambda v, e: rows.append(list(e)) or build(v, e))
+        point = np.array([0.9999999, 0.5])
+        assert problem.f(point).tobytes() == ref_f(point).tobytes()
+        assert rows == [[0, 1, 3, 2**20], [0, 1, 2]]
+        rows.clear()
+        assert problem.jacobian(point).tobytes() == ref_jacobian(point).tobytes()
+        assert rows == [[0, 1, 2, 2**20 - 1], [0, 1]]
+        assert 0.9 < problem.f(point)[0] < 1.0
 
     def test_constant_system_has_zero_jacobian(self, tmp_path):
         path = tmp_path / "constant.poly"

@@ -160,6 +160,8 @@ def _cmd_coeffs(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_order(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
     problem = scalar_problem(args.problem)
+    if args.family == "newton" and args.k != 0:
+        parser.error(f"argument --k: newton takes no order index, got {args.k}")
     if args.family == "taylor" and args.k + 1 > problem.max_derivative_order:
         parser.error(f"argument --k: taylor:{args.k} needs derivatives up to order {args.k + 1}; "
                      f"problem {args.problem!r} supplies {problem.max_derivative_order}")
@@ -446,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_order = sub.add_parser("order", help="iterate a scalar map and estimate its order")
     p_order.add_argument("--problem", required=True, help=f"scalar problem name ({names})")
     p_order.add_argument("--family", choices=["newton", "taylor", "bary"], required=True)
-    p_order.add_argument("--k", type=_order_index, default=0, help="order index for taylor/bary")
+    p_order.add_argument("--k", type=_order_index, default=0, help="order index for taylor/bary (newton is k = 0)")
     p_order.add_argument("--x0", type=_finite_float, required=True, help="starting point")
     p_order.add_argument("--max-iter", type=_positive_int, default=30)
     p_order.add_argument("--tol", type=_positive_float, default=1e-12)

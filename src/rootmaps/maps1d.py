@@ -137,6 +137,16 @@ def compose(outer: IterativeMap, inner: IterativeMap) -> IterativeMap:
     return IterativeMap(family=MapFamily.COMPOSITION, components=(outer, inner))
 
 
+def _taylor_sum(derivatives: list[float], h: float) -> float:
+    """sum_i derivatives[i] * h^i / (i+1)!, with derivatives[i] = f^(i+1)(x)."""
+    total = 0.0
+    h_pow = 1.0
+    for i, d in enumerate(derivatives):
+        total += d * h_pow / math.factorial(i + 1)
+        h_pow *= h
+    return total
+
+
 def taylor_model(problem: ScalarProblem, k: int, h: float, x: float) -> float:
     """Taylor-type model sum_{i=0}^{k} f^(i+1)(x) * h^i / (i+1)!."""
     if problem.max_derivative_order < k + 1:
@@ -144,12 +154,7 @@ def taylor_model(problem: ScalarProblem, k: int, h: float, x: float) -> float:
             f"Taylor model of index {k} needs derivatives up to order {k + 1}, "
             f"problem {problem.name!r} supplies {problem.max_derivative_order}"
         )
-    total = 0.0
-    h_pow = 1.0
-    for i in range(k + 1):
-        total += _call(problem.derivatives[i], x) * h_pow / math.factorial(i + 1)
-        h_pow *= h
-    return total
+    return _taylor_sum([_call(problem.derivatives[i], x) for i in range(k + 1)], h)
 
 
 def barycentric_model(
@@ -180,10 +185,12 @@ def recursive_map_step(problem: ScalarProblem, iter_map: IterativeMap, x: float)
     if abs(dfx) < DENOMINATOR_FLOOR:
         raise SingularModelError(f"|f'(x)|={abs(dfx):.3e} below floor at x={x!r}")
     t = x - fx / dfx
+    derivatives = [dfx]  # f^(i+1)(x), one more per Taylor model index
     for j in range(1, iter_map.k + 1):
         h = t - x
         if iter_map.family is MapFamily.NEWTON_TAYLOR:
-            phi = taylor_model(problem, j, h, x)
+            derivatives.append(_call(problem.derivative(j + 1), x))
+            phi = _taylor_sum(derivatives, h)
         else:
             phi = barycentric_model(problem, barycentric_coefficients(j), h, x)
         if not math.isfinite(phi):

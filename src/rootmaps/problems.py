@@ -2,8 +2,8 @@
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import accumulate, repeat
+from functools import reduce
+from itertools import accumulate
 from operator import add
 from typing import Callable
 
@@ -21,53 +21,44 @@ class ProblemFormatError(ValueError):
 # Every VectorProblem callable below maps a (..., n) array of points with the
 # operations, in the same order, of evaluating one point in Python floats.
 # Products, sums, np.sqrt, np.sin and np.cos are vectorised, as numpy rounds
-# them as libm does (the tests guard the trigonometry); powers and
-# exponentials are Python calls per element, as numpy's ** and np.exp round
-# some inputs differently.  Where such a call overflows the element is inf,
-# so only the rows using it are not finite, and no batch raises.
+# them as libm does, and so are powers: np.float_power loops over libm's pow,
+# as Python's float ** int does (numpy's ** rounds otherwise); the tests guard
+# both.  Exponentials are math.exp per element, as np.exp rounds some inputs
+# differently.  Overflow gives an infinite element, so only the rows using it
+# are not finite, and no batch raises.
 # ---------------------------------------------------------------------------
 
 _quiet = np.errstate(all="ignore")
 
 
-def _inf_on_overflow(fn: Callable[..., float], *args) -> float:
-    try:
-        return fn(*args)
-    except OverflowError:
-        return math.inf
-
-
-def _each(fn: Callable[..., float], values: np.ndarray, *args) -> np.ndarray:
-    """fn(v, *args) at each element v of values as a Python float; inf where it overflows."""
+def _exp(values: np.ndarray) -> np.ndarray:
+    """math.exp at each element of values; inf where it overflows."""
     flat = values.ravel().tolist()
     try:
-        out = list(map(fn, flat, *map(repeat, args)))
+        out = list(map(math.exp, flat))
     except OverflowError:
-        out = [_inf_on_overflow(fn, v, *args) for v in flat]
+        out = []
+        for v in flat:
+            try:
+                out.append(math.exp(v))
+            except OverflowError:
+                out.append(math.inf)
     return np.array(out, dtype=float).reshape(values.shape)
 
 
 def _power_table(values: np.ndarray, exponents) -> np.ndarray:
-    """v ** e (Python float ** int; inf where it overflows) at every element v of values,
-    one row per e in exponents: shape (len(exponents), *values.shape)."""
-    flat = values.ravel().tolist()
-    rows = []
-    for e in exponents:
-        try:
-            rows.append(list(map(pow, flat, repeat(e))))
-        except OverflowError:
-            rows.append([_inf_on_overflow(pow, v, e) for v in flat])
-    return np.array(rows, dtype=float).reshape(len(rows), *values.shape)
-
-
-_exp = partial(_each, math.exp)
+    """v ** e (libm pow, as Python float ** int; ±inf where a finite base overflows) at every
+    element v of values, one row per e in exponents: shape (len(exponents), *values.shape)."""
+    column = np.asarray(exponents, dtype=float).reshape(-1, *(1,) * values.ndim)
+    with np.errstate(over="ignore"):
+        return np.float_power(values, column)
 
 
 def _coordinates(points: np.ndarray, exponents: tuple) -> tuple:
     """x, y and their power tables {e: v ** e}, from a (..., 2) array."""
-    x, y = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
-    px, py = (dict(zip(exponents, _power_table(v, exponents))) for v in (x, y))
-    return x, y, px, py
+    xy = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    px, py = (dict(zip(exponents, t)) for t in _power_table(xy, exponents).swapaxes(0, 1))
+    return xy[0], xy[1], px, py
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +273,8 @@ def _polynomial_map(components: list[PolynomialComponent], shape: tuple[int, ...
     terms = [term for c in components for term in c.terms]
     coeffs = np.array([coeff for coeff, _ in terms])
     exponents = np.array([e for _, e in terms], dtype=int).reshape(len(terms), components[0].n).T
-    # per axis: the distinct exponents as Python ints (float ** numpy int rounds
-    # differently), and each term's row among them
-    tables = [(used.tolist(), rows) for used, rows in (np.unique(e, return_inverse=True) for e in exponents)]
+    # per axis: the distinct exponents, and each term's row among them
+    tables = [(used.astype(float), rows) for used, rows in (np.unique(e, return_inverse=True) for e in exponents)]
     ends = list(accumulate(len(c.terms) for c in components))
     spans = list(zip([0, *ends[:-1]], ends))
 
@@ -328,8 +318,8 @@ def _parse_poly_line(line: str, lineno: int) -> PolynomialComponent:
             raise ProblemFormatError(f"line {lineno}: bad term {chunk!r}") from exc
         if not math.isfinite(coeff):
             raise ProblemFormatError(f"line {lineno}: non-finite coefficient in {chunk!r}")
-        if any(e < 0 for e in exponents):
-            raise ProblemFormatError(f"line {lineno}: negative exponent in {chunk!r}")
+        if not all(0 <= e < 2**63 for e in exponents):
+            raise ProblemFormatError(f"line {lineno}: exponent outside 0 .. 2**63 - 1 in {chunk!r}")
         terms.append((coeff, exponents))
     if not terms:
         raise ProblemFormatError(f"line {lineno}: component has no terms")

@@ -249,6 +249,7 @@ class TestCaptureCommand:
             ["order", "--problem", "cubic", "--family", "taylor", "--k", "6", "--x0", "1.5"],
             ["order", "--problem", "exp2", "--family", "taylor", "--k", "6", "--x0", "1.0"],
             ["order", "--problem", "sine", "--family", "taylor", "--k", "20", "--x0", "3.0"],
+            ["order", "--problem", "cubic", "--family", "newton", "--k", "7", "--x0", "1.4"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
@@ -297,6 +298,11 @@ class TestCaptureCommand:
         assert main(["capture", "--problem", str(inverted), "--map", "bary:1", "--eps", "0.1"]) == 3
         captured = capsys.readouterr()
         assert "line 3: domain has lo > hi" in captured.err and captured.out == ""
+        huge = tmp_path / "huge.poly"
+        huge.write_text(f"poly 2 : 1.0 {2**70} 0 ; 1.0 0 1\npoly 2 : 1.0 0 1\n")
+        assert main(["capture", "--problem", str(huge), "--map", "bary:1", "--eps", "1e-3"]) == 3
+        captured = capsys.readouterr()
+        assert "line 1: exponent outside 0 .. 2**63 - 1" in captured.err and captured.out == ""
         latin1 = tmp_path / "latin1.poly"
         latin1.write_bytes("# coefficients by G\u00f6del\npoly 1 : 1.0 1\n".encode("latin-1"))
         assert main(["capture", "--problem", str(latin1), "--map", "bary:1", "--eps", "0.1"]) == 3

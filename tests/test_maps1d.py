@@ -187,6 +187,32 @@ class TestRecursiveStep:
         assert recursive_map_step(counted, spec, 1.5) == recursive_map_step(CUBIC, spec, 1.5)
         assert calls == [1.5]
 
+    def test_taylor_step_evaluates_each_derivative_once(self):
+        # taylor:5 needs f'(x)..f^(6)(x) once each: 6 derivative calls where
+        # evaluating every model's terms afresh makes 1 + 2 + ... + 6 = 21
+        calls = []
+        counted = dataclasses.replace(
+            EXP2,
+            derivatives=tuple(
+                (lambda x, i=i, d=d: calls.append(i) or d(x)) for i, d in enumerate(EXP2.derivatives)
+            ),
+        )
+        assert recursive_map_step(counted, newton_taylor(5), 0.9) == recursive_map_step(EXP2, newton_taylor(5), 0.9)
+        assert calls == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("problem", [CUBIC, EXP2, SINE], ids=lambda p: p.name)
+    def test_taylor_step_matches_fresh_models_bit_for_bit(self, problem):
+        # t_j = x - f(x)/phi_j with each phi_j from taylor_model, which
+        # evaluates its derivatives afresh
+        rng = random.Random(45)
+        for _ in range(50):
+            x = rng.uniform(*(problem.domain or (0.3, 3.0)))
+            fx = problem.f(x)
+            t = x - fx / problem.derivatives[0](x)
+            for k in range(1, 6):
+                t = x - fx / taylor_model(problem, k, t - x, x)
+                assert recursive_map_step(problem, newton_taylor(k), x) == t
+
     @pytest.mark.parametrize("spec", [newton_map(), newton_taylor(1), newton_barycentric(2)],
                              ids=lambda spec: spec.describe())
     def test_f_fails_before_the_derivative_is_tested(self, spec):

@@ -199,6 +199,7 @@ class TestPolynomialFiles:
             "poly 2 : 1.0 1\npoly 2 : 1.0 0 1\n",  # wrong exponent arity
             "poly x : 1.0 1 0\npoly 2 : 1.0 0 1\n",  # bad dimension
             "poly 2 : 1.0 1 -1\npoly 2 : 1.0 0 1\n",  # negative exponent
+            f"poly 2 : 1.0 {2**63} 0\npoly 2 : 1.0 0 1\n",  # exponent past int64
             "domain 0 1 0 1 5\npoly 1 : 1.0 1\n",  # bad domain line
             "wibble\n",  # unrecognized line
             "",  # empty file
@@ -525,6 +526,32 @@ class TestBuiltinsAgainstOracles:
             expected = np.array([math_fn(a) for a in arguments.tolist()])
             assert numpy_fn(arguments).tobytes() == expected.tobytes()
 
+    def test_numpy_float_power_matches_python_pow(self):
+        # the power tables take np.float_power (libm pow) for Python's
+        # float ** int; a numpy build whose float_power rounds otherwise
+        # fails here, not in the scan outputs
+        square = Box(lo=(-1.0, -1.0), hi=(1.0, 1.0))
+        coordinates = np.concatenate(
+            [
+                grid_points(RUT.domain, 19).ravel(),
+                grid_points(square, 19).ravel(),
+                grid_points(square, 41).ravel(),
+                np.random.default_rng(93).uniform(-1.5, 1.5, size=2000),
+                [v for v in SPECIAL_COORDINATES if math.isfinite(v)],
+            ]
+        )
+        for e in (*range(8), 2**20):
+            with np.errstate(over="ignore"):
+                table = np.float_power(coordinates, float(e))
+            expected = []
+            for v, entry in zip(coordinates.tolist(), table.tolist()):
+                try:
+                    expected.append(v**e)
+                except OverflowError:
+                    assert math.isinf(entry), (v, e)
+                    expected.append(entry)
+            assert table.tobytes() == np.array(expected).tobytes(), e
+
 
 class TestPowerTables:
     @pytest.mark.parametrize("n,seed", [(1, 40), (2, 41), (2, 42), (2, 43), (3, 44)])
@@ -597,6 +624,21 @@ class TestPowerTables:
         assert problem.jacobian(point).tobytes() == ref_jacobian(point).tobytes()
         assert rows == [[0, 1, 2, 2**20 - 1], [0, 1]]
         assert 0.9 < problem.f(point)[0] < 1.0
+
+    def test_overflowing_odd_power_keeps_its_row_fate(self, tmp_path):
+        # (-1e60)**7 overflows to -inf in the table where Python raises; the
+        # row fails either way, and the row beside it is the oracle's
+        path = tmp_path / "odd.poly"
+        path.write_text("poly 2 : 1.0 7 0 ; 1.0 0 1\npoly 2 : 1.0 1 0 ; 1.0 0 1\n")
+        problem = load_polynomial_problem(str(path))
+        ref_f, _ = reference_problem(path)
+        points = np.array([[0.5, 0.5], [-1e60, 0.5]])
+        assert problems._power_table(points[:, 0], [7]).tolist() == [[0.5**7, -math.inf]]
+        assert reference_outcome(ref_f, points[1]) == "fails"
+        failures = Failures(2)
+        values = evaluate_rows(problem.f, (2,), points, failures)
+        assert failures[0] is None and isinstance(failures[1], EvaluationError)
+        assert values[0].tobytes() == ref_f(points[0]).tobytes()
 
     def test_constant_system_has_zero_jacobian(self, tmp_path):
         path = tmp_path / "constant.poly"

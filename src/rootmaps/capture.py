@@ -236,7 +236,8 @@ def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
         [singular, ~stepped, ~inside], ["skipped_singular", "step_failures", "skipped_outside"], "rejected_tolerance"
     )
     fates[rows] = "captured"
-    objectives = problem.objective(second[rows]).tolist() if problem.objective else [None] * len(rows)
+    with np.errstate(all="ignore"):
+        objectives = problem.objective(second[rows]).tolist() if problem.objective else [None] * len(rows)
     captured = [
         CapturedPoint(*divmod(r, config.grid.ny), seeds[r], second[r], fnorm, objective)
         for r, fnorm, objective in zip(rows.tolist(), fnorms.tolist(), objectives)

@@ -14,12 +14,11 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .capture import CaptureConfig, CaptureResult, GridSpec, run_capture
+from .capture import DEFAULT_CLUSTER_RADIUS, CaptureConfig, CaptureResult, GridSpec, run_capture
 from .coefficients import MAX_ORDER_INDEX, barycentric_coefficients
 from .maps1d import (
     InsufficientDataError,
     IterativeMap,
-    MapFamily,
     compose,
     estimate_order,
     iterate,
@@ -76,10 +75,9 @@ def _parse_index(s: str, pos: int) -> tuple[int, int]:
     return k, end
 
 
-def _map_uses_taylor(spec: IterativeMap) -> bool:
-    if spec.components is not None:
-        return any(_map_uses_taylor(c) for c in spec.components)
-    return spec.family is MapFamily.NEWTON_TAYLOR
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _write_manifest(path: str, args, start: float, outputs: list[str]) -> None:
@@ -96,9 +94,7 @@ def _write_manifest(path: str, args, start: float, outputs: list[str]) -> None:
             "python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def _emit(text: str, args, start: float) -> None:
@@ -106,8 +102,7 @@ def _emit(text: str, args, start: float) -> None:
     if args.out is None:
         sys.stdout.write(text)
         return
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write(args.out, text)
     _write_manifest(args.out + ".manifest.json", args, start, [args.out])
 
 
@@ -243,11 +238,14 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
     try:
         map_spec = parse_map_spec(args.map)
-    except (MapSpecError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(f"argument --map: {exc}")
-    if _map_uses_taylor(map_spec):
+    if "taylor:" in map_spec.describe():
         parser.error("argument --map: taylor maps are scalar-only; grid scans need newton/bary maps")
-    problem = vector_problem(args.problem)
+    try:
+        problem = vector_problem(args.problem)
+    except OSError as exc:  # a --problem file that cannot be read
+        raise ProblemFormatError(str(exc)) from exc
     if problem.domain is None:
         raise ProblemFormatError(f"problem {args.problem!r} declares no domain; add a `domain` line")
     scan = CaptureConfig(
@@ -329,9 +327,7 @@ def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
                         "x": float(cl.representative[0]),
                         "y": float(cl.representative[1]),
                         "count": cl.count,
-                        "g": None
-                        if problem.objective is None
-                        else float(problem.objective(cl.representative)),
+                        "g": float(problem.objective(cl.representative)),
                     }
                     for cl in clusters
                 ],
@@ -374,29 +370,23 @@ def _render_report_text(report: dict) -> str:
         )
         lines.append(f"  {'x':>12} {'y':>12} {'count':>6} {'g':>12}")
         for cl in row["clusters"]:
-            g_text = "" if cl["g"] is None else f"{cl['g']:.6f}"
-            lines.append(f"  {cl['x']:>12.6f} {cl['y']:>12.6f} {cl['count']:>6} {g_text:>12}")
+            lines.append(f"  {cl['x']:>12.6f} {cl['y']:>12.6f} {cl['count']:>6} {cl['g']:>12.6f}")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_reproduce(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     report, results = _reproduce_report(args.example, args.cluster_radius)
     text = json.dumps(report, indent=2) + "\n" if args.format == "json" else _render_report_text(report)
     sys.stdout.write(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        outputs = []
-        report_path = os.path.join(args.out, f"{args.example}-report.json")
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        outputs.append(report_path)
-        for label, result in results.items():
-            csv_path = os.path.join(args.out, f"{args.example}-{label}.csv")
-            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(render_capture_csv(result))
-            outputs.append(csv_path)
+        files = {"report.json": json.dumps(report, indent=2) + "\n"}
+        files.update({f"{label}.csv": render_capture_csv(result) for label, result in results.items()})
+        outputs = [os.path.join(args.out, f"{args.example}-{name}") for name in files]
+        for path, content in zip(outputs, files.values()):
+            _write(path, content)
         _write_manifest(os.path.join(args.out, f"{args.example}-manifest.json"), args, start, outputs)
     return 0
 
@@ -462,14 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_capture.add_argument("--nx", type=_vertices, default=19, help="vertices along x (default 19)")
     p_capture.add_argument("--ny", type=_vertices, default=19, help="vertices along y (default 19)")
     p_capture.add_argument("--eps", type=_positive_float, required=True, help="capture tolerance")
-    p_capture.add_argument("--cluster-radius", type=_positive_float, default=1e-3)
+    p_capture.add_argument("--cluster-radius", type=_positive_float, default=DEFAULT_CLUSTER_RADIUS)
     p_capture.add_argument("--norm", choices=["max", "euclidean"], default="max")
     p_capture.add_argument("--format", choices=["csv", "json"], default="csv")
     p_capture.add_argument("--out", help="write output to this path instead of stdout")
 
     p_repro = sub.add_parser("reproduce", help="re-run a published example end to end")
     p_repro.add_argument("--example", choices=sorted(REPRODUCE_SETUPS), required=True)
-    p_repro.add_argument("--cluster-radius", type=_positive_float, default=1e-3)
+    p_repro.add_argument("--cluster-radius", type=_positive_float, default=DEFAULT_CLUSTER_RADIUS)
     p_repro.add_argument("--format", choices=["text", "json"], default="text")
     p_repro.add_argument("--out", help="directory for per-map CSVs, report, and manifest")
     return parser
@@ -482,9 +472,11 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"coeffs": _cmd_coeffs, "order": _cmd_order, "capture": _cmd_capture, "reproduce": _cmd_reproduce}
     try:
         return commands[args.subcommand](args, parser)
-    except (ProblemFormatError, OSError) as exc:
+    except ProblemFormatError as exc:
         print(f"rootmaps: problem definition error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # only writing --out is left to raise it
+        parser.error(f"argument --out: {exc}")
 
 
 if __name__ == "__main__":

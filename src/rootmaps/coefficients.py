@@ -92,14 +92,10 @@ def solve_coefficients(system: BarycentricSystem) -> BarycentricCoefficients:
 
 
 @lru_cache(maxsize=None)
-def _solved(k: int) -> BarycentricCoefficients:
-    return solve_coefficients(build_system(k))
-
-
 def barycentric_coefficients(k: int) -> BarycentricCoefficients:
     """Cached exact weights for order index k, 0 <= k <= MAX_ORDER_INDEX (build_system
-    rejects k < 0)."""
+    rejects k < 0; a raised error is not cached)."""
     if k > MAX_ORDER_INDEX:
         raise ValueError(f"order index {k} exceeds the supported maximum {MAX_ORDER_INDEX}")
-    return _solved(k)
+    return solve_coefficients(build_system(k))
 

@@ -99,6 +99,10 @@ class IterativeMap:
     k: int = 0
     components: tuple["IterativeMap", "IterativeMap"] | None = None
 
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError(f"order index must be >= 0, got {self.k}")
+
     @property
     def order(self) -> int:
         """Theoretical local order of convergence."""
@@ -121,14 +125,10 @@ def newton_map() -> IterativeMap:
 
 
 def newton_taylor(k: int) -> IterativeMap:
-    if k < 0:
-        raise ValueError(f"order index must be >= 0, got {k}")
     return IterativeMap(family=MapFamily.NEWTON_TAYLOR, k=k)
 
 
 def newton_barycentric(k: int) -> IterativeMap:
-    if k < 0:
-        raise ValueError(f"order index must be >= 0, got {k}")
     return IterativeMap(family=MapFamily.NEWTON_BARYCENTRIC, k=k)
 
 
@@ -148,13 +148,10 @@ def _taylor_sum(derivatives: list[float], h: float) -> float:
 
 
 def taylor_model(problem: ScalarProblem, k: int, h: float, x: float) -> float:
-    """Taylor-type model sum_{i=0}^{k} f^(i+1)(x) * h^i / (i+1)!."""
-    if problem.max_derivative_order < k + 1:
-        raise InsufficientDerivativesError(
-            f"Taylor model of index {k} needs derivatives up to order {k + 1}, "
-            f"problem {problem.name!r} supplies {problem.max_derivative_order}"
-        )
-    return _taylor_sum([_call(problem.derivatives[i], x) for i in range(k + 1)], h)
+    """Taylor-type model sum_{i=0}^{k} f^(i+1)(x) * h^i / (i+1)!; raises
+    InsufficientDerivativesError before evaluating any derivative."""
+    derivatives = [problem.derivative(i + 1) for i in range(k + 1)]
+    return _taylor_sum([_call(d, x) for d in derivatives], h)
 
 
 def barycentric_model(

@@ -2,9 +2,11 @@
 
 The first derivative becomes the Jacobian, the model function an n x n matrix
 phi_k(x) = sum_i a_i * J(x + i*h), and each step solves phi_k * delta = -f(x).
-The step recursion mirrors the scalar one componentwise: h_1 is the Newton
-delta and h_{j+1} = t_j(x) - x.  Only barycentric maps extend this way; Taylor
-maps would need higher derivative tensors and are not supported here.
+The step recursion follows the scalar one, except in how it rounds h: h_1 is
+the Newton delta and h_{j+1} is the delta solved for t_j, where the scalar
+recursion takes the rounded difference t_j(x) - x.  Only barycentric maps
+extend this way; Taylor maps would need higher derivative tensors and are not
+supported here.
 
 The recursion runs on a batch: an (N, n) array of points and a Failures list
 in which failures[r] is None while row r is live, and otherwise the
@@ -65,6 +67,7 @@ class VectorProblem:
     to (...).  Where a point cannot be evaluated (a non-differentiable point,
     an overflow) its own row is non-finite and the call does not raise; a
     step there raises EvaluationError, and a scan skips such a seed as singular.
+    The engine calls them with numpy's floating-point warnings off.
     """
 
     n: int
@@ -108,14 +111,16 @@ def _finite(values: np.ndarray, at: np.ndarray, failures: Failures) -> np.ndarra
 def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: Failures, at=None) -> np.ndarray:
     """fn at the live rows of points in one call, as an array of shape (len(points), *shape).
 
-    A live row whose value is not finite fails with an EvaluationError naming
-    at[r] (default points[r]); a value of another shape raises ValueError.
+    fn runs with numpy's floating-point warnings off.  A live row whose value
+    is not finite fails with an EvaluationError naming at[r] (default
+    points[r]); a value of another shape raises ValueError.
     """
     values = np.zeros((len(points), *shape))
     live = failures.live
     count = int(np.count_nonzero(live))
     if count:
-        value = np.asarray(fn(points[live]), dtype=float)
+        with np.errstate(all="ignore"):
+            value = np.asarray(fn(points[live]), dtype=float)
         if value.shape != (count, *shape):
             raise ValueError(f"value shapes differ: expected {(count, *shape)}, got {value.shape}")
         values[live] = value
@@ -190,12 +195,8 @@ def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.n
     The caller checks the sum for finiteness."""
     with np.errstate(all="ignore"):
         phi = 0.0 + weights[0] * jx
-    for i in range(1, len(weights)):
-        with np.errstate(all="ignore"):
-            samples = x + i * h
-        values = evaluate_rows(problem.jacobian, phi.shape[1:], samples, failures, at=x)
-        with np.errstate(all="ignore"):
-            phi += weights[i] * values
+        for i in range(1, len(weights)):
+            phi += weights[i] * evaluate_rows(problem.jacobian, phi.shape[1:], x + i * h, failures, at=x)
     return phi
 
 

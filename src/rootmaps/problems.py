@@ -24,26 +24,16 @@ class ProblemFormatError(ValueError):
 # them as libm does, and so are powers: np.float_power loops over libm's pow,
 # as Python's float ** int does (numpy's ** rounds otherwise); the tests guard
 # both.  Exponentials are math.exp per element, as np.exp rounds some inputs
-# differently.  Overflow gives an infinite element, so only the rows using it
-# are not finite, and no batch raises.
+# differently; no built-in exponent exceeds 1.  A power that overflows gives an
+# infinite element, so only the rows using it are not finite, and no batch raises.
 # ---------------------------------------------------------------------------
 
 _quiet = np.errstate(all="ignore")
 
 
 def _exp(values: np.ndarray) -> np.ndarray:
-    """math.exp at each element of values; inf where it overflows."""
-    flat = values.ravel().tolist()
-    try:
-        out = list(map(math.exp, flat))
-    except OverflowError:
-        out = []
-        for v in flat:
-            try:
-                out.append(math.exp(v))
-            except OverflowError:
-                out.append(math.inf)
-    return np.array(out, dtype=float).reshape(values.shape)
+    """math.exp at each element of values (every caller's exponents are at most 1 or NaN)."""
+    return np.array(list(map(math.exp, values.ravel().tolist())), dtype=float).reshape(values.shape)
 
 
 def _power_table(values: np.ndarray, exponents) -> np.ndarray:
@@ -326,7 +316,7 @@ def _parse_poly_line(line: str, lineno: int) -> PolynomialComponent:
     return PolynomialComponent(n=n, terms=tuple(terms))
 
 
-def load_polynomial_problem(path: str, name: str = "") -> VectorProblem:
+def load_polynomial_problem(path: str) -> VectorProblem:
     """Load a polynomial system (and optional domain) from a text file."""
     components: list[PolynomialComponent] = []
     domain: Box | None = None
@@ -367,7 +357,7 @@ def load_polynomial_problem(path: str, name: str = "") -> VectorProblem:
         raise ProblemFormatError("domain dimension does not match the system")
     f = _polynomial_map(components, (n,))
     jacobian = _polynomial_map([c.partial(j) for c in components for j in range(n)], (n, n))
-    return VectorProblem(n=n, f=f, jacobian=jacobian, domain=domain, name=name or path)
+    return VectorProblem(n=n, f=f, jacobian=jacobian, domain=domain, name=path)
 
 
 def vector_problem(name: str) -> VectorProblem:

@@ -224,7 +224,10 @@ class TestCaptureCommand:
         out = capsys.readouterr().out
         assert out.startswith("grid_i,grid_j,x0,y0,x2,y2,fnorm,g")
 
-    def test_usage_errors_exit_two(self, capsys):
+    def test_usage_errors_exit_two(self, tmp_path, capsys):
+        existing = tmp_path / "existing"
+        existing.write_text("")
+        missing = tmp_path / "missing"
         for argv in (
             ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "-1"],
             ["capture", "--problem", "rutishauser", "--map", "halley", "--eps", "0.1"],
@@ -250,11 +253,27 @@ class TestCaptureCommand:
             ["order", "--problem", "exp2", "--family", "taylor", "--k", "6", "--x0", "1.0"],
             ["order", "--problem", "sine", "--family", "taylor", "--k", "20", "--x0", "3.0"],
             ["order", "--problem", "cubic", "--family", "newton", "--k", "7", "--x0", "1.4"],
+            ["coeffs", "--k", "3", "--out", str(missing / "c.txt")],
+            ["order", "--problem", "cubic", "--family", "newton", "--x0", "1.4", "--out", str(missing / "o.json")],
+            ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "0.1", "--nx", "3", "--ny", "3",
+             "--out", str(missing / "c.csv")],
+            ["reproduce", "--example", "example1", "--out", str(existing)],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
             capsys.readouterr()
+
+    def test_unwritable_out_is_named_and_reproduce_fails_before_scanning(self, tmp_path, capsys):
+        existing = tmp_path / "existing"
+        existing.write_text("")
+        for argv in (["coeffs", "--k", "3", "--out", str(tmp_path / "missing" / "c.txt")],
+                     ["reproduce", "--example", "example1", "--out", str(existing)]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert "argument --out: [Errno" in captured.err and captured.out == ""
 
     def test_taylor_index_beyond_the_derivatives_names_both_orders(self, capsys):
         # every built-in scalar problem supplies 6 derivatives; taylor:k needs k + 1

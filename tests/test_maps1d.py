@@ -24,6 +24,7 @@ from rootmaps.maps1d import (
     EvaluationError,
     InsufficientDataError,
     InsufficientDerivativesError,
+    IterativeMap,
     MapFamily,
     SingularModelError,
 )
@@ -102,6 +103,13 @@ class TestModels:
     def test_taylor_requires_derivatives(self):
         with pytest.raises(InsufficientDerivativesError):
             taylor_model(SQUARE_M1, 2, 0.1, 1.0)
+
+    def test_taylor_looks_up_every_derivative_before_calling_one(self):
+        calls = []
+        counting = tuple(lambda x, i=i: calls.append(i) or 2.0 for i in range(2))
+        with pytest.raises(InsufficientDerivativesError):
+            taylor_model(dataclasses.replace(SQUARE_M1, derivatives=counting), 2, 0.1, 1.0)
+        assert calls == []
 
     def test_barycentric_k0_is_first_derivative(self):
         coeffs = barycentric_coefficients(0)
@@ -338,4 +346,6 @@ def test_family_constructors_validate_index():
         newton_taylor(-1)
     with pytest.raises(ValueError):
         newton_barycentric(-2)
+    with pytest.raises(ValueError, match="order index must be >= 0, got -1"):
+        IterativeMap(MapFamily.NEWTON_BARYCENTRIC, k=-1)
     assert newton_map().family is MapFamily.NEWTON

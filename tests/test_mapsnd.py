@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import re
 
 import numpy as np
@@ -316,6 +318,14 @@ class TestNewtonStep:
             vector_map_step(flat, newton_map(), np.array([0.3, 0.4]))
 
 
+# f = (e^x - 1, y) with a numpy Jacobian that warns where e^x overflows
+EXP_JACOBIAN = VectorProblem(
+    n=2,
+    f=lambda p: np.stack([np.exp(p[..., 0]) - 1.0, p[..., 1]], axis=-1),
+    jacobian=lambda p: np.exp(p[..., 0])[..., None, None] * np.diag([1.0, 0.0]) + np.diag([0.0, 1.0]),
+)
+
+
 class TestBarycentricStep:
     def test_k0_equals_newton_bit_for_bit(self):
         problem = rutishauser()
@@ -354,6 +364,29 @@ class TestBarycentricStep:
         )
         with pytest.raises(EvaluationError, match=re.escape("non-finite evaluation at x=array([0., 0.])")):
             vector_map_step(problem, newton_barycentric(1), np.zeros(2))
+
+    @pytest.mark.parametrize("x", [-10.0, 1000.0])
+    def test_numpy_warning_in_a_user_problem_fails_the_row(self, x):
+        # from x = -10 the Newton delta is about 22025, so np.exp overflows at
+        # the first model-matrix sample; at x = 1000 it overflows in f(x).
+        # The engine, not the problem, silences numpy's warning
+        with pytest.raises(EvaluationError, match="non-finite evaluation at x="):
+            vector_map_step(EXP_JACOBIAN, newton_barycentric(2), np.array([x, 0.0]))
+
+    def test_numpy_warning_in_a_user_jacobian_is_a_step_failure(self):
+        grid = GridSpec(domain=Box(lo=(-10.0, -1.0), hi=(-9.0, 1.0)), nx=2, ny=3)
+        config = CaptureConfig(grid=grid, tolerance=1e-3, map=newton_barycentric(2))
+        counts = run_capture(EXP_JACOBIAN, config).counts
+        assert (counts.seeded, counts.skipped_singular, counts.step_failures) == (6, 0, 6)
+
+    def test_numpy_warning_in_a_user_objective_is_an_infinite_objective(self):
+        # np.exp overflows at the captured zero (0.6, -0.8)
+        problem = dataclasses.replace(
+            AFFINE, objective=lambda p: np.exp(2000.0 * p[..., 0]), domain=Box((-3.0, -3.0), (3.0, 3.0))
+        )
+        config = CaptureConfig(grid=GridSpec(problem.domain, 3, 3), tolerance=1e-8, map=newton_map())
+        result = run_capture(problem, config)
+        assert result.counts.captured == 9 and {c.objective for c in result.captured} == {math.inf}
 
     def test_scalar_embedding_matches_scalar_model(self):
         scalar = ScalarProblem(

@@ -9,7 +9,6 @@ cluster near the fixed points of the map; a greedy pass groups them.
 
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -128,17 +127,23 @@ _MAX_CELL_INDEX = 2.0**52
 # loses its relative accuracy: offsets under about 2**-511 can pass any radius.
 # Cells at least this wide keep such offsets within the neighbouring cells.
 _MIN_CELL_WIDTH = 2.0**-500
+# A cell's key is sum_a index_a * _KEY_BASE**a.  A neighbour's index is at most
+# 2**52 + 1 < _KEY_BASE / 2 in magnitude, so the key is one-to-one, and as it
+# is linear, a neighbour's key is the home key plus the offset's key.
+_KEY_BASE = 2**54
 
 
-def _cell(point: np.ndarray, width: float) -> tuple[int, ...]:
-    return tuple(
-        math.floor(min(max(v / width, -_MAX_CELL_INDEX), _MAX_CELL_INDEX))
-        for v in point.tolist()
-    )
+def _key(indices, start=0):
+    """start + sum_a indices[a] * _KEY_BASE**a, elementwise for columns of Python-int object arrays."""
+    return sum((index * _KEY_BASE**axis for axis, index in enumerate(indices)), start)
 
 
-def cluster_points(points: list[np.ndarray], radius: float) -> list[Cluster]:
-    """Greedy clustering in input order.
+def _cell(point: np.ndarray, width: float) -> int:
+    return _key(math.floor(min(max(v / width, -_MAX_CELL_INDEX), _MAX_CELL_INDEX)) for v in point.tolist())
+
+
+def cluster_points(points: list[np.ndarray] | np.ndarray, radius: float) -> list[Cluster]:
+    """Greedy clustering in input order, of a list of points or the rows of an (N, n) array.
 
     A point joins the lowest-index cluster whose representative lies within
     radius (Euclidean); the representative is the member mean, recomputed on
@@ -153,32 +158,32 @@ def cluster_points(points: list[np.ndarray], radius: float) -> list[Cluster]:
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     width = max(2.0 * radius, _MIN_CELL_WIDTH)
-    points = [np.asarray(point, dtype=float) for point in points]
-    shape = (points[0].size,) if points else (0,)
-    # the first bad point is the first of another shape, or a non-finite one before it
-    end = next((position for position, point in enumerate(points) if point.shape != shape), len(points))
-    rows = np.array(points[:end]).reshape(end, *shape)
+    if isinstance(points, np.ndarray) and points.ndim == 2:
+        rows, end = np.asarray(points, dtype=float), len(points)
+    else:
+        points = [np.asarray(point, dtype=float) for point in points]
+        shape = (points[0].size,) if points else (0,)
+        # the first bad point is the first of another shape, or a non-finite one before it
+        end = next((position for position, point in enumerate(points) if point.shape != shape), len(points))
+        rows = np.array(points[:end]).reshape(end, *shape)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         position = int(np.argmin(finite))
         raise ValueError(f"point {position} has a non-finite coordinate: {points[position]}")
     if end < len(points):
-        raise ValueError(f"point {end} has shape {points[end].shape}, expected {shape}")
+        raise ValueError(f"point {end} has shape {points[end].shape}, expected {rows.shape[1:]}")
     # the cells of _cell, for every point at once
     with np.errstate(over="ignore"):
-        homes = np.floor(np.clip(rows / width, -_MAX_CELL_INDEX, _MAX_CELL_INDEX)).astype(np.int64)
-    neighbourhood = list(itertools.product((-1, 0, 1), repeat=rows.shape[1]))
+        indices = np.floor(np.clip(rows / width, -_MAX_CELL_INDEX, _MAX_CELL_INDEX)).astype(np.int64)
+    homes = _key(indices.T.astype(object), np.zeros(len(rows), dtype=object)).tolist()
+    offsets = [_key(offset) for offset in itertools.product((-1, 0, 1), repeat=rows.shape[1])]
     sums: list[np.ndarray] = []
     means: list[np.ndarray] = []
     members: list[list[int]] = []
-    cells: list[tuple[int, ...]] = []
-    grid: dict[tuple[int, ...], list[int]] = {}
-    for position, (point, home) in enumerate(zip(rows, map(tuple, homes.tolist()))):
-        candidates = sorted(
-            idx
-            for offset in neighbourhood
-            for idx in grid.get(tuple(map(operator.add, home, offset)), ())
-        )
+    cells: list[int] = []
+    grid: dict[int, list[int]] = {}
+    for position, (point, home) in enumerate(zip(rows, homes)):
+        candidates = sorted([idx for offset in offsets for idx in grid.get(home + offset, ())])
         for idx in candidates:
             if float(np.linalg.norm(point - means[idx])) <= radius:
                 sums[idx] = sums[idx] + point
@@ -243,5 +248,5 @@ def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
         for r, fnorm, objective in zip(rows.tolist(), fnorms.tolist(), objectives)
     ]
     counts = CaptureCounts(seeded=len(seeds), **Counter(fates.tolist()))
-    clusters = cluster_points([c.point for c in captured], config.cluster_radius)
+    clusters = cluster_points(second[rows], config.cluster_radius)
     return CaptureResult(captured=captured, clusters=clusters, counts=counts)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -97,6 +98,17 @@ def _write_manifest(path: str, args, start: float, outputs: list[str]) -> None:
     _write(path, json.dumps(manifest, indent=2) + "\n")
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that writing path would raise if its directory is missing
+    or it is a directory, so a command can fail before its work; path is not touched."""
+    directory = os.path.dirname(path) or (path and os.curdir)  # an empty path has no directory
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), directory)
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _emit(text: str, args, start: float) -> None:
     """Write text to stdout, or to args.out with its manifest beside it."""
     if args.out is None:
@@ -190,18 +202,9 @@ def render_capture_csv(result: CaptureResult) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["grid_i", "grid_j", "x0", "y0", "x2", "y2", "fnorm", "g"])
     for c in result.captured:
-        writer.writerow(
-            [
-                c.grid_i,
-                c.grid_j,
-                f"{c.seed[0]:.6f}",
-                f"{c.seed[1]:.6f}",
-                f"{c.point[0]:.6f}",
-                f"{c.point[1]:.6f}",
-                f"{c.fnorm:.9e}",
-                "" if c.objective is None else f"{c.objective:.6f}",
-            ]
-        )
+        coordinates = [f"{v:.6f}" for v in c.seed.tolist() + c.point.tolist()]
+        objective = "" if c.objective is None else f"{c.objective:.6f}"
+        writer.writerow([c.grid_i, c.grid_j, *coordinates, f"{c.fnorm:.9e}", objective])
     return buf.getvalue()
 
 
@@ -471,6 +474,8 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = list(sys.argv[1:] if argv is None else argv)
     commands = {"coeffs": _cmd_coeffs, "order": _cmd_order, "capture": _cmd_capture, "reproduce": _cmd_reproduce}
     try:
+        if args.out is not None and args.subcommand != "reproduce":  # reproduce's --out is a directory
+            _check_out(args.out)
         return commands[args.subcommand](args, parser)
     except ProblemFormatError as exc:
         print(f"rootmaps: problem definition error: {exc}", file=sys.stderr)

@@ -22,18 +22,19 @@ class ProblemFormatError(ValueError):
 # operations, in the same order, of evaluating one point in Python floats.
 # Products, sums, np.sqrt, np.sin and np.cos are vectorised, as numpy rounds
 # them as libm does, and so are powers: np.float_power loops over libm's pow,
-# as Python's float ** int does (numpy's ** rounds otherwise); the tests guard
-# both.  Exponentials are math.exp per element, as np.exp rounds some inputs
-# differently; no built-in exponent exceeds 1.  A power that overflows gives an
-# infinite element, so only the rows using it are not finite, and no batch raises.
+# as Python's float ** int does (numpy's ** rounds otherwise), and so are
+# exponentials: numpy's complex exp calls libm's cexp, which gives exp's bits
+# (np.exp rounds otherwise).  The tests guard all three.  An overflowing power
+# is an infinite element, so only the rows using it are not finite; no batch raises.
 # ---------------------------------------------------------------------------
 
 _quiet = np.errstate(all="ignore")
 
 
 def _exp(values: np.ndarray) -> np.ndarray:
-    """math.exp at each element of values (every caller's exponents are at most 1 or NaN)."""
-    return np.array(list(map(math.exp, values.ravel().tolist())), dtype=float).reshape(values.shape)
+    """math.exp's bits at each element (glibc's cexp(v + 0i) is exp(v) * 1.0) up to about 709,
+    where cexp starts to rescale; every caller's exponents are at most 1 or NaN."""
+    return np.exp(values + 0j).real
 
 
 def _power_table(values: np.ndarray, exponents) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from collections import Counter
 from functools import partial
@@ -28,7 +29,7 @@ from rootmaps import (
     vector_map_step,
     vector_problem,
 )
-from rootmaps.capture import DEFAULT_CLUSTER_RADIUS, _axis_vertices
+from rootmaps.capture import DEFAULT_CLUSTER_RADIUS, _axis_vertices, _cell, _key
 from rootmaps.cli import REPRODUCE_SETUPS, parse_map_spec
 from rootmaps import mapsnd
 from rootmaps.mapsnd import PIVOT_RTOL, Failures
@@ -262,6 +263,57 @@ class TestClusterPointsAgainstReference:
                     np.array([base + rng.integers(-8, 9) * radius * 0.5, 1.0]) for _ in range(60)
                 ]
                 assert_matches_reference(points, radius)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_clamped_end_cells_and_their_neighbours(self, dim):
+        # cell width 1: the quotient is the coordinate, clamped to +-2**52;
+        # the points fill the end cells of each axis, the cells next to them,
+        # and cells 0 and -1 on either side of zero
+        radius = 0.5
+        end = 2.0**52
+        values = [end - 1.5, end - 1.0, end - 0.5, end, end + 1.0, end + 2.0, 1e20, 1e150, 0.25, -0.25]
+        values += [-v for v in values]
+        rng = np.random.default_rng(50 + dim)
+        for _ in range(20):
+            points = list(rng.choice(values, size=(rng.integers(1, 40), dim)))
+            points += [points[i] for i in rng.integers(0, len(points), size=5)]
+            assert_matches_reference(points, radius)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_negative_cells_next_to_positive_ones(self, dim):
+        # every sign pattern of +-0.2 per axis: the points straddle the cells
+        # -1 and 0 of each axis and lie within the radius of their neighbours
+        radius = 0.5
+        corners = [np.array(signs) * 0.2 for signs in itertools.product((-1.0, 1.0), repeat=dim)]
+        rng = np.random.default_rng(60 + dim)
+        for _ in range(10):
+            picks = rng.integers(0, len(corners), size=30)
+            points = [corners[i] + rng.normal(scale=0.05, size=dim) for i in picks]
+            assert_matches_reference(points, radius)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cell_keys_are_one_to_one_and_linear(self, dim):
+        indices = [-(2**52) - 1, -(2**52), -(2**52) + 1, -1, 0, 1, 2**52 - 1, 2**52, 2**52 + 1]
+        cells = list(itertools.product(indices, repeat=dim))
+        keys = [_key(cell) for cell in cells]
+        assert len(set(keys)) == len(cells)
+        for offset in itertools.product((-1, 0, 1), repeat=dim):
+            for cell in cells[::7]:
+                assert _key(cell) + _key(offset) == _key(map(sum, zip(cell, offset)))
+        for point in ([2.0**60], [-(2.0**60), 0.3], [1e300, -0.75, 2.5]):
+            clamped = [math.floor(min(max(v, -(2.0**52)), 2.0**52)) for v in point]
+            assert _cell(np.array(point), 1.0) == _key(clamped)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_array_input_matches_list_input(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        rows = rng.integers(-3, 4, size=(80, dim)) * 0.05 + rng.normal(scale=0.05, size=(80, dim))
+        from_array = cluster_points(rows, 0.05)
+        from_list = cluster_points(list(rows), 0.05)
+        assert [(c.members, c.count) for c in from_array] == [(c.members, c.count) for c in from_list]
+        for got, want in zip(from_array, from_list):
+            assert got.representative.tobytes() == want.representative.tobytes()
+        assert cluster_points(np.empty((0, dim)), 0.05) == []
 
     def test_example2_coarse_captures(self):
         problem_name, nx, ny, eps, map_rows = REPRODUCE_SETUPS["example2-coarse"]

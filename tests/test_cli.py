@@ -275,6 +275,35 @@ class TestCaptureCommand:
             captured = capsys.readouterr()
             assert "argument --out: [Errno" in captured.err and captured.out == ""
 
+    def test_unwritable_out_fails_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the scan ran before --out was checked")
+
+        monkeypatch.setattr("rootmaps.cli.run_capture", no_scan)
+        scan = ["capture", "--problem", "ackley", "--map", "compose:bary:5,bary:4", "--nx", "41", "--ny", "41",
+                "--eps", "0.1"]
+        existing = tmp_path / "existing"
+        existing.write_text("kept\n")
+        for out, named in ((tmp_path / "missing" / "x.csv", "missing"), (tmp_path, tmp_path.name),
+                           (existing / "x.csv", "existing"), ("", "''")):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*scan, "--out", str(out)])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert "argument --out: [Errno" in captured.err and named in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+        assert existing.read_text() == "kept\n"
+
+    def test_out_is_not_truncated_before_the_work(self, tmp_path, capsys):
+        out = tmp_path / "kept.csv"
+        out.write_text("kept\n")
+        bad = tmp_path / "bad.poly"
+        bad.write_text("wibble\n")
+        assert main(["capture", "--problem", str(bad), "--map", "bary:1", "--eps", "0.1", "--out", str(out)]) == 3
+        capsys.readouterr()
+        assert out.read_text() == "kept\n"
+        assert not (tmp_path / "kept.csv.manifest.json").exists()
+
     def test_taylor_index_beyond_the_derivatives_names_both_orders(self, capsys):
         # every built-in scalar problem supplies 6 derivatives; taylor:k needs k + 1
         with pytest.raises(SystemExit) as excinfo:

@@ -1,9 +1,10 @@
 """Whole-output golden digests: a change that alters one byte of a
-`reproduce` report, of a `capture --format json` dump or of an `order`
-trajectory fails here.
+`reproduce` report or CSV file, of a `capture` CSV or JSON dump or of an
+`order` trajectory fails here.
 
-The digests were recorded before problems became array-in/array-out; an
-intended change of output must update them and say why.
+The digests were recorded before problems became array-in/array-out, and
+the CSV ones before exponentials left math.exp; an intended change of output
+must update them and say why.
 """
 
 import hashlib
@@ -49,6 +50,10 @@ GOLDEN = [
         "f8049689d012d56dd6ed495ef77eb665e07ab362798ec650ad8c09b0abef213a",
     ),
     (
+        "capture --problem ackley --map compose:bary:5,bary:4 --nx 31 --ny 31 --eps 0.001",
+        "e6f2fbe5e70f235ce11f96dc038f153383212acfd937553e9e176840b83f6c07",
+    ),
+    (
         f"{ORDER} cubic --family newton --x0 4.0",
         "f3c286391cd6efc2081d3b1495c96981725128b2c7743212e70fcd41dc9a18a6",
     ),
@@ -92,3 +97,11 @@ def test_output_digest(command, digest, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_reproduce_csv_file_digest(tmp_path, capsys):
+    assert main(["reproduce", "--example", "example2-fine", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = (tmp_path / "example2-fine-t_54.csv").read_bytes()
+    digest = "0102c9d24f47cd82adbc7d599647de02a28bdc0a083ad311b995edcffc414aef"
+    assert hashlib.sha256(written).hexdigest() == digest

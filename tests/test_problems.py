@@ -552,6 +552,29 @@ class TestBuiltinsAgainstOracles:
                     expected.append(entry)
             assert table.tobytes() == np.array(expected).tobytes(), e
 
+    def test_complex_exp_matches_libm_exp(self):
+        # the Ackley kernels take numpy's complex exp for math.exp; a numpy
+        # build that computes it otherwise fails here, not in the scan outputs
+        points = np.concatenate([grid_points(ACK.domain, 19), grid_points(ACK.domain, 41)])
+        x, y = points.T
+        r = np.sqrt(x * x + y * y)
+        special = [v for v in SPECIAL_COORDINATES if math.isfinite(v)]
+        exponents = np.concatenate(
+            [
+                -_ACKLEY_DECAY * r,
+                0.5 * (np.cos(_TWO_PI * x) + np.cos(_TWO_PI * y)),
+                -0.2 * np.sqrt(0.5 * (x * x + y * y)),
+                np.random.default_rng(94).uniform(-745.0, 1.0, size=2000),
+                # the helper's exponents are at most 1 (above about 709 cexp rescales)
+                [sign * v for v in special for sign in (1.0, -1.0) if sign * v <= 1.0],
+                [0.0, -0.0, math.nan, -math.inf],
+            ]
+        )
+        with np.errstate(all="ignore"):  # as in the kernels: results below the normal range
+            values = problems._exp(exponents)
+        expected = np.array([math.exp(v) for v in exponents.tolist()])
+        assert values.tobytes() == expected.tobytes()
+
 
 class TestPowerTables:
     @pytest.mark.parametrize("n,seed", [(1, 40), (2, 41), (2, 42), (2, 43), (3, 44)])

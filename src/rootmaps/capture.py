@@ -142,8 +142,8 @@ def _cell(point: np.ndarray, width: float) -> int:
     return _key(math.floor(min(max(v / width, -_MAX_CELL_INDEX), _MAX_CELL_INDEX)) for v in point.tolist())
 
 
-def cluster_points(points: list[np.ndarray] | np.ndarray, radius: float) -> list[Cluster]:
-    """Greedy clustering in input order, of a list of points or the rows of an (N, n) array.
+def cluster_points(points: list[np.ndarray], radius: float) -> list[Cluster]:
+    """Greedy clustering in input order.
 
     A point joins the lowest-index cluster whose representative lies within
     radius (Euclidean); the representative is the member mean, recomputed on
@@ -158,20 +158,17 @@ def cluster_points(points: list[np.ndarray] | np.ndarray, radius: float) -> list
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     width = max(2.0 * radius, _MIN_CELL_WIDTH)
-    if isinstance(points, np.ndarray) and points.ndim == 2:
-        rows, end = np.asarray(points, dtype=float), len(points)
-    else:
-        points = [np.asarray(point, dtype=float) for point in points]
-        shape = (points[0].size,) if points else (0,)
-        # the first bad point is the first of another shape, or a non-finite one before it
-        end = next((position for position, point in enumerate(points) if point.shape != shape), len(points))
-        rows = np.array(points[:end]).reshape(end, *shape)
+    points = [np.asarray(point, dtype=float) for point in points]
+    shape = (points[0].size,) if points else (0,)
+    # the first bad point is the first of another shape, or a non-finite one before it
+    end = next((position for position, point in enumerate(points) if point.shape != shape), len(points))
+    rows = np.array(points[:end]).reshape(end, *shape)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         position = int(np.argmin(finite))
         raise ValueError(f"point {position} has a non-finite coordinate: {points[position]}")
     if end < len(points):
-        raise ValueError(f"point {end} has shape {points[end].shape}, expected {rows.shape[1:]}")
+        raise ValueError(f"point {end} has shape {points[end].shape}, expected {shape}")
     # the cells of _cell, for every point at once
     with np.errstate(over="ignore"):
         indices = np.floor(np.clip(rows / width, -_MAX_CELL_INDEX, _MAX_CELL_INDEX)).astype(np.int64)
@@ -248,5 +245,5 @@ def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
         for r, fnorm, objective in zip(rows.tolist(), fnorms.tolist(), objectives)
     ]
     counts = CaptureCounts(seeded=len(seeds), **Counter(fates.tolist()))
-    clusters = cluster_points(second[rows], config.cluster_radius)
+    clusters = cluster_points([c.point for c in captured], config.cluster_radius)
     return CaptureResult(captured=captured, clusters=clusters, counts=counts)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import platform
+import stat
 import sys
 import time
 from dataclasses import asdict
@@ -99,12 +100,13 @@ def _write_manifest(path: str, args, start: float, outputs: list[str]) -> None:
 
 
 def _check_out(path: str) -> None:
-    """Raise the OSError that writing path would raise if its directory is missing
-    or it is a directory, so a command can fail before its work; path is not touched."""
+    """Raise an OSError with the errno that opening path for writing would give if
+    its directory is missing or not a directory, or path is a directory, so a
+    command can fail before its work; path is not touched.  Write permission is
+    not checked."""
     directory = os.path.dirname(path) or (path and os.curdir)  # an empty path has no directory
-    if not os.path.isdir(directory):
-        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
-        raise OSError(code, os.strerror(code), directory)
+    if not stat.S_ISDIR(os.stat(directory).st_mode):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), directory)
     if os.path.isdir(path):
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 

@@ -285,12 +285,16 @@ class TestCaptureCommand:
         existing = tmp_path / "existing"
         existing.write_text("kept\n")
         for out, named in ((tmp_path / "missing" / "x.csv", "missing"), (tmp_path, tmp_path.name),
-                           (existing / "x.csv", "existing"), ("", "''")):
+                           (existing / "x.csv", "existing"), (existing / "sub" / "x.csv", "existing"),
+                           ("", "''")):
+            with pytest.raises(OSError) as opened:
+                open(out, "w")
             with pytest.raises(SystemExit) as excinfo:
                 main([*scan, "--out", str(out)])
             assert excinfo.value.code == 2
             captured = capsys.readouterr()
-            assert "argument --out: [Errno" in captured.err and named in captured.err and captured.out == ""
+            assert f"argument --out: [Errno {opened.value.errno}]" in captured.err
+            assert named in captured.err and captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
         assert existing.read_text() == "kept\n"
 

@@ -9,6 +9,7 @@ cluster near the fixed points of the map; a greedy pass groups them.
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -33,8 +34,8 @@ class GridSpec:
             raise ValueError("grid scans are 2-D")
         if not all(map(math.isfinite, self.domain.lo + self.domain.hi)):
             raise ValueError(f"grid bounds must be finite, got {self.domain.lo} to {self.domain.hi}")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError(f"need at least 2 vertices per axis, got {self.nx}x{self.ny}")
+        if not all(isinstance(n, numbers.Integral) and n >= 2 for n in (self.nx, self.ny)):
+            raise ValueError(f"need an integer count of at least 2 vertices per axis, got {self.nx}x{self.ny}")
 
     @property
     def dx(self) -> float:

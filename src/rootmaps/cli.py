@@ -1,9 +1,7 @@
 """Command-line front end: coeffs, order, capture, and reproduce subcommands."""
 
 import argparse
-import csv
 import errno
-import io
 import json
 import math
 import os
@@ -12,11 +10,12 @@ import stat
 import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .capture import DEFAULT_CLUSTER_RADIUS, CaptureConfig, CaptureResult, GridSpec, run_capture
+from .capture import DEFAULT_CLUSTER_RADIUS, CaptureConfig, CaptureResult, Cluster, GridSpec, run_capture
 from .coefficients import MAX_ORDER_INDEX, barycentric_coefficients
 from .maps1d import (
     InsufficientDataError,
@@ -67,7 +66,7 @@ def _parse_spec(s: str, pos: int) -> tuple[IterativeMap, int]:
 
 def _parse_index(s: str, pos: int) -> tuple[int, int]:
     end = pos
-    while end < len(s) and s[end].isdigit():
+    while end < len(s) and "0" <= s[end] <= "9":  # str.isdigit also accepts digits int() rejects
         end += 1
     if end == pos:
         raise MapSpecError(f"expected an order index at {s[pos:]!r}")
@@ -77,26 +76,24 @@ def _parse_index(s: str, pos: int) -> tuple[int, int]:
     return k, end
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _write_manifest(path: str, args, start: float, outputs: list[str]) -> None:
-    """Write the parsed arguments, the command line and the environment it ran
-    with, and the outputs, so that a run can be repeated and two runs diffed."""
+def _write_outputs(files: dict[str, str], manifest_path: str, args, start: float) -> None:
+    """Write each file's text, then a manifest of the parsed arguments, the command
+    line and the environment it ran with, and the files, so that a run can be
+    repeated and two runs diffed."""
+    for path, text in files.items():
+        Path(path).write_text(text, encoding="utf-8", newline="")
     manifest = {
         "subcommand": args.subcommand,
         "config": {key: value for key, value in vars(args).items() if key not in ("subcommand", "argv")},
         "version": __version__,
         "duration_seconds": time.perf_counter() - start,
-        "outputs": outputs,
+        "outputs": list(files),
         "argv": args.argv,
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()
         },
     }
-    _write(path, json.dumps(manifest, indent=2) + "\n")
+    Path(manifest_path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8", newline="")
 
 
 def _check_out(path: str) -> None:
@@ -115,9 +112,8 @@ def _emit(text: str, args, start: float) -> None:
     """Write text to stdout, or to args.out with its manifest beside it."""
     if args.out is None:
         sys.stdout.write(text)
-        return
-    _write(args.out, text)
-    _write_manifest(args.out + ".manifest.json", args, start, [args.out])
+    else:
+        _write_outputs({args.out: text}, args.out + ".manifest.json", args, start)
 
 
 # ---------------------------------------------------------------------------
@@ -125,33 +121,18 @@ def _emit(text: str, args, start: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+COEFF_COLUMNS = ("index", "numerator", "denominator", "fraction", "value")
+
+
 def _render_coeffs(k: int, fmt: str) -> str:
-    coeffs = barycentric_coefficients(k)
+    rows = [(i, a.numerator, a.denominator, str(a), float(a)) for i, a in enumerate(barycentric_coefficients(k).a)]
     if fmt == "json":
-        payload = {
-            "k": k,
-            "coefficients": [
-                {
-                    "index": i,
-                    "numerator": a.numerator,
-                    "denominator": a.denominator,
-                    "fraction": str(a),
-                    "value": float(a),
-                }
-                for i, a in enumerate(coeffs.a)
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "numerator", "denominator", "fraction", "value"])
-        for i, a in enumerate(coeffs.a):
-            writer.writerow([i, a.numerator, a.denominator, str(a), repr(float(a))])
-        return buf.getvalue()
-    lines = [f"k = {k}"]
-    for i, a in enumerate(coeffs.a):
-        lines.append(f"a_{i} = {a} = {float(a)!r}")
+        coefficients = [dict(zip(COEFF_COLUMNS, row)) for row in rows]
+        return json.dumps({"k": k, "coefficients": coefficients}, indent=2) + "\n"
+    if fmt == "csv":  # no field holds a comma, and str(float) is repr(float)
+        lines = [",".join(map(str, row)) for row in [COEFF_COLUMNS, *rows]]
+    else:
+        lines = [f"k = {k}", *(f"a_{i} = {fraction} = {value!r}" for i, _, _, fraction, value in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -198,44 +179,35 @@ def _cmd_order(args, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 
 
+CAPTURE_COLUMNS = ("grid_i", "grid_j", "x0", "y0", "x2", "y2", "fnorm", "g")
+
+
+def _captured_rows(result: CaptureResult) -> list[tuple]:
+    """One tuple per captured point, in CAPTURE_COLUMNS order."""
+    return [(c.grid_i, c.grid_j, *c.seed.tolist(), *c.point.tolist(), c.fnorm, c.objective) for c in result.captured]
+
+
+def _cluster_row(cluster: Cluster) -> dict:
+    x, y = cluster.representative.tolist()
+    return {"x": x, "y": y, "count": cluster.count}
+
+
 def render_capture_csv(result: CaptureResult) -> str:
-    """CSV rows for captured points; coordinates carry 6 decimals."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["grid_i", "grid_j", "x0", "y0", "x2", "y2", "fnorm", "g"])
-    for c in result.captured:
-        coordinates = [f"{v:.6f}" for v in c.seed.tolist() + c.point.tolist()]
-        objective = "" if c.objective is None else f"{c.objective:.6f}"
-        writer.writerow([c.grid_i, c.grid_j, *coordinates, f"{c.fnorm:.9e}", objective])
-    return buf.getvalue()
+    """CSV rows for captured points; coordinates carry 6 decimals.  No field
+    holds a comma, a quote or a newline, so none is quoted."""
+    lines = [",".join(CAPTURE_COLUMNS)]
+    for i, j, x0, y0, x2, y2, fnorm, g in _captured_rows(result):
+        objective = "" if g is None else f"{g:.6f}"
+        lines.append(f"{i},{j},{x0:.6f},{y0:.6f},{x2:.6f},{y2:.6f},{fnorm:.9e},{objective}")
+    return "\n".join(lines) + "\n"
 
 
 def capture_result_to_dict(result: CaptureResult) -> dict:
     """JSON-ready mirror of a CaptureResult (full float precision)."""
     return {
         "counts": asdict(result.counts),
-        "captured": [
-            {
-                "grid_i": c.grid_i,
-                "grid_j": c.grid_j,
-                "x0": float(c.seed[0]),
-                "y0": float(c.seed[1]),
-                "x2": float(c.point[0]),
-                "y2": float(c.point[1]),
-                "fnorm": c.fnorm,
-                "g": c.objective,
-            }
-            for c in result.captured
-        ],
-        "clusters": [
-            {
-                "x": float(cl.representative[0]),
-                "y": float(cl.representative[1]),
-                "count": cl.count,
-                "members": list(cl.members),
-            }
-            for cl in result.clusters
-        ],
+        "captured": [dict(zip(CAPTURE_COLUMNS, row)) for row in _captured_rows(result)],
+        "clusters": [{**_cluster_row(cl), "members": list(cl.members)} for cl in result.clusters],
     }
 
 
@@ -328,13 +300,7 @@ def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
                 "reference_count": reference_count,
                 "counts": asdict(result.counts),
                 "clusters": [
-                    {
-                        "x": float(cl.representative[0]),
-                        "y": float(cl.representative[1]),
-                        "count": cl.count,
-                        "g": float(problem.objective(cl.representative)),
-                    }
-                    for cl in clusters
+                    {**_cluster_row(cl), "g": float(problem.objective(cl.representative))} for cl in clusters
                 ],
                 "total_clusters": len(result.clusters),
             }
@@ -384,15 +350,13 @@ def _cmd_reproduce(args, parser: argparse.ArgumentParser) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     report, results = _reproduce_report(args.example, args.cluster_radius)
-    text = json.dumps(report, indent=2) + "\n" if args.format == "json" else _render_report_text(report)
-    sys.stdout.write(text)
+    report_json = json.dumps(report, indent=2) + "\n"
+    sys.stdout.write(report_json if args.format == "json" else _render_report_text(report))
     if args.out:
-        files = {"report.json": json.dumps(report, indent=2) + "\n"}
-        files.update({f"{label}.csv": render_capture_csv(result) for label, result in results.items()})
-        outputs = [os.path.join(args.out, f"{args.example}-{name}") for name in files]
-        for path, content in zip(outputs, files.values()):
-            _write(path, content)
-        _write_manifest(os.path.join(args.out, f"{args.example}-manifest.json"), args, start, outputs)
+        prefix = os.path.join(args.out, args.example)
+        files = {f"{prefix}-report.json": report_json}
+        files.update({f"{prefix}-{label}.csv": render_capture_csv(result) for label, result in results.items()})
+        _write_outputs(files, f"{prefix}-manifest.json", args, start)
     return 0
 
 

@@ -81,6 +81,9 @@ class TestMakeGrid:
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             GridSpec(domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), nx=1, ny=5)
+        with pytest.raises(ValueError):
+            GridSpec(domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), nx=2.5, ny=3)
+        assert GridSpec(domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), nx=np.int64(3), ny=3).size == 9
 
     @pytest.mark.parametrize("lo, hi", [((-math.inf, -1.0), (math.inf, 1.0)), ((math.nan, -1.0), (1.0, 1.0)),
                                         ((0.0, 0.0), (1.0, math.inf))])

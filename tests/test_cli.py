@@ -43,7 +43,7 @@ class TestMapSpecParsing:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "halley", "bary:", "bary:x", "compose:bary:1", "newtonx", "bary:1,bary:2", "bary:99"],
+        ["", "halley", "bary:", "bary:x", "compose:bary:1", "newtonx", "bary:1,bary:2", "bary:99", "bary:²"],
     )
     def test_malformed_specs_raise(self, text):
         with pytest.raises(MapSpecError):
@@ -385,22 +385,17 @@ class TestReproduceCommand:
         out = capsys.readouterr().out
         assert "reference counts: 1, 50, 8, 89, 4, 77, 6, 18" in out
         assert "t_32" in out
-        report = json.loads((out_dir / "example1-report.json").read_text())
-        assert [row["label"] for row in report["maps"]] == [
-            "t_0",
-            "t_1",
-            "t_2",
-            "t_3",
-            "t_4",
-            "t_5",
-            "t_21",
-            "t_32",
-        ]
-        assert (out_dir / "example1-t_32.csv").exists()
+        report_json = (out_dir / "example1-report.json").read_text(encoding="utf-8")
+        labels = ["t_0", "t_1", "t_2", "t_3", "t_4", "t_5", "t_21", "t_32"]
+        assert [row["label"] for row in json.loads(report_json)["maps"]] == labels
         manifest = json.loads((out_dir / "example1-manifest.json").read_text())
-        assert len(manifest["outputs"]) == 9
+        names = ["report.json", *(f"{label}.csv" for label in labels)]
+        assert manifest["outputs"] == [str(out_dir / f"example1-{name}") for name in names]
+        assert all(os.path.isfile(path) for path in manifest["outputs"])
         assert manifest["argv"] == ["reproduce", "--example", "example1", "--out", str(out_dir)]
         assert_environment(manifest)
+        assert main(["reproduce", "--example", "example1", "--format", "json"]) == 0
+        assert capsys.readouterr().out == report_json
 
     def test_example1_report_is_deterministic(self, capsys):
         assert main(["reproduce", "--example", "example1"]) == 0

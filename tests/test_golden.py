@@ -1,6 +1,6 @@
 """Whole-output golden digests: a change that alters one byte of a
-`reproduce` report or CSV file, of a `capture` CSV or JSON dump or of an
-`order` trajectory fails here.
+`reproduce` report or CSV file, of a `capture` CSV or JSON dump, of a
+`coeffs` table or of an `order` trajectory fails here.
 
 The digests were recorded before problems became array-in/array-out, and
 the CSV ones before exponentials left math.exp; an intended change of output
@@ -53,6 +53,14 @@ GOLDEN = [
         "capture --problem ackley --map compose:bary:5,bary:4 --nx 31 --ny 31 --eps 0.001",
         "e6f2fbe5e70f235ce11f96dc038f153383212acfd937553e9e176840b83f6c07",
     ),
+    (
+        "capture --problem rutishauser --map compose:bary:3,bary:2 --eps 0.001",
+        "df5304ac9c6aaed8631a9dd88d3eb837e2032acc5144ff4c6332e923f5254326",
+    ),
+    ("coeffs --k 5", "fb552866d6debe2fb42255902a593a04ee7eb4e58d12b4e456dbd43f535ff629"),
+    ("coeffs --k 5 --format json", "ab213e6e59bca495de0f0c50c715819c63267fac291a4d8b31e9ca0a4b25278f"),
+    ("coeffs --k 5 --format csv", "53d7cc5f94979f2360d5d22460771843a24a96fd572bd8eaf7893c05c62af0a6"),
+    ("coeffs --k 20 --format csv", "1abaede1d583e3c2a07fd5a0e23d82fd6df74c4d678ee89380c24147f7b592be"),
     (
         f"{ORDER} cubic --family newton --x0 4.0",
         "f3c286391cd6efc2081d3b1495c96981725128b2c7743212e70fcd41dc9a18a6",

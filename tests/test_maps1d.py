@@ -275,8 +275,9 @@ class TestIterate:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             iterate(CUBIC, newton_map(), 1.0, max_iter=0, tol=1e-12)
-        with pytest.raises(ValueError):
-            iterate(CUBIC, newton_map(), 1.0, max_iter=5, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                iterate(CUBIC, newton_map(), 1.0, max_iter=5, tol=tol)
 
     def test_overflowing_problem_becomes_status(self):
         # math.exp raises OverflowError instead of returning inf

@@ -226,11 +226,11 @@ def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
     failures = Failures(len(seeds))
     start = newton_rows(problem, seeds, failures)
     singular = ~failures.live
-    first = map_rows(problem, config.map, seeds, failures, start)[0]
-    second = map_rows(problem, config.map, first, failures)[0]
+    first = map_rows(problem, config.map, seeds, failures, start)
+    second = map_rows(problem, config.map, first, failures)
     stepped = failures.live
     inside = stepped & (config.grid.domain.contains(first) | config.grid.domain.contains(second))
-    rows = np.flatnonzero(inside)
+    rows = np.flatnonzero(inside & np.isfinite(second).all(axis=1))
     evaluated = Failures(len(rows))
     fnorms = _residual_norms(evaluate_rows(problem.f, (problem.n,), second[rows], evaluated), config.norm)
     passed = evaluated.live & (fnorms <= config.tolerance)

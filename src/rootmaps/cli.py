@@ -347,12 +347,12 @@ def _render_report_text(report: dict) -> str:
 
 def _cmd_reproduce(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
-    if args.out:
+    if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     report, results = _reproduce_report(args.example, args.cluster_radius)
     report_json = json.dumps(report, indent=2) + "\n"
     sys.stdout.write(report_json if args.format == "json" else _render_report_text(report))
-    if args.out:
+    if args.out is not None:
         prefix = os.path.join(args.out, args.example)
         files = {f"{prefix}-report.json": report_json}
         files.update({f"{prefix}-{label}.csv": render_capture_csv(result) for label, result in results.items()})

@@ -209,16 +209,14 @@ def newton_rows(problem: VectorProblem, x: np.ndarray, failures: Failures) -> tu
 
 
 def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: Failures,
-             start: tuple | None = None):
-    """(next, delta) of one step of a Newton, barycentric or composed map from each live row
-    of x.  The Newton delta seeds h, then each order-j model matrix, j = 1..k, is solved
-    against -f(x) for the next h; Newton is k = 0.  start is newton_rows(problem, x, failures)
-    when the caller has it; for a composition, the innermost component takes it."""
+             start: tuple | None = None) -> np.ndarray:
+    """The (N, n) next points of one step of a Newton, barycentric or composed map from each
+    live row of x.  The Newton delta seeds h, then each order-j model matrix, j = 1..k, is
+    solved against -f(x) for the next h; Newton is k = 0.  start is newton_rows(problem, x,
+    failures) when the caller has it; for a composition, the innermost component takes it."""
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
-        second = map_rows(problem, outer, map_rows(problem, inner, x, failures, start)[0], failures)[0]
-        with np.errstate(all="ignore"):
-            return second, second - x
+        return map_rows(problem, outer, map_rows(problem, inner, x, failures, start), failures)
     if iter_map.family not in (MapFamily.NEWTON, MapFamily.NEWTON_BARYCENTRIC):
         raise ValueError(f"{iter_map.family.value} maps are not defined on R^n")
     fx, jx, delta = newton_rows(problem, x, failures) if start is None else start
@@ -227,7 +225,7 @@ def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, fail
         phi = _finite(_model_matrix(problem, weights, delta, x, jx, failures), x, failures)
         delta = solve_rows(phi, -fx, failures)
     with np.errstate(all="ignore"):
-        return x + delta, delta
+        return x + delta
 
 
 def _one_row(engine: Callable, *args):
@@ -271,9 +269,11 @@ def barycentric_model_matrix(
 
 
 def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray) -> VectorStepResult:
-    """Apply one step of a Newton, barycentric, or composed map.
+    """Apply one step of a Newton, barycentric, or composed map; delta is next - x.
 
-    Raises SingularModelError or EvaluationError, like the scalar steps.
+    Raises SingularModelError or EvaluationError, like the scalar steps; a non-finite next is returned.
     """
-    next_, delta = _one_row(map_rows, problem, iter_map, np.asarray(x, dtype=float)[None])
-    return VectorStepResult(next=next_[0], delta=delta[0])
+    x = np.asarray(x, dtype=float)
+    next_ = _one_row(map_rows, problem, iter_map, x[None])[0]
+    with np.errstate(all="ignore"):
+        return VectorStepResult(next=next_, delta=next_ - x)

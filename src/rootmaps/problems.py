@@ -330,8 +330,10 @@ def load_polynomial_problem(path: str) -> VectorProblem:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("domain"):
-            fields = line.split()[1:]
+        keyword, *fields = line.split()
+        if keyword == "domain":
+            if domain is not None:
+                raise ProblemFormatError(f"line {lineno}: second domain line {line!r}")
             if len(fields) != 4:
                 raise ProblemFormatError(f"line {lineno}: domain needs 4 numbers")
             try:
@@ -343,7 +345,7 @@ def load_polynomial_problem(path: str) -> VectorProblem:
             if x_min > x_max or y_min > y_max:
                 raise ProblemFormatError(f"line {lineno}: domain has lo > hi in {line!r}")
             domain = Box(lo=(x_min, y_min), hi=(x_max, y_max))
-        elif line.startswith("poly"):
+        elif keyword == "poly":
             components.append(_parse_poly_line(line, lineno))
         else:
             raise ProblemFormatError(f"line {lineno}: unrecognized line {line!r}")

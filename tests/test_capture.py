@@ -481,6 +481,20 @@ class TestRunCapture:
             + counts.captured
         )
 
+    def test_non_finite_second_iterate_is_rejected_not_clustered(self):
+        # Newton takes each integer vertex to a half-integer X1 inside the box;
+        # there the tiny Jacobian sends X2 to +inf, where f is 0
+        problem = VectorProblem(
+            n=2,
+            f=lambda p: np.where(np.isinf(p), 0.0, np.where(p % 1.0 == 0.5, -1e200, -0.5)),
+            jacobian=lambda p: np.where((p % 1.0 == 0.5).all(axis=-1), 1e-160, 1.0)[..., None, None] * np.eye(2),
+            domain=Box((0.0, 0.0), (10.0, 10.0)),
+        )
+        config = CaptureConfig(grid=GridSpec(domain=problem.domain, nx=11, ny=11), tolerance=1e-3, map=newton_map())
+        result, _ = assert_scan_matches_reference(problem, config, oracle=problem)
+        assert result.counts == CaptureCounts(seeded=121, skipped_outside=21, rejected_tolerance=100)
+        assert result.captured == [] and result.clusters == []
+
     def test_euclidean_norm_is_stricter(self):
         problem = rutishauser()
         grid = GridSpec(domain=problem.domain, nx=9, ny=9)
@@ -628,6 +642,8 @@ def _reference_classify_seed(problem, config, grid_i, grid_j, seed, skipped):
     domain = config.grid.domain
     if not any(all(lo <= v <= hi for lo, v, hi in zip(domain.lo, p, domain.hi)) for p in (first, second)):
         return "skipped_outside", None
+    if not np.isfinite(second).all():
+        return "rejected_tolerance", None
     try:
         residual = _reference_evaluate(problem.f, second)
     except EvaluationError:
@@ -817,7 +833,7 @@ class TestBatchedScanAgainstReference:
         assert any(isinstance(o, bytes) for o in got) and any(isinstance(o, str) for o in got)
         # all the points as one batch: the same next points and failures
         failures = Failures(len(points))
-        batched, _ = mapsnd.map_rows(problem, iter_map, points, failures)
+        batched = mapsnd.map_rows(problem, iter_map, points, failures)
         for row, failure, expected in zip(batched, failures, want):
             assert (row.tobytes() if failure is None else f"{type(failure).__name__}: {failure}") == expected
 
@@ -832,8 +848,8 @@ def batched_steps(problem, iter_map, seeds, size):
         failures = Failures(len(rows))
         start = mapsnd.newton_rows(problem, rows, failures)
         singular = [f is not None for f in failures]
-        first = mapsnd.map_rows(problem, iter_map, rows, failures, start)[0]
-        second = mapsnd.map_rows(problem, iter_map, first, failures)[0]
+        first = mapsnd.map_rows(problem, iter_map, rows, failures, start)
+        second = mapsnd.map_rows(problem, iter_map, first, failures)
         for failure, was_singular, a, b in zip(failures, singular, first, second):
             if failure is None:
                 fates.append((a.tobytes(), b.tobytes()))
@@ -860,7 +876,7 @@ class TestBatchSizeIndependence:
         failed = sum(len(fate) == 3 for fate in whole)
         assert failed < len(seeds) / 2 and (failed > 0) == (problem_name == "ackley")
         # and a batch of none steps to none
-        assert mapsnd.map_rows(problem, iter_map, seeds[:0], Failures(0))[0].shape == (0, 2)
+        assert mapsnd.map_rows(problem, iter_map, seeds[:0], Failures(0)).shape == (0, 2)
 
 
 class TestWorkCounters:

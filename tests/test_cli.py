@@ -258,6 +258,7 @@ class TestCaptureCommand:
             ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "0.1", "--nx", "3", "--ny", "3",
              "--out", str(missing / "c.csv")],
             ["reproduce", "--example", "example1", "--out", str(existing)],
+            ["reproduce", "--example", "example1", "--out", ""],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
@@ -350,6 +351,19 @@ class TestCaptureCommand:
         assert main(["capture", "--problem", str(inverted), "--map", "bary:1", "--eps", "0.1"]) == 3
         captured = capsys.readouterr()
         assert "line 3: domain has lo > hi" in captured.err and captured.out == ""
+        # keywords are whole words, and a file has one domain line
+        components = "poly 2 : 1.0 1 0\npoly 2 : 1.0 0 1\n"
+        for text, message in (
+            ("domainz -2 2 -2 2\n" + components, "line 1: unrecognized line"),
+            ("domain -2 2 -2 2\npoly2 : 1.0 1 0\npoly 2 : 1.0 0 1\n", "line 2: unrecognized line"),
+            ("domain-2 2 -2 2 9\n" + components, "line 1: unrecognized line"),
+            (components + "domain -2 2 -2 2\ndomain -1 1 -1 1\n", "line 4: second domain line"),
+        ):
+            keywords = tmp_path / "keywords.poly"
+            keywords.write_text(text)
+            assert main(["capture", "--problem", str(keywords), "--map", "bary:1", "--eps", "0.1"]) == 3
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""
         huge = tmp_path / "huge.poly"
         huge.write_text(f"poly 2 : 1.0 {2**70} 0 ; 1.0 0 1\npoly 2 : 1.0 0 1\n")
         assert main(["capture", "--problem", str(huge), "--map", "bary:1", "--eps", "1e-3"]) == 3

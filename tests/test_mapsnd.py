@@ -23,7 +23,7 @@ from rootmaps import (
     rutishauser,
     vector_map_step,
 )
-from rootmaps.mapsnd import PIVOT_RTOL, Failures, barycentric_model_matrix, lu_solve, solve_rows
+from rootmaps.mapsnd import PIVOT_RTOL, Failures, barycentric_model_matrix, lu_solve, map_rows, solve_rows
 from rootmaps.problems import ackley_gradient, load_polynomial_problem
 from test_problems import write_random_gradient_file
 
@@ -454,7 +454,31 @@ class TestMapDispatch:
         outer = vector_map_step(problem, newton_barycentric(3), inner.next)
         combined = vector_map_step(problem, t32, x)
         assert np.array_equal(combined.next, outer.next)
-        assert combined.delta == pytest.approx(outer.next - x, rel=1e-14)
+        assert combined.delta.tobytes() == (outer.next - x).tobytes()
+
+    @pytest.mark.parametrize(
+        "iter_map", [newton_barycentric(2), compose(newton_barycentric(3), newton_barycentric(2))]
+    )
+    def test_delta_is_next_minus_x(self, iter_map):
+        problem = rutishauser()
+        for x in np.random.default_rng(5).uniform([-0.5, -0.7], [1.1, 1.1], size=(20, 2)):
+            step = vector_map_step(problem, iter_map, x)
+            assert step.delta.tobytes() == (step.next - x).tobytes()
+
+    def test_map_rows_returns_the_next_points(self):
+        problem = rutishauser()
+        x = np.random.default_rng(6).uniform([-0.5, -0.7], [1.1, 1.1], size=(5, 2))
+        for iter_map in (newton_map(), newton_barycentric(2), compose(newton_barycentric(3), newton_barycentric(2))):
+            rows = map_rows(problem, iter_map, x, Failures(len(x)))
+            assert isinstance(rows, np.ndarray) and rows.shape == (5, 2)
+            for row, point in zip(rows, x):
+                assert row.tobytes() == vector_map_step(problem, iter_map, point).next.tobytes()
+
+    def test_non_finite_next_point_is_returned(self):
+        # J = 1e-160 * I against f = -1e200 solves to an infinite delta: returned, not raised
+        problem = VectorProblem(n=2, f=constant([-1e200, -1e200]), jacobian=constant(1e-160 * np.eye(2)))
+        step = vector_map_step(problem, newton_map(), np.array([0.5, 0.5]))
+        assert np.isposinf(step.next).all() and np.isposinf(step.delta).all()
 
     def test_taylor_not_defined_on_rn(self):
         with pytest.raises(ValueError):

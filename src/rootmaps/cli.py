@@ -223,6 +223,8 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
         problem = vector_problem(args.problem)
     except OSError as exc:  # a --problem file that cannot be read
         raise ProblemFormatError(str(exc)) from exc
+    if problem.n != 2:
+        raise ProblemFormatError(f"grid scans are 2-D; problem {args.problem!r} is {problem.n}-dimensional")
     if problem.domain is None:
         raise ProblemFormatError(f"problem {args.problem!r} declares no domain; add a `domain` line")
     scan = CaptureConfig(

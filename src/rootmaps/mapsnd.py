@@ -9,12 +9,14 @@ extend this way; Taylor maps would need higher derivative tensors and are not
 supported here.
 
 The recursion runs on a batch: an (N, n) array of points and a Failures list
-in which failures[r] is None while row r is live, and otherwise the
-StepFailureError that stopped it.  f and the Jacobian take the live rows in
-one call; the arithmetic between the calls uses the same IEEE operations in
-the same order, so each row's result is the one-point result bit for bit.
-The one-point functions (vector_map_step, barycentric_model_matrix,
-lu_solve) run batches of one.
+in which failures[r] is None while row r is live, else the StepFailureError
+that stopped it.  A step runs on a dense batch of the live rows, gathered
+again after each order in which a row failed; f and the Jacobian take the
+batch (or its live rows, after a failure earlier in the order) in one call,
+and one isfinite test covers the values.  The arithmetic is one point's
+IEEE operations in the same order, so each row's result is the one-point
+result bit for bit; the one-point functions (vector_map_step,
+barycentric_model_matrix, lu_solve) run batches of one.
 
 Each point is evaluated once.  A step evaluates f and J at x, and J(x) is the
 i = 0 term of every model matrix it assembles; a scan's singular filter hands
@@ -103,27 +105,32 @@ class Failures(list):
 
 
 def _finite(values: np.ndarray, at: np.ndarray, failures: Failures) -> np.ndarray:
-    failures.fail(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))),
-                  lambda r: EvaluationError(f"non-finite evaluation at x={at[r]!r}"))
+    if not np.isfinite(values).all():
+        failures.fail(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))),
+                      lambda r: EvaluationError(f"non-finite evaluation at x={at[r]!r}"))
     return values
 
 
 def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: Failures, at=None) -> np.ndarray:
     """fn at the live rows of points in one call, as an array of shape (len(points), *shape).
 
-    fn runs with numpy's floating-point warnings off.  A live row whose value
-    is not finite fails with an EvaluationError naming at[r] (default
+    fn takes points itself when every row is live, else only the live rows (the others read
+    0.0), and is not called without one; it runs with numpy's floating-point warnings off.
+    A live row whose value is not finite fails with an EvaluationError naming at[r] (default
     points[r]); a value of another shape raises ValueError.
     """
-    values = np.zeros((len(points), *shape))
-    live = failures.live
-    count = int(np.count_nonzero(live))
-    if count:
-        with np.errstate(all="ignore"):
-            value = np.asarray(fn(points[live]), dtype=float)
-        if value.shape != (count, *shape):
-            raise ValueError(f"value shapes differ: expected {(count, *shape)}, got {value.shape}")
-        values[live] = value
+    rows = np.flatnonzero(failures.live)
+    if not len(rows):
+        return np.zeros((len(points), *shape))
+    dense = len(rows) == len(points)
+    with np.errstate(all="ignore"):
+        value = np.asarray(fn(points if dense else points.take(rows, axis=0)), dtype=float)
+    if value.shape != (len(rows), *shape):
+        raise ValueError(f"value shapes differ: expected {(len(rows), *shape)}, got {value.shape}")
+    values = value
+    if not dense:
+        values = np.zeros((len(points), *shape))
+        values[rows] = value
     return _finite(values, points if at is None else at, failures)
 
 
@@ -185,7 +192,9 @@ def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
         # a zero determinant passes the second test when pivot_floor * pivot1 underflows
         failures.fail((pivot1 < pivot_floor) | (abs(det) < pivot_floor * pivot1) | (det == 0.0),
               lambda r: SingularModelError(f"2x2 pivots below floor {pivot_floor[r]:.3e}"))
-        return np.stack([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det], axis=1)
+        x = np.empty(b.shape)
+        x[:, 0], x[:, 1] = (b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det
+        return x
 
 
 def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.ndarray, jx: np.ndarray,
@@ -208,24 +217,41 @@ def newton_rows(problem: VectorProblem, x: np.ndarray, failures: Failures) -> tu
     return fx, jx, solve_rows(jx, -fx, failures)
 
 
+def _compact(failures: Failures, rows: np.ndarray, batch: Failures, *arrays: np.ndarray) -> tuple:
+    """Give failures[rows[i]] the failure of each failed row i of batch, and return rows,
+    batch and the arrays' rows cut to batch's live rows (as they are if all are live)."""
+    if batch.live.all():
+        return rows, batch, *arrays
+    for i in np.flatnonzero(~batch.live).tolist():
+        failures[rows[i]] = batch[i]
+    keep = np.flatnonzero(batch.live)
+    return rows[keep], Failures(len(keep)), *(a.take(keep, axis=0) for a in arrays)
+
+
 def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: Failures,
              start: tuple | None = None) -> np.ndarray:
     """The (N, n) next points of one step of a Newton, barycentric or composed map from each
-    live row of x.  The Newton delta seeds h, then each order-j model matrix, j = 1..k, is
-    solved against -f(x) for the next h; Newton is k = 0.  start is newton_rows(problem, x,
-    failures) when the caller has it; for a composition, the innermost component takes it."""
+    live row of x; a failed row's next point is NaN.  The Newton delta seeds h, then each
+    order-j model matrix, j = 1..k, is solved against -f(x) for the next h; Newton is k = 0.
+    start is newton_rows(problem, x, failures) when the caller has it; for a composition, the
+    innermost component takes it."""
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
         return map_rows(problem, outer, map_rows(problem, inner, x, failures, start), failures)
     if iter_map.family not in (MapFamily.NEWTON, MapFamily.NEWTON_BARYCENTRIC):
         raise ValueError(f"{iter_map.family.value} maps are not defined on R^n")
-    fx, jx, delta = newton_rows(problem, x, failures) if start is None else start
+    rows, batch, points, *start = _compact(failures, np.arange(len(x)), failures, x, *(start or ()))
+    fx, jx, delta = start or newton_rows(problem, points, batch)
     for j in range(1, iter_map.k + 1):
+        rows, batch, points, fx, jx, delta = _compact(failures, rows, batch, points, fx, jx, delta)
         weights = barycentric_coefficients(j).floats
-        phi = _finite(_model_matrix(problem, weights, delta, x, jx, failures), x, failures)
-        delta = solve_rows(phi, -fx, failures)
+        phi = _finite(_model_matrix(problem, weights, delta, points, jx, batch), points, batch)
+        delta = solve_rows(phi, -fx, batch)
+    rows, batch, points, delta = _compact(failures, rows, batch, points, delta)
+    next_ = np.full(x.shape, np.nan)
     with np.errstate(all="ignore"):
-        return x + delta
+        next_[rows] = points + delta
+    return next_
 
 
 def _one_row(engine: Callable, *args):

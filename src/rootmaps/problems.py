@@ -80,15 +80,18 @@ def _rutishauser_diag(u, v, pu, pv):
 @_quiet
 def _rutishauser_f(p: np.ndarray) -> np.ndarray:
     x, y, px, py = _coordinates(p, (3, 4, 5, 7))
-    return np.stack([_rutishauser_component(x, y, px, py), _rutishauser_component(y, x, py, px)], axis=-1)
+    f = np.empty((*x.shape, 2))
+    f[..., 0], f[..., 1] = _rutishauser_component(x, y, px, py), _rutishauser_component(y, x, py, px)
+    return f
 
 
 @_quiet
 def _rutishauser_jacobian(p: np.ndarray) -> np.ndarray:
     x, y, px, py = _coordinates(p, (3, 4, 6))
-    cross = 2.0 + 8.0 * x * y + 18.0 * x * x * y * y + 32.0 * px[3] * py[3]
-    rows = [[_rutishauser_diag(x, y, px, py), cross], [cross, _rutishauser_diag(y, x, py, px)]]
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    jacobian = np.empty((*x.shape, 2, 2))
+    jacobian[..., 0, 1] = jacobian[..., 1, 0] = 2.0 + 8.0 * x * y + 18.0 * x * x * y * y + 32.0 * px[3] * py[3]
+    jacobian[..., 0, 0], jacobian[..., 1, 1] = _rutishauser_diag(x, y, px, py), _rutishauser_diag(y, x, py, px)
+    return jacobian
 
 
 @_quiet
@@ -133,8 +136,11 @@ def _ackley_f(p: np.ndarray) -> np.ndarray:
     x, y, r = _polar(p)
     e_radial = _exp(-_ACKLEY_DECAY * r)
     e_wave = _exp(0.5 * (np.cos(_TWO_PI * x) + np.cos(_TWO_PI * y)))
-    f = [-_ACKLEY_RADIAL * e_radial * v / r - _ACKLEY_WAVE * e_wave * np.sin(_TWO_PI * v) for v in (x, y)]
-    return np.where((r == 0.0)[..., None], 0.0, np.stack(f, axis=-1))
+    f = np.empty((*r.shape, 2))
+    for axis, v in enumerate((x, y)):
+        f[..., axis] = -_ACKLEY_RADIAL * e_radial * v / r - _ACKLEY_WAVE * e_wave * np.sin(_TWO_PI * v)
+    f[r == 0.0] = 0.0
+    return f
 
 
 @_quiet
@@ -145,15 +151,16 @@ def _ackley_jacobian(p: np.ndarray) -> np.ndarray:
     sy, cy = np.sin(_TWO_PI * y), np.cos(_TWO_PI * y)
     e_wave = _exp(0.5 * (cx + cy))
     r2, r3 = r * r, r * r * r
-    j11, j22 = (
-        -_ACKLEY_RADIAL * e_radial * (1.0 / r - v * v / r3 - _ACKLEY_DECAY * v * v / r2)
-        - (_ACKLEY_WAVE * e_wave * (_TWO_PI * c - math.pi * s * s))
-        for v, s, c in ((x, sx, cx), (y, sy, cy))
-    )
+    jacobian = np.empty((*r.shape, 2, 2))
+    for axis, (v, s, c) in enumerate(((x, sx, cx), (y, sy, cy))):
+        jacobian[..., axis, axis] = (
+            -_ACKLEY_RADIAL * e_radial * (1.0 / r - v * v / r3 - _ACKLEY_DECAY * v * v / r2)
+            - (_ACKLEY_WAVE * e_wave * (_TWO_PI * c - math.pi * s * s))
+        )
     j12 = _ACKLEY_RADIAL * e_radial * x * y * (_ACKLEY_DECAY / r2 + 1.0 / r3)
-    j12 = j12 + _ACKLEY_WAVE * math.pi * e_wave * sx * sy
-    jacobian = np.stack([np.stack([j11, j12], axis=-1), np.stack([j12, j22], axis=-1)], axis=-2)
-    return np.where((r == 0.0)[..., None, None], math.nan, jacobian)
+    jacobian[..., 0, 1] = jacobian[..., 1, 0] = j12 + _ACKLEY_WAVE * math.pi * e_wave * sx * sy
+    jacobian[r == 0.0] = math.nan
+    return jacobian
 
 
 @_quiet
@@ -276,9 +283,11 @@ def _polynomial_map(components: list[PolynomialComponent], shape: tuple[int, ...
         products = coeffs.reshape(-1, *(1,) * len(batch))
         for axis, (used, rows) in enumerate(tables):
             products = products * _power_table(points[..., axis], used)[rows]
-        # not sum() or np.sum: they do not add term by term from 0.0
-        sums = [reduce(add, products[start:stop], np.zeros(batch)) for start, stop in spans]
-        return np.stack(sums, axis=-1).reshape(*batch, *shape)
+        values = np.empty((*batch, len(spans)))
+        for c, (start, stop) in enumerate(spans):
+            # not sum() or np.sum: they do not add term by term from 0.0
+            values[..., c] = reduce(add, products[start:stop], np.zeros(batch))
+        return values.reshape(*batch, *shape)
 
     return values_at
 
@@ -344,7 +353,7 @@ def load_polynomial_problem(path: str) -> VectorProblem:
                 raise ProblemFormatError(f"line {lineno}: non-finite domain bound in {line!r}")
             if x_min > x_max or y_min > y_max:
                 raise ProblemFormatError(f"line {lineno}: domain has lo > hi in {line!r}")
-            domain = Box(lo=(x_min, y_min), hi=(x_max, y_max))
+            domain, domain_line = Box(lo=(x_min, y_min), hi=(x_max, y_max)), lineno
         elif keyword == "poly":
             components.append(_parse_poly_line(line, lineno))
         else:
@@ -357,7 +366,7 @@ def load_polynomial_problem(path: str) -> VectorProblem:
     if len(components) != n:
         raise ProblemFormatError(f"{n}-dimensional system needs {n} components, got {len(components)}")
     if domain is not None and domain.dim != n:
-        raise ProblemFormatError("domain dimension does not match the system")
+        raise ProblemFormatError(f"line {domain_line}: the domain is 2-D but the system is {n}-dimensional")
     f = _polynomial_map(components, (n,))
     jacobian = _polynomial_map([c.partial(j) for c in components for j in range(n)], (n, n))
     return VectorProblem(n=n, f=f, jacobian=jacobian, domain=domain, name=path)

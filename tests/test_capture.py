@@ -707,6 +707,17 @@ def assert_scan_matches_reference(problem, config, oracle=None):
     return got, got_calls
 
 
+def write_seventh_power_file(path):
+    """A seeded x**7 system on a tiny box: J is so small there that the Newton
+    delta reaches ~1e51, and J at x + i*h overflows for some i."""
+    a, b, c, d = np.random.default_rng(70).uniform(0.5, 2.0, size=4).tolist()
+    path.write_text(
+        "domain -1e-8 1e-8 -1e-8 1e-8\n"
+        f"poly 2 : {a!r} 7 0 ; {-b!r} 0 0\npoly 2 : {c!r} 0 7 ; {-d!r} 0 0\n"
+    )
+    return path
+
+
 def reproduce_configs(example):
     problem_name, nx, ny, eps, map_rows = REPRODUCE_SETUPS[example]
     problem = vector_problem(problem_name)
@@ -773,15 +784,8 @@ class TestBatchedScanAgainstReference:
 
     @pytest.mark.parametrize("spec", ["bary:1", "bary:3", "compose:bary:3,bary:2"])
     def test_polynomial_overflowing_between_samples(self, tmp_path, spec):
-        # a seeded x**7 system on a tiny box: J is so small there that the
-        # Newton delta reaches ~1e51, and J at x + i*h overflows for some
-        # i >= 1, after the samples before it were taken
-        a, b, c, d = np.random.default_rng(70).uniform(0.5, 2.0, size=4).tolist()
-        path = tmp_path / "seventh.poly"
-        path.write_text(
-            "domain -1e-8 1e-8 -1e-8 1e-8\n"
-            f"poly 2 : {a!r} 7 0 ; {-b!r} 0 0\npoly 2 : {c!r} 0 7 ; {-d!r} 0 0\n"
-        )
+        # J at x + i*h overflows for some i >= 1, after the samples before it were taken
+        path = write_seventh_power_file(tmp_path / "seventh.poly")
         problem = load_polynomial_problem(str(path))
         ref_f, ref_jacobian = reference_problem(path)
         jacobian_calls = []
@@ -841,7 +845,8 @@ class TestBatchedScanAgainstReference:
 def batched_steps(problem, iter_map, seeds, size):
     """The singular filter and both map_rows steps, the first from the
     filter's Newton solve, run on batches of size seeds in turn: per seed,
-    its failure or the bytes of both next points."""
+    the stage that stopped it ("singular", "step 1" or "step 2") with its
+    failure's type and message, or the bytes of both next points."""
     fates = []
     for begin in range(0, len(seeds), size):
         rows = seeds[begin : begin + size]
@@ -849,13 +854,40 @@ def batched_steps(problem, iter_map, seeds, size):
         start = mapsnd.newton_rows(problem, rows, failures)
         singular = [f is not None for f in failures]
         first = mapsnd.map_rows(problem, iter_map, rows, failures, start)
+        stepped = [f is None for f in failures]
         second = mapsnd.map_rows(problem, iter_map, first, failures)
-        for failure, was_singular, a, b in zip(failures, singular, first, second):
+        for failure, was_singular, stepped_once, a, b in zip(failures, singular, stepped, first, second):
             if failure is None:
                 fates.append((a.tobytes(), b.tobytes()))
             else:
-                fates.append((was_singular, type(failure).__name__, str(failure)))
+                stage = "singular" if was_singular else "step 2" if stepped_once else "step 1"
+                fates.append((stage, type(failure).__name__, str(failure)))
     return fates
+
+
+def nonempty_counting_problem(problem, calls):
+    """counting_problem whose f and Jacobian fail the test when called with no points."""
+
+    def nonempty(fn):
+        def wrapper(points):
+            assert math.prod(np.shape(points)[:-1]) > 0, "called with no points"
+            return fn(points)
+
+        return wrapper
+
+    problem = counting_problem(problem, calls)
+    return dataclasses.replace(problem, f=nonempty(problem.f), jacobian=nonempty(problem.jacobian))
+
+
+def poisoned_problem(f_at, jacobian_at):
+    """f(p) = p / 2 and J = I, except that f is NaN where p[0] is one of f_at and J where it
+    is one of jacobian_at, as J is at c in test_undefined_jacobian_at_a_sample.  A bary:1 step
+    from x evaluates f and J at x and J at x / 2, and steps to x / 2."""
+    return VectorProblem(
+        n=2,
+        f=lambda p: np.where(np.isin(p[..., 0], f_at)[..., None], np.nan, p / 2),
+        jacobian=lambda p: np.where(np.isin(p[..., 0], jacobian_at)[..., None, None], np.nan, np.eye(2)),
+    )
 
 
 class TestBatchSizeIndependence:
@@ -877,6 +909,50 @@ class TestBatchSizeIndependence:
         assert failed < len(seeds) / 2 and (failed > 0) == (problem_name == "ackley")
         # and a batch of none steps to none
         assert mapsnd.map_rows(problem, iter_map, seeds[:0], Failures(0)).shape == (0, 2)
+
+    def test_rows_stopping_at_each_stage(self):
+        # one seed per letter: F and S stop in the singular filter at f and
+        # at J, 1 in step 1 at J(x / 2), G and 2 in step 2 at f(x / 2) and at
+        # J(x / 4), and L steps on.  Batches of 2, 3 and all put stopped rows
+        # first, last and side by side, and some batches have no live row
+        # left; a row stopped at f is not evaluated at J
+        pattern = "FL1S12GL2LSG"
+        x0 = [2.0 * r + 1.0 for r in range(len(pattern))]
+
+        def at(divisors):
+            return [x / divisors[c] for x, c in zip(x0, pattern) if c in divisors]
+
+        problem = poisoned_problem(at({"F": 1.0, "G": 2.0}), at({"S": 1.0, "1": 2.0, "2": 4.0}))
+        seeds = np.array([[x, 1.0] for x in x0])
+        iter_map = parse_map_spec("bary:1")
+        fates, calls = [], []
+        for size in (1, 2, 3, len(seeds)):
+            calls.append(Counter())
+            fates.append(batched_steps(nonempty_counting_problem(problem, calls[-1]), iter_map, seeds, size))
+        assert fates[1:] == fates[:1] * 3
+        letters = {"singular": "FS", "step 1": "1", "step 2": "G2"}
+        for c, fate in zip(pattern, fates[0]):
+            assert c in letters[fate[0]] if len(fate) == 3 else c == "L"
+        # per seed, f and J points: F 1 and 0, S 1 and 1, 1: 1 and 2, G 2 and 2,
+        # 2 and L 2 and 4.  A count above these is a call on a stopped row
+        assert calls[1:] == calls[:1] * 3
+        assert calls[0] == {"f": 1 + 2 + 2 + 2 * 2 + 5 * 2, "jacobian": 2 + 2 * 2 + 2 * 2 + 5 * 4}
+
+    @pytest.mark.parametrize("spec", ["bary:2", "compose:bary:2,bary:1"])
+    def test_overflowing_polynomial(self, tmp_path, spec):
+        # seeds on a zero coordinate are singular (11 in a row, so one batch
+        # of 7 holds only them), and the others stop in step 1 or step 2
+        problem = load_polynomial_problem(str(write_seventh_power_file(tmp_path / "seventh.poly")))
+        seeds = make_grid(GridSpec(domain=problem.domain, nx=11, ny=11))
+        iter_map = parse_map_spec(spec)
+        fates, calls = [], []
+        for size in (1, 7, len(seeds)):
+            calls.append(Counter())
+            fates.append(batched_steps(nonempty_counting_problem(problem, calls[-1]), iter_map, seeds, size))
+        assert fates[1:] == fates[:1] * 2 and calls[1:] == calls[:1] * 2
+        stages = Counter(fate[0] for fate in fates[0])
+        assert stages["singular"] == 21 and stages["step 1"] > 0 and stages["step 2"] > 0
+        assert all(fates[0][r][0] == "singular" for r in range(56, 63))
 
 
 class TestWorkCounters:

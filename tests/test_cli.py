@@ -351,13 +351,17 @@ class TestCaptureCommand:
         assert main(["capture", "--problem", str(inverted), "--map", "bary:1", "--eps", "0.1"]) == 3
         captured = capsys.readouterr()
         assert "line 3: domain has lo > hi" in captured.err and captured.out == ""
-        # keywords are whole words, and a file has one domain line
+        # keywords are whole words, a file has one domain line, and a grid
+        # scan needs a 2-D system whatever its file says about the domain
         components = "poly 2 : 1.0 1 0\npoly 2 : 1.0 0 1\n"
+        components3 = "poly 3 : 1.0 1 0 0\npoly 3 : 1.0 0 1 0\npoly 3 : 1.0 0 0 1\n"
         for text, message in (
             ("domainz -2 2 -2 2\n" + components, "line 1: unrecognized line"),
             ("domain -2 2 -2 2\npoly2 : 1.0 1 0\npoly 2 : 1.0 0 1\n", "line 2: unrecognized line"),
             ("domain-2 2 -2 2 9\n" + components, "line 1: unrecognized line"),
             (components + "domain -2 2 -2 2\ndomain -1 1 -1 1\n", "line 4: second domain line"),
+            (components3, "grid scans are 2-D; problem"),
+            (components3 + "domain -1 1 -1 1\n", "line 4: the domain is 2-D but the system is 3-dimensional"),
         ):
             keywords = tmp_path / "keywords.poly"
             keywords.write_text(text)

@@ -442,9 +442,10 @@ def outcome(value, expected):
 
 
 def assert_matches_oracle(fn, oracle, points):
-    """fn on each point alone, as an (n,) array, and on all of them as one
-    (N, n) batch, against the per-point oracle, bit for bit; the number of
-    points that cannot be evaluated."""
+    """fn on each point alone, as an (n,) array, on all of them as one (N, n)
+    batch and as a stacked (2, N, n) one, against the per-point oracle, bit
+    for bit, and on none as a (0, n) batch; the number of points that cannot
+    be evaluated."""
     points = np.asarray(points, dtype=float)
     batch = fn(points)
     fails = 0
@@ -453,6 +454,10 @@ def assert_matches_oracle(fn, oracle, points):
         assert outcome(fn(point), expected) == expected, point
         assert outcome(row, expected) == expected, point
         fails += expected == "fails"
+    stacked = fn(np.stack([points, points[::-1]]))
+    assert stacked.shape == (2, *batch.shape)
+    assert outcome(stacked, None) == outcome(np.stack([batch, batch[::-1]]), None)
+    assert fn(points[:0]).shape == (0, *batch.shape[1:])
     return fails
 
 
@@ -488,10 +493,13 @@ class TestBuiltinsAgainstOracles:
         oracle = reference_rutishauser() if name == "rutishauser" else reference_ackley()
         lo, hi = np.array(problem.domain.lo), np.array(problem.domain.hi)
         sets = [grid_points(problem.domain, 19), grid_points(problem.domain, 41)]
-        sets += [np.random.default_rng(90).uniform(lo, hi, size=(500, 2)), oracle_points(2, 91)]
+        sets += [np.random.default_rng(90).uniform(lo, hi, size=(500, 2)), oracle_points(2, 91), np.zeros((1, 2))]
         fails = [assert_matches_oracle(getattr(problem, field), getattr(oracle, field), s) for s in sets]
-        # the special coordinates include points no kernel can evaluate
-        assert fails[:3] == [0, 0, 0] and fails[3] > 0
+        # the special coordinates include points no kernel can evaluate; at
+        # the origin, alone as a (2,) point, Ackley's f is 0 and its J is NaN
+        assert fails[3] > 0 and fails[:3] + fails[4:] == [0, 0, 0, 0]
+        if name == "ackley":
+            assert ACK.f(np.zeros(2)).tolist() == [0.0, 0.0] and np.isnan(ACK.jacobian(np.zeros(2))).all()
 
     def test_ackley_origin_in_a_batch(self):
         # every point where the radius rounds to 0 is the origin, inside a

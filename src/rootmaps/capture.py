@@ -239,8 +239,10 @@ def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
         [singular, ~stepped, ~inside], ["skipped_singular", "step_failures", "skipped_outside"], "rejected_tolerance"
     )
     fates[rows] = "captured"
-    with np.errstate(all="ignore"):
-        objectives = problem.objective(second[rows]).tolist() if problem.objective else [None] * len(rows)
+    objectives = [None] * len(rows)
+    if problem.objective and len(rows):
+        with np.errstate(all="ignore"):
+            objectives = problem.objective(second[rows]).tolist()
     captured = [
         CapturedPoint(*divmod(r, config.grid.ny), seeds[r], second[r], fnorm, objective)
         for r, fnorm, objective in zip(rows.tolist(), fnorms.tolist(), objectives)

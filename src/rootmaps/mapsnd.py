@@ -15,8 +15,8 @@ again after each order in which a row failed; f and the Jacobian take the
 batch (or its live rows, after a failure earlier in the order) in one call,
 and one isfinite test covers the values.  The arithmetic is one point's
 IEEE operations in the same order, so each row's result is the one-point
-result bit for bit; the one-point functions (vector_map_step,
-barycentric_model_matrix, lu_solve) run batches of one.
+result bit for bit; the one-point step, vector_map_step, runs a batch of
+one.
 
 Each point is evaluated once.  A step evaluates f and J at x, and J(x) is the
 i = 0 term of every model matrix it assembles; a scan's singular filter hands
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import BarycentricCoefficients, barycentric_coefficients
+from .coefficients import barycentric_coefficients
 from .maps1d import EvaluationError, IterativeMap, MapFamily, SingularModelError
 
 # Pivots below 1e-12 times the matrix row norm are treated as singular.
@@ -78,12 +78,6 @@ class VectorProblem:
     objective: Callable[[np.ndarray], np.ndarray] | None = None
     domain: Box | None = None
     name: str = ""
-
-
-@dataclass(frozen=True)
-class VectorStepResult:
-    next: np.ndarray
-    delta: np.ndarray
 
 
 class Failures(list):
@@ -135,7 +129,7 @@ def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: Fail
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """lu_solve for n != 2: Gaussian elimination with partial pivoting."""
+    """solve_rows for n != 2: Gaussian elimination with partial pivoting."""
     # Overflow is caught by the finiteness test on the scale or shows in the
     # solution, as on the 2-D path; numpy must not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,7 +160,9 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
-    """Each live row's solution of a[r] @ x = b[r]; a row failing lu_solve's tests fails."""
+    """Each live row's solution of a[r] @ x = b[r].  A row fails with SingularModelError where
+    its best available pivot is below PIVOT_RTOL times the max row norm of a[r], so near-singular
+    systems fail loudly instead of amplifying noise."""
     if a.shape[1:] != (2, 2):
         x = np.zeros(b.shape)
         for r in np.flatnonzero(failures.live).tolist():
@@ -254,52 +250,17 @@ def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, fail
     return next_
 
 
-def _one_row(engine: Callable, *args):
-    """engine(*args, failures) on a batch of one row; raises the row's failure."""
-    failures = Failures(1)
-    result = engine(*args, failures)
-    if failures[0] is not None:
-        raise failures[0]
-    return result
+def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray) -> np.ndarray:
+    """The (n,) next point of one step of a Newton, barycentric, or composed map from x.
 
-
-def lu_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve matrix @ x = rhs densely with partial-pivot singularity checks.
-
-    Raises ValueError unless matrix is (n, n) and rhs is (n,), and
-    SingularModelError when the best available pivot is below PIVOT_RTOL
-    times the max row norm of the input, so near-singular systems fail loudly
-    instead of amplifying noise.
-    """
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    n = b.size
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError(
-            f"need an (n, n) matrix and an (n,) right-hand side, got shapes {a.shape} and {b.shape}"
-        )
-    return _one_row(solve_rows, a[None], b[None])[0]
-
-
-def barycentric_model_matrix(
-    problem: VectorProblem, coeffs: BarycentricCoefficients, h: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """The n x n model matrix sum_i a_i * J_f(x + i*h); raises EvaluationError at a non-finite sample."""
-    h, x = (np.asarray(v, dtype=float)[None] for v in (h, x))
-
-    def assemble(failures: Failures) -> np.ndarray:
-        jx = evaluate_rows(problem.jacobian, (problem.n,) * 2, x, failures)
-        return _model_matrix(problem, coeffs.floats, h, x, jx, failures)
-
-    return _one_row(assemble)[0]
-
-
-def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray) -> VectorStepResult:
-    """Apply one step of a Newton, barycentric, or composed map; delta is next - x.
-
-    Raises SingularModelError or EvaluationError, like the scalar steps; a non-finite next is returned.
+    Raises ValueError unless x has shape (n,), before any evaluation, and SingularModelError
+    or EvaluationError, like the scalar steps; a non-finite next point is returned.
     """
     x = np.asarray(x, dtype=float)
-    next_ = _one_row(map_rows, problem, iter_map, x[None])[0]
-    with np.errstate(all="ignore"):
-        return VectorStepResult(next=next_, delta=next_ - x)
+    if x.shape != (problem.n,):
+        raise ValueError(f"need a point of shape {(problem.n,)}, got shape {x.shape}")
+    failures = Failures(1)
+    next_ = map_rows(problem, iter_map, x[None], failures)[0]
+    if failures[0] is not None:
+        raise failures[0]
+    return next_

@@ -11,25 +11,30 @@ from rootmaps import (
     Box,
     CaptureConfig,
     CaptureCounts,
-    CapturedPoint,
-    CaptureResult,
-    Cluster,
     EvaluationError,
     GridSpec,
-    MapFamily,
     SingularModelError,
     StepFailureError,
     VectorProblem,
     barycentric_coefficients,
-    cluster_points,
-    make_grid,
     newton_barycentric,
     newton_map,
     run_capture,
     vector_map_step,
     vector_problem,
 )
-from rootmaps.capture import DEFAULT_CLUSTER_RADIUS, _axis_vertices, _cell, _key
+from rootmaps.capture import (
+    DEFAULT_CLUSTER_RADIUS,
+    CapturedPoint,
+    CaptureResult,
+    Cluster,
+    _axis_vertices,
+    _cell,
+    _key,
+    cluster_points,
+    make_grid,
+)
+from rootmaps.maps1d import MapFamily
 from rootmaps.cli import REPRODUCE_SETUPS, parse_map_spec
 from rootmaps import mapsnd
 from rootmaps.mapsnd import PIVOT_RTOL, Failures
@@ -385,6 +390,19 @@ class TestRunCapture:
         loose_keys = {(c.grid_i, c.grid_j) for c in loose.captured}
         assert tight_keys <= loose_keys
 
+    def test_objective_is_called_only_with_captured_rows(self):
+        # like f and the Jacobian, the objective is never called on a batch of no rows
+        problem = rutishauser()
+        calls = []
+        counting = dataclasses.replace(problem, objective=lambda p: calls.append(p.shape) or problem.objective(p))
+        grid = GridSpec(domain=problem.domain, nx=5, ny=5)
+        none = run_capture(counting, CaptureConfig(grid=grid, tolerance=1e-300, map=newton_barycentric(1)))
+        assert none.counts.captured == 0 and calls == []
+        grid = GridSpec(domain=problem.domain, nx=9, ny=9)
+        some = run_capture(counting, CaptureConfig(grid=grid, tolerance=1e-3, map=newton_barycentric(1)))
+        assert some.counts.captured > 0 and calls == [(some.counts.captured, 2)]
+        assert all(c.objective is not None for c in some.captured)
+
     def test_ackley_origin_seed_skipped_as_singular(self):
         problem = ackley_gradient()
         config = CaptureConfig(
@@ -405,8 +423,8 @@ class TestRunCapture:
         assert result.captured
         for captured in result.captured:
             first = vector_map_step(problem, t1, captured.seed)
-            second = vector_map_step(problem, t1, first.next)
-            assert np.array_equal(captured.point, second.next)
+            second = vector_map_step(problem, t1, first)
+            assert np.array_equal(captured.point, second)
 
     @pytest.mark.parametrize("jacobian_at_zero", [np.zeros((2, 2)), np.full((2, 2), np.nan)])
     def test_failed_steps_are_tallied_as_step_failures(self, jacobian_at_zero):
@@ -830,7 +848,7 @@ class TestBatchedScanAgainstReference:
         got_problem = counting_problem(problem, got_calls)
         oracle = dataclasses.replace(problem, f=ref_f, jacobian=ref_jacobian)
         want_problem = counting_problem(oracle, want_calls)
-        got = [outcome(lambda x: vector_map_step(got_problem, iter_map, x).next, x) for x in points]
+        got = [outcome(lambda x: vector_map_step(got_problem, iter_map, x), x) for x in points]
         want = [outcome(lambda x: _reference_map_step(want_problem, iter_map, x, skipped), x) for x in points]
         assert got == want
         assert got_calls == want_calls - skipped

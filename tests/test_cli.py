@@ -7,7 +7,8 @@ import platform
 import numpy as np
 import pytest
 
-from rootmaps import MapFamily, cluster_points
+from rootmaps.capture import cluster_points
+from rootmaps.maps1d import MapFamily
 from rootmaps.cli import MapSpecError, build_parser, main, parse_map_spec
 
 

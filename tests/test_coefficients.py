@@ -3,12 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from rootmaps import (
-    SingularSystemError,
-    barycentric_coefficients,
-    build_system,
-    solve_coefficients,
-)
+from rootmaps import barycentric_coefficients
+from rootmaps.coefficients import SingularSystemError, build_system, solve_coefficients
 
 
 def alternating_binomial_sum(m: int) -> Fraction:

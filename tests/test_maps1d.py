@@ -6,10 +6,7 @@ import re
 import pytest
 
 from rootmaps import (
-    IterationStatus,
-    ScalarProblem,
     barycentric_coefficients,
-    barycentric_model,
     compose,
     estimate_order,
     iterate,
@@ -18,15 +15,18 @@ from rootmaps import (
     newton_taylor,
     recursive_map_step,
     scalar_test_set,
-    taylor_model,
 )
 from rootmaps.maps1d import (
     EvaluationError,
     InsufficientDataError,
     InsufficientDerivativesError,
+    IterationStatus,
     IterativeMap,
     MapFamily,
+    ScalarProblem,
     SingularModelError,
+    barycentric_model,
+    taylor_model,
 )
 
 CUBIC, EXP2, SINE = scalar_test_set()

@@ -10,11 +10,9 @@ from rootmaps import (
     CaptureConfig,
     GridSpec,
     EvaluationError,
-    ScalarProblem,
     SingularModelError,
     VectorProblem,
     barycentric_coefficients,
-    barycentric_model,
     compose,
     newton_barycentric,
     newton_map,
@@ -23,7 +21,8 @@ from rootmaps import (
     rutishauser,
     vector_map_step,
 )
-from rootmaps.mapsnd import PIVOT_RTOL, Failures, barycentric_model_matrix, lu_solve, map_rows, solve_rows
+from rootmaps.maps1d import ScalarProblem, barycentric_model
+from rootmaps.mapsnd import PIVOT_RTOL, Failures, _model_matrix, evaluate_rows, map_rows, solve_rows
 from rootmaps.problems import ackley_gradient, load_polynomial_problem
 from test_problems import write_random_gradient_file
 
@@ -46,6 +45,30 @@ def affine_problem(a, c):
     )
 
 
+def one_row(engine, *row):
+    """engine(*(a[None] for a in row), failures) on a batch of one: the row's value, or its failure raised."""
+    failures = Failures(1)
+    value = engine(*(np.asarray(a, dtype=float)[None] for a in row), failures)
+    if failures[0] is not None:
+        raise failures[0]
+    return value[0]
+
+
+def solve(matrix, rhs):
+    """solve_rows on one (n, n) system."""
+    return one_row(solve_rows, matrix, rhs)
+
+
+def model_matrix(problem, coeffs, h, x):
+    """The model matrix sum_i a_i * J_f(x + i*h) at one point, from _model_matrix with J_f(x)."""
+
+    def assemble(h, x, failures):
+        jx = evaluate_rows(problem.jacobian, (problem.n,) * 2, x, failures)
+        return _model_matrix(problem, coeffs.floats, h, x, jx, failures)
+
+    return one_row(assemble, h, x)
+
+
 AFFINE = affine_problem([[3.0, 1.0], [1.0, 2.0]], [1.0, -1.0])
 AFFINE_ZERO = np.linalg.solve([[3.0, 1.0], [1.0, 2.0]], [1.0, -1.0])
 
@@ -57,43 +80,28 @@ class TestLuSolve:
             for _ in range(25):
                 a = rng.normal(size=(n, n))
                 b = rng.normal(size=n)
-                assert lu_solve(a, b) == pytest.approx(np.linalg.solve(a, b), rel=1e-10)
+                assert solve(a, b) == pytest.approx(np.linalg.solve(a, b), rel=1e-10)
 
     def test_scaled_residual_bound(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             a = rng.normal(size=(2, 2))
             b = rng.normal(size=2)
-            x = lu_solve(a, b)
+            x = solve(a, b)
             residual = np.max(np.abs(a @ x - b))
             assert residual <= 1e-9 * (np.max(np.abs(a)) * np.max(np.abs(x)) + np.max(np.abs(b)))
 
     def test_singular_matrix_raises(self):
         with pytest.raises(SingularModelError):
-            lu_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+            solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
         with pytest.raises(SingularModelError):
-            lu_solve(np.zeros((3, 3)), np.ones(3))
+            solve(np.zeros((3, 3)), np.ones(3))
 
     def test_overflowing_row_norms_raise_singular_model(self):
         # the numpy path's row sums overflow to inf: a step failure, not a
         # numpy warning (the 2x2 cases are in TestTwoByTwoKernel)
         with pytest.raises(SingularModelError, match="non-finite row norms"):
-            lu_solve(np.full((3, 3), 1e308), np.ones(3))
-
-    @pytest.mark.parametrize(
-        "matrix,rhs",
-        [
-            (np.eye(2), np.ones(3)),
-            (np.ones((2, 3)), np.ones(2)),
-            (np.ones((3, 2)), np.ones(3)),
-            (np.eye(2), np.ones((2, 1))),
-            (np.ones(4), np.ones(2)),
-            (np.eye(3), np.ones(2)),
-        ],
-    )
-    def test_mis_shaped_system_raises(self, matrix, rhs):
-        with pytest.raises(ValueError, match=re.escape(f"{matrix.shape} and {rhs.shape}")):
-            lu_solve(matrix, rhs)
+            solve(np.full((3, 3), 1e308), np.ones(3))
 
     def test_three_component_f_on_a_2d_problem_raises(self):
         # f returns one component more than the Jacobian has rows
@@ -105,7 +113,7 @@ class TestLuSolve:
 
 
 def _reference_lu_solve_2x2(matrix, rhs):
-    """The 2x2 branch of lu_solve on numpy arrays, as it was before the 2-D
+    """The 2x2 branch of the one-system solve on numpy arrays, as it was before the 2-D
     kernel: the oracle of that kernel's bits and of its failures.  A zero
     determinant is singular also where the pivot floor underflows; before,
     the division raised ZeroDivisionError there."""
@@ -127,7 +135,7 @@ def _reference_lu_solve_2x2(matrix, rhs):
 
 
 def _reference_model_matrix(problem, coeffs, h, x):
-    """barycentric_model_matrix's numpy assembly, the path every n but 2 takes."""
+    """The model matrix summed in numpy, the oracle of _model_matrix's bits."""
     phi = np.zeros((problem.n, problem.n))
     for i, a_i in enumerate(coeffs.floats):
         phi += a_i * np.asarray(problem.jacobian(x + i * h), dtype=float)
@@ -155,7 +163,7 @@ class TestTwoByTwoKernel:
             matrix = rng.normal(size=(2, 2)) * 10.0 ** rng.integers(-160, 160, size=(2, 2))
             matrix[rng.random((2, 2)) < 0.1] = rng.choice([0.0, -0.0])
             rhs = rng.normal(size=2) * 10.0 ** rng.integers(-20, 20, size=2)
-            assert solve_outcome(lu_solve, matrix, rhs) == solve_outcome(
+            assert solve_outcome(solve, matrix, rhs) == solve_outcome(
                 _reference_lu_solve_2x2, matrix, rhs
             )
 
@@ -181,7 +189,7 @@ class TestTwoByTwoKernel:
     def test_each_failure_raises_on_the_same_inputs(self, matrix, failure):
         matrix = np.array(matrix)
         rhs = np.array([1.0, -2.0])
-        got = solve_outcome(lu_solve, matrix, rhs)
+        got = solve_outcome(solve, matrix, rhs)
         assert got == solve_outcome(_reference_lu_solve_2x2, matrix, rhs)
         assert got.startswith(failure) if failure else isinstance(got, bytes)
 
@@ -189,8 +197,8 @@ class TestTwoByTwoKernel:
         # pivot_floor * pivot1 underflows to 0.0, so det = 0.0 is not below
         # it; the zero determinant is singular all the same
         matrix, rhs = np.array([[1e-160, 0.0], [0.0, 0.0]]), np.ones(2)
-        assert solve_outcome(lu_solve, matrix, rhs) == solve_outcome(_reference_lu_solve_2x2, matrix, rhs)
-        assert solve_outcome(lu_solve, matrix, rhs).startswith(PIVOTS)
+        assert solve_outcome(solve, matrix, rhs) == solve_outcome(_reference_lu_solve_2x2, matrix, rhs)
+        assert solve_outcome(solve, matrix, rhs).startswith(PIVOTS)
         # in a batch, only that row fails
         failures = Failures(2)
         x = solve_rows(np.stack([matrix, np.eye(2)]), np.ones((2, 2)), failures)
@@ -201,7 +209,7 @@ class TestTwoByTwoKernel:
         matrix = np.zeros((3, 3))
         matrix[0, 0] = 1e-160
         with pytest.raises(SingularModelError, match="pivot 0.000e"):
-            lu_solve(matrix, np.ones(3))
+            solve(matrix, np.ones(3))
 
     @pytest.mark.parametrize("name", ["rutishauser", "ackley", "gradient", "asymmetric"])
     def test_model_matrix_matches_numpy_assembly(self, name, tmp_path):
@@ -225,11 +233,11 @@ class TestTwoByTwoKernel:
             h[rng.random(2) < 0.1] = rng.choice([0.0, -0.0])
             for k in range(6):
                 coeffs = barycentric_coefficients(k)
-                got = barycentric_model_matrix(problem, coeffs, h, x)
+                got = model_matrix(problem, coeffs, h, x)
                 expected = _reference_model_matrix(problem, coeffs, h, x)
                 assert got.tobytes() == expected.tobytes()
                 rhs = rng.normal(size=2)
-                assert solve_outcome(lu_solve, got, rhs) == solve_outcome(_reference_lu_solve_2x2, got, rhs)
+                assert solve_outcome(solve, got, rhs) == solve_outcome(_reference_lu_solve_2x2, got, rhs)
 
     def test_model_matrix_through_an_undefined_sample(self):
         # the i = 1 sample of x = -h is Ackley's origin, where J is NaN: the
@@ -237,7 +245,7 @@ class TestTwoByTwoKernel:
         problem = ackley_gradient()
         h = np.array([0.25, -0.5])
         with pytest.raises(EvaluationError, match=re.escape(f"non-finite evaluation at x={-h!r}")):
-            barycentric_model_matrix(problem, barycentric_coefficients(2), h, -h)
+            model_matrix(problem, barycentric_coefficients(2), h, -h)
         assert np.isnan(_reference_model_matrix(problem, barycentric_coefficients(2), h, -h)).all()
 
 
@@ -260,7 +268,7 @@ class TestValueShapes:
         with pytest.raises(ValueError, match=message):
             vector_map_step(problem, newton_barycentric(2), x)
         with pytest.raises(ValueError, match=message):
-            barycentric_model_matrix(problem, barycentric_coefficients(2), np.full(n, 0.1), x)
+            model_matrix(problem, barycentric_coefficients(2), np.full(n, 0.1), x)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_wrong_jacobian_at_a_later_sample_raises(self, n):
@@ -289,19 +297,19 @@ class TestValueShapes:
 class TestNewtonStep:
     def test_affine_one_step_exact(self):
         for start in ([0.0, 0.0], [4.0, -3.0], [1.5, 2.5]):
-            result = vector_map_step(AFFINE, newton_map(), np.array(start))
-            assert result.next == pytest.approx(AFFINE_ZERO, rel=1e-14)
+            step = vector_map_step(AFFINE, newton_map(), np.array(start))
+            assert step == pytest.approx(AFFINE_ZERO, rel=1e-14)
 
     def test_zero_residual_means_zero_delta(self):
-        result = vector_map_step(AFFINE, newton_map(), AFFINE_ZERO)
-        assert result.delta == pytest.approx(np.zeros(2), abs=1e-15)
+        step = vector_map_step(AFFINE, newton_map(), AFFINE_ZERO)
+        assert step - AFFINE_ZERO == pytest.approx(np.zeros(2), abs=1e-15)
 
     def test_rutishauser_step_matches_numpy_oracle(self):
         problem = rutishauser()
         x = np.array([0.45, 0.70])
-        result = vector_map_step(problem, newton_map(), x)
+        step = vector_map_step(problem, newton_map(), x)
         expected = x + np.linalg.solve(problem.jacobian(x), -problem.f(x))
-        assert result.next == pytest.approx(expected, rel=1e-12)
+        assert step == pytest.approx(expected, rel=1e-12)
 
     def test_non_finite_jacobian_reports_status(self):
         problem = ackley_gradient()
@@ -334,15 +342,16 @@ class TestBarycentricStep:
             x = rng.uniform([-0.5, -0.7], [1.1, 1.1])
             a = vector_map_step(problem, newton_map(), x)
             b = vector_map_step(problem, newton_barycentric(0), x)
-            assert np.array_equal(a.next, b.next)
-            assert np.array_equal(a.delta, b.delta)
+            assert np.array_equal(a, b)
+            assert np.array_equal(a - x, b - x)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_affine_membership(self, k):
         # constant Jacobian plus weights summing to 1 collapse to Newton
-        newton = vector_map_step(AFFINE, newton_map(), np.array([2.0, -1.0]))
-        bary = vector_map_step(AFFINE, newton_barycentric(k), np.array([2.0, -1.0]))
-        assert bary.delta == pytest.approx(newton.delta, rel=1e-12)
+        x = np.array([2.0, -1.0])
+        newton = vector_map_step(AFFINE, newton_map(), x)
+        bary = vector_map_step(AFFINE, newton_barycentric(k), x)
+        assert bary - x == pytest.approx(newton - x, rel=1e-12)
 
     def test_k1_matches_hand_composed_oracle(self):
         problem = rutishauser()
@@ -350,8 +359,8 @@ class TestBarycentricStep:
         h1 = np.linalg.solve(problem.jacobian(x), -problem.f(x))
         phi1 = 0.5 * problem.jacobian(x) + 0.5 * problem.jacobian(x + h1)
         expected = x + np.linalg.solve(phi1, -problem.f(x))
-        result = vector_map_step(problem, newton_barycentric(1), x)
-        assert result.next == pytest.approx(expected, rel=1e-12)
+        step = vector_map_step(problem, newton_barycentric(1), x)
+        assert step == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("far_jacobian", [lambda: np.nan, lambda: 1e300 * 1e300])
     def test_non_evaluable_model_matrix_raises(self, far_jacobian):
@@ -397,7 +406,7 @@ class TestBarycentricStep:
         for k in (0, 1, 2, 3):
             coeffs = barycentric_coefficients(k)
             x, h = 1.37, -0.21
-            matrix = barycentric_model_matrix(embedded, coeffs, np.array([h]), np.array([x]))
+            matrix = model_matrix(embedded, coeffs, np.array([h]), np.array([x]))
             assert matrix[0, 0] == pytest.approx(
                 barycentric_model(scalar, coeffs, h, x), rel=1e-12
             )
@@ -406,10 +415,10 @@ class TestBarycentricStep:
 def _reference_step(problem, coeffs, x):
     """The next point of the order-k step that samples J at x + 0*h for each model matrix."""
     fx = problem.f(x)
-    delta = lu_solve(problem.jacobian(x), -fx)
+    delta = solve(problem.jacobian(x), -fx)
     for j in range(1, coeffs.k + 1):
         weights = coeffs if j == coeffs.k else barycentric_coefficients(j)
-        delta = lu_solve(_reference_model_matrix(problem, weights, delta, x), -fx)
+        delta = solve(_reference_model_matrix(problem, weights, delta, x), -fx)
     return x + delta
 
 
@@ -437,10 +446,10 @@ class TestJacobianReuse:
             jacobians_differ += problem.jacobian(x).tobytes() != problem.jacobian(x + 0 * h).tobytes()
             for k in (1, 2, 3):
                 coeffs = barycentric_coefficients(k)
-                got = barycentric_model_matrix(problem, coeffs, h, x)
+                got = model_matrix(problem, coeffs, h, x)
                 assert got.tobytes() == _reference_model_matrix(problem, coeffs, h, x).tobytes()
                 step = vector_map_step(problem, newton_barycentric(k), x)
-                assert step.next.tobytes() == _reference_step(problem, coeffs, x).tobytes()
+                assert step.tobytes() == _reference_step(problem, coeffs, x).tobytes()
         # on Ackley J itself has signed zeros, which the assembly erases
         assert (jacobians_differ > 0) == (name == "ackley")
 
@@ -451,19 +460,22 @@ class TestMapDispatch:
         t32 = compose(newton_barycentric(3), newton_barycentric(2))
         x = np.array([0.4, 0.6])
         inner = vector_map_step(problem, newton_barycentric(2), x)
-        outer = vector_map_step(problem, newton_barycentric(3), inner.next)
+        outer = vector_map_step(problem, newton_barycentric(3), inner)
         combined = vector_map_step(problem, t32, x)
-        assert np.array_equal(combined.next, outer.next)
-        assert combined.delta.tobytes() == (outer.next - x).tobytes()
+        assert np.array_equal(combined, outer)
+        assert (combined - x).tobytes() == (outer - x).tobytes()
 
     @pytest.mark.parametrize(
         "iter_map", [newton_barycentric(2), compose(newton_barycentric(3), newton_barycentric(2))]
     )
     def test_delta_is_next_minus_x(self, iter_map):
         problem = rutishauser()
-        for x in np.random.default_rng(5).uniform([-0.5, -0.7], [1.1, 1.1], size=(20, 2)):
+        # the step returns the (n,) next point alone, a new array; its displacement is step - x
+        xs = np.random.default_rng(5).uniform([-0.5, -0.7], [1.1, 1.1], size=(20, 2))
+        for x, row in zip(xs, map_rows(problem, iter_map, xs, Failures(len(xs)))):
             step = vector_map_step(problem, iter_map, x)
-            assert step.delta.tobytes() == (step.next - x).tobytes()
+            assert step.shape == x.shape and not np.shares_memory(step, x)
+            assert (step - x).tobytes() == (row - x).tobytes()
 
     def test_map_rows_returns_the_next_points(self):
         problem = rutishauser()
@@ -472,13 +484,14 @@ class TestMapDispatch:
             rows = map_rows(problem, iter_map, x, Failures(len(x)))
             assert isinstance(rows, np.ndarray) and rows.shape == (5, 2)
             for row, point in zip(rows, x):
-                assert row.tobytes() == vector_map_step(problem, iter_map, point).next.tobytes()
+                assert row.tobytes() == vector_map_step(problem, iter_map, point).tobytes()
 
     def test_non_finite_next_point_is_returned(self):
         # J = 1e-160 * I against f = -1e200 solves to an infinite delta: returned, not raised
         problem = VectorProblem(n=2, f=constant([-1e200, -1e200]), jacobian=constant(1e-160 * np.eye(2)))
-        step = vector_map_step(problem, newton_map(), np.array([0.5, 0.5]))
-        assert np.isposinf(step.next).all() and np.isposinf(step.delta).all()
+        x = np.array([0.5, 0.5])
+        step = vector_map_step(problem, newton_map(), x)
+        assert np.isposinf(step).all() and np.isposinf(step - x).all()
 
     def test_taylor_not_defined_on_rn(self):
         with pytest.raises(ValueError):
@@ -489,22 +502,70 @@ class TestMapDispatch:
         x = np.array([0.5, 0.6])
         a = vector_map_step(problem, newton_map(), x)
         b = vector_map_step(problem, newton_barycentric(0), x)
-        assert np.array_equal(a.next, b.next)
+        assert np.array_equal(a, b)
 
 
 class TestTwoIterations:
     def test_zero_start_is_constant(self):
         point = AFFINE_ZERO
         for _ in range(3):
-            point = vector_map_step(AFFINE, newton_map(), point).next
+            point = vector_map_step(AFFINE, newton_map(), point)
             assert point == pytest.approx(AFFINE_ZERO, abs=1e-14)
 
     def test_ackley_two_steps_reach_nearby_extremum(self):
         problem = ackley_gradient()
         t1 = newton_barycentric(1)
         first = vector_map_step(problem, t1, np.array([-1.6, -1.6]))
-        second = vector_map_step(problem, t1, first.next)
-        assert second.next == pytest.approx([-1.65185, -1.65185], abs=1e-3)
+        second = vector_map_step(problem, t1, first)
+        assert second == pytest.approx([-1.65185, -1.65185], abs=1e-3)
+
+
+class TestPointShape:
+    """vector_map_step takes one (n,) point; any other shape is a ValueError naming both
+    shapes, raised before f or the Jacobian is evaluated."""
+
+    @pytest.mark.parametrize("x", [[0.5], 0.5, [0.5, 0.5, 0.5], [[0.5, 0.5]]], ids=["1", "0-d", "3", "1x2"])
+    @pytest.mark.parametrize("name", ["rutishauser", "ackley", "polynomial"])
+    def test_mis_shaped_point_raises_before_evaluation(self, name, x, tmp_path):
+        if name == "polynomial":
+            problem = load_polynomial_problem(str(write_random_gradient_file(tmp_path / "p.poly", 57)))
+        else:
+            problem = rutishauser() if name == "rutishauser" else ackley_gradient()
+        calls = []
+
+        def recorded(fn):
+            return lambda p: calls.append(np.shape(p)) or fn(p)
+
+        problem = dataclasses.replace(problem, f=recorded(problem.f), jacobian=recorded(problem.jacobian))
+        message = re.escape(f"need a point of shape (2,), got shape {np.shape(x)}")
+        for iter_map in (newton_map(), newton_barycentric(2)):
+            with pytest.raises(ValueError, match=message):
+                vector_map_step(problem, iter_map, x)
+        assert calls == []
+        assert vector_map_step(problem, newton_map(), [0.5, 0.5]).shape == (2,)
+
+
+class TestOrderOfConvergence:
+    """One bary:k step from root + d*u lands within C * d**(k + 2) of a simple root: the
+    fitted slope of log ||t(x) - root|| against log d is k + 2, the scalar family's order."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_ackley_extremum(self, k):
+        problem = ackley_gradient()
+        root = np.array([0.9685, 0.9685])
+        for _ in range(8):
+            root = vector_map_step(problem, newton_map(), root)
+        assert np.abs(problem.f(root)).max() < 1e-14
+        d = 2.0 ** -np.arange(7, 11)
+        for u in ([1.0, 0.0], [0.6, 0.8], [0.6, -0.8]):
+            errors = np.array(
+                [np.linalg.norm(vector_map_step(problem, newton_barycentric(k), root + s * np.array(u)) - root) for s in d]
+            )
+            # below about 1e-12 the error is rounding in f, not the map's truncation
+            kept = errors > 1e-12
+            assert kept.sum() >= 3
+            slope = np.polyfit(np.log(d[kept]), np.log(errors[kept]), 1)[0]
+            assert abs(slope - (k + 2)) < 0.3, (u, slope)
 
 
 def test_box_membership_is_inclusive():

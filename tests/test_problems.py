@@ -9,15 +9,15 @@ from rootmaps import (
     EvaluationError,
     GridSpec,
     VectorProblem,
-    ackley_gradient,
-    load_polynomial_problem,
-    make_grid,
     rutishauser,
+    scalar_problem,
     scalar_test_set,
+    vector_problem,
 )
+from rootmaps.capture import make_grid
 from rootmaps.mapsnd import Failures, evaluate_rows
 from rootmaps import problems
-from rootmaps.problems import ProblemFormatError, _parse_poly_line, scalar_problem, vector_problem
+from rootmaps.problems import ProblemFormatError, _parse_poly_line, ackley_gradient, load_polynomial_problem
 
 RUT = rutishauser()
 ACK = ackley_gradient()

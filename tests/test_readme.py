@@ -1,11 +1,13 @@
 """The README's CLI and Library examples run as written."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import rootmaps
 from rootmaps.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -37,3 +39,12 @@ def test_cli_example_runs(command, tmp_path, monkeypatch, capsys):
 
 def test_library_example_runs():
     exec(block_after("## Library"), {})
+
+
+def test_the_exports_are_the_imports_and_are_documented():
+    # the package surface cannot drift from __init__.py's imports or from the README
+    tree = ast.parse(Path(rootmaps.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert sorted(rootmaps.__all__) == sorted(imported)
+    assert [name for name in rootmaps.__all__ if not re.search(rf"\b{name}\b", README)] == []

@@ -10,8 +10,8 @@ cluster near the fixed points of the map; a greedy pass groups them.
 import itertools
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ class CaptureConfig:
             raise ValueError(f"norm must be 'max' or 'euclidean', got {self.norm!r}")
 
 
-@dataclass(frozen=True)
-class CapturedPoint:
+class CapturedPoint(NamedTuple):
     grid_i: int
     grid_j: int
     seed: np.ndarray
@@ -79,8 +78,7 @@ class CapturedPoint:
     objective: float | None
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     representative: np.ndarray
     count: int
     members: tuple[int, ...] = ()
@@ -96,8 +94,7 @@ class CaptureCounts:
     captured: int = 0
 
 
-@dataclass(frozen=True)
-class CaptureResult:
+class CaptureResult(NamedTuple):
     captured: list[CapturedPoint]
     clusters: list[Cluster]
     counts: CaptureCounts
@@ -143,8 +140,8 @@ def _cell(point: np.ndarray, width: float) -> int:
     return _key(math.floor(min(max(v / width, -_MAX_CELL_INDEX), _MAX_CELL_INDEX)) for v in point.tolist())
 
 
-def cluster_points(points: list[np.ndarray], radius: float) -> list[Cluster]:
-    """Greedy clustering in input order.
+def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list[Cluster]:
+    """Greedy clustering in input order: points is an (m, n) array or a list of (n,) points.
 
     A point joins the lowest-index cluster whose representative lies within
     radius (Euclidean); the representative is the member mean, recomputed on
@@ -154,57 +151,60 @@ def cluster_points(points: list[np.ndarray], radius: float) -> list[Cluster]:
     a point is tested only against the clusters in the 3**n cells around its
     own: an offset of at most radius per axis moves the cell index by at most
     one.  A representative that moves to another cell is re-bucketed.  The
-    expected cost is O(N * 3**n) instead of O(N * C) for C clusters.
+    work per point is the 3**n dict lookups, plus the norm test only where
+    those cells hold a cluster: O(N * 3**n) instead of O(N * C) for C clusters.
+    The clusters are immutable Cluster NamedTuples, in order of creation.
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     width = max(2.0 * radius, _MIN_CELL_WIDTH)
-    points = [np.asarray(point, dtype=float) for point in points]
-    shape = (points[0].size,) if points else (0,)
-    # the first bad point is the first of another shape, or a non-finite one before it
-    end = next((position for position, point in enumerate(points) if point.shape != shape), len(points))
-    rows = np.array(points[:end]).reshape(end, *shape)
+    if isinstance(points, np.ndarray) and points.ndim == 2:
+        rows = np.array(points, dtype=float)
+    else:
+        points = [np.asarray(point, dtype=float) for point in points]
+        shape = (points[0].size,) if points else (0,)
+        # the first bad point is the first of another shape, or a non-finite one before it
+        end = next((position for position, point in enumerate(points) if point.shape != shape), len(points))
+        rows = np.array(points[:end]).reshape(end, *shape)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         position = int(np.argmin(finite))
-        raise ValueError(f"point {position} has a non-finite coordinate: {points[position]}")
-    if end < len(points):
-        raise ValueError(f"point {end} has shape {points[end].shape}, expected {shape}")
+        raise ValueError(f"point {position} has a non-finite coordinate: {rows[position]}")
+    if len(rows) < len(points):
+        raise ValueError(f"point {len(rows)} has shape {points[len(rows)].shape}, expected {shape}")
     # the cells of _cell, for every point at once
     with np.errstate(over="ignore"):
         indices = np.floor(np.clip(rows / width, -_MAX_CELL_INDEX, _MAX_CELL_INDEX)).astype(np.int64)
     homes = _key(indices.T.astype(object), np.zeros(len(rows), dtype=object)).tolist()
     offsets = [_key(offset) for offset in itertools.product((-1, 0, 1), repeat=rows.shape[1])]
-    sums: list[np.ndarray] = []
+    # a singleton's mean is its point, a row of the private copy rows, as point / 1.0 is point; sums start at two
     means: list[np.ndarray] = []
+    sums: dict[int, np.ndarray] = {}
     members: list[list[int]] = []
     cells: list[int] = []
     grid: dict[int, list[int]] = {}
     for position, (point, home) in enumerate(zip(rows, homes)):
-        candidates = sorted([idx for offset in offsets for idx in grid.get(home + offset, ())])
+        candidates = [idx for offset in offsets for idx in grid.get(home + offset, ())]
+        if candidates:
+            candidates.sort()
         for idx in candidates:
-            if float(np.linalg.norm(point - means[idx])) <= radius:
-                sums[idx] = sums[idx] + point
+            mean = means[idx]
+            if float(np.linalg.norm(point - mean)) <= radius:
+                total = sums[idx] = sums.get(idx, mean) + point
                 members[idx].append(position)
-                means[idx] = sums[idx] / len(members[idx])
-                cell = _cell(means[idx], width)
+                means[idx] = mean = total / len(members[idx])
+                cell = _cell(mean, width)
                 if cell != cells[idx]:
                     grid[cells[idx]].remove(idx)
                     grid.setdefault(cell, []).append(idx)
                     cells[idx] = cell
                 break
         else:
-            grid.setdefault(home, []).append(len(sums))
-            # sums are replaced, never updated in place, so one copy serves both
-            point = point.copy()
-            sums.append(point)
+            grid.setdefault(home, []).append(len(means))
             means.append(point)
             members.append([position])
             cells.append(home)
-    return [
-        Cluster(representative=mean, count=len(m), members=tuple(m))
-        for mean, m in zip(means, members)
-    ]
+    return list(map(Cluster, means, map(len, members), map(tuple, members)))
 
 
 def _residual_norms(residuals: np.ndarray, norm: str) -> np.ndarray:
@@ -235,18 +235,16 @@ def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
     fnorms = _residual_norms(evaluate_rows(problem.f, (problem.n,), second[rows], evaluated), config.norm)
     passed = evaluated.live & (fnorms <= config.tolerance)
     rows, fnorms = rows[passed], fnorms[passed]
-    fates = np.select(
-        [singular, ~stepped, ~inside], ["skipped_singular", "step_failures", "skipped_outside"], "rejected_tolerance"
-    )
-    fates[rows] = "captured"
+    # a seed's fate is the index of its CaptureCounts field after `seeded`
+    fates = np.select([singular, ~stepped, ~inside], [0, 1, 2], 3)
+    fates[rows] = 4
+    counts = CaptureCounts(len(seeds), *np.bincount(fates, minlength=5).tolist())
+    points = second[rows]
     objectives = [None] * len(rows)
     if problem.objective and len(rows):
         with np.errstate(all="ignore"):
-            objectives = problem.objective(second[rows]).tolist()
-    captured = [
-        CapturedPoint(*divmod(r, config.grid.ny), seeds[r], second[r], fnorm, objective)
-        for r, fnorm, objective in zip(rows.tolist(), fnorms.tolist(), objectives)
-    ]
-    counts = CaptureCounts(seeded=len(seeds), **Counter(fates.tolist()))
-    clusters = cluster_points([c.point for c in captured], config.cluster_radius)
-    return CaptureResult(captured=captured, clusters=clusters, counts=counts)
+            objectives = problem.objective(points).tolist()
+    grid_i, grid_j = np.divmod(rows, config.grid.ny)
+    columns = grid_i.tolist(), grid_j.tolist(), list(seeds[rows]), list(points), fnorms.tolist(), objectives
+    captured = list(map(CapturedPoint, *columns))
+    return CaptureResult(captured=captured, clusters=cluster_points(points, config.cluster_radius), counts=counts)

@@ -182,9 +182,12 @@ def _cmd_order(args, parser: argparse.ArgumentParser) -> int:
 CAPTURE_COLUMNS = ("grid_i", "grid_j", "x0", "y0", "x2", "y2", "fnorm", "g")
 
 
-def _captured_rows(result: CaptureResult) -> list[tuple]:
-    """One tuple per captured point, in CAPTURE_COLUMNS order."""
-    return [(c.grid_i, c.grid_j, *c.seed.tolist(), *c.point.tolist(), c.fnorm, c.objective) for c in result.captured]
+def _captured_columns(result: CaptureResult) -> list:
+    """The captured points as the columns of CAPTURE_COLUMNS: ints and floats, and None for no objective."""
+    i, j, seeds, points, fnorms, objectives = zip(*result.captured) if result.captured else [()] * 6
+    # the empty piece keeps np.concatenate defined when nothing was captured
+    (x0, y0), (x2, y2) = np.concatenate([*seeds, *points, ()]).reshape(2, -1, 2).transpose(0, 2, 1).tolist()
+    return [i, j, x0, y0, x2, y2, fnorms, objectives]
 
 
 def _cluster_row(cluster: Cluster) -> dict:
@@ -195,10 +198,9 @@ def _cluster_row(cluster: Cluster) -> dict:
 def render_capture_csv(result: CaptureResult) -> str:
     """CSV rows for captured points; coordinates carry 6 decimals.  No field
     holds a comma, a quote or a newline, so none is quoted."""
-    lines = [",".join(CAPTURE_COLUMNS)]
-    for i, j, x0, y0, x2, y2, fnorm, g in _captured_rows(result):
-        objective = "" if g is None else f"{g:.6f}"
-        lines.append(f"{i},{j},{x0:.6f},{y0:.6f},{x2:.6f},{y2:.6f},{fnorm:.9e},{objective}")
+    *columns, objectives = _captured_columns(result)
+    columns.append(["" if g is None else "%.6f" % g for g in objectives])
+    lines = [",".join(CAPTURE_COLUMNS), *map("%d,%d,%.6f,%.6f,%.6f,%.6f,%.9e,%s".__mod__, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -206,7 +208,7 @@ def capture_result_to_dict(result: CaptureResult) -> dict:
     """JSON-ready mirror of a CaptureResult (full float precision)."""
     return {
         "counts": asdict(result.counts),
-        "captured": [dict(zip(CAPTURE_COLUMNS, row)) for row in _captured_rows(result)],
+        "captured": [dict(zip(CAPTURE_COLUMNS, row)) for row in zip(*_captured_columns(result))],
         "clusters": [{**_cluster_row(cl), "members": list(cl.members)} for cl in result.clusters],
     }
 
@@ -294,6 +296,8 @@ def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
         result = run_capture(problem, config)
         results[label] = result
         clusters = sorted(result.clusters, key=lambda c: -c.count)[:_MAX_CLUSTER_ROWS]
+        # one objective call on the stacked representatives; the kernels do not depend on batch size
+        objectives = problem.objective(np.array([cl.representative for cl in clusters])).tolist() if clusters else []
         maps.append(
             {
                 "label": label,
@@ -301,9 +305,7 @@ def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
                 "captured": result.counts.captured,
                 "reference_count": reference_count,
                 "counts": asdict(result.counts),
-                "clusters": [
-                    {**_cluster_row(cl), "g": float(problem.objective(cl.representative))} for cl in clusters
-                ],
+                "clusters": [{**_cluster_row(cl), "g": g} for cl, g in zip(clusters, objectives)],
                 "total_clusters": len(result.clusters),
             }
         )

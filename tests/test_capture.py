@@ -6,6 +6,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootmaps import (
     Box,
@@ -179,6 +181,47 @@ class TestClusterPoints:
     def test_rejects_bad_points_by_index(self, bad, message):
         with pytest.raises(ValueError, match=message):
             cluster_points([np.zeros(2), np.ones(2), bad], 1e-3)
+
+
+@st.composite
+def lattice_point_sets(draw):
+    """(points, radius): points on a lattice of spacing radius, so that points
+    radius and 2*radius apart along an axis and coordinates on cell edges
+    (multiples of 2*radius) are common, with optional jitter, a chain whose
+    mean drifts across a cell edge, a point beyond the cell-index clamp and
+    duplicates."""
+    dim = draw(st.integers(1, 3))
+    radius = draw(st.sampled_from([0.25, 2.0**-10, 1e-3, 0.3]))
+    jitter = st.one_of(st.just(0.0), st.floats(-radius, radius))
+    coordinate = st.builds(lambda k, e: k * radius + e, st.integers(-4, 4), jitter)
+    lattice = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
+    points = draw(st.lists(lattice, min_size=1, max_size=25))
+    points += [points[i] for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=5))]
+    points = draw(st.permutations(points))
+    if draw(st.booleans()):
+        # each point lies a fraction of radius above the mean of the chain so far
+        step = np.zeros(dim)
+        step[draw(st.integers(0, dim - 1))] = draw(st.floats(0.8, 1.0)) * radius
+        chain = [draw(lattice)]
+        for _ in range(draw(st.integers(2, 24))):
+            chain.append(sum(chain) / len(chain) + step)
+        at = draw(st.integers(0, len(points)))
+        points[at:at] = chain
+    if draw(st.booleans()):
+        far = draw(lattice)
+        # beyond 2**52 cells from zero, yet with squares that np.linalg.norm does not overflow
+        sign, magnitude = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([2.0**54 * radius, 1e150]))
+        far[draw(st.integers(0, dim - 1))] = sign * magnitude
+        points.insert(draw(st.integers(0, len(points))), far)
+    return points, radius
+
+
+class TestClusterPointsProperties:
+    @given(lattice_point_sets())
+    def test_matches_reference(self, case):
+        points, radius = case
+        assert_matches_reference(points, radius)
+        assert_matches_reference(np.array(points), radius)
 
 
 class TestClusterPointsAgainstReference:
@@ -513,6 +556,27 @@ class TestRunCapture:
         assert result.counts == CaptureCounts(seeded=121, skipped_outside=21, rejected_tolerance=100)
         assert result.captured == [] and result.clusters == []
 
+    def test_result_is_lists_of_immutable_records(self):
+        # perfbench's output checks read this shape: len and truth value of
+        # captured, grid_i, grid_j and point of each record, len of clusters
+        problem = rutishauser()
+        grid = GridSpec(domain=problem.domain, nx=9, ny=9)
+        some = run_capture(problem, CaptureConfig(grid=grid, tolerance=1e-3, map=newton_barycentric(1)))
+        none = run_capture(problem, CaptureConfig(grid=grid, tolerance=1e-300, map=newton_barycentric(1)))
+        assert type(some.captured) is list and type(some.clusters) is list and some.captured
+        assert CapturedPoint._fields == ("grid_i", "grid_j", "seed", "point", "fnorm", "objective")
+        assert Cluster._fields == ("representative", "count", "members") and Cluster._field_defaults == {"members": ()}
+        for c in some.captured:
+            assert isinstance(c, CapturedPoint) and (type(c.grid_i), type(c.grid_j)) == (int, int)
+            assert c.point.shape == c.seed.shape == (2,)
+            assert c.seed.tolist() == make_grid(grid)[c.grid_i * grid.ny + c.grid_j].tolist()
+        assert sum(cl.count for cl in some.clusters) == len(some.captured) > 0
+        with pytest.raises(AttributeError):
+            some.captured[0].fnorm = 0.0
+        with pytest.raises(AttributeError):
+            some.clusters[0].count = 0
+        assert type(none.captured) is list and not none.captured and len(none.clusters) == 0
+
     def test_euclidean_norm_is_stricter(self):
         problem = rutishauser()
         grid = GridSpec(domain=problem.domain, nx=9, ny=9)
@@ -688,7 +752,7 @@ def _reference_run_capture(problem, config, skipped=None):
     ]
     counts = CaptureCounts(seeded=len(outcomes), **Counter(kind for kind, _ in outcomes))
     captured = [point for _, point in outcomes if point is not None]
-    clusters = cluster_points([c.point for c in captured], config.cluster_radius)
+    clusters = _reference_cluster_points([c.point for c in captured], config.cluster_radius)
     return CaptureResult(captured=captured, clusters=clusters, counts=counts)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -7,7 +8,8 @@ import platform
 import numpy as np
 import pytest
 
-from rootmaps.capture import cluster_points
+from rootmaps import cli
+from rootmaps.capture import CaptureCounts, CaptureResult, cluster_points
 from rootmaps.maps1d import MapFamily
 from rootmaps.cli import MapSpecError, build_parser, main, parse_map_spec
 
@@ -428,6 +430,26 @@ class TestReproduceCommand:
         out = capsys.readouterr().out
         assert "reference counts: 12, 28, 60, 64, 52, 208" in out
         assert "t_54" in out
+
+    def test_report_objective_is_one_call_per_map(self, monkeypatch):
+        # after run_capture's own call, one call on the stacked top representatives,
+        # whose values are the one-point ones bit for bit; no call without a cluster
+        calls = []
+        problem = cli.vector_problem("rutishauser")
+        counting = dataclasses.replace(problem, objective=lambda p: calls.append(p.shape) or problem.objective(p))
+        monkeypatch.setattr(cli, "vector_problem", lambda name: counting)
+        report, results = cli._reproduce_report("example1", 1e-3)
+        expected = []
+        for row, result in zip(report["maps"], results.values()):
+            expected += [(result.counts.captured, 2), (len(row["clusters"]), 2)]
+            for cl in row["clusters"]:
+                assert repr(cl["g"]) == repr(float(problem.objective(np.array([cl["x"], cl["y"]]))))
+        assert calls == expected and all(row["clusters"] for row in report["maps"])
+        calls.clear()
+        empty = CaptureResult(captured=[], clusters=[], counts=CaptureCounts(seeded=361, skipped_outside=361))
+        monkeypatch.setattr(cli, "run_capture", lambda problem, config: empty)
+        report, _ = cli._reproduce_report("example1", 1e-3)
+        assert calls == [] and [row["clusters"] for row in report["maps"]] == [[]] * 8
 
     def test_example2_fine_configuration(self):
         from rootmaps.cli import REPRODUCE_SETUPS

@@ -3,8 +3,10 @@
 Every grid vertex X0 goes through three filters: the Jacobian at X0 must be
 nonsingular, at least one of the two iterates X1, X2 must stay in the search
 box, and finally X2 is kept iff ||f(X2)|| <= tolerance.  All seeds pass
-through each filter together, as one batch (see mapsnd).  Captured points
-cluster near the fixed points of the map; a greedy pass groups them.
+through each filter together, as one batch (see mapsnd), and the scans of one
+problem on one grid can share the orders of their first steps (run_capture's
+shared).  Captured points cluster near the fixed points of the map; a greedy
+pass groups them.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .maps1d import IterativeMap
-from .mapsnd import Box, Failures, VectorProblem, evaluate_rows, map_rows, newton_rows
+from .mapsnd import Box, Failures, VectorProblem, evaluate_rows, map_rows
 
 DEFAULT_CLUSTER_RADIUS = 1e-3
 
@@ -183,27 +185,29 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list
     members: list[list[int]] = []
     cells: list[int] = []
     grid: dict[int, list[int]] = {}
-    for position, (point, home) in enumerate(zip(rows, homes)):
-        candidates = [idx for offset in offsets for idx in grid.get(home + offset, ())]
-        if candidates:
-            candidates.sort()
-        for idx in candidates:
-            mean = means[idx]
-            if float(np.linalg.norm(point - mean)) <= radius:
-                total = sums[idx] = sums.get(idx, mean) + point
-                members[idx].append(position)
-                means[idx] = mean = total / len(members[idx])
-                cell = _cell(mean, width)
-                if cell != cells[idx]:
-                    grid[cells[idx]].remove(idx)
-                    grid.setdefault(cell, []).append(idx)
-                    cells[idx] = cell
-                break
-        else:
-            grid.setdefault(home, []).append(len(means))
-            means.append(point)
-            members.append([position])
-            cells.append(home)
+    # an offset that squares past the double range has norm inf, so its points stay apart
+    with np.errstate(over="ignore"):
+        for position, (point, home) in enumerate(zip(rows, homes)):
+            candidates = [idx for offset in offsets for idx in grid.get(home + offset, ())]
+            if candidates:
+                candidates.sort()
+            for idx in candidates:
+                mean = means[idx]
+                if float(np.linalg.norm(point - mean)) <= radius:
+                    total = sums[idx] = sums.get(idx, mean) + point
+                    members[idx].append(position)
+                    means[idx] = mean = total / len(members[idx])
+                    cell = _cell(mean, width)
+                    if cell != cells[idx]:
+                        grid[cells[idx]].remove(idx)
+                        grid.setdefault(cell, []).append(idx)
+                        cells[idx] = cell
+                    break
+            else:
+                grid.setdefault(home, []).append(len(means))
+                means.append(point)
+                members.append([position])
+                cells.append(home)
     return list(map(Cluster, means, map(len, members), map(tuple, members)))
 
 
@@ -214,19 +218,24 @@ def _residual_norms(residuals: np.ndarray, norm: str) -> np.ndarray:
     return np.abs(residuals).max(axis=1)
 
 
-def run_capture(problem: VectorProblem, config: CaptureConfig) -> CaptureResult:
+def run_capture(problem: VectorProblem, config: CaptureConfig, shared: dict | None = None) -> CaptureResult:
     """Scan the grid with two iterations of the configured map.
 
     All seeds go through each stage as one batch (see mapsnd); the singular
     filter's Newton solve is the first step's.  A seed's fate is the
     CaptureCounts field of the first stage that stopped it.  Captured points
     are clustered in grid-index order.
+
+    shared is a dict to pass to every scan of one problem on one grid: their
+    first steps then share the seeds' Newton step and each common prefix of
+    orders (map_rows' orders), kept under the problem and the grid.
     """
     seeds = make_grid(config.grid)
+    orders = {} if shared is None else shared.setdefault((problem, config.grid), {})
     failures = Failures(len(seeds))
-    start = newton_rows(problem, seeds, failures)
-    singular = ~failures.live
-    first = map_rows(problem, config.map, seeds, failures, start)
+    first = map_rows(problem, config.map, seeds, failures, orders=orders)
+    # the singular filter is order 0 at the seeds, their Newton step: the seeds its live mask drops
+    singular = ~orders[()][2][0][3]
     second = map_rows(problem, config.map, first, failures)
     stepped = failures.live
     inside = stepped & (config.grid.domain.contains(first) | config.grid.domain.contains(second))

@@ -288,12 +288,11 @@ def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
     problem_name, nx, ny, eps, map_rows = REPRODUCE_SETUPS[example]
     problem = vector_problem(problem_name)
     grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
-    maps = []
-    results = {}
+    maps, results, shared = [], {}, {}
     for label, spec_text, reference_count in map_rows:
         map_spec = parse_map_spec(spec_text)
         config = CaptureConfig(grid=grid, tolerance=eps, map=map_spec, cluster_radius=cluster_radius)
-        result = run_capture(problem, config)
+        result = run_capture(problem, config, shared)
         results[label] = result
         clusters = sorted(result.clusters, key=lambda c: -c.count)[:_MAX_CLUSTER_ROWS]
         # one objective call on the stacked representatives; the kernels do not depend on batch size

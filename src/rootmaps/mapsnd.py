@@ -4,9 +4,9 @@ The first derivative becomes the Jacobian, the model function an n x n matrix
 phi_k(x) = sum_i a_i * J(x + i*h), and each step solves phi_k * delta = -f(x).
 The step recursion follows the scalar one, except in how it rounds h: h_1 is
 the Newton delta and h_{j+1} is the delta solved for t_j, where the scalar
-recursion takes the rounded difference t_j(x) - x.  Only barycentric maps
-extend this way; Taylor maps would need higher derivative tensors and are not
-supported here.
+recursion takes the rounded difference t_j(x) - x.  One generator runs it,
+orders_rows, and a bary:k step is its order k.  Only barycentric maps extend
+this way; Taylor maps would need higher derivative tensors.
 
 The recursion runs on a batch: an (N, n) array of points and a Failures list
 in which failures[r] is None while row r is live, else the StepFailureError
@@ -19,13 +19,14 @@ result bit for bit; the one-point step, vector_map_step, runs a batch of
 one.
 
 Each point is evaluated once.  A step evaluates f and J at x, and J(x) is the
-i = 0 term of every model matrix it assembles; a scan's singular filter hands
-its f, J and Newton solve at the seeds to the first step.  The i = 0 sample
-x + 0*h differs from x only in the sign of a zero coordinate, and the
-assembly adds a_0 * J(x) to 0.0, which erases the sign of a zero, so the
-model matrices keep their bits.
+i = 0 term of every model matrix it assembles.  Steps from one x can share a
+dict of orders (map_rows' orders), as a bary:j step is the first j + 1 orders
+of a bary:k one (j < k).  The i = 0 sample x + 0*h differs from x only in
+the sign of a zero coordinate, and the assembly adds a_0 * J(x) to 0.0,
+which erases the sign of a zero, so the model matrices keep their bits.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -205,14 +206,6 @@ def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.n
     return phi
 
 
-def newton_rows(problem: VectorProblem, x: np.ndarray, failures: Failures) -> tuple:
-    """(f(x), J_f(x), delta) at each live row of x, with J_f(x) * delta = -f(x).  A row fails
-    where f or J_f is not finite or J_f is singular: a scan's singular filter."""
-    fx = evaluate_rows(problem.f, (problem.n,), x, failures)
-    jx = evaluate_rows(problem.jacobian, (problem.n,) * 2, x, failures)
-    return fx, jx, solve_rows(jx, -fx, failures)
-
-
 def _compact(failures: Failures, rows: np.ndarray, batch: Failures, *arrays: np.ndarray) -> tuple:
     """Give failures[rows[i]] the failure of each failed row i of batch, and return rows,
     batch and the arrays' rows cut to batch's live rows (as they are if all are live)."""
@@ -224,26 +217,50 @@ def _compact(failures: Failures, rows: np.ndarray, batch: Failures, *arrays: np.
     return rows[keep], Failures(len(keep)), *(a.take(keep, axis=0) for a in arrays)
 
 
+def orders_rows(problem: VectorProblem, x: np.ndarray, failures: Failures):
+    """A step from each live row of x, order by order: after order j = 0, 1, 2, ... it yields the
+    live rows, their points and delta, and failures then holds exactly the failures of a bary:j
+    step.  Order 0 is the Newton step: f(x) and J_f(x), and a row fails where they are not finite
+    or J_f is singular (a scan's singular filter).  Its delta seeds h, then each order-j model
+    matrix is solved against -f(x) for the next h."""
+    rows, batch, points = _compact(failures, np.arange(len(x)), failures, x)
+    fx = evaluate_rows(problem.f, (problem.n,), points, batch)
+    jx = evaluate_rows(problem.jacobian, (problem.n,) * 2, points, batch)
+    delta = solve_rows(jx, -fx, batch)
+    for j in itertools.count(1):
+        rows, batch, points, fx, jx, delta = _compact(failures, rows, batch, points, fx, jx, delta)
+        yield rows, points, delta
+        phi = _finite(_model_matrix(problem, barycentric_coefficients(j).floats, delta, points, jx, batch), points, batch)
+        delta = solve_rows(phi, -fx, batch)
+
+
 def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: Failures,
-             start: tuple | None = None) -> np.ndarray:
+             orders: dict | None = None, path: tuple = ()) -> np.ndarray:
     """The (N, n) next points of one step of a Newton, barycentric or composed map from each
-    live row of x; a failed row's next point is NaN.  The Newton delta seeds h, then each
-    order-j model matrix, j = 1..k, is solved against -f(x) for the next h; Newton is k = 0.
-    start is newton_rows(problem, x, failures) when the caller has it; for a composition, the
-    innermost component takes it."""
+    live row of x; a failed row's next point is NaN.  A bary:k step is order k of orders_rows;
+    Newton is k = 0.
+
+    orders, a dict passed to the steps from one x, holds per path (the maps applied to x before
+    the step) orders_rows, its own Failures, and per order pulled so far its rows, points, delta
+    and live mask: a step reads or extends them, and failures gets the failures of orders 0..k."""
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
-        return map_rows(problem, outer, map_rows(problem, inner, x, failures, start), failures)
+        x = map_rows(problem, inner, x, failures, orders, path)
+        return map_rows(problem, outer, x, failures, orders, (*path, inner))
     if iter_map.family not in (MapFamily.NEWTON, MapFamily.NEWTON_BARYCENTRIC):
         raise ValueError(f"{iter_map.family.value} maps are not defined on R^n")
-    rows, batch, points, *start = _compact(failures, np.arange(len(x)), failures, x, *(start or ()))
-    fx, jx, delta = start or newton_rows(problem, points, batch)
-    for j in range(1, iter_map.k + 1):
-        rows, batch, points, fx, jx, delta = _compact(failures, rows, batch, points, fx, jx, delta)
-        weights = barycentric_coefficients(j).floats
-        phi = _finite(_model_matrix(problem, weights, delta, points, jx, batch), points, batch)
-        delta = solve_rows(phi, -fx, batch)
-    rows, batch, points, delta = _compact(failures, rows, batch, points, delta)
+    if orders is None:  # nothing to keep: the step runs on failures itself
+        rows, points, delta = next(itertools.islice(orders_rows(problem, x, failures), iter_map.k, None))
+    else:
+        if path not in orders:
+            own = Failures(len(x))
+            own.fail(~failures.live, failures.__getitem__)
+            orders[path] = orders_rows(problem, x, own), own, []
+        steps, own, pulled = orders[path]
+        while len(pulled) <= iter_map.k:
+            pulled.append((*next(steps), own.live.copy()))
+        rows, points, delta, live = pulled[iter_map.k]
+        failures.fail(~live, own.__getitem__)
     next_ = np.full(x.shape, np.nan)
     with np.errstate(all="ignore"):
         next_[rows] = points + delta

@@ -38,7 +38,7 @@ from rootmaps.capture import (
 )
 from rootmaps.maps1d import MapFamily
 from rootmaps.cli import REPRODUCE_SETUPS, parse_map_spec
-from rootmaps import mapsnd
+from rootmaps import cli, mapsnd
 from rootmaps.mapsnd import PIVOT_RTOL, Failures
 from rootmaps.problems import ackley_gradient, load_polynomial_problem, rutishauser
 from test_mapsnd import constant
@@ -103,17 +103,18 @@ def _reference_cluster_points(points, radius):
     """The O(N*C) greedy loop that cluster_points must match bit for bit."""
     sums = []
     members = []
-    for position, point in enumerate(points):
-        point = np.asarray(point, dtype=float)
-        for idx in range(len(sums)):
-            rep = sums[idx] / len(members[idx])
-            if float(np.linalg.norm(point - rep)) <= radius:
-                sums[idx] = sums[idx] + point
-                members[idx].append(position)
-                break
-        else:
-            sums.append(point.copy())
-            members.append([position])
+    with np.errstate(over="ignore"):
+        for position, point in enumerate(points):
+            point = np.asarray(point, dtype=float)
+            for idx in range(len(sums)):
+                rep = sums[idx] / len(members[idx])
+                if float(np.linalg.norm(point - rep)) <= radius:
+                    sums[idx] = sums[idx] + point
+                    members[idx].append(position)
+                    break
+            else:
+                sums.append(point.copy())
+                members.append([position])
     return [
         Cluster(representative=s / len(m), count=len(m), members=tuple(m))
         for s, m in zip(sums, members)
@@ -140,6 +141,11 @@ class TestClusterPoints:
     def test_distant_points_stay_separate(self):
         clusters = cluster_points([np.zeros(2), np.array([3e-3, 0.0])], 1e-3)
         assert len(clusters) == 2
+
+    def test_offset_whose_square_overflows_stays_apart(self):
+        # both points clamp to the end cell of the x axis; the norm of their offset is inf
+        points = np.array([[1e200, 0.0], [1e300, 0.0]])
+        assert [c.members for c in assert_matches_reference(points, 1e-3)] == [(0,), (1,)]
 
     def test_three_tight_knots_of_eighteen_points(self):
         centers = [
@@ -209,8 +215,8 @@ def lattice_point_sets(draw):
         points[at:at] = chain
     if draw(st.booleans()):
         far = draw(lattice)
-        # beyond 2**52 cells from zero, yet with squares that np.linalg.norm does not overflow
-        sign, magnitude = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([2.0**54 * radius, 1e150]))
+        # beyond 2**52 cells from zero; the squares of 1e300 overflow in np.linalg.norm
+        sign, magnitude = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([2.0**54 * radius, 1e150, 1e300]))
         far[draw(st.integers(0, dim - 1))] = sign * magnitude
         points.insert(draw(st.integers(0, len(points))), far)
     return points, radius
@@ -925,17 +931,18 @@ class TestBatchedScanAgainstReference:
 
 
 def batched_steps(problem, iter_map, seeds, size):
-    """The singular filter and both map_rows steps, the first from the
-    filter's Newton solve, run on batches of size seeds in turn: per seed,
-    the stage that stopped it ("singular", "step 1" or "step 2") with its
-    failure's type and message, or the bytes of both next points."""
+    """The singular filter and both map_rows steps, the first reading the
+    filter's Newton step from the orders they share, run on batches of size
+    seeds in turn: per seed, the stage that stopped it ("singular", "step 1"
+    or "step 2") with its failure's type and message, or the bytes of both
+    next points."""
     fates = []
     for begin in range(0, len(seeds), size):
         rows = seeds[begin : begin + size]
-        failures = Failures(len(rows))
-        start = mapsnd.newton_rows(problem, rows, failures)
+        failures, orders = Failures(len(rows)), {}
+        mapsnd.map_rows(problem, newton_map(), rows, failures, orders)
         singular = [f is not None for f in failures]
-        first = mapsnd.map_rows(problem, iter_map, rows, failures, start)
+        first = mapsnd.map_rows(problem, iter_map, rows, failures, orders)
         stepped = [f is None for f in failures]
         second = mapsnd.map_rows(problem, iter_map, first, failures)
         for failure, was_singular, stepped_once, a, b in zip(failures, singular, stepped, first, second):
@@ -1037,6 +1044,73 @@ class TestBatchSizeIndependence:
         assert all(fates[0][r][0] == "singular" for r in range(56, 63))
 
 
+def scan_signature(result):
+    """What a scan reports: counts, captured grid indices and point bytes, clusters."""
+    captured = [(c.grid_i, c.grid_j, c.point.tobytes()) for c in result.captured]
+    return result.counts, captured, [(c.members, c.representative.tobytes()) for c in result.clusters]
+
+
+def shared_scans(scans, shared):
+    return [scan_signature(run_capture(problem, config, shared)) for problem, config in scans]
+
+
+class TestSharedScans:
+    """Scans passed one shared dict read each first-step order from it or pull
+    it into it, and report what their solo scans report."""
+
+    @pytest.fixture(scope="class")
+    def examples(self):
+        scans = {example: [param.values for param in reproduce_configs(example)]
+                 for example in ("example1", "example2-coarse")}
+        solo = {example: [scan_signature(run_capture(*scan)) for scan in scans[example]] for example in scans}
+        return scans, solo
+
+    @pytest.mark.parametrize("example", ["example1", "example2-coarse"])
+    def test_listed_and_reverse_order(self, examples, example):
+        scans, solo = examples
+        assert shared_scans(scans[example], {}) == solo[example]
+        # the higher orders are pulled first, so the lower ones are read back
+        assert shared_scans(scans[example][::-1], {}) == solo[example][::-1]
+
+    def test_rutishauser_and_ackley_interleaved(self, examples):
+        scans, solo = examples
+        # example1's maps and example2-coarse's in turn, on one dict
+        indices = itertools.zip_longest(*(range(len(scans[example])) for example in scans))
+        labels = [(example, i) for row in indices for example, i in zip(scans, row) if i is not None]
+        shared = {}
+        got = shared_scans([scans[example][i] for example, i in labels], shared)
+        assert got == [solo[example][i] for example, i in labels]
+        # one entry per problem and grid
+        assert len(shared) == 2
+
+    def test_failures_at_higher_orders(self):
+        # J is NaN at the order-3 samples x + 3*h_3 of some seeds, which bary:2
+        # never evaluates (x + h_3 is t_2(x), where its second step starts):
+        # bary:3..5 stop those seeds in their first step and bary:2 keeps them,
+        # whichever scan pulls the orders into the dict
+        problem, config = reproduce_configs("example1")[5].values
+        assert config.map == newton_barycentric(5)
+        calls = []
+        logged = dataclasses.replace(problem, jacobian=lambda p: calls.append(p) or problem.jacobian(p))
+        run_capture(logged, config)
+        # J calls of the first step: at the seeds, then i = 1..j for order j = 1, 2, 3
+        assert len(calls[0]) == len(calls[6]) == config.grid.size
+        region = calls[6][::37]
+
+        def jacobian(p):
+            inside = (p[..., None, :] == region).all(axis=-1).any(axis=-1)
+            return np.where(inside[..., None, None], np.nan, problem.jacobian(p))
+
+        poisoned = dataclasses.replace(problem, jacobian=jacobian)
+        scans = [(poisoned, dataclasses.replace(config, map=newton_barycentric(k))) for k in range(2, 6)]
+        solo = [scan_signature(run_capture(*scan)) for scan in scans]
+        clean = scan_signature(run_capture(problem, scans[0][1]))
+        assert solo[0] == clean and clean[0].step_failures == 0
+        assert [counts.step_failures for counts, *_ in solo[1:]] == [len(region)] * 3
+        assert shared_scans(scans, {}) == solo
+        assert shared_scans(scans[::-1], {}) == solo[::-1]
+
+
 class TestWorkCounters:
     """The exact work a scan does: the points f and the Jacobian are
     evaluated at, and the linear solves.  The counts repeat bit for bit, so a
@@ -1050,17 +1124,19 @@ class TestWorkCounters:
     so two steps from a seed are 22 J points, 4 f points and 14 solves;
     the residual test evaluates f once more."""
 
-    def scan_counts(self, problem, spec, grid, eps, monkeypatch):
-        counts = Counter()
-        problem = dataclasses.replace(
-            problem, f=counted(problem.f, counts, "f"), jacobian=counted(problem.jacobian, counts, "jacobian")
-        )
+    @staticmethod
+    def count_solves(counts, monkeypatch):
         # one solve per live row passed to the batched solve (failures[r] is None)
         def solve_rows(a, b, failures, solve=mapsnd.solve_rows):
             counts["solves"] += failures.count(None)
             return solve(a, b, failures)
 
         monkeypatch.setattr(mapsnd, "solve_rows", solve_rows)
+
+    def scan_counts(self, problem, spec, grid, eps, monkeypatch):
+        counts = Counter()
+        problem = counting_problem(problem, counts)
+        self.count_solves(counts, monkeypatch)
         config = CaptureConfig(
             grid=GridSpec(domain=problem.domain, nx=grid, ny=grid), tolerance=eps, map=parse_map_spec(spec)
         )
@@ -1083,3 +1159,27 @@ class TestWorkCounters:
         counts = self.scan_counts(problem, "compose:bary:2,bary:1", 11, 1e-3, monkeypatch)
         # compose:bary:2,bary:1 is 6 J points and 5 solves a step: 121 * 12 J, 121 * 10 solves
         assert counts == {"seeds": 121, "jacobian": 1452, "f": 592, "solves": 1210, "captured": 78}
+
+    @pytest.mark.parametrize(
+        "example, work",
+        [
+            ("example1", {"jacobian": 30685, "f": 7087, "solves": 16606}),
+            ("example2-coarse", {"jacobian": 28441, "f": 5333, "solves": 13320}),
+            ("example2-fine", {"jacobian": 90721, "f": 8353, "solves": 36960}),
+        ],
+    )
+    def test_reproduce_examples(self, example, work, monkeypatch):
+        # the maps of one example share their first steps' orders.  example1,
+        # per seed: f, J and the Newton solve at the seed, 15 J and 5 solves for
+        # orders 1..5, then a bary:2 and a bary:3 step (4 and 7 J, 3 and 4
+        # solves) for the outer maps of t_21 and t_32 from t_1 and t_2: 27 J,
+        # 3 f, 13 solves.  The second steps are 58 J, 10 f and 33 solves:
+        # 361 * 85 J, 361 * 13 f + 2394 residuals, 361 * 46 solves.  Each map
+        # from scratch would be 41876 J, 9614 f and 23826 solves, and
+        # example2-coarse 37446, 7138 and 18720; example2-fine has one map
+        counts = Counter()
+        problem = counting_problem(vector_problem(REPRODUCE_SETUPS[example][0]), counts)
+        monkeypatch.setattr(cli, "vector_problem", lambda name: problem)
+        self.count_solves(counts, monkeypatch)
+        cli._reproduce_report(example, DEFAULT_CLUSTER_RADIUS)
+        assert counts == work

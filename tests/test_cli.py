@@ -447,7 +447,7 @@ class TestReproduceCommand:
         assert calls == expected and all(row["clusters"] for row in report["maps"])
         calls.clear()
         empty = CaptureResult(captured=[], clusters=[], counts=CaptureCounts(seeded=361, skipped_outside=361))
-        monkeypatch.setattr(cli, "run_capture", lambda problem, config: empty)
+        monkeypatch.setattr(cli, "run_capture", lambda problem, config, shared: empty)
         report, _ = cli._reproduce_report("example1", 1e-3)
         assert calls == [] and [row["clusters"] for row in report["maps"]] == [[]] * 8
 

@@ -12,12 +12,13 @@ pass groups them.
 import itertools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .maps1d import IterativeMap
+from .maps1d import IterativeMap, newton_map
 from .mapsnd import Box, Failures, VectorProblem, evaluate_rows, map_rows
 
 DEFAULT_CLUSTER_RADIUS = 1e-3
@@ -155,7 +156,8 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list
     one.  A representative that moves to another cell is re-bucketed.  The
     work per point is the 3**n dict lookups, plus the norm test only where
     those cells hold a cluster: O(N * 3**n) instead of O(N * C) for C clusters.
-    The clusters are immutable Cluster NamedTuples, in order of creation.
+    The clusters are immutable Cluster NamedTuples, in order of creation; one
+    whose running sum overflows has a non-finite mean, with a RuntimeWarning.
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
@@ -208,6 +210,8 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list
                 means.append(point)
                 members.append([position])
                 cells.append(home)
+    if not all(np.isfinite(total).all() for total in sums.values()):  # the points are finite
+        warnings.warn("overflow in a cluster's running sum: its representative is not finite", RuntimeWarning)
     return list(map(Cluster, means, map(len, members), map(tuple, members)))
 
 
@@ -233,9 +237,10 @@ def run_capture(problem: VectorProblem, config: CaptureConfig, shared: dict | No
     seeds = make_grid(config.grid)
     orders = {} if shared is None else shared.setdefault((problem, config.grid), {})
     failures = Failures(len(seeds))
-    first = map_rows(problem, config.map, seeds, failures, orders=orders)
-    # the singular filter is order 0 at the seeds, their Newton step: the seeds its live mask drops
-    singular = ~orders[()][2][0][3]
+    # the singular filter is the seeds' Newton step, order 0 of the first step, which reads it back
+    map_rows(problem, newton_map(), seeds, failures, orders)
+    singular = ~failures.live
+    first = map_rows(problem, config.map, seeds, failures, orders)
     second = map_rows(problem, config.map, first, failures)
     stepped = failures.live
     inside = stepped & (config.grid.domain.contains(first) | config.grid.domain.contains(second))

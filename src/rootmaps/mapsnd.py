@@ -235,30 +235,30 @@ def orders_rows(problem: VectorProblem, x: np.ndarray, failures: Failures):
 
 
 def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: Failures,
-             orders: dict | None = None, path: tuple = ()) -> np.ndarray:
+             orders: dict | None = None) -> np.ndarray:
     """The (N, n) next points of one step of a Newton, barycentric or composed map from each
     live row of x; a failed row's next point is NaN.  A bary:k step is order k of orders_rows;
     Newton is k = 0.
 
-    orders, a dict passed to the steps from one x, holds per path (the maps applied to x before
-    the step) orders_rows, its own Failures, and per order pulled so far its rows, points, delta
-    and live mask: a step reads or extends them, and failures gets the failures of orders 0..k."""
+    orders, a dict passed to the steps from one x, holds orders_rows from x, its own Failures
+    and per order pulled so far its rows, points, delta and live mask: a step reads or extends
+    them, and failures gets the failures of orders 0..k.  A composition shares only its inner
+    step; its outer step starts from the inner one's points."""
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
-        x = map_rows(problem, inner, x, failures, orders, path)
-        return map_rows(problem, outer, x, failures, orders, (*path, inner))
+        return map_rows(problem, outer, map_rows(problem, inner, x, failures, orders), failures)
     if iter_map.family not in (MapFamily.NEWTON, MapFamily.NEWTON_BARYCENTRIC):
         raise ValueError(f"{iter_map.family.value} maps are not defined on R^n")
     if orders is None:  # nothing to keep: the step runs on failures itself
         rows, points, delta = next(itertools.islice(orders_rows(problem, x, failures), iter_map.k, None))
     else:
-        if path not in orders:
+        if not orders:
             own = Failures(len(x))
             own.fail(~failures.live, failures.__getitem__)
-            orders[path] = orders_rows(problem, x, own), own, []
-        steps, own, pulled = orders[path]
+            orders.update(steps=orders_rows(problem, x, own), failures=own, pulled=[])
+        own, pulled = orders["failures"], orders["pulled"]
         while len(pulled) <= iter_map.k:
-            pulled.append((*next(steps), own.live.copy()))
+            pulled.append((*next(orders["steps"]), own.live.copy()))
         rows, points, delta, live = pulled[iter_map.k]
         failures.fail(~live, own.__getitem__)
     next_ = np.full(x.shape, np.nan)

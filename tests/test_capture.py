@@ -147,6 +147,13 @@ class TestClusterPoints:
         points = np.array([[1e200, 0.0], [1e300, 0.0]])
         assert [c.members for c in assert_matches_reference(points, 1e-3)] == [(0,), (1,)]
 
+    def test_running_sum_that_overflows_warns(self):
+        # the two points are one cluster, but their sum, 3.4e308, is past the double range
+        points = np.array([[1.7e308, 0.0], [1.7e308, 0.0]])
+        with pytest.warns(RuntimeWarning, match="overflow in a cluster's running sum"):
+            clusters = assert_matches_reference(points, 1e-3)
+        assert [c.count for c in clusters] == [2] and np.isinf(clusters[0].representative[0])
+
     def test_three_tight_knots_of_eighteen_points(self):
         centers = [
             np.array([0.459591, 0.693716]),

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .maps1d import IterativeMap, newton_map
-from .mapsnd import Box, Failures, VectorProblem, evaluate_rows, map_rows
+from .mapsnd import Box, Failures, VectorProblem, evaluate_rows, map_rows, shaped
 
 DEFAULT_CLUSTER_RADIUS = 1e-3
 
@@ -144,7 +144,7 @@ def _cell(point: np.ndarray, width: float) -> int:
 
 
 def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list[Cluster]:
-    """Greedy clustering in input order: points is an (m, n) array or a list of (n,) points.
+    """Greedy clustering in input order of points, read as one (m, n) array: an array or a list of (n,) points.
 
     A point joins the lowest-index cluster whose representative lies within
     radius (Euclidean); the representative is the member mean, recomputed on
@@ -162,20 +162,15 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     width = max(2.0 * radius, _MIN_CELL_WIDTH)
-    if isinstance(points, np.ndarray) and points.ndim == 2:
-        rows = np.array(points, dtype=float)
-    else:
-        points = [np.asarray(point, dtype=float) for point in points]
-        shape = (points[0].size,) if points else (0,)
-        # the first bad point is the first of another shape, or a non-finite one before it
-        end = next((position for position, point in enumerate(points) if point.shape != shape), len(points))
-        rows = np.array(points[:end]).reshape(end, *shape)
+    rows = np.array(points, dtype=float)  # a private copy; a ragged list raises numpy's ValueError
+    if rows.ndim != 2:
+        if not rows.size:
+            return []
+        raise ValueError(f"points must be an (m, n) array, got shape {rows.shape}")
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         position = int(np.argmin(finite))
         raise ValueError(f"point {position} has a non-finite coordinate: {rows[position]}")
-    if len(rows) < len(points):
-        raise ValueError(f"point {len(rows)} has shape {points[len(rows)].shape}, expected {shape}")
     # the cells of _cell, for every point at once
     with np.errstate(over="ignore"):
         indices = np.floor(np.clip(rows / width, -_MAX_CELL_INDEX, _MAX_CELL_INDEX)).astype(np.int64)
@@ -245,9 +240,8 @@ def run_capture(problem: VectorProblem, config: CaptureConfig, shared: dict | No
     stepped = failures.live
     inside = stepped & (config.grid.domain.contains(first) | config.grid.domain.contains(second))
     rows = np.flatnonzero(inside & np.isfinite(second).all(axis=1))
-    evaluated = Failures(len(rows))
-    fnorms = _residual_norms(evaluate_rows(problem.f, (problem.n,), second[rows], evaluated), config.norm)
-    passed = evaluated.live & (fnorms <= config.tolerance)
+    fnorms = _residual_norms(evaluate_rows(problem.f, (problem.n,), second[rows], Failures(len(rows))), config.norm)
+    passed = fnorms <= config.tolerance  # a residual that is not finite has a NaN or infinite norm
     rows, fnorms = rows[passed], fnorms[passed]
     # a seed's fate is the index of its CaptureCounts field after `seeded`
     fates = np.select([singular, ~stepped, ~inside], [0, 1, 2], 3)
@@ -257,7 +251,7 @@ def run_capture(problem: VectorProblem, config: CaptureConfig, shared: dict | No
     objectives = [None] * len(rows)
     if problem.objective and len(rows):
         with np.errstate(all="ignore"):
-            objectives = problem.objective(points).tolist()
+            objectives = shaped(problem.objective(points), (len(rows),)).tolist()
     grid_i, grid_j = np.divmod(rows, config.grid.ny)
     columns = grid_i.tolist(), grid_j.tolist(), list(seeds[rows]), list(points), fnorms.tolist(), objectives
     captured = list(map(CapturedPoint, *columns))

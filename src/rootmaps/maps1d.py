@@ -229,17 +229,16 @@ def iterate(
     points = [x0]
     status = IterationStatus.MAX_ITER
     try:
-        if abs(_call(problem.f, x0)) <= tol:
-            return IterationResult(points=tuple(points), status=IterationStatus.CONVERGED)
-        for _ in range(max_iter):
+        while abs(_call(problem.f, points[-1])) > tol:
+            if len(points) > max_iter:
+                break
             points.append(recursive_map_step(problem, iter_map, points[-1]))
             # f can be finite at +-inf, so the iterate itself is checked
             if not math.isfinite(points[-1]):
                 status = IterationStatus.NON_FINITE
                 break
-            if abs(_call(problem.f, points[-1])) <= tol:
-                status = IterationStatus.CONVERGED
-                break
+        else:
+            status = IterationStatus.CONVERGED
     except EvaluationError:
         status = IterationStatus.NON_FINITE
     except StepFailureError:

@@ -21,9 +21,10 @@ one.
 Each point is evaluated once.  A step evaluates f and J at x, and J(x) is the
 i = 0 term of every model matrix it assembles.  Steps from one x can share a
 dict of orders (map_rows' orders), as a bary:j step is the first j + 1 orders
-of a bary:k one (j < k).  The i = 0 sample x + 0*h differs from x only in
-the sign of a zero coordinate, and the assembly adds a_0 * J(x) to 0.0,
-which erases the sign of a zero, so the model matrices keep their bits.
+of a bary:k one (j < k); the dict steps every row of x, and each step takes
+the failures of its own live rows.  The i = 0 sample x + 0*h differs from x
+only in the sign of a zero coordinate, and the assembly adds a_0 * J(x) to
+0.0, which erases the sign of a zero, so the model matrices keep their bits.
 """
 
 import itertools
@@ -106,6 +107,14 @@ def _finite(values: np.ndarray, at: np.ndarray, failures: Failures) -> np.ndarra
     return values
 
 
+def shaped(value, shape: tuple) -> np.ndarray:
+    """value as a float array of the given shape; a value of another shape raises ValueError."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"value shapes differ: expected {shape}, got {value.shape}")
+    return value
+
+
 def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: Failures, at=None) -> np.ndarray:
     """fn at the live rows of points in one call, as an array of shape (len(points), *shape).
 
@@ -119,10 +128,7 @@ def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: Fail
         return np.zeros((len(points), *shape))
     dense = len(rows) == len(points)
     with np.errstate(all="ignore"):
-        value = np.asarray(fn(points if dense else points.take(rows, axis=0)), dtype=float)
-    if value.shape != (len(rows), *shape):
-        raise ValueError(f"value shapes differ: expected {(len(rows), *shape)}, got {value.shape}")
-    values = value
+        values = value = shaped(fn(points if dense else points.take(rows, axis=0)), (len(rows), *shape))
     if not dense:
         values = np.zeros((len(points), *shape))
         values[rows] = value
@@ -240,10 +246,10 @@ def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, fail
     live row of x; a failed row's next point is NaN.  A bary:k step is order k of orders_rows;
     Newton is k = 0.
 
-    orders, a dict passed to the steps from one x, holds orders_rows from x, its own Failures
-    and per order pulled so far its rows, points, delta and live mask: a step reads or extends
-    them, and failures gets the failures of orders 0..k.  A composition shares only its inner
-    step; its outer step starts from the inner one's points."""
+    orders, a dict passed to the steps from one x, holds orders_rows from every row of x, its own
+    Failures and per order pulled so far its rows, points, delta and live mask: a step reads or
+    extends them, and failures gets the failures of orders 0..k at its live rows.  A composition
+    shares only its inner step; its outer step starts from the inner one's points."""
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
         return map_rows(problem, outer, map_rows(problem, inner, x, failures, orders), failures)
@@ -254,7 +260,6 @@ def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, fail
     else:
         if not orders:
             own = Failures(len(x))
-            own.fail(~failures.live, failures.__getitem__)
             orders.update(steps=orders_rows(problem, x, own), failures=own, pulled=[])
         own, pulled = orders["failures"], orders["pulled"]
         while len(pulled) <= iter_map.k:
@@ -264,6 +269,7 @@ def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, fail
     next_ = np.full(x.shape, np.nan)
     with np.errstate(all="ignore"):
         next_[rows] = points + delta
+    next_[~failures.live] = np.nan  # also a row failed before the call, which a shared dict steps
     return next_
 
 

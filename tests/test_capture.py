@@ -91,6 +91,8 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             GridSpec(domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), nx=2.5, ny=3)
         assert GridSpec(domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), nx=np.int64(3), ny=3).size == 9
+        with pytest.raises(ValueError, match="grid scans are 2-D"):
+            GridSpec(domain=Box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)), nx=3, ny=3)
 
     @pytest.mark.parametrize("lo, hi", [((-math.inf, -1.0), (math.inf, 1.0)), ((math.nan, -1.0), (1.0, 1.0)),
                                         ((0.0, 0.0), (1.0, math.inf))])
@@ -187,13 +189,20 @@ class TestClusterPoints:
         [
             (np.array([0.0, np.nan]), "point 2 has a non-finite coordinate"),
             (np.array([np.inf, 0.0]), "point 2 has a non-finite coordinate"),
-            (np.array([0.0, 0.0, 0.0]), r"point 2 has shape \(3,\), expected \(2,\)"),
-            (np.zeros((2, 1)), r"point 2 has shape \(2, 1\), expected \(2,\)"),
+            (np.array([0.0, 0.0, 0.0]), r"detected shape was \(3,\) \+ inhomogeneous part"),
+            (np.zeros((2, 1)), r"detected shape was \(3, 2\) \+ inhomogeneous part"),
         ],
     )
     def test_rejects_bad_points_by_index(self, bad, message):
         with pytest.raises(ValueError, match=message):
             cluster_points([np.zeros(2), np.ones(2), bad], 1e-3)
+
+    def test_points_are_read_as_one_array(self):
+        # a list of points is one (m, n) array: an empty one has no clusters, and
+        # an array of another rank is a ValueError naming its shape
+        assert cluster_points([], 1e-3) == []
+        with pytest.raises(ValueError, match=r"points must be an \(m, n\) array, got shape \(3, 2, 1\)"):
+            cluster_points(np.zeros((3, 2, 1)), 1e-3)
 
 
 @st.composite

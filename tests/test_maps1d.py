@@ -234,6 +234,17 @@ class TestRecursiveStep:
         with pytest.raises(SingularModelError):
             recursive_map_step(SQUARE_P1, newton_barycentric(1), 0.0)
 
+    def test_taylor_model_that_overflows_or_vanishes(self):
+        # with f' = 1, h_1 = -f and phi_1 = f' + f'' * h_1 / 2: f = f'' = 1e300
+        # overflows it to -inf, and f = 2, f'' = 1 makes it exactly 1 - 1 = 0
+        def problem(f, d2):
+            return ScalarProblem(f=lambda x: f, derivatives=(lambda x: 1.0, lambda x: d2))
+
+        with pytest.raises(EvaluationError, match=re.escape("non-finite model value at x=0.5 (index 1)")):
+            recursive_map_step(problem(1e300, 1e300), newton_taylor(1), 0.5)
+        with pytest.raises(SingularModelError, match=re.escape("|phi_1(x)|=0.000e+00 below floor at x=0.5")):
+            recursive_map_step(problem(2.0, 1.0), newton_taylor(1), 0.5)
+
 
 class TestCompose:
     def test_composition_applies_inner_first(self):
@@ -271,6 +282,21 @@ class TestIterate:
         result = iterate(CUBIC, newton_map(), CUBIC.known_root, max_iter=5, tol=1e-12)
         assert result.status is IterationStatus.CONVERGED
         assert len(result.points) == 1
+
+    def test_f_is_tested_once_per_point(self):
+        # |f(x)| <= tol is tested at x0 and after each step, and a Newton step
+        # evaluates f at its start once more
+        calls = []
+        cubic = dataclasses.replace(CUBIC, f=lambda x: calls.append(x) or CUBIC.f(x))
+        result = iterate(cubic, newton_map(), CUBIC.known_root, max_iter=3, tol=1e-12)
+        assert result.status is IterationStatus.CONVERGED and result.points == (CUBIC.known_root,)
+        assert calls == [CUBIC.known_root]
+        calls.clear()
+        square = dataclasses.replace(SQUARE_P1, f=lambda x: calls.append(x) or SQUARE_P1.f(x))
+        result = iterate(square, newton_map(), 2.0, max_iter=3, tol=1e-12)
+        assert result.status is IterationStatus.MAX_ITER and len(result.points) == 4
+        x0, x1, x2, x3 = result.points
+        assert calls == [x0, x0, x1, x1, x2, x2, x3]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

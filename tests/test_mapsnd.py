@@ -293,6 +293,13 @@ class TestValueShapes:
         with pytest.raises(ValueError, match=re.escape("expected (9, 2, 2), got (9, 2)")):
             run_capture(problem, config)
 
+    def test_mis_shaped_objective_raises(self):
+        # an objective of shape (m, 1) would give list-valued objective fields
+        problem = dataclasses.replace(AFFINE, objective=lambda p: p[..., :1])
+        config = CaptureConfig(grid=GridSpec(AFFINE.domain, 3, 3), tolerance=1e-8, map=newton_map())
+        with pytest.raises(ValueError, match=re.escape("expected (9,), got (9, 1)")):
+            run_capture(problem, config)
+
 
 class TestNewtonStep:
     def test_affine_one_step_exact(self):
@@ -505,6 +512,30 @@ class TestMapDispatch:
         assert np.array_equal(a, b)
 
 
+class TestSharedOrders:
+    """Steps that share an orders dict step every row of their points, and each
+    caller takes its own rows' failures: each gets what it gets alone."""
+
+    def test_a_row_failed_by_one_caller_is_live_for_the_next(self):
+        x = np.array([[0.3, 0.4], [0.6, 0.5], [0.9, 0.1]])
+        error = EvaluationError("failed by its caller")
+
+        def step(failed, orders=None):
+            """The bytes of a bary:2 step's next points from x, and its failures, with rows failed failed."""
+            failures = Failures(len(x))
+            failures.fail(np.isin(np.arange(len(x)), failed), lambda r: error)
+            next_ = map_rows(rutishauser(), newton_barycentric(2), x, failures, orders)
+            return next_.tobytes(), list(failures)
+
+        solo = {failed: step(failed) for failed in ((1,), ())}
+        assert solo[()][1] == [None] * 3 and solo[(1,)][1] == [None, error, None]
+        row_1 = {failed: np.frombuffer(solo[failed][0]).reshape(x.shape)[1] for failed in solo}
+        assert row_1[()] == pytest.approx([0.6189, 0.5682], abs=1e-4) and np.isnan(row_1[(1,)]).all()
+        for callers in ([(1,), ()], [(), (1,)]):
+            orders = {}
+            assert [step(failed, orders) for failed in callers] == [solo[failed] for failed in callers]
+
+
 class TestTwoIterations:
     def test_zero_start_is_constant(self):
         point = AFFINE_ZERO
@@ -575,3 +606,5 @@ def test_box_membership_is_inclusive():
     assert not box.contains(np.array([1.0000001, 1.0]))
     with pytest.raises(ValueError):
         Box(lo=(1.0,), hi=(0.0,))
+    with pytest.raises(ValueError, match="lo and hi must have the same dimension"):
+        Box(lo=(0.0, 0.0), hi=(1.0,))

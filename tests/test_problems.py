@@ -212,6 +212,28 @@ class TestPolynomialFiles:
             load_polynomial_problem(str(path))
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("poly 0 : 1\n", "line 1: dimension must be >= 1, got 0"),
+            ("poly 2 : one 1 0\npoly 2 : 1.0 0 1\n", "line 1: bad term 'one 1 0'"),
+            ("poly 2 : ;\npoly 2 : 1.0 0 1\n", "line 1: component has no terms"),
+            ("domain a b c d\npoly 1 : 1.0 1\n", "line 1: bad domain 'domain a b c d'"),
+            ("poly 1 : 1.0 1\npoly 2 : 1.0 0 1\n", "components declare different dimensions"),
+        ],
+    )
+    def test_malformed_files_name_the_fault(self, tmp_path, content, message):
+        path = tmp_path / "bad.poly"
+        path.write_text(content)
+        with pytest.raises(ProblemFormatError, match=re.escape(message)):
+            load_polynomial_problem(str(path))
+
+    def test_empty_term_is_skipped(self, tmp_path):
+        path = tmp_path / "gap.poly"
+        path.write_text("poly 2 : 3.0 1 0 ; ; 1.0 0 1\npoly 2 : 1.0 1 0 ;; 2.0 0 1 ;\n")
+        problem = load_polynomial_problem(str(path))
+        assert problem.f(np.array([2.0, -1.0])).tolist() == [5.0, 0.0]
+
+    @pytest.mark.parametrize(
         "line, message",
         [
             ("domain -inf inf -1 1", "line 2: non-finite domain bound"),

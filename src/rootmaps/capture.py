@@ -3,10 +3,12 @@
 Every grid vertex X0 goes through three filters: the Jacobian at X0 must be
 nonsingular, at least one of the two iterates X1, X2 must stay in the search
 box, and finally X2 is kept iff ||f(X2)|| <= tolerance.  All seeds pass
-through each filter together, as one batch (see mapsnd), and the scans of one
-problem on one grid can share the orders of their first steps (run_capture's
-shared).  Captured points cluster near the fixed points of the map; a greedy
-pass groups them.
+through each filter together, as one batch (see mapsnd).  two_steps steps the
+seeds by several maps at once, as one walk of their step paths, so that the
+maps share the seeds' Newton step and every common step prefix; run_capture
+takes one map's entry, or steps its own map alone through the same walk.
+Captured points cluster near the fixed points of the map; a greedy pass
+groups them.
 """
 
 import itertools
@@ -18,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .maps1d import IterativeMap, newton_map
-from .mapsnd import Box, Failures, VectorProblem, evaluate_rows, map_rows, shaped
+from .maps1d import IterativeMap
+from .mapsnd import Box, Failures, VectorProblem, evaluate_rows, paths_rows, shaped, step_orders
 
 DEFAULT_CLUSTER_RADIUS = 1e-3
 
@@ -65,9 +67,7 @@ class CaptureConfig:
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if not 0 < self.cluster_radius < math.inf:
-            raise ValueError(
-                f"cluster_radius must be positive and finite, got {self.cluster_radius}"
-            )
+            raise ValueError(f"cluster_radius must be positive and finite, got {self.cluster_radius}")
         if self.norm not in ("max", "euclidean"):
             raise ValueError(f"norm must be 'max' or 'euclidean', got {self.norm!r}")
 
@@ -217,7 +217,27 @@ def _residual_norms(residuals: np.ndarray, norm: str) -> np.ndarray:
     return np.abs(residuals).max(axis=1)
 
 
-def run_capture(problem: VectorProblem, config: CaptureConfig, shared: dict | None = None) -> CaptureResult:
+def objectives(problem: VectorProblem, points: np.ndarray) -> list:
+    """The objective at each row of points as floats, with numpy's warnings off and its shape
+    checked like f's, or None at each if the problem has none; it is not called without a row."""
+    if problem.objective is None or not len(points):
+        return [None] * len(points)
+    with np.errstate(all="ignore"):
+        return shaped(problem.objective(points), (len(points),)).tolist()
+
+
+def two_steps(problem: VectorProblem, seeds: np.ndarray, maps: list[IterativeMap]) -> list[tuple]:
+    """Two steps of each map from the seeds, in one paths_rows walk: per map the singular
+    filter's mask, the first and the second iterates, and the Failures after both.  A map's
+    path is its step_orders twice; the singular filter is the path (0,), the seeds' Newton
+    step, which is order 0 of every first step."""
+    paths = [step_orders(iter_map) * 2 for iter_map in maps]
+    nodes = paths_rows(problem, seeds, Failures(len(seeds)), [(0,), *paths])
+    singular = ~nodes[(0,)][1].live
+    return [(singular, nodes[path[: len(path) // 2]][0], *nodes[path]) for path in paths]
+
+
+def run_capture(problem: VectorProblem, config: CaptureConfig, steps: tuple | None = None) -> CaptureResult:
     """Scan the grid with two iterations of the configured map.
 
     All seeds go through each stage as one batch (see mapsnd); the singular
@@ -225,18 +245,12 @@ def run_capture(problem: VectorProblem, config: CaptureConfig, shared: dict | No
     CaptureCounts field of the first stage that stopped it.  Captured points
     are clustered in grid-index order.
 
-    shared is a dict to pass to every scan of one problem on one grid: their
-    first steps then share the seeds' Newton step and each common prefix of
-    orders (map_rows' orders), kept under the problem and the grid.
+    steps is config.map's entry of two_steps from the grid's seeds, as
+    reproduce steps the maps of an example together; by default the scan
+    steps its own map.
     """
     seeds = make_grid(config.grid)
-    orders = {} if shared is None else shared.setdefault((problem, config.grid), {})
-    failures = Failures(len(seeds))
-    # the singular filter is the seeds' Newton step, order 0 of the first step, which reads it back
-    map_rows(problem, newton_map(), seeds, failures, orders)
-    singular = ~failures.live
-    first = map_rows(problem, config.map, seeds, failures, orders)
-    second = map_rows(problem, config.map, first, failures)
+    singular, first, second, failures = steps or two_steps(problem, seeds, [config.map])[0]
     stepped = failures.live
     inside = stepped & (config.grid.domain.contains(first) | config.grid.domain.contains(second))
     rows = np.flatnonzero(inside & np.isfinite(second).all(axis=1))
@@ -248,11 +262,7 @@ def run_capture(problem: VectorProblem, config: CaptureConfig, shared: dict | No
     fates[rows] = 4
     counts = CaptureCounts(len(seeds), *np.bincount(fates, minlength=5).tolist())
     points = second[rows]
-    objectives = [None] * len(rows)
-    if problem.objective and len(rows):
-        with np.errstate(all="ignore"):
-            objectives = shaped(problem.objective(points), (len(rows),)).tolist()
     grid_i, grid_j = np.divmod(rows, config.grid.ny)
-    columns = grid_i.tolist(), grid_j.tolist(), list(seeds[rows]), list(points), fnorms.tolist(), objectives
+    columns = grid_i.tolist(), grid_j.tolist(), list(seeds[rows]), list(points), fnorms.tolist(), objectives(problem, points)
     captured = list(map(CapturedPoint, *columns))
     return CaptureResult(captured=captured, clusters=cluster_points(points, config.cluster_radius), counts=counts)

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capture import DEFAULT_CLUSTER_RADIUS, CaptureConfig, CaptureResult, Cluster, GridSpec, run_capture
+from .capture import (DEFAULT_CLUSTER_RADIUS, CaptureConfig, CaptureResult, Cluster, GridSpec, make_grid,
+                      objectives, run_capture, two_steps)
 from .coefficients import MAX_ORDER_INDEX, barycentric_coefficients
 from .maps1d import (
     InsufficientDataError,
@@ -288,37 +289,23 @@ def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
     problem_name, nx, ny, eps, map_rows = REPRODUCE_SETUPS[example]
     problem = vector_problem(problem_name)
     grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
-    maps, results, shared = [], {}, {}
-    for label, spec_text, reference_count in map_rows:
-        map_spec = parse_map_spec(spec_text)
-        config = CaptureConfig(grid=grid, tolerance=eps, map=map_spec, cluster_radius=cluster_radius)
-        result = run_capture(problem, config, shared)
-        results[label] = result
+    configs = [CaptureConfig(grid=grid, tolerance=eps, map=parse_map_spec(spec_text), cluster_radius=cluster_radius)
+               for _, spec_text, _ in map_rows]
+    # every map steps in one walk, then run_capture scans each map from its own iterates
+    stepped = two_steps(problem, make_grid(grid), [config.map for config in configs])
+    maps, results = [], {}
+    for (label, spec_text, reference_count), config, steps in zip(map_rows, configs, stepped):
+        result = results[label] = run_capture(problem, config, steps)
         clusters = sorted(result.clusters, key=lambda c: -c.count)[:_MAX_CLUSTER_ROWS]
         # one objective call on the stacked representatives; the kernels do not depend on batch size
-        objectives = problem.objective(np.array([cl.representative for cl in clusters])).tolist() if clusters else []
-        maps.append(
-            {
-                "label": label,
-                "map": spec_text,
-                "captured": result.counts.captured,
-                "reference_count": reference_count,
-                "counts": asdict(result.counts),
-                "clusters": [{**_cluster_row(cl), "g": g} for cl, g in zip(clusters, objectives)],
-                "total_clusters": len(result.clusters),
-            }
-        )
-    report = {
-        "example": example,
-        "problem": problem_name,
-        "nx": nx,
-        "ny": ny,
-        "dx": grid.dx,
-        "dy": grid.dy,
-        "eps": eps,
-        "cluster_radius": cluster_radius,
-        "maps": maps,
-    }
+        g = objectives(problem, np.array([cl.representative for cl in clusters]))
+        maps.append({
+            "label": label, "map": spec_text, "captured": result.counts.captured, "reference_count": reference_count,
+            "counts": asdict(result.counts), "clusters": [{**_cluster_row(cl), "g": v} for cl, v in zip(clusters, g)],
+            "total_clusters": len(result.clusters),
+        })
+    report = {"example": example, "problem": problem_name, "nx": nx, "ny": ny, "dx": grid.dx, "dy": grid.dy,
+              "eps": eps, "cluster_radius": cluster_radius, "maps": maps}
     return report, results
 
 
@@ -339,9 +326,7 @@ def _render_report_text(report: dict) -> str:
         lines.append("(the source text reports 664 captured points; its figure caption says 1458)")
     for row in report["maps"]:
         lines.append("")
-        lines.append(
-            f"{row['label']} clusters (top {len(row['clusters'])} of {row['total_clusters']} by size):"
-        )
+        lines.append(f"{row['label']} clusters (top {len(row['clusters'])} of {row['total_clusters']} by size):")
         lines.append(f"  {'x':>12} {'y':>12} {'count':>6} {'g':>12}")
         for cl in row["clusters"]:
             lines.append(f"  {cl['x']:>12.6f} {cl['y']:>12.6f} {cl['count']:>6} {cl['g']:>12.6f}")

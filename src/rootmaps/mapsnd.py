@@ -18,13 +18,16 @@ IEEE operations in the same order, so each row's result is the one-point
 result bit for bit; the one-point step, vector_map_step, runs a batch of
 one.
 
-Each point is evaluated once.  A step evaluates f and J at x, and J(x) is the
-i = 0 term of every model matrix it assembles.  Steps from one x can share a
-dict of orders (map_rows' orders), as a bary:j step is the first j + 1 orders
-of a bary:k one (j < k); the dict steps every row of x, and each step takes
-the failures of its own live rows.  The i = 0 sample x + 0*h differs from x
-only in the sign of a zero coordinate, and the assembly adds a_0 * J(x) to
-0.0, which erases the sign of a zero, so the model matrices keep their bits.
+A step evaluates each point once: f and J at x, and J(x) is the i = 0 term
+of every model matrix it assembles.  A map is a path of steps, its
+step_orders (a composition is its inner steps, then its outer ones), and
+paths_rows steps the trie of several paths from one x level by level: a
+level runs one recursion on the stacked rows of every distinct node that a
+step starts from, as a bary:j step is the first j + 1 orders of a bary:k one
+(j < k), and each row leaves after the highest order asked of its node.  Every
+node keeps its own failures.  The i = 0 sample x + 0*h differs from x only
+in the sign of a zero coordinate, and the assembly adds a_0 * J(x) to 0.0,
+which erases the sign of a zero, so the model matrices keep their bits.
 """
 
 import itertools
@@ -98,6 +101,14 @@ class Failures(list):
         """Give failure(r) to every live row r that the boolean mask rows marks."""
         for r in np.flatnonzero(rows & self.live).tolist():
             self[r] = failure(r)
+
+    @staticmethod
+    def join(parts: list, begin: int = 0, end: int | None = None) -> "Failures":
+        """A new Failures of the rows of parts in turn, cut to rows begin..end - 1."""
+        joined = Failures(0)
+        joined += sum(parts, [])[begin:end]
+        joined.live = np.concatenate([part.live for part in parts])[begin:end]
+        return joined
 
 
 def _finite(values: np.ndarray, at: np.ndarray, failures: Failures) -> np.ndarray:
@@ -212,64 +223,79 @@ def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.n
     return phi
 
 
-def _compact(failures: Failures, rows: np.ndarray, batch: Failures, *arrays: np.ndarray) -> tuple:
-    """Give failures[rows[i]] the failure of each failed row i of batch, and return rows,
-    batch and the arrays' rows cut to batch's live rows (as they are if all are live)."""
-    if batch.live.all():
+def _compact(failures: Failures, rows: np.ndarray, batch: Failures, keep: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """Hand each failed row i of batch to failures[rows[i]]; cut rows, batch and arrays to keep (within batch.live)."""
+    if keep.all():
         return rows, batch, *arrays
     for i in np.flatnonzero(~batch.live).tolist():
         failures[rows[i]] = batch[i]
-    keep = np.flatnonzero(batch.live)
+    keep = np.flatnonzero(keep)
     return rows[keep], Failures(len(keep)), *(a.take(keep, axis=0) for a in arrays)
 
 
-def orders_rows(problem: VectorProblem, x: np.ndarray, failures: Failures):
-    """A step from each live row of x, order by order: after order j = 0, 1, 2, ... it yields the
-    live rows, their points and delta, and failures then holds exactly the failures of a bary:j
-    step.  Order 0 is the Newton step: f(x) and J_f(x), and a row fails where they are not finite
-    or J_f is singular (a scan's singular filter).  Its delta seeds h, then each order-j model
-    matrix is solved against -f(x) for the next h."""
-    rows, batch, points = _compact(failures, np.arange(len(x)), failures, x)
+def orders_rows(problem: VectorProblem, x: np.ndarray, failures: Failures, last: np.ndarray):
+    """A step from each live row r of x, order by order up to order last[r], when the row leaves:
+    after order j = 0, 1, 2, ... it yields the rows still in, their points and delta, and failures
+    then holds exactly the failures of a bary:j step at them.  Order 0 is the Newton step: f(x)
+    and J_f(x), and a row fails where they are not finite or J_f is singular (a scan's singular
+    filter).  Its delta seeds h, then each order-j model matrix is solved against -f(x) for the next h."""
+    rows, batch, points, last = _compact(failures, np.arange(len(x)), failures, failures.live, x, last)
     fx = evaluate_rows(problem.f, (problem.n,), points, batch)
     jx = evaluate_rows(problem.jacobian, (problem.n,) * 2, points, batch)
     delta = solve_rows(jx, -fx, batch)
     for j in itertools.count(1):
-        rows, batch, points, fx, jx, delta = _compact(failures, rows, batch, points, fx, jx, delta)
+        rows, batch, points, last, fx, jx, delta = _compact(failures, rows, batch, batch.live, points, last, fx, jx, delta)
         yield rows, points, delta
+        rows, batch, points, last, fx, jx, delta = _compact(failures, rows, batch, last >= j, points, last, fx, jx, delta)
         phi = _finite(_model_matrix(problem, barycentric_coefficients(j).floats, delta, points, jx, batch), points, batch)
         delta = solve_rows(phi, -fx, batch)
 
 
-def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: Failures,
-             orders: dict | None = None) -> np.ndarray:
-    """The (N, n) next points of one step of a Newton, barycentric or composed map from each
-    live row of x; a failed row's next point is NaN.  A bary:k step is order k of orders_rows;
-    Newton is k = 0.
-
-    orders, a dict passed to the steps from one x, holds orders_rows from every row of x, its own
-    Failures and per order pulled so far its rows, points, delta and live mask: a step reads or
-    extends them, and failures gets the failures of orders 0..k at its live rows.  A composition
-    shares only its inner step; its outer step starts from the inner one's points."""
+def step_orders(iter_map: IterativeMap) -> tuple[int, ...]:
+    """The order of each step of iter_map, innermost first: k for bary:k, 0 for Newton."""
     if iter_map.family is MapFamily.COMPOSITION:
         outer, inner = iter_map.components
-        return map_rows(problem, outer, map_rows(problem, inner, x, failures, orders), failures)
+        return step_orders(inner) + step_orders(outer)
     if iter_map.family not in (MapFamily.NEWTON, MapFamily.NEWTON_BARYCENTRIC):
         raise ValueError(f"{iter_map.family.value} maps are not defined on R^n")
-    if orders is None:  # nothing to keep: the step runs on failures itself
-        rows, points, delta = next(itertools.islice(orders_rows(problem, x, failures), iter_map.k, None))
-    else:
-        if not orders:
-            own = Failures(len(x))
-            orders.update(steps=orders_rows(problem, x, own), failures=own, pulled=[])
-        own, pulled = orders["failures"], orders["pulled"]
-        while len(pulled) <= iter_map.k:
-            pulled.append((*next(orders["steps"]), own.live.copy()))
-        rows, points, delta, live = pulled[iter_map.k]
-        failures.fail(~live, own.__getitem__)
-    next_ = np.full(x.shape, np.nan)
-    with np.errstate(all="ignore"):
-        next_[rows] = points + delta
-    next_[~failures.live] = np.nan  # also a row failed before the call, which a shared dict steps
+    return (iter_map.k,)
+
+
+def paths_rows(problem: VectorProblem, x: np.ndarray, failures: Failures, paths: list[tuple]) -> dict:
+    """Every node of the trie of paths from x, each a tuple of step orders (see step_orders):
+    node p[:m] of a path p is the (N, n) points and the Failures of the first m steps of p from
+    each live row of x, with NaN at a failed row.  The root () is x and failures.
+
+    Level m runs one orders_rows recursion on the stacked rows of every distinct node p[:m],
+    each row leaving after the highest order p[m] asked of its node, and each node p[:m + 1]
+    takes the next points and failures of its start node's rows after order p[m]."""
+    nodes = {(): (x, failures)}
+    for m in range(max(map(len, paths), default=0)):
+        children = sorted(dict.fromkeys(path[: m + 1] for path in paths if len(path) > m), key=lambda c: c[-1])
+        last = {child[:-1]: child[-1] for child in children}  # in order, so each start's highest
+        sizes = [len(nodes[start][0]) for start in last]
+        bounds = dict(zip(last, itertools.pairwise(np.cumsum([0, *sizes]).tolist())))
+        stacked = Failures.join([nodes[start][1] for start in last])
+        points = np.concatenate([nodes[start][0] for start in last])
+        steps = orders_rows(problem, points, stacked, np.repeat(list(last.values()), sizes))
+        for j, (rows, at, delta) in zip(range(children[-1][-1] + 1), steps):
+            if ends := [child for child in children if child[-1] == j]:
+                next_ = np.full(points.shape, np.nan)
+                with np.errstate(all="ignore"):
+                    next_[rows] = at + delta
+                for child in ends:
+                    begin, end = bounds[child[:-1]]
+                    nodes[child] = next_[begin:end], Failures.join([stacked], begin, end)
+    return nodes
+
+
+def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: Failures) -> np.ndarray:
+    """The (N, n) next points of one step of a Newton, barycentric or composed map from each
+    live row of x, its step_orders as one path of paths_rows; a failed row's next point is NaN,
+    and failures gets the failure of each row that fails."""
+    path = step_orders(iter_map)
+    next_, own = paths_rows(problem, x, failures, [path])[path]
+    failures.fail(~own.live, own.__getitem__)
     return next_
 
 

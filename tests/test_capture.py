@@ -35,6 +35,7 @@ from rootmaps.capture import (
     _key,
     cluster_points,
     make_grid,
+    two_steps,
 )
 from rootmaps.maps1d import MapFamily
 from rootmaps.cli import REPRODUCE_SETUPS, parse_map_spec
@@ -947,25 +948,21 @@ class TestBatchedScanAgainstReference:
 
 
 def batched_steps(problem, iter_map, seeds, size):
-    """The singular filter and both map_rows steps, the first reading the
-    filter's Newton step from the orders they share, run on batches of size
-    seeds in turn: per seed, the stage that stopped it ("singular", "step 1"
-    or "step 2") with its failure's type and message, or the bytes of both
-    next points."""
+    """The singular filter and both steps of iter_map as one paths_rows walk, as a scan runs
+    them, on batches of size seeds in turn: per seed, the stage that stopped it ("singular",
+    "step 1" or "step 2") with its failure's type and message, or the bytes of both next
+    points."""
+    path = mapsnd.step_orders(iter_map)
     fates = []
     for begin in range(0, len(seeds), size):
         rows = seeds[begin : begin + size]
-        failures, orders = Failures(len(rows)), {}
-        mapsnd.map_rows(problem, newton_map(), rows, failures, orders)
-        singular = [f is not None for f in failures]
-        first = mapsnd.map_rows(problem, iter_map, rows, failures, orders)
-        stepped = [f is None for f in failures]
-        second = mapsnd.map_rows(problem, iter_map, first, failures)
-        for failure, was_singular, stepped_once, a, b in zip(failures, singular, stepped, first, second):
+        nodes = mapsnd.paths_rows(problem, rows, Failures(len(rows)), [(0,), path * 2])
+        (_, singular), (first, stepped), (second, failures) = nodes[(0,)], nodes[path], nodes[path * 2]
+        for r, (failure, a, b) in enumerate(zip(failures, first, second)):
             if failure is None:
                 fates.append((a.tobytes(), b.tobytes()))
             else:
-                stage = "singular" if was_singular else "step 2" if stepped_once else "step 1"
+                stage = "singular" if singular[r] else "step 2" if stepped[r] is None else "step 1"
                 fates.append((stage, type(failure).__name__, str(failure)))
     return fates
 
@@ -1066,13 +1063,17 @@ def scan_signature(result):
     return result.counts, captured, [(c.members, c.representative.tobytes()) for c in result.clusters]
 
 
-def shared_scans(scans, shared):
-    return [scan_signature(run_capture(problem, config, shared)) for problem, config in scans]
+def stepped_scans(scans):
+    """The scans of one problem on one grid, their maps stepped together by two_steps."""
+    problem, config = scans[0]
+    stepped = two_steps(problem, make_grid(config.grid), [config.map for _, config in scans])
+    return [scan_signature(run_capture(problem, config, steps)) for (problem, config), steps in zip(scans, stepped)]
 
 
 class TestSharedScans:
-    """Scans passed one shared dict read each first-step order from it or pull
-    it into it, and report what their solo scans report."""
+    """Scans whose maps are stepped together in one walk, each step level one
+    stacked recursion on the rows of every node a step starts from, report what
+    their solo scans report, whatever the order of the maps."""
 
     @pytest.fixture(scope="class")
     def examples(self):
@@ -1084,26 +1085,22 @@ class TestSharedScans:
     @pytest.mark.parametrize("example", ["example1", "example2-coarse"])
     def test_listed_and_reverse_order(self, examples, example):
         scans, solo = examples
-        assert shared_scans(scans[example], {}) == solo[example]
-        # the higher orders are pulled first, so the lower ones are read back
-        assert shared_scans(scans[example][::-1], {}) == solo[example][::-1]
+        assert stepped_scans(scans[example]) == solo[example]
+        # the start nodes stack in another order, and each row still leaves after its own
+        assert stepped_scans(scans[example][::-1]) == solo[example][::-1]
 
-    def test_rutishauser_and_ackley_interleaved(self, examples):
+    @pytest.mark.parametrize("example", ["example1", "example2-coarse"])
+    def test_one_map_listed_twice(self, examples, example):
+        # the duplicate's path is the same trie path, stepped once and read twice
         scans, solo = examples
-        # example1's maps and example2-coarse's in turn, on one dict
-        indices = itertools.zip_longest(*(range(len(scans[example])) for example in scans))
-        labels = [(example, i) for row in indices for example, i in zip(scans, row) if i is not None]
-        shared = {}
-        got = shared_scans([scans[example][i] for example, i in labels], shared)
-        assert got == [solo[example][i] for example, i in labels]
-        # one entry per problem and grid
-        assert len(shared) == 2
+        twice = [*scans[example][:3], scans[example][-1], *scans[example][3:]]
+        assert stepped_scans(twice) == [*solo[example][:3], solo[example][-1], *solo[example][3:]]
 
     def test_failures_at_higher_orders(self):
         # J is NaN at the order-3 samples x + 3*h_3 of some seeds, which bary:2
         # never evaluates (x + h_3 is t_2(x), where its second step starts):
         # bary:3..5 stop those seeds in their first step and bary:2 keeps them,
-        # whichever scan pulls the orders into the dict
+        # though one recursion runs the orders of all four first steps
         problem, config = reproduce_configs("example1")[5].values
         assert config.map == newton_barycentric(5)
         calls = []
@@ -1123,8 +1120,17 @@ class TestSharedScans:
         clean = scan_signature(run_capture(problem, scans[0][1]))
         assert solo[0] == clean and clean[0].step_failures == 0
         assert [counts.step_failures for counts, *_ in solo[1:]] == [len(region)] * 3
-        assert shared_scans(scans, {}) == solo
-        assert shared_scans(scans[::-1], {}) == solo[::-1]
+        assert stepped_scans(scans) == solo
+        assert stepped_scans(scans[::-1]) == solo[::-1]
+
+
+# Points of f and the Jacobian and linear solves per pass of each reproduce
+# example; the README quotes them, and test_readme checks that it does.
+REPRODUCE_WORK = {
+    "example1": {"jacobian": 28519, "f": 6365, "solves": 14801},
+    "example2-coarse": {"jacobian": 24481, "f": 4973, "solves": 11520},
+    "example2-fine": {"jacobian": 90721, "f": 8353, "solves": 36960},
+}
 
 
 class TestWorkCounters:
@@ -1176,26 +1182,39 @@ class TestWorkCounters:
         # compose:bary:2,bary:1 is 6 J points and 5 solves a step: 121 * 12 J, 121 * 10 solves
         assert counts == {"seeds": 121, "jacobian": 1452, "f": 592, "solves": 1210, "captured": 78}
 
-    @pytest.mark.parametrize(
-        "example, work",
-        [
-            ("example1", {"jacobian": 30685, "f": 7087, "solves": 16606}),
-            ("example2-coarse", {"jacobian": 28441, "f": 5333, "solves": 13320}),
-            ("example2-fine", {"jacobian": 90721, "f": 8353, "solves": 36960}),
-        ],
-    )
+    @pytest.mark.parametrize("example, work", list(REPRODUCE_WORK.items()))
     def test_reproduce_examples(self, example, work, monkeypatch):
-        # the maps of one example share their first steps' orders.  example1,
-        # per seed: f, J and the Newton solve at the seed, 15 J and 5 solves for
-        # orders 1..5, then a bary:2 and a bary:3 step (4 and 7 J, 3 and 4
-        # solves) for the outer maps of t_21 and t_32 from t_1 and t_2: 27 J,
-        # 3 f, 13 solves.  The second steps are 58 J, 10 f and 33 solves:
-        # 361 * 85 J, 361 * 13 f + 2394 residuals, 361 * 46 solves.  Each map
-        # from scratch would be 41876 J, 9614 f and 23826 solves, and
-        # example2-coarse 37446, 7138 and 18720; example2-fine has one map
+        # the maps of one example step together, level by level (see
+        # capture.two_steps): each level steps every distinct start node once,
+        # to the highest order any map asks of it.  A bary:k step from a live
+        # point is 1 f, 1 + k(k+1)/2 J and k + 1 solves.  example1, per seed:
+        # level 1 the seeds to order 5: 16 J, 1 f, 6 solves.  Level 2 from
+        # t_0..t_5(x) to orders 0, 2 (t_1's second step, t_21's outer one),
+        # 3 (t_2's, t_32's), 3, 4 and 5: 1 + 4 + 7 + 7 + 11 + 16 = 46 J, 6 f,
+        # 1 + 3 + 4 + 4 + 5 + 6 = 23 solves.  Levels 3 and 4, the second steps
+        # of t_21 and t_32: bary:1 and bary:2 (6 J, 2 f, 5 solves), then bary:2
+        # and bary:3 (11 J, 2 f, 7 solves).  361 * 79 J, 361 * 11 f + 2394
+        # residuals, 361 * 41 solves.  example2-coarse (t_0..t_4, t_54 from
+        # bary:4 and bary:5), per live seed: level 1 to order 4: 11 J, 1 f, 5
+        # solves; level 2 from t_0..t_4(x) to orders 0, 1, 2, 3 and 5: 30 J,
+        # 5 f, 16 solves; levels 3 and 4, bary:4 and bary:5: 27 J, 2 f, 11
+        # solves.  The origin seed is singular after its f and J, so 360 * 68
+        # + 1 J, 360 * 8 + 1 f + 2092 residuals and 360 * 32 solves.
+        # example2-fine has one map, which steps as a scan of it alone does
         counts = Counter()
         problem = counting_problem(vector_problem(REPRODUCE_SETUPS[example][0]), counts)
         monkeypatch.setattr(cli, "vector_problem", lambda name: problem)
         self.count_solves(counts, monkeypatch)
         cli._reproduce_report(example, DEFAULT_CLUSTER_RADIUS)
         assert counts == work
+
+    def test_example1_batched_jacobian_calls(self, monkeypatch):
+        # one call per order and sample of each level's stacked recursion: orders 0..5
+        # from the seeds and from t_0..t_5(x) (1 + 15 each), then orders 0..2 (bary:1
+        # and bary:2 steps, 1 + 3) and orders 0..3 (bary:2 and bary:3 steps, 1 + 6)
+        calls = []
+        problem = vector_problem("rutishauser")
+        logged = dataclasses.replace(problem, jacobian=lambda p: calls.append(len(p)) or problem.jacobian(p))
+        monkeypatch.setattr(cli, "vector_problem", lambda name: logged)
+        cli._reproduce_report("example1", DEFAULT_CLUSTER_RADIUS)
+        assert len(calls) == 16 + 16 + 4 + 7 and sum(calls) == REPRODUCE_WORK["example1"]["jacobian"]

@@ -447,9 +447,34 @@ class TestReproduceCommand:
         assert calls == expected and all(row["clusters"] for row in report["maps"])
         calls.clear()
         empty = CaptureResult(captured=[], clusters=[], counts=CaptureCounts(seeded=361, skipped_outside=361))
-        monkeypatch.setattr(cli, "run_capture", lambda problem, config, shared: empty)
+        monkeypatch.setattr(cli, "run_capture", lambda problem, config, steps: empty)
         report, _ = cli._reproduce_report("example1", 1e-3)
         assert calls == [] and [row["clusters"] for row in report["maps"]] == [[]] * 8
+
+    def test_run_capture_is_called_once_per_map_in_listed_order(self, tmp_path, monkeypatch, capsys):
+        # a caller that observes the scans through cli.run_capture sees one call per
+        # map, in listed order, and each returned result is the one in that map's CSV
+        returned, rendered = [], []
+
+        def run_capture(problem, config, steps=None, run=cli.run_capture):
+            returned.append((config.map.describe(), run(problem, config, steps)))
+            return returned[-1][1]
+
+        def render_capture_csv(result, render=cli.render_capture_csv):
+            rendered.append(result)
+            return render(result)
+
+        monkeypatch.setattr(cli, "run_capture", run_capture)
+        monkeypatch.setattr(cli, "render_capture_csv", render_capture_csv)
+        assert main(["reproduce", "--example", "example1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        listed = cli.REPRODUCE_SETUPS["example1"][4]
+        assert [spec for spec, _ in returned] == [spec for _, spec, _ in listed]
+        assert len(rendered) == len(listed) and all(a is b for a, (_, b) in zip(rendered, returned))
+        for (label, _, _), (_, result) in zip(listed, returned):
+            csv_text = (tmp_path / f"example1-{label}.csv").read_text(encoding="utf-8")
+            assert csv_text == cli.render_capture_csv(result)
+            assert csv_text.count("\n") == result.counts.captured + 1
 
     def test_example2_fine_configuration(self):
         from rootmaps.cli import REPRODUCE_SETUPS

@@ -22,6 +22,7 @@ from rootmaps import (
     vector_map_step,
 )
 from rootmaps.maps1d import ScalarProblem, barycentric_model
+from rootmaps import mapsnd
 from rootmaps.mapsnd import PIVOT_RTOL, Failures, _model_matrix, evaluate_rows, map_rows, solve_rows
 from rootmaps.problems import ackley_gradient, load_polynomial_problem
 from test_problems import write_random_gradient_file
@@ -512,28 +513,69 @@ class TestMapDispatch:
         assert np.array_equal(a, b)
 
 
-class TestSharedOrders:
-    """Steps that share an orders dict step every row of their points, and each
-    caller takes its own rows' failures: each gets what it gets alone."""
+def described(failures):
+    """Each row's failure as its type and message, or None where the row is live."""
+    return [None if f is None else f"{type(f).__name__}: {f}" for f in failures]
 
-    def test_a_row_failed_by_one_caller_is_live_for_the_next(self):
-        x = np.array([[0.3, 0.4], [0.6, 0.5], [0.9, 0.1]])
-        error = EvaluationError("failed by its caller")
 
-        def step(failed, orders=None):
-            """The bytes of a bary:2 step's next points from x, and its failures, with rows failed failed."""
+class TestStackedNodes:
+    """paths_rows stacks the rows of every node a level steps from into one
+    recursion.  Each node keeps its own failures, and each node is what a chain
+    of map_rows steps gives alone."""
+
+    def test_a_row_failed_in_one_node_is_live_in_another(self):
+        # f = x - c and J = I, but NaN at the order-2 sample x + 2*h of row 1:
+        # row 1 fails in t_2(x) and steps on from t_1(x), stacked with it
+        c = np.array([0.5, 0.5])
+        x = np.array([[0.3, 0.4], [0.6, 0.9], [0.9, 0.1]])
+        samples = []
+        logged = VectorProblem(n=2, f=lambda p: p - c, jacobian=lambda p: samples.append(p) or constant(np.eye(2))(p))
+        map_rows(logged, newton_barycentric(2), x, Failures(len(x)))
+        poison = samples[3][1]
+        counts = {"f": 0}
+
+        def f(p):
+            counts["f"] += len(p)
+            return p - c
+
+        problem = VectorProblem(n=2, f=f, jacobian=lambda p: np.where(
+            (p == poison).all(axis=-1)[..., None, None], np.nan, constant(np.eye(2))(p)))
+        error = EvaluationError("failed before the walk")
+
+        def root():
             failures = Failures(len(x))
-            failures.fail(np.isin(np.arange(len(x)), failed), lambda r: error)
-            next_ = map_rows(rutishauser(), newton_barycentric(2), x, failures, orders)
-            return next_.tobytes(), list(failures)
+            failures[0] = error
+            return failures
 
-        solo = {failed: step(failed) for failed in ((1,), ())}
-        assert solo[()][1] == [None] * 3 and solo[(1,)][1] == [None, error, None]
-        row_1 = {failed: np.frombuffer(solo[failed][0]).reshape(x.shape)[1] for failed in solo}
-        assert row_1[()] == pytest.approx([0.6189, 0.5682], abs=1e-4) and np.isnan(row_1[(1,)]).all()
-        for callers in ([(1,), ()], [(), (1,)]):
-            orders = {}
-            assert [step(failed, orders) for failed in callers] == [solo[failed] for failed in callers]
+        def solo(inner, outer):
+            failures = root()
+            next_ = map_rows(problem, compose(newton_barycentric(outer), newton_barycentric(inner)), x, failures)
+            return next_.tobytes(), described(failures)
+
+        want = {(1, 2): solo(1, 2), (2, 2): solo(2, 2)}
+        assert want[(1, 2)][1] == described([error, None, None])
+        assert want[(2, 2)][1][:2] == described([error, EvaluationError(f"non-finite evaluation at x={x[1]!r}")])
+        for paths in ([(1, 2), (2, 2)], [(2, 2), (1, 2)]):
+            counts["f"] = 0
+            nodes = mapsnd.paths_rows(problem, x, root(), paths)
+            assert {path: (nodes[path][0].tobytes(), described(nodes[path][1])) for path in paths} == want
+            # row 0 is stepped by neither node, and row 1 only from t_1(x): 2 + 3 f points
+            assert counts["f"] == 5
+            assert np.isfinite(nodes[(1,)][0][1:]).all() and np.isnan(nodes[(2,)][0][:2]).all()
+
+    def test_each_row_leaves_after_its_last_order(self):
+        # J at the rows (order 0), then at i = 1 of order 1 for rows with last >= 1,
+        # then at i = 1, 2 of order 2 for the row with last 2
+        calls = []
+        problem = dataclasses.replace(rutishauser(), jacobian=lambda p, j=rutishauser().jacobian: calls.append(len(p)) or j(p))
+        x = np.array([[0.3, 0.4], [0.6, 0.5], [0.9, 0.1]])
+        steps = mapsnd.orders_rows(problem, x, Failures(len(x)), np.array([2, 0, 1]))
+        rows = [next(steps)[0].tolist() for _ in range(3)]
+        assert rows == [[0, 1, 2], [0, 2], [0]] and calls == [3, 2, 1, 1]
+        # and each row's points after its last order are its own bary:k step's
+        nodes = mapsnd.paths_rows(rutishauser(), x, Failures(len(x)), [(2,), (0,), (1,)])
+        for r, k in enumerate([2, 0, 1]):
+            assert nodes[(k,)][0][r].tobytes() == vector_map_step(rutishauser(), newton_barycentric(k), x[r]).tobytes()
 
 
 class TestTwoIterations:

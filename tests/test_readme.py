@@ -48,3 +48,16 @@ def test_the_exports_are_the_imports_and_are_documented():
                 for alias in node.names]
     assert sorted(rootmaps.__all__) == sorted(imported)
     assert [name for name in rootmaps.__all__ if not re.search(rf"\b{name}\b", README)] == []
+
+
+def test_quoted_work_counts_are_the_pinned_ones():
+    # the J / f / solve points per reproduce example that the README quotes are the
+    # ones TestWorkCounters pins, from one table, so the prose cannot drift from them
+    from test_capture import REPRODUCE_WORK
+
+    quoted = re.findall(r"(example[\w-]+)(?:\s+\(one map\))?\s+(\d+)\s+/\s+(\d+)\s+/\s+(\d+)", README)
+    pinned = {example: (w["jacobian"], w["f"], w["solves"]) for example, w in REPRODUCE_WORK.items()}
+    assert sorted({example for example, *_ in quoted}) == sorted(pinned)
+    assert [(example, tuple(map(int, counts))) for example, *counts in quoted] == [
+        (example, pinned[example]) for example, *_ in quoted
+    ]

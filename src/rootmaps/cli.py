@@ -18,16 +18,9 @@ from . import __version__
 from .capture import (DEFAULT_CLUSTER_RADIUS, CaptureConfig, CaptureResult, Cluster, GridSpec, make_grid,
                       objectives, run_capture, two_steps)
 from .coefficients import MAX_ORDER_INDEX, barycentric_coefficients
-from .maps1d import (
-    InsufficientDataError,
-    IterativeMap,
-    compose,
-    estimate_order,
-    iterate,
-    newton_barycentric,
-    newton_map,
-    newton_taylor,
-)
+from .maps1d import (InsufficientDataError, IterativeMap, compose, estimate_order, iterate, newton_barycentric,
+                     newton_map, newton_taylor)
+from .mapsnd import step_orders
 from .problems import ProblemFormatError, scalar_problem, scalar_test_set, vector_problem
 
 
@@ -218,10 +211,9 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
     try:
         map_spec = parse_map_spec(args.map)
+        step_orders(map_spec)  # grid scans take the maps defined on R^n
     except ValueError as exc:
         parser.error(f"argument --map: {exc}")
-    if "taylor:" in map_spec.describe():
-        parser.error("argument --map: taylor maps are scalar-only; grid scans need newton/bary maps")
     try:
         problem = vector_problem(args.problem)
     except OSError as exc:  # a --problem file that cannot be read
@@ -286,15 +278,15 @@ _MAX_CLUSTER_ROWS = 8
 
 
 def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
-    problem_name, nx, ny, eps, map_rows = REPRODUCE_SETUPS[example]
+    problem_name, nx, ny, eps, map_table = REPRODUCE_SETUPS[example]
     problem = vector_problem(problem_name)
     grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
     configs = [CaptureConfig(grid=grid, tolerance=eps, map=parse_map_spec(spec_text), cluster_radius=cluster_radius)
-               for _, spec_text, _ in map_rows]
+               for _, spec_text, _ in map_table]
     # every map steps in one walk, then run_capture scans each map from its own iterates
     stepped = two_steps(problem, make_grid(grid), [config.map for config in configs])
     maps, results = [], {}
-    for (label, spec_text, reference_count), config, steps in zip(map_rows, configs, stepped):
+    for (label, spec_text, reference_count), config, steps in zip(map_table, configs, stepped):
         result = results[label] = run_capture(problem, config, steps)
         clusters = sorted(result.clusters, key=lambda c: -c.count)[:_MAX_CLUSTER_ROWS]
         # one objective call on the stacked representatives; the kernels do not depend on batch size

@@ -8,15 +8,15 @@ recursion takes the rounded difference t_j(x) - x.  One generator runs it,
 orders_rows, and a bary:k step is its order k.  Only barycentric maps extend
 this way; Taylor maps would need higher derivative tensors.
 
-The recursion runs on a batch: an (N, n) array of points and a Failures list
-in which failures[r] is None while row r is live, else the StepFailureError
-that stopped it.  A step runs on a dense batch of the live rows, gathered
-again after each order in which a row failed; f and the Jacobian take the
-batch (or its live rows, after a failure earlier in the order) in one call,
-and one isfinite test covers the values.  The arithmetic is one point's
-IEEE operations in the same order, so each row's result is the one-point
-result bit for bit; the one-point step, vector_map_step, runs a batch of
-one.
+The recursion runs on a batch: an (N, n) array of points and a Failures
+record of two array columns, errors[r], None while row r is live, else the
+StepFailureError that stopped it, and live, the mask of the None rows.  A
+step runs on a dense batch of the live rows, gathered again after each order
+in which a row failed; f and the Jacobian take the batch (or its live rows,
+after a failure earlier in the order) in one call, and one isfinite test
+covers the values.  The arithmetic is one point's IEEE operations in the same
+order, so each row's result is the one-point result bit for bit; the
+one-point step, vector_map_step, runs a batch of one.
 
 A step evaluates each point once: f and J at x, and J(x) is the i = 0 term
 of every model matrix it assembles.  A map is a path of steps, its
@@ -85,29 +85,29 @@ class VectorProblem:
     name: str = ""
 
 
-class Failures(list):
-    """failures[r] is None while row r is live, else the StepFailureError that
-    stopped it; live is the mask of the rows that are None, kept by item assignment."""
+class Failures:
+    """Two arrays over the same rows: errors[r] is None while row r is live, else the StepFailureError
+    that stopped it, and live is the mask of the None rows.  Only put writes them, so they agree."""
 
     def __init__(self, size: int):
-        super().__init__([None] * size)
-        self.live = np.ones(size, dtype=bool)
+        self.errors, self.live = np.full(size, None), np.ones(size, dtype=bool)
 
-    def __setitem__(self, r: int, failure) -> None:
-        super().__setitem__(r, failure)
-        self.live[r] = failure is None
+    def put(self, rows, errors) -> None:
+        """Give the rows (an index, index array, mask or slice) the StepFailureErrors errors."""
+        self.errors[rows] = errors
+        self.live[rows] = False
 
-    def fail(self, rows: np.ndarray, failure: Callable[[int], Exception]) -> None:
-        """Give failure(r) to every live row r that the boolean mask rows marks."""
-        for r in np.flatnonzero(rows & self.live).tolist():
-            self[r] = failure(r)
+    def fail(self, mask: np.ndarray, failure: Callable[[int], Exception]) -> None:
+        """Give failure(r) to every live row r that the boolean mask marks."""
+        rows = np.flatnonzero(mask & self.live)
+        self.put(rows, [failure(r) for r in rows.tolist()])
 
     @staticmethod
-    def join(parts: list, begin: int = 0, end: int | None = None) -> "Failures":
-        """A new Failures of the rows of parts in turn, cut to rows begin..end - 1."""
+    def join(parts: list, cut: slice = slice(None)) -> "Failures":
+        """A new Failures of the rows cut of each of parts in turn."""
         joined = Failures(0)
-        joined += sum(parts, [])[begin:end]
-        joined.live = np.concatenate([part.live for part in parts])[begin:end]
+        joined.errors = np.concatenate([part.errors[cut] for part in parts])
+        joined.live = np.concatenate([part.live[cut] for part in parts])
         return joined
 
 
@@ -187,7 +187,7 @@ def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
             try:
                 x[r] = _eliminate(a[r], b[r])
             except SingularModelError as exc:
-                failures[r] = exc
+                failures.put(r, exc)
         return x
     # Determinant form instead of row-swapping elimination: it is bitwise
     # equivariant under signed coordinate permutations, so mirror-symmetric
@@ -224,11 +224,10 @@ def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.n
 
 
 def _compact(failures: Failures, rows: np.ndarray, batch: Failures, keep: np.ndarray, *arrays: np.ndarray) -> tuple:
-    """Hand each failed row i of batch to failures[rows[i]]; cut rows, batch and arrays to keep (within batch.live)."""
+    """Hand the failed rows of batch back to failures at rows; cut rows, batch and arrays to keep (within batch.live)."""
     if keep.all():
         return rows, batch, *arrays
-    for i in np.flatnonzero(~batch.live).tolist():
-        failures[rows[i]] = batch[i]
+    failures.put(rows[~batch.live], batch.errors[~batch.live])
     keep = np.flatnonzero(keep)
     return rows[keep], Failures(len(keep)), *(a.take(keep, axis=0) for a in arrays)
 
@@ -239,7 +238,8 @@ def orders_rows(problem: VectorProblem, x: np.ndarray, failures: Failures, last:
     then holds exactly the failures of a bary:j step at them.  Order 0 is the Newton step: f(x)
     and J_f(x), and a row fails where they are not finite or J_f is singular (a scan's singular
     filter).  Its delta seeds h, then each order-j model matrix is solved against -f(x) for the next h."""
-    rows, batch, points, last = _compact(failures, np.arange(len(x)), failures, failures.live, x, last)
+    rows = np.flatnonzero(failures.live)
+    batch, points, last = Failures(len(rows)), x.take(rows, axis=0), last.take(rows)
     fx = evaluate_rows(problem.f, (problem.n,), points, batch)
     jx = evaluate_rows(problem.jacobian, (problem.n,) * 2, points, batch)
     delta = solve_rows(jx, -fx, batch)
@@ -274,7 +274,7 @@ def paths_rows(problem: VectorProblem, x: np.ndarray, failures: Failures, paths:
         children = sorted(dict.fromkeys(path[: m + 1] for path in paths if len(path) > m), key=lambda c: c[-1])
         last = {child[:-1]: child[-1] for child in children}  # in order, so each start's highest
         sizes = [len(nodes[start][0]) for start in last]
-        bounds = dict(zip(last, itertools.pairwise(np.cumsum([0, *sizes]).tolist())))
+        cuts = dict(zip(last, itertools.starmap(slice, itertools.pairwise(np.cumsum([0, *sizes]).tolist()))))
         stacked = Failures.join([nodes[start][1] for start in last])
         points = np.concatenate([nodes[start][0] for start in last])
         steps = orders_rows(problem, points, stacked, np.repeat(list(last.values()), sizes))
@@ -284,8 +284,8 @@ def paths_rows(problem: VectorProblem, x: np.ndarray, failures: Failures, paths:
                 with np.errstate(all="ignore"):
                     next_[rows] = at + delta
                 for child in ends:
-                    begin, end = bounds[child[:-1]]
-                    nodes[child] = next_[begin:end], Failures.join([stacked], begin, end)
+                    cut = cuts[child[:-1]]
+                    nodes[child] = next_[cut], Failures.join([stacked], cut)
     return nodes
 
 
@@ -295,7 +295,7 @@ def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, fail
     and failures gets the failure of each row that fails."""
     path = step_orders(iter_map)
     next_, own = paths_rows(problem, x, failures, [path])[path]
-    failures.fail(~own.live, own.__getitem__)
+    failures.put(~own.live, own.errors[~own.live])
     return next_
 
 
@@ -310,6 +310,6 @@ def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarra
         raise ValueError(f"need a point of shape {(problem.n,)}, got shape {x.shape}")
     failures = Failures(1)
     next_ = map_rows(problem, iter_map, x[None], failures)[0]
-    if failures[0] is not None:
-        raise failures[0]
+    if not failures.live[0]:
+        raise failures.errors[0]
     return next_

@@ -390,10 +390,10 @@ class TestClusterPointsAgainstReference:
         assert cluster_points(np.empty((0, dim)), 0.05) == []
 
     def test_example2_coarse_captures(self):
-        problem_name, nx, ny, eps, map_rows = REPRODUCE_SETUPS["example2-coarse"]
+        problem_name, nx, ny, eps, map_table = REPRODUCE_SETUPS["example2-coarse"]
         problem = vector_problem(problem_name)
         grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
-        for _, spec, _ in map_rows:
+        for _, spec, _ in map_table:
             config = CaptureConfig(grid=grid, tolerance=eps, map=parse_map_spec(spec))
             points = [c.point for c in run_capture(problem, config).captured]
             assert points
@@ -824,12 +824,12 @@ def write_seventh_power_file(path):
 
 
 def reproduce_configs(example):
-    problem_name, nx, ny, eps, map_rows = REPRODUCE_SETUPS[example]
+    problem_name, nx, ny, eps, map_table = REPRODUCE_SETUPS[example]
     problem = vector_problem(problem_name)
     grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
     return [
         pytest.param(problem, CaptureConfig(grid=grid, tolerance=eps, map=parse_map_spec(spec)), id=label)
-        for label, spec, _ in map_rows
+        for label, spec, _ in map_table
     ]
 
 
@@ -943,7 +943,7 @@ class TestBatchedScanAgainstReference:
         # all the points as one batch: the same next points and failures
         failures = Failures(len(points))
         batched = mapsnd.map_rows(problem, iter_map, points, failures)
-        for row, failure, expected in zip(batched, failures, want):
+        for row, failure, expected in zip(batched, failures.errors, want):
             assert (row.tobytes() if failure is None else f"{type(failure).__name__}: {failure}") == expected
 
 
@@ -958,11 +958,11 @@ def batched_steps(problem, iter_map, seeds, size):
         rows = seeds[begin : begin + size]
         nodes = mapsnd.paths_rows(problem, rows, Failures(len(rows)), [(0,), path * 2])
         (_, singular), (first, stepped), (second, failures) = nodes[(0,)], nodes[path], nodes[path * 2]
-        for r, (failure, a, b) in enumerate(zip(failures, first, second)):
+        for r, (failure, a, b) in enumerate(zip(failures.errors, first, second)):
             if failure is None:
                 fates.append((a.tobytes(), b.tobytes()))
             else:
-                stage = "singular" if singular[r] else "step 2" if stepped[r] is None else "step 1"
+                stage = "singular" if singular.errors[r] else "step 2" if stepped.errors[r] is None else "step 1"
                 fates.append((stage, type(failure).__name__, str(failure)))
     return fates
 
@@ -999,9 +999,9 @@ class TestBatchSizeIndependence:
         "example, label", [("example1", "t_32"), ("example1", "t_1"), ("example2-coarse", "t_54")]
     )
     def test_batches_of_1_7_and_all(self, example, label):
-        problem_name, nx, ny, _, map_rows = REPRODUCE_SETUPS[example]
+        problem_name, nx, ny, _, map_table = REPRODUCE_SETUPS[example]
         problem = vector_problem(problem_name)
-        iter_map = parse_map_spec(dict((row[0], row[1]) for row in map_rows)[label])
+        iter_map = parse_map_spec(dict((row[0], row[1]) for row in map_table)[label])
         seeds = make_grid(GridSpec(domain=problem.domain, nx=nx, ny=ny))
         whole = batched_steps(problem, iter_map, seeds, len(seeds))
         assert batched_steps(problem, iter_map, seeds, 7) == whole
@@ -1148,9 +1148,9 @@ class TestWorkCounters:
 
     @staticmethod
     def count_solves(counts, monkeypatch):
-        # one solve per live row passed to the batched solve (failures[r] is None)
+        # one solve per live row passed to the batched solve (failures.errors[r] is None)
         def solve_rows(a, b, failures, solve=mapsnd.solve_rows):
-            counts["solves"] += failures.count(None)
+            counts["solves"] += failures.live.sum()
             return solve(a, b, failures)
 
         monkeypatch.setattr(mapsnd, "solve_rows", solve_rows)

@@ -235,6 +235,7 @@ class TestCaptureCommand:
             ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "-1"],
             ["capture", "--problem", "rutishauser", "--map", "halley", "--eps", "0.1"],
             ["capture", "--problem", "rutishauser", "--map", "taylor:1", "--eps", "0.1"],
+            ["capture", "--problem", "rutishauser", "--map", "compose:bary:1,taylor:2", "--eps", "0.1"],
             ["capture", "--problem", "rutishauser", "--map", "bary:1", "--eps", "0.1", "--nx", "1"],
             ["coeffs", "--k", "3", "--bogus"],
             ["coeffs", "--k", "-2"],

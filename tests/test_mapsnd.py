@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootmaps import (
     Box,
@@ -50,8 +53,8 @@ def one_row(engine, *row):
     """engine(*(a[None] for a in row), failures) on a batch of one: the row's value, or its failure raised."""
     failures = Failures(1)
     value = engine(*(np.asarray(a, dtype=float)[None] for a in row), failures)
-    if failures[0] is not None:
-        raise failures[0]
+    if failures.errors[0] is not None:
+        raise failures.errors[0]
     return value[0]
 
 
@@ -203,7 +206,7 @@ class TestTwoByTwoKernel:
         # in a batch, only that row fails
         failures = Failures(2)
         x = solve_rows(np.stack([matrix, np.eye(2)]), np.ones((2, 2)), failures)
-        assert isinstance(failures[0], SingularModelError) and failures[1] is None
+        assert isinstance(failures.errors[0], SingularModelError) and failures.errors[1] is None
         assert x[1].tolist() == [1.0, 1.0]
 
     def test_zero_pivot_passing_the_floor_on_the_elimination_path(self):
@@ -513,6 +516,43 @@ class TestMapDispatch:
         assert np.array_equal(a, b)
 
 
+class TestFailures:
+    """A Failures record keeps two columns over the same rows: live is the mask
+    of the rows whose error is None, and each error is the object put there."""
+
+    @given(st.data())
+    def test_columns_agree_after_fails_puts_cuts_and_joins(self, data):
+        size = data.draw(st.integers(0, 6))
+        record, want = Failures(size), [None] * size
+        for op in data.draw(st.lists(st.sampled_from(["fail", "put", "cut", "join"]), max_size=10)):
+            n = len(want)
+            if op == "fail":
+                mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+                made = {}
+                record.fail(mask, lambda r: made.setdefault(r, EvaluationError(f"row {r}")))
+                assert sorted(made) == [r for r in range(n) if mask[r] and want[r] is None]
+                want = [made.get(r, error) for r, error in enumerate(want)]
+            elif op == "put":
+                rows = data.draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+                errors = [SingularModelError(f"put at {r}") for r in rows]
+                record.put(np.array(rows, dtype=int), errors)
+                for r, error in zip(rows, errors):
+                    want[r] = error
+            elif op == "cut":
+                begin = data.draw(st.integers(0, n))
+                cut = slice(begin, data.draw(st.integers(begin, n)))
+                # a cut is a copy: failing every row of one leaves the record it was cut from as it was
+                Failures.join([record], cut).put(slice(None), EvaluationError("in a copy"))
+                record, want = Failures.join([record], cut), want[cut]
+            else:
+                other = Failures(data.draw(st.integers(0, 3)))
+                other.fail(np.arange(len(other.errors)) == 0, lambda r: SingularModelError("joined"))
+                parts = data.draw(st.permutations([(record, want), (other, list(other.errors))]))
+                record, want = Failures.join([part for part, _ in parts]), [e for _, errors in parts for e in errors]
+            assert record.live.tolist() == np.equal(record.errors, None).tolist()
+            assert len(record.errors) == len(want) and all(map(operator.is_, record.errors, want))
+
+
 def described(failures):
     """Each row's failure as its type and message, or None where the row is live."""
     return [None if f is None else f"{type(f).__name__}: {f}" for f in failures]
@@ -523,34 +563,47 @@ class TestStackedNodes:
     recursion.  Each node keeps its own failures, and each node is what a chain
     of map_rows steps gives alone."""
 
+    X = np.array([[0.3, 0.4], [0.6, 0.9], [0.9, 0.1]])
+
+    @staticmethod
+    def poisoned(f):
+        """The problem of f and J = I, but with J NaN at the order-2 sample x + 2*h of a bary:2
+        step from row 1 of X."""
+        samples = []
+        logged = VectorProblem(n=2, f=f, jacobian=lambda p: samples.append(p) or constant(np.eye(2))(p))
+        map_rows(logged, newton_barycentric(2), TestStackedNodes.X, Failures(3))
+        poison = samples[3][1]
+        return VectorProblem(n=2, f=f, jacobian=lambda p: np.where(
+            (p == poison).all(axis=-1)[..., None, None], np.nan, constant(np.eye(2))(p)))
+
+    @staticmethod
+    def root(error):
+        """A record of X's rows in which row 0 failed with error before any walk."""
+        failures = Failures(3)
+        failures.put(0, error)
+        return failures
+
     def test_a_row_failed_in_one_node_is_live_in_another(self):
         # f = x - c and J = I, but NaN at the order-2 sample x + 2*h of row 1:
         # row 1 fails in t_2(x) and steps on from t_1(x), stacked with it
         c = np.array([0.5, 0.5])
-        x = np.array([[0.3, 0.4], [0.6, 0.9], [0.9, 0.1]])
-        samples = []
-        logged = VectorProblem(n=2, f=lambda p: p - c, jacobian=lambda p: samples.append(p) or constant(np.eye(2))(p))
-        map_rows(logged, newton_barycentric(2), x, Failures(len(x)))
-        poison = samples[3][1]
+        x = self.X
         counts = {"f": 0}
 
         def f(p):
             counts["f"] += len(p)
             return p - c
 
-        problem = VectorProblem(n=2, f=f, jacobian=lambda p: np.where(
-            (p == poison).all(axis=-1)[..., None, None], np.nan, constant(np.eye(2))(p)))
+        problem = self.poisoned(f)
         error = EvaluationError("failed before the walk")
 
         def root():
-            failures = Failures(len(x))
-            failures[0] = error
-            return failures
+            return self.root(error)
 
         def solo(inner, outer):
             failures = root()
             next_ = map_rows(problem, compose(newton_barycentric(outer), newton_barycentric(inner)), x, failures)
-            return next_.tobytes(), described(failures)
+            return next_.tobytes(), described(failures.errors)
 
         want = {(1, 2): solo(1, 2), (2, 2): solo(2, 2)}
         assert want[(1, 2)][1] == described([error, None, None])
@@ -558,10 +611,33 @@ class TestStackedNodes:
         for paths in ([(1, 2), (2, 2)], [(2, 2), (1, 2)]):
             counts["f"] = 0
             nodes = mapsnd.paths_rows(problem, x, root(), paths)
-            assert {path: (nodes[path][0].tobytes(), described(nodes[path][1])) for path in paths} == want
+            assert {path: (nodes[path][0].tobytes(), described(nodes[path][1].errors)) for path in paths} == want
             # row 0 is stepped by neither node, and row 1 only from t_1(x): 2 + 3 f points
             assert counts["f"] == 5
             assert np.isfinite(nodes[(1,)][0][1:]).all() and np.isnan(nodes[(2,)][0][:2]).all()
+
+    def test_each_failure_is_one_object_from_node_to_caller(self, monkeypatch):
+        # row 0 failed before the walk, row 1 fails in t_2(x): each keeps one
+        # exception object through every stacked level and back to the caller
+        problem = self.poisoned(lambda p: p - 0.5)
+        error = EvaluationError("failed before the walk")
+        nodes = mapsnd.paths_rows(problem, self.X, self.root(error), [(1, 2), (2, 2)])
+        assert all(nodes[path][1].errors[0] is error for path in nodes)
+        inner = nodes[(2,)][1].errors[1]
+        assert isinstance(inner, EvaluationError) and nodes[(2, 2)][1].errors[1] is inner
+        assert nodes[(1,)][1].live[1] and nodes[(1, 2)][1].live[1]
+        # map_rows hands its node's objects to the caller's record
+        seen = {}
+
+        def paths_rows(*args, walk=mapsnd.paths_rows):
+            seen.update(walk(*args))
+            return seen
+
+        monkeypatch.setattr(mapsnd, "paths_rows", paths_rows)
+        failures = self.root(error)
+        map_rows(problem, compose(newton_barycentric(2), newton_barycentric(2)), self.X, failures)
+        assert failures.errors[0] is error and failures.errors[1] is seen[(2, 2)][1].errors[1]
+        assert isinstance(failures.errors[1], EvaluationError) and failures.live.tolist() == [False, False, True]
 
     def test_each_row_leaves_after_its_last_order(self):
         # J at the rows (order 0), then at i = 1 of order 1 for rows with last >= 1,

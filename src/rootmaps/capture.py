@@ -7,8 +7,8 @@ through each filter together, as one batch (see mapsnd).  two_steps steps the
 seeds by several maps at once, as one walk of their step paths, so that the
 maps share the seeds' Newton step and every common step prefix; run_capture
 takes one map's entry, or steps its own map alone through the same walk.
-Captured points cluster near the fixed points of the map; a greedy pass
-groups them.
+Captured points cluster near the fixed points of the map; a vectorised pass
+sets the isolated ones apart, and a greedy pass groups the rest.
 """
 
 import itertools
@@ -139,31 +139,57 @@ def _key(indices, start=0):
     return sum((index * _KEY_BASE**axis for axis, index in enumerate(indices)), start)
 
 
-def _cell(point: np.ndarray, width: float) -> int:
-    return _key(math.floor(min(max(v / width, -_MAX_CELL_INDEX), _MAX_CELL_INDEX)) for v in point.tolist())
+def _cell(point, width: float) -> int:
+    key = 0  # _key of the clamped cell indices by Horner's rule; min and max run only out of range
+    for v in reversed(point):
+        q = v / width
+        key = key * _KEY_BASE + math.floor(q if -_MAX_CELL_INDEX <= q <= _MAX_CELL_INDEX else
+                                           min(max(q, -_MAX_CELL_INDEX), _MAX_CELL_INDEX))
+    return key
+
+
+def _isolated(cells: np.ndarray, reach: int) -> np.ndarray:
+    """Mask of the rows of cells, (m, n) int64 cell indices, with no other row within reach cells on every axis:
+    two such rows share or neighbour a coarse cell of 2*reach + 1 cells, so a row is marked where its coarse
+    cell and the 3**n - 1 around it hold no other.  None is marked for n > 3 or where the int64 keys overflow."""
+    coarse = cells // (2 * reach + 1)
+    coarse -= coarse.min(axis=0) - 1  # from 1, so that a neighbour's index is at least 0
+    spans = (coarse.max(axis=0) + 2).tolist()
+    if not 0 < len(spans) <= 3 or math.prod(spans) >= 2**63:
+        return np.zeros(len(cells), dtype=bool)
+    strides = np.cumprod([1, *spans])[:-1]
+    occupied, home, counts = np.unique(coarse @ strides, return_inverse=True, return_counts=True)
+    offsets = np.array([o for o in itertools.product((-1, 0, 1), repeat=len(spans)) if any(o)], dtype=np.int64)
+    neighbours = (offsets @ strides)[:, None] + occupied  # ascending rows keep searchsorted's bisections short
+    found = occupied[np.searchsorted(occupied, neighbours).clip(max=len(occupied) - 1)] == neighbours
+    return ((counts == 1) & ~found.any(axis=0))[home]
 
 
 def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list[Cluster]:
     """Greedy clustering in input order of points, read as one (m, n) array: an array or a list of (n,) points.
 
-    A point joins the lowest-index cluster whose representative lies within
-    radius (Euclidean); the representative is the member mean, recomputed on
-    join.  Otherwise the point starts a new cluster.
+    A point joins the lowest-index cluster whose representative, the member
+    mean recomputed on join, lies within radius (Euclidean), or starts one.
+    The clusters are immutable Cluster NamedTuples in order of their first
+    member; one whose running sum overflows has a non-finite mean and warns.
 
-    Representatives are bucketed in a uniform grid of cell width 2*radius, so
-    a point is tested only against the clusters in the 3**n cells around its
-    own: an offset of at most radius per axis moves the cell index by at most
-    one.  A representative that moves to another cell is re-bucketed.  The
-    work per point is the 3**n dict lookups, plus the norm test only where
-    those cells hold a cluster: O(N * 3**n) instead of O(N * C) for C clusters.
-    The clusters are immutable Cluster NamedTuples, in order of creation; one
-    whose running sum overflows has a non-finite mean, with a RuntimeWarning.
+    First _isolated makes a singleton of each point with no other within
+    K = 2 + ceil(m * 2**-52 * max|coord| / w) cells of width w >= 2*radius on
+    every axis (of none for n > 3 or a K past the index range).  The t-th
+    member q moves the mean so that q - mean_t = (q - mean_{t-1}) * (1 - 1/t),
+    so a point that joins lies within 2*radius <= w of the latest member: one
+    cell covers w, one the floors and the last term the running sum's rounding.
+    Then a greedy loop tests each other point only against the clusters in the
+    3**n cells around its own, in index order, re-bucketing a mean that moves.
+    It joins by math.dist, and by np.linalg.norm, the reference rule, only
+    within a relative 1e-9 of radius or where the norm's squares under- or
+    overflow; sums and means are float lists, numpy's IEEE adds and divides.
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     width = max(2.0 * radius, _MIN_CELL_WIDTH)
     rows = np.array(points, dtype=float)  # a private copy; a ragged list raises numpy's ValueError
-    if rows.ndim != 2:
+    if rows.ndim != 2 or not len(rows):
         if not rows.size:
             return []
         raise ValueError(f"points must be an (m, n) array, got shape {rows.shape}")
@@ -171,43 +197,46 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list
     if not finite.all():
         position = int(np.argmin(finite))
         raise ValueError(f"point {position} has a non-finite coordinate: {rows[position]}")
-    # the cells of _cell, for every point at once
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # the cells of _cell, for every point at once
         indices = np.floor(np.clip(rows / width, -_MAX_CELL_INDEX, _MAX_CELL_INDEX)).astype(np.int64)
-    homes = _key(indices.T.astype(object), np.zeros(len(rows), dtype=object)).tolist()
+    drift = len(rows) * 2.0**-52 * float(np.abs(rows).max(initial=0.0)) / width  # inf past the double range
+    isolated = _isolated(indices, 2 + math.ceil(drift)) if drift <= _MAX_CELL_INDEX else np.zeros(len(rows), bool)
+    crowd = np.flatnonzero(~isolated)
+    homes = _key(indices[crowd].T.astype(object), np.zeros(len(crowd), dtype=object)).tolist()
     offsets = [_key(offset) for offset in itertools.product((-1, 0, 1), repeat=rows.shape[1])]
-    # a singleton's mean is its point, a row of the private copy rows, as point / 1.0 is point; sums start at two
-    means: list[np.ndarray] = []
-    sums: dict[int, np.ndarray] = {}
-    members: list[list[int]] = []
-    cells: list[int] = []
-    grid: dict[int, list[int]] = {}
-    # an offset that squares past the double range has norm inf, so its points stay apart
-    with np.errstate(over="ignore"):
-        for position, (point, home) in enumerate(zip(rows, homes)):
-            candidates = [idx for offset in offsets for idx in grid.get(home + offset, ())]
-            if candidates:
-                candidates.sort()
-            for idx in candidates:
+    # below lo a distance joins, above hi it does not: np.linalg.norm's squares are normal from 2**-500 to 2**500
+    lo, hi = min(radius, 2.0**500) * (1.0 - 1e-9) - 2.0**-500, radius * (1.0 + 1e-9) + 2.0**-500
+    # float lists: a singleton's mean is its point, as point / 1.0 is point, and sums start at two
+    means, sums, members, cells, grid = [], {}, [], [], {}
+    with np.errstate(over="ignore"):  # an offset past the double range is inf, and its points stay apart
+        for position, point, home in zip(crowd.tolist(), rows[crowd].tolist(), homes):
+            for idx in sorted([idx for offset in offsets for idx in grid.get(home + offset, ())]):
                 mean = means[idx]
-                if float(np.linalg.norm(point - mean)) <= radius:
-                    total = sums[idx] = sums.get(idx, mean) + point
-                    members[idx].append(position)
-                    means[idx] = mean = total / len(members[idx])
-                    cell = _cell(mean, width)
-                    if cell != cells[idx]:
-                        grid[cells[idx]].remove(idx)
-                        grid.setdefault(cell, []).append(idx)
-                        cells[idx] = cell
-                    break
+                distance = math.dist(point, mean)
+                if distance > hi or distance >= lo and not np.linalg.norm(np.subtract(point, mean)) <= radius:
+                    continue
+                total = sums[idx] = [a + b for a, b in zip(sums.get(idx, mean), point)]
+                members[idx].append(position)
+                means[idx] = mean = [v / len(members[idx]) for v in total]
+                cell = _cell(mean, width)
+                if cell != cells[idx]:
+                    grid[cells[idx]].remove(idx)
+                    grid.setdefault(cell, []).append(idx)
+                    cells[idx] = cell
+                break
             else:
                 grid.setdefault(home, []).append(len(means))
                 means.append(point)
                 members.append([position])
                 cells.append(home)
-    if not all(np.isfinite(total).all() for total in sums.values()):  # the points are finite
+    if not all(map(math.isfinite, itertools.chain.from_iterable(sums.values()))):  # the points are finite
         warnings.warn("overflow in a cluster's running sum: its representative is not finite", RuntimeWarning)
-    return list(map(Cluster, means, map(len, members), map(tuple, members)))
+    firsts = [group[0] for group in members]
+    rows[firsts] = np.array(means).reshape(len(means), rows.shape[1])  # each crowded cluster's mean in its first row
+    isolated[firsts] = True  # now the rows that start a cluster, in order
+    crowded = dict(zip(firsts, map(tuple, members)))
+    groups = [crowded.get(position) or (position,) for position in np.flatnonzero(isolated).tolist()]
+    return list(map(Cluster, rows[isolated], map(len, groups), groups))
 
 
 def _residual_norms(residuals: np.ndarray, norm: str) -> np.ndarray:

@@ -32,6 +32,7 @@ from rootmaps.capture import (
     Cluster,
     _axis_vertices,
     _cell,
+    _isolated,
     _key,
     cluster_points,
     make_grid,
@@ -210,15 +211,22 @@ class TestClusterPoints:
 def lattice_point_sets(draw):
     """(points, radius): points on a lattice of spacing radius, so that points
     radius and 2*radius apart along an axis and coordinates on cell edges
-    (multiples of 2*radius) are common, with optional jitter, a chain whose
-    mean drifts across a cell edge, a point beyond the cell-index clamp and
-    duplicates."""
-    dim = draw(st.integers(1, 3))
+    (multiples of 2*radius) are common, with optional jitter.  The lattice is
+    narrow, so that most points are crowded, or wide, so that most are
+    isolated.  Mixed in: tight knots, a chain whose mean drifts across a cell
+    edge, a point beyond the cell-index clamp and duplicates.  Four axes take
+    the greedy loop alone."""
+    dim = draw(st.integers(1, 4))
     radius = draw(st.sampled_from([0.25, 2.0**-10, 1e-3, 0.3]))
     jitter = st.one_of(st.just(0.0), st.floats(-radius, radius))
-    coordinate = st.builds(lambda k, e: k * radius + e, st.integers(-4, 4), jitter)
+    extent = draw(st.sampled_from([4, 400]))
+    coordinate = st.builds(lambda k, e: k * radius + e, st.integers(-extent, extent), jitter)
     lattice = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
     points = draw(st.lists(lattice, min_size=1, max_size=25))
+    for center in draw(st.lists(lattice, max_size=3)):
+        # a knot of points within a thousandth of radius of its center
+        knot = st.lists(st.floats(-1e-3, 1e-3), min_size=dim, max_size=dim).map(lambda e: center + np.array(e) * radius)
+        points += draw(st.lists(knot, min_size=2, max_size=6))
     points += [points[i] for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=5))]
     points = draw(st.permutations(points))
     if draw(st.booleans()):
@@ -297,6 +305,71 @@ class TestClusterPointsAgainstReference:
         points.append(mean + 0.24)
         clusters = assert_matches_reference(points, radius)
         assert [c.count for c in clusters] == [len(points)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_probe_far_from_the_first_member_joins_the_drifted_mean(self, dim):
+        # each point sits just within radius above the mean so far, so the mean
+        # walks away from the first member; the probe lies more than K = 3
+        # cells (cell width 0.5) from the first member, but within one cell of
+        # the latest, and joins: isolation must look at every other point, not
+        # only at the earlier ones or at a cluster's first member
+        radius = 0.25
+        step = np.zeros(dim)
+        step[0] = 0.999 * radius
+        points = [np.full(dim, 0.49)]
+        total = points[0].copy()
+        while (total / len(points))[0] < 1.8:
+            points.append(total / len(points) + step)
+            total = total + points[-1]
+        probe = total / len(points) + step
+        points += [probe, np.full(dim, -3.0)]  # and a lone point
+        assert math.floor(probe[0] / 0.5) - math.floor(0.49 / 0.5) > 3
+        clusters = assert_matches_reference(points, radius)
+        assert [c.count for c in clusters] == [len(points) - 1, 1]
+
+    def test_running_sum_rounding_lifts_the_mean_two_cells(self, monkeypatch):
+        # 286 members near 2**52 cells (width 1), each at the mean so far: the
+        # sum's ulp is hundreds of cells, and its rounding alone moves the mean.
+        # The last member lies radius below the mean and the probe radius above
+        # the new one, which rounding has lifted, so the probe joins though it
+        # lies two cells from every member: isolation within one cell is not
+        # enough.  No input is known where the rounding term changes the
+        # clusters (a join moves the mean by about 1.5 ulp at most), so the
+        # reach the pre-pass uses is pinned to the K of the proof instead
+        reaches = []
+        monkeypatch.setattr("rootmaps.capture._isolated", lambda cells, reach: reaches.append(reach) or _isolated(cells, reach))
+        radius = 0.5
+        points = [np.array([4301931831840389.0])]
+        total = points[0].copy()
+        for count in range(1, 286):
+            points.append(total / count)
+            total = total + points[-1]
+        points.append(total / 286 - radius)
+        total = total + points[-1]
+        probe = total / 287 + radius
+        assert min(math.floor(probe[0]) - math.floor(p[0]) for p in points) == 2
+        clusters = assert_matches_reference([*points, probe], radius)
+        assert [c.count for c in clusters] == [288]
+        assert reaches == [2 + math.ceil(288 * 2.0**-52 * probe[0])] == [278]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lone_points_beside_clamped_end_cells(self, dim):
+        # cell width 1: a pair clamped into the end cell of axis 0, another into
+        # the other end, and lone points a few cells and 60 cells inside; the
+        # rounding term of the 2**52 coordinates sets K = 10 (seven points), so
+        # the point 4 cells from the end is crowded and the one 60 cells in is
+        # isolated; the probes beside the end cells run past every occupied key
+        radius = 0.5
+        end = 2.0**52
+        rows = np.zeros((7, dim))
+        rows[:, 0] = [end + 2.0, end - 3.5, end, -end - 8.0, end - 60.0, -end - 8.0, end + 2.0]
+        if dim > 1:
+            rows[4, 1] = 0.25
+        cells = np.floor(np.clip(rows, -end, end)).astype(np.int64)
+        assert 2 + math.ceil(7 * 2.0**-52 * np.abs(rows).max()) == 10
+        assert _isolated(cells, 10).tolist() == [False, False, False, False, True, False, False]
+        clusters = assert_matches_reference(list(rows), radius)
+        assert [c.members for c in clusters] == [(0, 6), (1,), (2,), (3, 5), (4,)]
 
     def test_overflowing_cell_index(self):
         # the coordinate over the cell width is far beyond 2**52, and for
@@ -388,6 +461,21 @@ class TestClusterPointsAgainstReference:
         for got, want in zip(from_array, from_list):
             assert got.representative.tobytes() == want.representative.tobytes()
         assert cluster_points(np.empty((0, dim)), 0.05) == []
+
+    @pytest.mark.parametrize("example, isolated, captured",
+                             [("example1", 4, 372), ("example2-coarse", 1192, 1192), ("example2-fine", 1576, 1600)])
+    def test_isolated_shares_of_the_examples(self, example, isolated, captured):
+        # the pre-pass pays where the captures are lone extrema: the isolated
+        # points per reproduce example, summed over its maps, are the same for
+        # reach 1 and 3 and for the exact test, no other point within reach cells
+        width = 2 * DEFAULT_CLUSTER_RADIUS
+        cells = [np.floor(np.array([c.point for c in run_capture(*scan.values).captured]) / width).astype(np.int64)
+                 for scan in reproduce_configs(example)]
+        assert sum(map(len, cells)) == captured
+        for reach in (1, 3):
+            assert sum(int(_isolated(c, reach).sum()) for c in cells) == isolated
+            near = [(np.abs(c[:, None].astype(np.int32) - c.astype(np.int32)) <= reach).all(axis=2) for c in cells]
+            assert sum(int((n.sum(axis=1) == 1).sum()) for n in near) == isolated
 
     def test_example2_coarse_captures(self):
         problem_name, nx, ny, eps, map_table = REPRODUCE_SETUPS["example2-coarse"]

@@ -37,8 +37,8 @@ class GridSpec:
     def __post_init__(self):
         if self.domain.dim != 2:
             raise ValueError("grid scans are 2-D")
-        if not all(map(math.isfinite, self.domain.lo + self.domain.hi)):
-            raise ValueError(f"grid bounds must be finite, got {self.domain.lo} to {self.domain.hi}")
+        if not all(math.isfinite(b - a) for a, b in zip(self.domain.lo, self.domain.hi)):  # nor a span that overflows
+            raise ValueError(f"grid bounds must be finite, with finite spans, got {self.domain.lo} to {self.domain.hi}")
         if not all(isinstance(n, numbers.Integral) and n >= 2 for n in (self.nx, self.ny)):
             raise ValueError(f"need an integer count of at least 2 vertices per axis, got {self.nx}x{self.ny}")
 
@@ -81,12 +81,6 @@ class CapturedPoint(NamedTuple):
     objective: float | None
 
 
-class Cluster(NamedTuple):
-    representative: np.ndarray
-    count: int
-    members: tuple[int, ...] = ()
-
-
 @dataclass(frozen=True)
 class CaptureCounts:
     seeded: int = 0
@@ -99,8 +93,9 @@ class CaptureCounts:
 
 class CaptureResult(NamedTuple):
     captured: list[CapturedPoint]
-    clusters: list[Cluster]
+    clusters: np.ndarray  # (C, n) representatives, and labels each captured point's cluster (see cluster_points)
     counts: CaptureCounts
+    labels: np.ndarray
 
 
 def _axis_vertices(lo: float, hi: float, count: int) -> np.ndarray:
@@ -165,13 +160,14 @@ def _isolated(cells: np.ndarray, reach: int) -> np.ndarray:
     return ((counts == 1) & ~found.any(axis=0))[home]
 
 
-def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list[Cluster]:
+def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy clustering in input order of points, read as one (m, n) array: an array or a list of (n,) points.
 
     A point joins the lowest-index cluster whose representative, the member
     mean recomputed on join, lies within radius (Euclidean), or starts one.
-    The clusters are immutable Cluster NamedTuples in order of their first
-    member; one whose running sum overflows has a non-finite mean and warns.
+    Returns each point's cluster number, an (m,) int64 array numbering the
+    clusters in order of their first member, and their (C, n) representatives;
+    one whose running sum overflows is not finite and warns.
 
     First _isolated makes a singleton of each point with no other within
     K = 2 + ceil(m * 2**-52 * max|coord| / w) cells of width w >= 2*radius on
@@ -191,7 +187,7 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list
     rows = np.array(points, dtype=float)  # a private copy; a ragged list raises numpy's ValueError
     if rows.ndim != 2 or not len(rows):
         if not rows.size:
-            return []
+            return np.zeros(0, dtype=np.int64), np.empty((0, rows.shape[1] if rows.ndim == 2 else 0))
         raise ValueError(f"points must be an (m, n) array, got shape {rows.shape}")
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
@@ -207,7 +203,7 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list
     # below lo a distance joins, above hi it does not: np.linalg.norm's squares are normal from 2**-500 to 2**500
     lo, hi = min(radius, 2.0**500) * (1.0 - 1e-9) - 2.0**-500, radius * (1.0 + 1e-9) + 2.0**-500
     # float lists: a singleton's mean is its point, as point / 1.0 is point, and sums start at two
-    means, sums, members, cells, grid = [], {}, [], [], {}
+    means, sums, sizes, cells, grid, starts, labels = [], {}, [], [], {}, [], []
     with np.errstate(over="ignore"):  # an offset past the double range is inf, and its points stay apart
         for position, point, home in zip(crowd.tolist(), rows[crowd].tolist(), homes):
             for idx in sorted([idx for offset in offsets for idx in grid.get(home + offset, ())]):
@@ -216,8 +212,8 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list
                 if distance > hi or distance >= lo and not np.linalg.norm(np.subtract(point, mean)) <= radius:
                     continue
                 total = sums[idx] = [a + b for a, b in zip(sums.get(idx, mean), point)]
-                members[idx].append(position)
-                means[idx] = mean = [v / len(members[idx]) for v in total]
+                sizes[idx] += 1
+                means[idx] = mean = [v / sizes[idx] for v in total]
                 cell = _cell(mean, width)
                 if cell != cells[idx]:
                     grid[cells[idx]].remove(idx)
@@ -225,18 +221,19 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> list
                     cells[idx] = cell
                 break
             else:
-                grid.setdefault(home, []).append(len(means))
+                grid.setdefault(home, []).append(idx := len(means))
                 means.append(point)
-                members.append([position])
+                sizes.append(1)
+                starts.append(position)  # the crowded clusters' first members
                 cells.append(home)
+            labels.append(idx)  # the point's crowded cluster, numbered in order of starts
     if not all(map(math.isfinite, itertools.chain.from_iterable(sums.values()))):  # the points are finite
         warnings.warn("overflow in a cluster's running sum: its representative is not finite", RuntimeWarning)
-    firsts = [group[0] for group in members]
-    rows[firsts] = np.array(means).reshape(len(means), rows.shape[1])  # each crowded cluster's mean in its first row
-    isolated[firsts] = True  # now the rows that start a cluster, in order
-    crowded = dict(zip(firsts, map(tuple, members)))
-    groups = [crowded.get(position) or (position,) for position in np.flatnonzero(isolated).tolist()]
-    return list(map(Cluster, rows[isolated], map(len, groups), groups))
+    rows[starts] = np.array(means).reshape(len(means), rows.shape[1])  # each crowded cluster's mean in its first row
+    isolated[starts] = True  # now the rows that start a cluster, in order
+    numbers = np.cumsum(isolated, dtype=np.int64) - 1
+    numbers[crowd] = numbers[starts][labels]
+    return numbers, rows[isolated]
 
 
 def _residual_norms(residuals: np.ndarray, norm: str) -> np.ndarray:
@@ -293,5 +290,5 @@ def run_capture(problem: VectorProblem, config: CaptureConfig, steps: tuple | No
     points = second[rows]
     grid_i, grid_j = np.divmod(rows, config.grid.ny)
     columns = grid_i.tolist(), grid_j.tolist(), list(seeds[rows]), list(points), fnorms.tolist(), objectives(problem, points)
-    captured = list(map(CapturedPoint, *columns))
-    return CaptureResult(captured=captured, clusters=cluster_points(points, config.cluster_radius), counts=counts)
+    labels, clusters = cluster_points(points, config.cluster_radius)
+    return CaptureResult(list(map(CapturedPoint, *columns)), clusters, counts, labels)

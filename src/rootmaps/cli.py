@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capture import (DEFAULT_CLUSTER_RADIUS, CaptureConfig, CaptureResult, Cluster, GridSpec, make_grid,
+from .capture import (DEFAULT_CLUSTER_RADIUS, CaptureConfig, CaptureResult, GridSpec, make_grid,
                       objectives, run_capture, two_steps)
 from .coefficients import MAX_ORDER_INDEX, barycentric_coefficients
 from .maps1d import (InsufficientDataError, IterativeMap, compose, estimate_order, iterate, newton_barycentric,
@@ -184,9 +184,16 @@ def _captured_columns(result: CaptureResult) -> list:
     return [i, j, x0, y0, x2, y2, fnorms, objectives]
 
 
-def _cluster_row(cluster: Cluster) -> dict:
-    x, y = cluster.representative.tolist()
-    return {"x": x, "y": y, "count": cluster.count}
+def _cluster_rows(result: CaptureResult, top: int | None = None) -> list[dict]:
+    """x, y and count of each cluster, counted from the labels: of all in cluster order, each with its
+    members (the captured indices in order), or of the top largest, by size and then cluster order."""
+    sizes = np.bincount(result.labels, minlength=len(result.clusters))
+    if top is not None:
+        pick = np.argsort(-sizes, kind="stable")[:top]
+        return [{"x": x, "y": y, "count": n} for (x, y), n in zip(result.clusters[pick].tolist(), sizes[pick].tolist())]
+    members, ends = np.argsort(result.labels, kind="stable").tolist(), np.cumsum(sizes).tolist()
+    rows = zip(result.clusters.tolist(), sizes.tolist(), [0, *ends], ends)
+    return [{"x": x, "y": y, "count": count, "members": members[start:end]} for (x, y), count, start, end in rows]
 
 
 def render_capture_csv(result: CaptureResult) -> str:
@@ -203,7 +210,7 @@ def capture_result_to_dict(result: CaptureResult) -> dict:
     return {
         "counts": asdict(result.counts),
         "captured": [dict(zip(CAPTURE_COLUMNS, row)) for row in zip(*_captured_columns(result))],
-        "clusters": [{**_cluster_row(cl), "members": list(cl.members)} for cl in result.clusters],
+        "clusters": _cluster_rows(result),
     }
 
 
@@ -274,8 +281,6 @@ REPRODUCE_SETUPS = {
     "example2-fine": ("ackley", 41, 41, 0.1, EXAMPLE2_FINE_MAPS),
 }
 
-_MAX_CLUSTER_ROWS = 8
-
 
 def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
     problem_name, nx, ny, eps, map_table = REPRODUCE_SETUPS[example]
@@ -288,12 +293,12 @@ def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
     maps, results = [], {}
     for (label, spec_text, reference_count), config, steps in zip(map_table, configs, stepped):
         result = results[label] = run_capture(problem, config, steps)
-        clusters = sorted(result.clusters, key=lambda c: -c.count)[:_MAX_CLUSTER_ROWS]
+        clusters = _cluster_rows(result, top=8)
         # one objective call on the stacked representatives; the kernels do not depend on batch size
-        g = objectives(problem, np.array([cl.representative for cl in clusters]))
+        g = objectives(problem, np.array([[cl["x"], cl["y"]] for cl in clusters]))
         maps.append({
             "label": label, "map": spec_text, "captured": result.counts.captured, "reference_count": reference_count,
-            "counts": asdict(result.counts), "clusters": [{**_cluster_row(cl), "g": v} for cl, v in zip(clusters, g)],
+            "counts": asdict(result.counts), "clusters": [{**cl, "g": v} for cl, v in zip(clusters, g)],
             "total_clusters": len(result.clusters),
         })
     report = {"example": example, "problem": problem_name, "nx": nx, "ny": ny, "dx": grid.dx, "dy": grid.dy,
@@ -311,17 +316,14 @@ def _render_report_text(report: dict) -> str:
     ]
     for row in report["maps"]:
         lines.append(f"{row['label']:<8} {row['captured']:>8} {row['reference_count']:>8}")
-    lines.append("")
-    lines.append("reference counts: " + ", ".join(str(r["reference_count"]) for r in report["maps"]))
-    lines.append("our counts:       " + ", ".join(str(r["captured"]) for r in report["maps"]))
+    lines += ["", "reference counts: " + ", ".join(str(r["reference_count"]) for r in report["maps"]),
+              "our counts:       " + ", ".join(str(r["captured"]) for r in report["maps"])]
     if report["example"] == "example2-fine":
         lines.append("(the source text reports 664 captured points; its figure caption says 1458)")
     for row in report["maps"]:
-        lines.append("")
-        lines.append(f"{row['label']} clusters (top {len(row['clusters'])} of {row['total_clusters']} by size):")
-        lines.append(f"  {'x':>12} {'y':>12} {'count':>6} {'g':>12}")
-        for cl in row["clusters"]:
-            lines.append(f"  {cl['x']:>12.6f} {cl['y']:>12.6f} {cl['count']:>6} {cl['g']:>12.6f}")
+        lines += ["", f"{row['label']} clusters (top {len(row['clusters'])} of {row['total_clusters']} by size):",
+                  f"  {'x':>12} {'y':>12} {'count':>6} {'g':>12}"]
+        lines += [f"  {cl['x']:>12.6f} {cl['y']:>12.6f} {cl['count']:>6} {cl['g']:>12.6f}" for cl in row["clusters"]]
     return "\n".join(lines) + "\n"
 
 

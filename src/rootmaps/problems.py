@@ -349,8 +349,8 @@ def load_polynomial_problem(path: str) -> VectorProblem:
                 x_min, x_max, y_min, y_max = (float(v) for v in fields)
             except ValueError as exc:
                 raise ProblemFormatError(f"line {lineno}: bad domain {line!r}") from exc
-            if not all(map(math.isfinite, (x_min, x_max, y_min, y_max))):
-                raise ProblemFormatError(f"line {lineno}: non-finite domain bound in {line!r}")
+            if not all(map(math.isfinite, (x_max - x_min, y_max - y_min))):  # or a span that overflows
+                raise ProblemFormatError(f"line {lineno}: non-finite domain bound or span in {line!r}")
             if x_min > x_max or y_min > y_max:
                 raise ProblemFormatError(f"line {lineno}: domain has lo > hi in {line!r}")
             domain, domain_line = Box(lo=(x_min, y_min), hi=(x_max, y_max)), lineno

@@ -29,7 +29,6 @@ from rootmaps.capture import (
     DEFAULT_CLUSTER_RADIUS,
     CapturedPoint,
     CaptureResult,
-    Cluster,
     _axis_vertices,
     _cell,
     _isolated,
@@ -102,61 +101,67 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="grid bounds must be finite"):
             GridSpec(domain=Box(lo=lo, hi=hi), nx=5, ny=5)
 
+    def test_rejects_a_span_that_overflows(self):
+        # finite bounds whose difference is past the double range: linspace would give NaN vertices
+        with pytest.raises(ValueError, match=r"grid bounds must be finite, with finite spans, got \(-1e\+308, -1\.0\)"):
+            GridSpec(domain=Box(lo=(-1e308, -1.0), hi=(1e308, 1.0)), nx=3, ny=3)
+        assert GridSpec(domain=Box(lo=(-8e307, -1.0), hi=(8e307, 1.0)), nx=3, ny=3).dx == 8e307
+
 
 def _reference_cluster_points(points, radius):
-    """The O(N*C) greedy loop that cluster_points must match bit for bit."""
+    """The O(N*C) greedy loop that cluster_points must match bit for bit:
+    each point's cluster number and each cluster's member mean."""
     sums = []
-    members = []
+    sizes = []
+    labels = []
     with np.errstate(over="ignore"):
-        for position, point in enumerate(points):
+        for point in points:
             point = np.asarray(point, dtype=float)
             for idx in range(len(sums)):
-                rep = sums[idx] / len(members[idx])
+                rep = sums[idx] / sizes[idx]
                 if float(np.linalg.norm(point - rep)) <= radius:
                     sums[idx] = sums[idx] + point
-                    members[idx].append(position)
+                    sizes[idx] += 1
                     break
             else:
+                idx = len(sums)
                 sums.append(point.copy())
-                members.append([position])
-    return [
-        Cluster(representative=s / len(m), count=len(m), members=tuple(m))
-        for s, m in zip(sums, members)
-    ]
+                sizes.append(1)
+            labels.append(idx)
+    return labels, [s / n for s, n in zip(sums, sizes)]
 
 
 def assert_matches_reference(points, radius):
-    clusters = cluster_points(points, radius)
-    expected = _reference_cluster_points(points, radius)
-    assert [(c.members, c.count) for c in clusters] == [(c.members, c.count) for c in expected]
-    for got, want in zip(clusters, expected):
-        assert got.representative.tobytes() == want.representative.tobytes()
-    return clusters
+    labels, representatives = cluster_points(points, radius)
+    want_labels, want_means = _reference_cluster_points(points, radius)
+    assert labels.dtype == np.int64 and labels.tolist() == want_labels
+    assert representatives.shape == (len(want_means), len(points[0]))
+    assert representatives.tobytes() == np.array(want_means).tobytes()
+    return labels, representatives
 
 
 class TestClusterPoints:
     def test_identical_points_form_one_cluster(self):
         points = [np.array([0.5, 0.5])] * 7
-        clusters = cluster_points(points, 1e-3)
-        assert len(clusters) == 1
-        assert clusters[0].count == 7
-        assert clusters[0].members == tuple(range(7))
+        labels, representatives = cluster_points(points, 1e-3)
+        assert len(representatives) == 1
+        assert labels.tolist() == [0] * 7
 
     def test_distant_points_stay_separate(self):
-        clusters = cluster_points([np.zeros(2), np.array([3e-3, 0.0])], 1e-3)
-        assert len(clusters) == 2
+        labels, representatives = cluster_points([np.zeros(2), np.array([3e-3, 0.0])], 1e-3)
+        assert len(representatives) == 2 and labels.tolist() == [0, 1]
 
     def test_offset_whose_square_overflows_stays_apart(self):
         # both points clamp to the end cell of the x axis; the norm of their offset is inf
         points = np.array([[1e200, 0.0], [1e300, 0.0]])
-        assert [c.members for c in assert_matches_reference(points, 1e-3)] == [(0,), (1,)]
+        assert assert_matches_reference(points, 1e-3)[0].tolist() == [0, 1]
 
     def test_running_sum_that_overflows_warns(self):
         # the two points are one cluster, but their sum, 3.4e308, is past the double range
         points = np.array([[1.7e308, 0.0], [1.7e308, 0.0]])
         with pytest.warns(RuntimeWarning, match="overflow in a cluster's running sum"):
-            clusters = assert_matches_reference(points, 1e-3)
-        assert [c.count for c in clusters] == [2] and np.isinf(clusters[0].representative[0])
+            labels, representatives = assert_matches_reference(points, 1e-3)
+        assert labels.tolist() == [0, 0] and np.isinf(representatives[0, 0])
 
     def test_three_tight_knots_of_eighteen_points(self):
         centers = [
@@ -169,17 +174,18 @@ class TestClusterPoints:
         for center in centers:
             for _ in range(6):
                 points.append(center + rng.uniform(-1e-7, 1e-7, size=2))
-        clusters = cluster_points(points, 1e-4)
-        assert len(clusters) == 3
-        assert sorted(c.count for c in clusters) == [6, 6, 6]
-        for cluster in clusters:
-            nearest = min(np.linalg.norm(cluster.representative - c) for c in centers)
+        labels, representatives = cluster_points(points, 1e-4)
+        assert len(representatives) == 3
+        assert sorted(np.bincount(labels).tolist()) == [6, 6, 6]
+        for representative in representatives:
+            nearest = min(np.linalg.norm(representative - c) for c in centers)
             assert nearest <= 1e-7
 
     def test_representative_is_member_mean(self):
         points = [np.array([0.0, 0.0]), np.array([1e-4, 0.0])]
-        clusters = cluster_points(points, 1e-3)
-        assert clusters[0].representative == pytest.approx([5e-5, 0.0], abs=1e-18)
+        labels, representatives = cluster_points(points, 1e-3)
+        assert labels.tolist() == [0, 0]
+        assert representatives[0] == pytest.approx([5e-5, 0.0], abs=1e-18)
 
     def test_rejects_nonpositive_radius(self):
         for radius in (0.0, float("nan"), float("inf")):
@@ -202,7 +208,8 @@ class TestClusterPoints:
     def test_points_are_read_as_one_array(self):
         # a list of points is one (m, n) array: an empty one has no clusters, and
         # an array of another rank is a ValueError naming its shape
-        assert cluster_points([], 1e-3) == []
+        labels, representatives = cluster_points([], 1e-3)
+        assert labels.dtype == np.int64 and labels.shape == (0,) and representatives.shape == (0, 0)
         with pytest.raises(ValueError, match=r"points must be an \(m, n\) array, got shape \(3, 2, 1\)"):
             cluster_points(np.zeros((3, 2, 1)), 1e-3)
 
@@ -254,6 +261,16 @@ class TestClusterPointsProperties:
         assert_matches_reference(points, radius)
         assert_matches_reference(np.array(points), radius)
 
+    @given(lattice_point_sets())
+    def test_labels_number_the_clusters_by_first_member(self, case):
+        # one label per point; cluster c first appears after cluster c - 1 does
+        points, radius = case
+        labels, representatives = cluster_points(points, radius)
+        numbers, firsts = np.unique(labels, return_index=True)
+        assert len(labels) == len(points)
+        assert numbers.tolist() == list(range(len(representatives)))
+        assert (np.diff(firsts) > 0).all()
+
 
 class TestClusterPointsAgainstReference:
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -274,10 +291,10 @@ class TestClusterPointsAgainstReference:
         # binary fractions: every difference and norm below is exact
         radius = 0.25
         for mean, point in [(0.0, 0.25), (0.375, 0.625), (-0.125, 0.125), (0.5, 0.25)]:
-            clusters = assert_matches_reference([np.array([mean]), np.array([point])], radius)
-            assert len(clusters) == 1
-        clusters = assert_matches_reference([np.zeros(2), np.array([0.375, 0.5])], 0.625)
-        assert len(clusters) == 1
+            labels, _ = assert_matches_reference([np.array([mean]), np.array([point])], radius)
+            assert labels.tolist() == [0, 0]
+        labels, _ = assert_matches_reference([np.zeros(2), np.array([0.375, 0.5])], 0.625)
+        assert labels.tolist() == [0, 0]
 
     def test_one_ulp_beyond_radius_stays_apart(self):
         radius = 0.25
@@ -289,8 +306,8 @@ class TestClusterPointsAgainstReference:
             (-beyond, 0.0),
         ]:
             assert point - mean >= beyond
-            clusters = assert_matches_reference([np.array([mean]), np.array([point])], radius)
-            assert len(clusters) == 2
+            labels, _ = assert_matches_reference([np.array([mean]), np.array([point])], radius)
+            assert labels.tolist() == [0, 1]
 
     def test_migrated_mean_captures_later_point(self):
         # each point sits 0.24 above the current mean, so the mean walks out
@@ -303,8 +320,8 @@ class TestClusterPointsAgainstReference:
             points.append(mean + 0.24)
             mean = sum(points) / len(points)
         points.append(mean + 0.24)
-        clusters = assert_matches_reference(points, radius)
-        assert [c.count for c in clusters] == [len(points)]
+        labels, _ = assert_matches_reference(points, radius)
+        assert np.bincount(labels).tolist() == [len(points)]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_probe_far_from_the_first_member_joins_the_drifted_mean(self, dim):
@@ -324,8 +341,8 @@ class TestClusterPointsAgainstReference:
         probe = total / len(points) + step
         points += [probe, np.full(dim, -3.0)]  # and a lone point
         assert math.floor(probe[0] / 0.5) - math.floor(0.49 / 0.5) > 3
-        clusters = assert_matches_reference(points, radius)
-        assert [c.count for c in clusters] == [len(points) - 1, 1]
+        labels, _ = assert_matches_reference(points, radius)
+        assert np.bincount(labels).tolist() == [len(points) - 1, 1]
 
     def test_running_sum_rounding_lifts_the_mean_two_cells(self, monkeypatch):
         # 286 members near 2**52 cells (width 1), each at the mean so far: the
@@ -348,8 +365,8 @@ class TestClusterPointsAgainstReference:
         total = total + points[-1]
         probe = total / 287 + radius
         assert min(math.floor(probe[0]) - math.floor(p[0]) for p in points) == 2
-        clusters = assert_matches_reference([*points, probe], radius)
-        assert [c.count for c in clusters] == [288]
+        labels, _ = assert_matches_reference([*points, probe], radius)
+        assert np.bincount(labels).tolist() == [288]
         assert reaches == [2 + math.ceil(288 * 2.0**-52 * probe[0])] == [278]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -368,8 +385,8 @@ class TestClusterPointsAgainstReference:
         cells = np.floor(np.clip(rows, -end, end)).astype(np.int64)
         assert 2 + math.ceil(7 * 2.0**-52 * np.abs(rows).max()) == 10
         assert _isolated(cells, 10).tolist() == [False, False, False, False, True, False, False]
-        clusters = assert_matches_reference(list(rows), radius)
-        assert [c.members for c in clusters] == [(0, 6), (1,), (2,), (3, 5), (4,)]
+        labels, _ = assert_matches_reference(list(rows), radius)
+        assert labels.tolist() == [0, 1, 2, 3, 4, 3, 0]
 
     def test_overflowing_cell_index(self):
         # the coordinate over the cell width is far beyond 2**52, and for
@@ -386,11 +403,11 @@ class TestClusterPointsAgainstReference:
             np.array([1e100, -1e100]),
             np.array([-big, big]),
         ]
-        clusters = assert_matches_reference(points, radius)
-        assert [c.count for c in clusters] == [3, 1, 2, 1, 1]
+        labels, _ = assert_matches_reference(points, radius)
+        assert np.bincount(labels).tolist() == [3, 1, 2, 1, 1]
         points = [np.array([1e200, y]) for y in (0.0, 1e-3, 1e-170, 1e-3, -1e-3, 0.0)]
-        clusters = assert_matches_reference(points, radius)
-        assert [c.count for c in clusters] == [3, 2, 1]
+        labels, _ = assert_matches_reference(points, radius)
+        assert np.bincount(labels).tolist() == [3, 2, 1]
 
     def test_underflowing_offsets(self):
         # offsets below about 1e-154 square to less than the smallest normal
@@ -398,8 +415,8 @@ class TestClusterPointsAgainstReference:
         # radius; 1e-150 squares to a normal number and stays apart
         radius = 1e-300
         points = [np.array([v]) for v in (0.0, 1e-300, 1e-290, -2e-290, 1e-170, 1e-150)]
-        clusters = assert_matches_reference(points, radius)
-        assert [c.count for c in clusters] == [5, 1]
+        labels, _ = assert_matches_reference(points, radius)
+        assert np.bincount(labels).tolist() == [5, 1]
 
     def test_large_coordinates_near_clamp(self):
         rng = np.random.default_rng(7)
@@ -455,12 +472,13 @@ class TestClusterPointsAgainstReference:
     def test_array_input_matches_list_input(self, dim):
         rng = np.random.default_rng(70 + dim)
         rows = rng.integers(-3, 4, size=(80, dim)) * 0.05 + rng.normal(scale=0.05, size=(80, dim))
-        from_array = cluster_points(rows, 0.05)
-        from_list = cluster_points(list(rows), 0.05)
-        assert [(c.members, c.count) for c in from_array] == [(c.members, c.count) for c in from_list]
-        for got, want in zip(from_array, from_list):
-            assert got.representative.tobytes() == want.representative.tobytes()
-        assert cluster_points(np.empty((0, dim)), 0.05) == []
+        labels, representatives = cluster_points(rows, 0.05)
+        list_labels, list_representatives = cluster_points(list(rows), 0.05)
+        assert labels.tolist() == list_labels.tolist()
+        assert representatives.tobytes() == list_representatives.tobytes()
+        assert representatives.shape == list_representatives.shape
+        labels, representatives = cluster_points(np.empty((0, dim)), 0.05)
+        assert labels.shape == (0,) and representatives.shape == (0, dim)
 
     @pytest.mark.parametrize("example, isolated, captured",
                              [("example1", 4, 372), ("example2-coarse", 1192, 1192), ("example2-fine", 1576, 1600)])
@@ -500,8 +518,8 @@ class TestRunCapture:
         result = run_capture(problem, config)
         assert result.counts.captured == 81
         assert result.counts.skipped_singular == 0
-        assert len(result.clusters) == 1
-        assert result.clusters[0].representative == pytest.approx(zero, abs=1e-12)
+        assert len(result.clusters) == 1 and result.labels.tolist() == [0] * 81
+        assert result.clusters[0] == pytest.approx(zero, abs=1e-12)
 
     def test_counts_partition_the_seeds(self):
         problem = rutishauser()
@@ -665,7 +683,7 @@ class TestRunCapture:
         config = CaptureConfig(grid=GridSpec(domain=problem.domain, nx=11, ny=11), tolerance=1e-3, map=newton_map())
         result, _ = assert_scan_matches_reference(problem, config, oracle=problem)
         assert result.counts == CaptureCounts(seeded=121, skipped_outside=21, rejected_tolerance=100)
-        assert result.captured == [] and result.clusters == []
+        assert result.captured == [] and result.clusters.shape == (0, 2) and result.labels.shape == (0,)
 
     def test_result_is_lists_of_immutable_records(self):
         # perfbench's output checks read this shape: len and truth value of
@@ -674,18 +692,18 @@ class TestRunCapture:
         grid = GridSpec(domain=problem.domain, nx=9, ny=9)
         some = run_capture(problem, CaptureConfig(grid=grid, tolerance=1e-3, map=newton_barycentric(1)))
         none = run_capture(problem, CaptureConfig(grid=grid, tolerance=1e-300, map=newton_barycentric(1)))
-        assert type(some.captured) is list and type(some.clusters) is list and some.captured
+        assert type(some.captured) is list and some.captured
         assert CapturedPoint._fields == ("grid_i", "grid_j", "seed", "point", "fnorm", "objective")
-        assert Cluster._fields == ("representative", "count", "members") and Cluster._field_defaults == {"members": ()}
         for c in some.captured:
             assert isinstance(c, CapturedPoint) and (type(c.grid_i), type(c.grid_j)) == (int, int)
             assert c.point.shape == c.seed.shape == (2,)
             assert c.seed.tolist() == make_grid(grid)[c.grid_i * grid.ny + c.grid_j].tolist()
-        assert sum(cl.count for cl in some.clusters) == len(some.captured) > 0
+        assert len(some.labels) == len(some.captured) > 0
+        assert some.clusters.shape == (some.labels.max() + 1, 2)
         with pytest.raises(AttributeError):
             some.captured[0].fnorm = 0.0
         with pytest.raises(AttributeError):
-            some.clusters[0].count = 0
+            some.clusters = None
         assert type(none.captured) is list and not none.captured and len(none.clusters) == 0
 
     def test_euclidean_norm_is_stricter(self):
@@ -863,8 +881,8 @@ def _reference_run_capture(problem, config, skipped=None):
     ]
     counts = CaptureCounts(seeded=len(outcomes), **Counter(kind for kind, _ in outcomes))
     captured = [point for _, point in outcomes if point is not None]
-    clusters = _reference_cluster_points([c.point for c in captured], config.cluster_radius)
-    return CaptureResult(captured=captured, clusters=clusters, counts=counts)
+    labels, means = _reference_cluster_points([c.point for c in captured], config.cluster_radius)
+    return CaptureResult(captured, np.array(means).reshape(-1, 2), counts, np.array(labels, dtype=np.int64))
 
 
 def counting_problem(problem, calls):
@@ -894,9 +912,8 @@ def assert_scan_matches_reference(problem, config, oracle=None):
         assert (a.grid_i, a.grid_j) == (b.grid_i, b.grid_j)
         assert (a.seed.tobytes(), a.point.tobytes()) == (b.seed.tobytes(), b.point.tobytes())
         assert (repr(a.fnorm), repr(a.objective)) == (repr(b.fnorm), repr(b.objective))
-    assert [(c.members, c.representative.tobytes()) for c in got.clusters] == [
-        (c.members, c.representative.tobytes()) for c in want.clusters
-    ]
+    assert got.labels.tolist() == want.labels.tolist()
+    assert (got.clusters.shape, got.clusters.tobytes()) == (want.clusters.shape, want.clusters.tobytes())
     return got, got_calls
 
 
@@ -1148,7 +1165,7 @@ class TestBatchSizeIndependence:
 def scan_signature(result):
     """What a scan reports: counts, captured grid indices and point bytes, clusters."""
     captured = [(c.grid_i, c.grid_j, c.point.tobytes()) for c in result.captured]
-    return result.counts, captured, [(c.members, c.representative.tobytes()) for c in result.clusters]
+    return result.counts, captured, result.labels.tolist(), result.clusters.tobytes()
 
 
 def stepped_scans(scans):

@@ -166,11 +166,12 @@ class TestCaptureCommand:
         zero = np.linalg.solve([[3.0, 1.0], [1.0, 2.0]], [1.0, -1.0])
         points = [np.array([float(r["x2"]), float(r["y2"])]) for r in rows]
         # re-clustering parsed points is deterministic and matches the run
-        first = cluster_points(points, 1e-3)
-        second = cluster_points(points, 1e-3)
+        first_labels, first = cluster_points(points, 1e-3)
+        second_labels, second = cluster_points(points, 1e-3)
         assert len(first) == len(second) == 1
-        assert np.array_equal(first[0].representative, second[0].representative)
-        assert first[0].representative == pytest.approx(zero, abs=1e-6)
+        assert first_labels.tolist() == second_labels.tolist() == [0] * 25
+        assert np.array_equal(first[0], second[0])
+        assert first[0] == pytest.approx(zero, abs=1e-6)
         manifest = json.loads((tmp_path / "affine.csv.manifest.json").read_text())
         assert manifest["config"]["map"] == "newton"
         assert manifest["version"]
@@ -383,6 +384,17 @@ class TestCaptureCommand:
         captured = capsys.readouterr()
         assert "not UTF-8 text" in captured.err and captured.out == ""
 
+    def test_domain_whose_span_overflows_exits_three(self, tmp_path, capsys):
+        # both bounds are finite, but hi - lo is inf on the x axis: the file is
+        # rejected at its domain line, before any grid vertex is computed
+        path = tmp_path / "wide.poly"
+        path.write_text("domain -1e308 1e308 -1 1\npoly 2 : 1.0 1 0 ; -0.5 0 0\npoly 2 : 1.0 0 1\n")
+        argv = ["capture", "--problem", str(path), "--map", "bary:1", "--eps", "1e-3", "--nx", "3", "--ny", "3"]
+        assert main([*argv, "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert "line 1: non-finite domain bound or span in 'domain -1e308 1e308 -1 1'" in captured.err
+        assert captured.out == ""
+
 
     def test_zero_determinant_seeds_are_skipped_as_singular(self, tmp_path, capsys):
         # J is [[1e-160, 0], [0, 0]] everywhere: the pivot floor underflows to
@@ -447,7 +459,7 @@ class TestReproduceCommand:
                 assert repr(cl["g"]) == repr(float(problem.objective(np.array([cl["x"], cl["y"]]))))
         assert calls == expected and all(row["clusters"] for row in report["maps"])
         calls.clear()
-        empty = CaptureResult(captured=[], clusters=[], counts=CaptureCounts(seeded=361, skipped_outside=361))
+        empty = CaptureResult([], np.empty((0, 2)), CaptureCounts(seeded=361, skipped_outside=361), np.zeros(0, int))
         monkeypatch.setattr(cli, "run_capture", lambda problem, config, steps: empty)
         report, _ = cli._reproduce_report("example1", 1e-3)
         assert calls == [] and [row["clusters"] for row in report["maps"]] == [[]] * 8

@@ -1,0 +1,83 @@
+"""A high-precision oracle for the R^n barycentric step on the Rutishauser system.
+
+The oracle takes the engine's step in mpmath arithmetic: f and J from the
+exact decimal coefficients, the exact barycentric weights, a 2x2 solve and
+the same h recursion (h_1 is the Newton delta, h_{j+1} the delta solved for
+t_j).  Far below float64 rounding it shows the order k + 2 of a bary:k step,
+which float64 iterates near the minimum cannot reach.
+"""
+
+import numpy as np
+import pytest
+
+from rootmaps import barycentric_coefficients, newton_barycentric, rutishauser, vector_map_step
+
+mpmath = pytest.importorskip("mpmath")
+mpf = mpmath.mpf
+
+START = [0.693716, 0.459591]  # near the Rutishauser minimum where g = 0.167974
+
+
+def _component(u, v):
+    return (-2 - mpf("1.2") * u + 2 * v - mpf("4.08") * u**2 + mpf("3.92") * u**3 + 4 * u * v**2
+            + 6 * u**5 + 6 * u**2 * v**3 + 8 * u**7 + 8 * u**3 * v**4)
+
+
+def _diagonal(u, v):
+    return (mpf("-1.2") - mpf("8.16") * u + mpf("11.76") * u**2 + 4 * v**2
+            + 30 * u**4 + 12 * u * v**3 + 56 * u**6 + 24 * u**2 * v**4)
+
+
+def oracle_f(p):
+    return mpmath.matrix([_component(p[0], p[1]), _component(p[1], p[0])])
+
+
+def oracle_jacobian(p):
+    x, y = p[0], p[1]
+    off = 2 + 8 * x * y + 18 * x**2 * y**2 + 32 * x**3 * y**3
+    return mpmath.matrix([[_diagonal(x, y), off], [off, _diagonal(y, x)]])
+
+
+def oracle_step(k, x):
+    """One bary:k step from the mpmath column x, as orders_rows takes it."""
+    fx = oracle_f(x)
+    delta = mpmath.lu_solve(oracle_jacobian(x), -fx)
+    for j in range(1, k + 1):
+        weights = [mpf(a.numerator) / a.denominator for a in barycentric_coefficients(j).a]
+        phi = sum((w * oracle_jacobian(x + i * delta) for i, w in enumerate(weights)), mpmath.zeros(2, 2))
+        delta = mpmath.lu_solve(phi, -fx)
+    return x + delta
+
+
+@pytest.fixture
+def digits():
+    # 200 digits resolve the third difference of bary:3, about 1e-139 here
+    with mpmath.workdps(200):
+        yield
+
+
+def test_oracle_is_the_engine_problem(digits):
+    problem, start = rutishauser(), mpmath.matrix(START)
+    assert [float(v) for v in oracle_f(start)] == pytest.approx(problem.f(np.array(START)).tolist(), abs=1e-14)
+    jacobian = [float(v) for v in oracle_jacobian(start)]  # row by row
+    assert jacobian == pytest.approx(problem.jacobian(np.array(START)).ravel().tolist(), abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_acoc_is_k_plus_two(digits, k):
+    # the ACOC of Cordero & Torregrosa (2007) needs no root: with d_n = ||x_n - x_{n-1}||,
+    # ln(d_3 / d_2) / ln(d_2 / d_1) tends to the order
+    iterates = [mpmath.matrix(START)]
+    for _ in range(3):
+        iterates.append(oracle_step(k, iterates[-1]))
+    d1, d2, d3 = (mpmath.norm(b - a) for a, b in zip(iterates, iterates[1:]))
+    assert abs(float(mpmath.log(d3 / d2) / mpmath.log(d2 / d1)) - (k + 2)) < 0.3
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_float64_step_is_within_16_ulps_of_the_oracle(digits, k):
+    # the bound covers the engine's rounding and its binary coefficients (1.2, 4.08, ...);
+    # 6 ulps were seen at this start for each k
+    got = vector_map_step(rutishauser(), newton_barycentric(k), np.array(START))
+    want = np.array([float(v) for v in oracle_step(k, mpmath.matrix(START))])
+    assert (np.abs(got - want) <= 16 * np.spacing(want)).all(), (got - want) / np.spacing(want)

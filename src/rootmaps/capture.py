@@ -98,9 +98,14 @@ class CaptureResult(NamedTuple):
     labels: np.ndarray
 
 
+def _symmetric(lo: float, hi: float) -> bool:
+    """Whether an axis from lo to hi is centred on 0, where its vertices are bitwise antisymmetric."""
+    return lo == -hi
+
+
 def _axis_vertices(lo: float, hi: float, count: int) -> np.ndarray:
     vertices = np.linspace(lo, hi, count)
-    if lo == -hi:
+    if _symmetric(lo, hi):
         # Make the vertices bitwise antisymmetric so problems with mirror
         # symmetry produce mirror-identical scans.
         vertices = (vertices - vertices[::-1]) / 2.0
@@ -252,15 +257,36 @@ def objectives(problem: VectorProblem, points: np.ndarray) -> list:
         return shaped(problem.objective(points), (len(points),)).tolist()
 
 
-def two_steps(problem: VectorProblem, seeds: np.ndarray, maps: list[IterativeMap]) -> list[tuple]:
-    """Two steps of each map from the seeds, in one paths_rows walk: per map the singular
+def two_steps(problem: VectorProblem, grid: GridSpec, maps: list[IterativeMap]) -> list[tuple]:
+    """Two steps of each map from the grid's seeds, in one paths_rows walk: per map the singular
     filter's mask, the first and the second iterates, and the Failures after both.  A map's
     path is its step_orders twice; the singular filter is the path (0,), the seeds' Newton
-    step, which is order 0 of every first step."""
+    step, which is order 0 of every first step.
+
+    On each axis of problem.mirror_axes that the grid spans symmetrically, only the vertices of
+    index at least (count - 1) / 2 step, and each other vertex copies its mirror twin's row,
+    with 0.0 - v for each coordinate v it mirrors: a full scan gives -v, or +0.0 where v
+    cancels to +0.0, as x + (-x) does.  With no such axis the slices copy nothing."""
+    counts = (grid.nx, grid.ny)
+    axes = [a for a in problem.mirror_axes if _symmetric(grid.domain.lo[a], grid.domain.hi[a])]
+    twins = np.indices(counts).reshape(2, -1)
+    flips = {a: twins[a] < (counts[a] - 1) / 2 for a in axes}
+    for a, flip in flips.items():
+        twins[a, flip] = counts[a] - 1 - twins[a, flip]
+    stepped, twin = np.unique(np.ravel_multi_index(twins, counts), return_inverse=True) if axes else [slice(None)] * 2
     paths = [step_orders(iter_map) * 2 for iter_map in maps]
+    seeds = make_grid(grid)[stepped]
     nodes = paths_rows(problem, seeds, Failures(len(seeds)), [(0,), *paths])
-    singular = ~nodes[(0,)][1].live
-    return [(singular, nodes[path[: len(path) // 2]][0], *nodes[path]) for path in paths]
+
+    def mirrored(points):
+        points = points[twin]
+        for a, flip in flips.items():
+            points[flip, a] = 0.0 - points[flip, a]
+        return points
+
+    singular = ~nodes[(0,)][1].live[twin]
+    return [(singular, mirrored(nodes[path[: len(path) // 2]][0]), mirrored(nodes[path][0]),
+             Failures.join([nodes[path][1]], twin)) for path in paths]
 
 
 def run_capture(problem: VectorProblem, config: CaptureConfig, steps: tuple | None = None) -> CaptureResult:
@@ -271,12 +297,12 @@ def run_capture(problem: VectorProblem, config: CaptureConfig, steps: tuple | No
     CaptureCounts field of the first stage that stopped it.  Captured points
     are clustered in grid-index order.
 
-    steps is config.map's entry of two_steps from the grid's seeds, as
+    steps is config.map's entry of two_steps on the grid, as
     reproduce steps the maps of an example together; by default the scan
     steps its own map.
     """
     seeds = make_grid(config.grid)
-    singular, first, second, failures = steps or two_steps(problem, seeds, [config.map])[0]
+    singular, first, second, failures = steps or two_steps(problem, config.grid, [config.map])[0]
     stepped = failures.live
     inside = stepped & (config.grid.domain.contains(first) | config.grid.domain.contains(second))
     rows = np.flatnonzero(inside & np.isfinite(second).all(axis=1))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capture import (DEFAULT_CLUSTER_RADIUS, CaptureConfig, CaptureResult, GridSpec, make_grid,
+from .capture import (DEFAULT_CLUSTER_RADIUS, CaptureConfig, CaptureResult, GridSpec,
                       objectives, run_capture, two_steps)
 from .coefficients import MAX_ORDER_INDEX, barycentric_coefficients
 from .maps1d import (InsufficientDataError, IterativeMap, compose, estimate_order, iterate, newton_barycentric,
@@ -289,7 +289,7 @@ def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
     configs = [CaptureConfig(grid=grid, tolerance=eps, map=parse_map_spec(spec_text), cluster_radius=cluster_radius)
                for _, spec_text, _ in map_table]
     # every map steps in one walk, then run_capture scans each map from its own iterates
-    stepped = two_steps(problem, make_grid(grid), [config.map for config in configs])
+    stepped = two_steps(problem, grid, [config.map for config in configs])
     maps, results = [], {}
     for (label, spec_text, reference_count), config, steps in zip(map_table, configs, stepped):
         result = results[label] = run_capture(problem, config, steps)

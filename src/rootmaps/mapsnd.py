@@ -31,6 +31,7 @@ which erases the sign of a zero, so the model matrices keep their bits.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,6 +76,9 @@ class VectorProblem:
     an overflow) its own row is non-finite and the call does not raise; a
     step there raises EvaluationError, and a scan skips such a seed as singular.
     The engine calls them with numpy's floating-point warnings off.
+    Flipping the sign of x_a, for each axis a of mirror_axes, flips f_a and J's row and column
+    a but (a, a), bit for bit (where x_a is 0 they are zeros of either sign); a grid scan steps
+    one side of such an axis (see capture.two_steps).
     """
 
     n: int
@@ -83,6 +87,12 @@ class VectorProblem:
     objective: Callable[[np.ndarray], np.ndarray] | None = None
     domain: Box | None = None
     name: str = ""
+    mirror_axes: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for i, axis in enumerate(self.mirror_axes):
+            if not (isinstance(axis, numbers.Integral) and 0 <= axis < self.n) or axis in self.mirror_axes[:i]:
+                raise ValueError(f"mirror_axes must be distinct axes in range({self.n}), got {axis!r}")
 
 
 class Failures:
@@ -103,8 +113,8 @@ class Failures:
         self.put(rows, [failure(r) for r in rows.tolist()])
 
     @staticmethod
-    def join(parts: list, cut: slice = slice(None)) -> "Failures":
-        """A new Failures of the rows cut of each of parts in turn."""
+    def join(parts: list, cut=slice(None)) -> "Failures":
+        """A new Failures of the rows cut (a slice or an index array) of each of parts in turn."""
         joined = Failures(0)
         joined.errors = np.concatenate([part.errors[cut] for part in parts])
         joined.live = np.concatenate([part.live[cut] for part in parts])

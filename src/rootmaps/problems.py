@@ -174,7 +174,7 @@ def _ackley_objective(p: np.ndarray) -> np.ndarray:
 def ackley_gradient() -> VectorProblem:
     """Gradient of the negated Ackley function on the standard search box."""
     domain = Box(lo=(-32.768, -32.768), hi=(32.768, 32.768))
-    return VectorProblem(2, _ackley_f, _ackley_jacobian, _ackley_objective, domain, "ackley")
+    return VectorProblem(2, _ackley_f, _ackley_jacobian, _ackley_objective, domain, "ackley", mirror_axes=(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -839,15 +839,18 @@ def _reference_map_step(problem, iter_map, x, skipped, filtered=False):
     return x + delta
 
 
-def _reference_classify_seed(problem, config, grid_i, grid_j, seed, skipped):
+def _reference_classify_seed(problem, config, grid_i, grid_j, seed, skipped, stepper=None):
+    """The seed's fate and captured point; stepper (default problem) runs the singular filter
+    and the steps, and problem the residual."""
+    stepper = stepper or problem
     try:
-        _reference_evaluate(problem.f, seed)
-        _reference_lu_solve(_reference_evaluate(problem.jacobian, seed), np.zeros(problem.n))
+        _reference_evaluate(stepper.f, seed)
+        _reference_lu_solve(_reference_evaluate(stepper.jacobian, seed), np.zeros(problem.n))
     except StepFailureError:
         return "skipped_singular", None
     try:
-        first = _reference_map_step(problem, config.map, seed, skipped, filtered=True)
-        second = _reference_map_step(problem, config.map, first, skipped)
+        first = _reference_map_step(stepper, config.map, seed, skipped, filtered=True)
+        second = _reference_map_step(stepper, config.map, first, skipped)
     except StepFailureError:
         return "step_failures", None
     domain = config.grid.domain
@@ -869,13 +872,17 @@ def _reference_classify_seed(problem, config, grid_i, grid_j, seed, skipped):
     return "captured", CapturedPoint(grid_i, grid_j, seed, second, fnorm, objective)
 
 
-def _reference_run_capture(problem, config, skipped=None):
+def _reference_run_capture(problem, config, skipped=None, copied=None):
+    """The per-seed scan.  copied, if given, is a pair (mask, stepper): each vertex that the
+    (nx, ny) mask marks runs its singular filter and steps on stepper and tallies no skips."""
     skipped = Counter() if skipped is None else skipped
     grid = config.grid
     xs = _axis_vertices(grid.domain.lo[0], grid.domain.hi[0], grid.nx)
     ys = _axis_vertices(grid.domain.lo[1], grid.domain.hi[1], grid.ny)
+    mask, stepper = copied or (np.zeros((grid.nx, grid.ny), dtype=bool), None)
     outcomes = [
-        _reference_classify_seed(problem, config, i, j, np.array([xs[i], ys[j]]), skipped)
+        _reference_classify_seed(problem, config, i, j, np.array([xs[i], ys[j]]), Counter(), stepper) if mask[i, j]
+        else _reference_classify_seed(problem, config, i, j, np.array([xs[i], ys[j]]), skipped)
         for i in range(grid.nx)
         for j in range(grid.ny)
     ]
@@ -897,14 +904,27 @@ def oracle_of(problem):
     return oracles[problem.name]() if problem.name in oracles else problem
 
 
+def stepped_vertices(problem, grid):
+    """The (nx, ny) mask of the vertices a scan steps: on each of the problem's mirror axes
+    whose grid span runs from -h to h, those from the middle up; the others copy their twins."""
+    mask = np.ones((grid.nx, grid.ny), dtype=bool)
+    for axis in problem.mirror_axes:
+        if grid.domain.lo[axis] == -grid.domain.hi[axis]:
+            mask &= 2 * np.indices(mask.shape)[axis] >= mask.shape[axis] - 1
+    return mask
+
+
 def assert_scan_matches_reference(problem, config, oracle=None):
     """run_capture against the per-seed oracle run on the per-point kernels
     (default: those of a built-in problem, else the problem itself): counts,
     every captured value's bytes, the clusters and the number of points f and
-    the Jacobian are evaluated at, which is the oracle's less those skipped."""
+    the Jacobian are evaluated at.  That is the oracle's less those skipped,
+    with the filter and steps counted only at the vertices the scan steps."""
     got_calls, want_calls, skipped = Counter(), Counter(), Counter()
     got = run_capture(counting_problem(problem, got_calls), config)
-    want = _reference_run_capture(counting_problem(oracle or oracle_of(problem), want_calls), config, skipped)
+    oracle = oracle or oracle_of(problem)
+    copied = ~stepped_vertices(problem, config.grid), oracle
+    want = _reference_run_capture(counting_problem(oracle, want_calls), config, skipped, copied)
     assert got.counts == want.counts
     assert got_calls == want_calls - skipped
     assert len(got.captured) == len(want.captured)
@@ -1171,7 +1191,7 @@ def scan_signature(result):
 def stepped_scans(scans):
     """The scans of one problem on one grid, their maps stepped together by two_steps."""
     problem, config = scans[0]
-    stepped = two_steps(problem, make_grid(config.grid), [config.map for _, config in scans])
+    stepped = two_steps(problem, config.grid, [config.map for _, config in scans])
     return [scan_signature(run_capture(problem, config, steps)) for (problem, config), steps in zip(scans, stepped)]
 
 
@@ -1229,12 +1249,64 @@ class TestSharedScans:
         assert stepped_scans(scans[::-1]) == solo[::-1]
 
 
+MIRROR_MAPS = ["newton", *(f"bary:{k}" for k in range(1, 6)), "compose:bary:2,bary:1", "compose:bary:5,bary:4"]
+
+
+def mirrored_and_full_steps(box, nx, ny):
+    """two_steps of MIRROR_MAPS for ackley_gradient(), and for it with no mirror axes, on an
+    nx x ny grid of box (default the problem's): each with its f and J calls, ("f" or "J", rows)."""
+    problem = ackley_gradient()
+    grid = GridSpec(domain=box or problem.domain, nx=nx, ny=ny)
+    maps = [parse_map_spec(spec) for spec in MIRROR_MAPS]
+    runs = []
+    for candidate in (problem, dataclasses.replace(problem, mirror_axes=())):
+        calls = []
+        logged = dataclasses.replace(candidate, f=lambda p, f=candidate.f: calls.append(("f", len(p))) or f(p),
+                                     jacobian=lambda p, j=candidate.jacobian: calls.append(("J", len(p))) or j(p))
+        runs.append((two_steps(logged, grid, maps), calls))
+    return grid, *runs
+
+
+class TestMirroredSteps:
+    """On each axis that a problem mirrors and a grid spans symmetrically, two_steps steps
+    only the vertices from the middle index up and copies each other vertex from its mirror
+    twin: the singular masks, failures and iterates are those of stepping every vertex."""
+
+    @pytest.mark.parametrize("box, nx, ny, stepped", [
+        (None, 41, 41, 21 * 21),
+        (None, 20, 20, 10 * 10),  # no vertex on an axis
+        (None, 31, 19, 16 * 10),
+        (Box((-2.0, -2.0), (2.0, 2.0)), 7, 7, 4 * 4),
+        (Box((-3.0, 0.25), (3.0, 4.0)), 13, 9, 7 * 9),  # only x is spanned symmetrically
+        (Box((-10.0, -10.0), (10.0, 10.0)), 61, 61, 31 * 31),
+        (Box((-3.0, -2.0), (2.5, 3.0)), 11, 11, 11 * 11),  # nothing is
+    ])
+    def test_same_as_stepping_every_vertex(self, box, nx, ny, stepped):
+        grid, (got, got_calls), (want, want_calls) = mirrored_and_full_steps(box, nx, ny)
+        for (singular, first, second, failures), (singular_, first_, second_, failures_) in zip(got, want):
+            assert singular.tobytes() == singular_.tobytes() and failures.live.tobytes() == failures_.live.tobytes()
+            assert list(map(type, failures.errors)) == list(map(type, failures_.errors))
+            assert (first.tobytes(), second.tobytes()) == (first_.tobytes(), second_.tobytes())
+        # the walk starts from the stepped seeds; with nothing mirrored it makes the same calls
+        assert (got_calls[0], want_calls[0]) == (("f", stepped), ("f", grid.size))
+        assert (got_calls == want_calls) == (stepped == grid.size)
+
+    def test_an_image_that_cancels_onto_an_axis_is_positive_zero(self):
+        # on the 61x61 grid of +-10, t_54's second iterate from 4 vertices off the axes and left
+        # of or below one lands on it by cancellation, at +0.0 (x + (-x)), which their twins'
+        # 0.0 - v gives and -v would not
+        grid, (got, _), _ = mirrored_and_full_steps(Box((-10.0, -10.0), (10.0, 10.0)), 61, 61)
+        seeds, second = make_grid(grid), got[MIRROR_MAPS.index("compose:bary:5,bary:4")][2]
+        images = (seeds < 0.0) & (second == 0.0)
+        assert images.sum() == 4 and not np.signbit(second[images]).any()
+
+
 # Points of f and the Jacobian and linear solves per pass of each reproduce
 # example; the README quotes them, and test_readme checks that it does.
 REPRODUCE_WORK = {
     "example1": {"jacobian": 28519, "f": 6365, "solves": 14801},
-    "example2-coarse": {"jacobian": 24481, "f": 4973, "solves": 11520},
-    "example2-fine": {"jacobian": 90721, "f": 8353, "solves": 36960},
+    "example2-coarse": {"jacobian": 6733, "f": 2885, "solves": 3168},
+    "example2-fine": {"jacobian": 23761, "f": 3393, "solves": 9680},
 }
 
 
@@ -1276,10 +1348,12 @@ class TestWorkCounters:
         assert counts == {"seeds": 361, "jacobian": 7942, "f": 1744, "solves": 5054, "captured": 156}
 
     def test_example2_fine_t54(self, monkeypatch):
-        # bary:5 then bary:4 is 27 J points and 11 solves a step; the origin
-        # seed is singular after its f and J: 1680 * 54 + 1 J, 1680 * 22 solves
+        # bary:5 then bary:4 is 27 J points and 11 solves a step.  Ackley mirrors both axes, so
+        # only the 21 * 21 seeds with no negative coordinate step, and the others copy them (see
+        # capture.two_steps).  The origin seed is singular after its f and J: 440 * 54 + 1 J,
+        # 440 * 4 + 1 f + 1632 residuals (those are at every seed), 440 * 22 solves
         counts = self.scan_counts(ackley_gradient(), "compose:bary:5,bary:4", 41, 0.1, monkeypatch)
-        assert counts == {"seeds": 1681, "jacobian": 90721, "f": 8353, "solves": 36960, "captured": 1600}
+        assert counts == {"seeds": 1681, "jacobian": 23761, "f": 3393, "solves": 9680, "captured": 1600}
 
     def test_polynomial_file(self, tmp_path, monkeypatch):
         problem = load_polynomial_problem(str(write_random_gradient_file(tmp_path / "p.poly", 61)))
@@ -1303,9 +1377,11 @@ class TestWorkCounters:
         # bary:4 and bary:5), per live seed: level 1 to order 4: 11 J, 1 f, 5
         # solves; level 2 from t_0..t_4(x) to orders 0, 1, 2, 3 and 5: 30 J,
         # 5 f, 16 solves; levels 3 and 4, bary:4 and bary:5: 27 J, 2 f, 11
-        # solves.  The origin seed is singular after its f and J, so 360 * 68
-        # + 1 J, 360 * 8 + 1 f + 2092 residuals and 360 * 32 solves.
-        # example2-fine has one map, which steps as a scan of it alone does
+        # solves.  Ackley mirrors both axes, so only the 10 * 10 seeds with no
+        # negative coordinate step.  The origin seed is singular after its f
+        # and J, so 99 * 68 + 1 J, 99 * 8 + 1 f + 2092 residuals (at every
+        # seed) and 99 * 32 solves.  example2-fine has one map, which steps as
+        # a scan of it alone does
         counts = Counter()
         problem = counting_problem(vector_problem(REPRODUCE_SETUPS[example][0]), counts)
         monkeypatch.setattr(cli, "vector_problem", lambda name: problem)

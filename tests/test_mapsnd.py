@@ -516,6 +516,23 @@ class TestMapDispatch:
         assert np.array_equal(a, b)
 
 
+class TestMirrorAxes:
+    """mirror_axes must be distinct axes of the problem, checked where the problem is built."""
+
+    def test_duplicate_axis_raises(self):
+        with pytest.raises(ValueError, match=r"distinct axes in range\(2\), got 1$"):
+            dataclasses.replace(AFFINE, mirror_axes=(1, 0, 1))
+
+    @pytest.mark.parametrize("axis", [2, -1, 0.0, "0"])
+    def test_axis_out_of_range_raises(self, axis):
+        with pytest.raises(ValueError, match=f"distinct axes in range\\(2\\), got {re.escape(repr(axis))}$"):
+            dataclasses.replace(AFFINE, mirror_axes=(0, axis))
+
+    def test_distinct_axes_in_range_are_kept(self):
+        assert dataclasses.replace(AFFINE, mirror_axes=(1, 0)).mirror_axes == (1, 0)
+        assert AFFINE.mirror_axes == ()
+
+
 class TestFailures:
     """A Failures record keeps two columns over the same rows: live is the mask
     of the rows whose error is None, and each error is the object put there."""

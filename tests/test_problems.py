@@ -121,12 +121,34 @@ class TestAckley:
             count += 1
 
     def test_sign_symmetries_are_exact(self):
+        # each built-in problem's declared mirror axes: x_a -> -x_a flips the sign of f_a and of
+        # J's row and column a but (a, a), bit for bit (tobytes, so signed zeros count)
+        assert (RUT.mirror_axes, ACK.mirror_axes) == ((), (0, 1))
         rng = np.random.default_rng(36)
-        for _ in range(50):
-            x, y = rng.uniform(-20.0, 20.0, size=2)
-            f = ACK.f(np.array([x, y]))
-            f_neg = ACK.f(np.array([-x, y]))
-            assert f_neg[0] == -f[0] and f_neg[1] == f[1]
+        for name in ("rutishauser", "ackley"):
+            problem = vector_problem(name)
+            points = rng.uniform(problem.domain.lo, problem.domain.hi, size=(200, problem.n))
+            for a in problem.mirror_axes:
+                flipped = points.copy()
+                flipped[:, a] = -points[:, a]
+                f, jacobian = problem.f(points), problem.jacobian(points)
+                f[:, a] = -f[:, a]
+                jacobian[:, a] = -jacobian[:, a]
+                jacobian[:, :, a] = -jacobian[:, :, a]  # (a, a) flips twice
+                assert problem.f(flipped).tobytes() == f.tobytes()
+                assert problem.jacobian(flipped).tobytes() == jacobian.tobytes()
+                # on the axis, at +0.0 and -0.0, f_a and J's row and column a but (a, a) are
+                # zeros, whose signs may not flip (a sum of zeros of opposite signs is +0.0),
+                # and every other value has the same bits on both sides
+                plus, minus = points.copy(), points.copy()
+                plus[:, a], minus[:, a] = 0.0, -0.0
+                fs, jacobians = (problem.f(plus), problem.f(minus)), (problem.jacobian(plus), problem.jacobian(minus))
+                cross = np.zeros((problem.n, problem.n), dtype=bool)
+                cross[a], cross[:, a], cross[a, a] = True, True, False
+                for f, jacobian in zip(fs, jacobians):
+                    assert (f[:, a] == 0.0).all() and (jacobian[:, cross] == 0.0).all()
+                assert np.delete(fs[0], a, axis=1).tobytes() == np.delete(fs[1], a, axis=1).tobytes()
+                assert jacobians[0][:, ~cross].tobytes() == jacobians[1][:, ~cross].tobytes()
 
 
 class TestScalarSet:

@@ -258,10 +258,10 @@ def objectives(problem: VectorProblem, points: np.ndarray) -> list:
 
 
 def two_steps(problem: VectorProblem, grid: GridSpec, maps: list[IterativeMap]) -> list[tuple]:
-    """Two steps of each map from the grid's seeds, in one paths_rows walk: per map the singular
-    filter's mask, the first and the second iterates, and the Failures after both.  A map's
-    path is its step_orders twice; the singular filter is the path (0,), the seeds' Newton
-    step, which is order 0 of every first step.
+    """Two steps of each map from the grid's seeds, in one paths_rows walk: per map the seeds
+    (one array for all), the singular filter's mask, the first and the second iterates, and the
+    Failures after both.  A map's path is its step_orders twice; the singular filter is the
+    path (0,), the seeds' Newton step, which is order 0 of every first step.
 
     On each axis of problem.mirror_axes that the grid spans symmetrically, only the vertices of
     index at least (count - 1) / 2 step, and each other vertex copies its mirror twin's row,
@@ -275,8 +275,9 @@ def two_steps(problem: VectorProblem, grid: GridSpec, maps: list[IterativeMap]) 
         twins[a, flip] = counts[a] - 1 - twins[a, flip]
     stepped, twin = np.unique(np.ravel_multi_index(twins, counts), return_inverse=True) if axes else [slice(None)] * 2
     paths = [step_orders(iter_map) * 2 for iter_map in maps]
-    seeds = make_grid(grid)[stepped]
-    nodes = paths_rows(problem, seeds, Failures(len(seeds)), [(0,), *paths])
+    seeds = make_grid(grid)
+    starts = seeds[stepped]
+    nodes = paths_rows(problem, starts, Failures(len(starts)), [(0,), *paths])
 
     def mirrored(points):
         points = points[twin]
@@ -285,7 +286,7 @@ def two_steps(problem: VectorProblem, grid: GridSpec, maps: list[IterativeMap]) 
         return points
 
     singular = ~nodes[(0,)][1].live[twin]
-    return [(singular, mirrored(nodes[path[: len(path) // 2]][0]), mirrored(nodes[path][0]),
+    return [(seeds, singular, mirrored(nodes[path[: len(path) // 2]][0]), mirrored(nodes[path][0]),
              Failures.join([nodes[path][1]], twin)) for path in paths]
 
 
@@ -301,8 +302,7 @@ def run_capture(problem: VectorProblem, config: CaptureConfig, steps: tuple | No
     reproduce steps the maps of an example together; by default the scan
     steps its own map.
     """
-    seeds = make_grid(config.grid)
-    singular, first, second, failures = steps or two_steps(problem, config.grid, [config.map])[0]
+    seeds, singular, first, second, failures = steps or two_steps(problem, config.grid, [config.map])[0]
     stepped = failures.live
     inside = stepped & (config.grid.domain.contains(first) | config.grid.domain.contains(second))
     rows = np.flatnonzero(inside & np.isfinite(second).all(axis=1))

@@ -2,9 +2,6 @@
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
-from operator import add
 from typing import Callable
 
 import numpy as np
@@ -46,10 +43,10 @@ def _power_table(values: np.ndarray, exponents) -> np.ndarray:
 
 
 def _coordinates(points: np.ndarray, exponents: tuple) -> tuple:
-    """x, y and their power tables {e: v ** e}, from a (..., 2) array."""
-    xy = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
-    px, py = (dict(zip(exponents, t)) for t in _power_table(xy, exponents).swapaxes(0, 1))
-    return xy[0], xy[1], px, py
+    """x, y and their power tables {e: v ** e}, as views of a (..., 2) array and its table."""
+    points = np.asarray(points, dtype=float)
+    table = dict(zip(exponents, _power_table(points, exponents)))
+    return points[..., 0], points[..., 1], *({e: row[..., a] for e, row in table.items()} for a in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +124,8 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _polar(p: np.ndarray) -> tuple:
-    x, y = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 0], p[..., 1]
     return x, y, np.sqrt(x * x + y * y)
 
 
@@ -260,34 +258,46 @@ class PolynomialComponent:
         return PolynomialComponent(n=self.n, terms=tuple(terms))
 
 
+# Loaded systems make their products in slabs of at most this many values (64 KiB), which malloc keeps (README)
+_SLAB_VALUES = 2**13
+
+
 def _polynomial_map(components: list[PolynomialComponent], shape: tuple[int, ...]) -> Callable:
     """The callable mapping a (..., n) array of points to the components' values, shape (..., *shape).
 
-    Each axis has one power table with a row per exponent used on it.  A
-    term is coeff * t_0[e_0] * t_1[e_1] * ..., and a component sums its terms
-    left to right from 0.0: the operations, in the same order, of evaluating
-    one point term by term, so every value is that evaluation's bit for bit.
+    Each axis has one power table with a row per exponent used on it.  A term is
+    coeff * t_0[e_0] * t_1[e_1] * ..., and each component sums its terms left to
+    right from 0.0, as evaluating one point term by term does, bit for bit.  All
+    components sum together, one add per term position, and a component with
+    fewer terms adds +0.0s: a sum from 0.0 is never -0.0 in round-to-nearest,
+    and any other v + 0.0 is v, inf and NaN included.
     """
-    terms = [term for c in components for term in c.terms]
+    longest = max(components, key=lambda c: len(c.terms))
+    # term t of component c is row t * C + c, or a pad with the longest one's first exponents: no table grows
+    laid = [c.terms[t] if t < len(c.terms) else None for t in range(len(longest.terms)) for c in components]
+    pads = np.array([term is None for term in laid], dtype=bool)
+    terms = [term or (0.0, longest.terms[0][1]) for term in laid]
     coeffs = np.array([coeff for coeff, _ in terms])
-    exponents = np.array([e for _, e in terms], dtype=int).reshape(len(terms), components[0].n).T
+    exponents = np.array([[e[axis] for _, e in terms] for axis in range(components[0].n)], dtype=int)
     # per axis: the distinct exponents, and each term's row among them
-    tables = [(used.astype(float), rows) for used, rows in (np.unique(e, return_inverse=True) for e in exponents)]
-    ends = list(accumulate(len(c.terms) for c in components))
-    spans = list(zip([0, *ends[:-1]], ends))
+    tables = [((used := np.unique(e)).astype(float), np.searchsorted(used, e)) for e in exponents]
 
     @_quiet
     def values_at(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         batch = points.shape[:-1]
-        products = coeffs.reshape(-1, *(1,) * len(batch))
-        for axis, (used, rows) in enumerate(tables):
-            products = products * _power_table(points[..., axis], used)[rows]
-        values = np.empty((*batch, len(spans)))
-        for c, (start, stop) in enumerate(spans):
-            # not sum() or np.sum: they do not add term by term from 0.0
-            values[..., c] = reduce(add, products[start:stop], np.zeros(batch))
-        return values.reshape(*batch, *shape)
+        powers = [_power_table(points[..., axis], used) for axis, (used, _) in enumerate(tables)]
+        values = np.zeros((len(components), *batch))
+        step = max(1, _SLAB_VALUES // (values.size or 1)) * len(components)  # rows: whole term positions
+        for first in range(0, len(terms), step):
+            rows = slice(first, first + step)
+            products = coeffs[rows].reshape(-1, *(1,) * len(batch)) * powers[0][tables[0][1][rows]]
+            for power, (_, at) in zip(powers[1:], tables[1:]):
+                products *= power[at[rows]]
+            products[pads[rows]] = 0.0
+            for row in products.reshape(len(products) // len(components), *values.shape):
+                values += row  # not sum() or np.sum: they do not add term by term from 0.0
+        return np.moveaxis(values, 0, -1).reshape(*batch, *shape)
 
     return values_at
 

@@ -1283,7 +1283,8 @@ class TestMirroredSteps:
     ])
     def test_same_as_stepping_every_vertex(self, box, nx, ny, stepped):
         grid, (got, got_calls), (want, want_calls) = mirrored_and_full_steps(box, nx, ny)
-        for (singular, first, second, failures), (singular_, first_, second_, failures_) in zip(got, want):
+        for (seeds, singular, first, second, failures), (seeds_, singular_, first_, second_, failures_) in zip(got, want):
+            assert seeds.tobytes() == seeds_.tobytes() == make_grid(grid).tobytes()
             assert singular.tobytes() == singular_.tobytes() and failures.live.tobytes() == failures_.live.tobytes()
             assert list(map(type, failures.errors)) == list(map(type, failures_.errors))
             assert (first.tobytes(), second.tobytes()) == (first_.tobytes(), second_.tobytes())
@@ -1296,7 +1297,7 @@ class TestMirroredSteps:
         # of or below one lands on it by cancellation, at +0.0 (x + (-x)), which their twins'
         # 0.0 - v gives and -v would not
         grid, (got, _), _ = mirrored_and_full_steps(Box((-10.0, -10.0), (10.0, 10.0)), 61, 61)
-        seeds, second = make_grid(grid), got[MIRROR_MAPS.index("compose:bary:5,bary:4")][2]
+        seeds, _, _, second, _ = got[MIRROR_MAPS.index("compose:bary:5,bary:4")]
         images = (seeds < 0.0) & (second == 0.0)
         assert images.sum() == 4 and not np.signbit(second[images]).any()
 

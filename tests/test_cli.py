@@ -8,7 +8,7 @@ import platform
 import numpy as np
 import pytest
 
-from rootmaps import cli
+from rootmaps import capture, cli
 from rootmaps.capture import CaptureCounts, CaptureResult, cluster_points
 from rootmaps.maps1d import MapFamily
 from rootmaps.cli import MapSpecError, build_parser, main, parse_map_spec
@@ -463,6 +463,19 @@ class TestReproduceCommand:
         monkeypatch.setattr(cli, "run_capture", lambda problem, config, steps: empty)
         report, _ = cli._reproduce_report("example1", 1e-3)
         assert calls == [] and [row["clusters"] for row in report["maps"]] == [[]] * 8
+
+    def test_one_grid_build_per_example(self, monkeypatch):
+        # the maps step from one build of the grid, and every scan takes its captured
+        # rows' seeds from that build
+        builds = []
+        build = capture.make_grid
+        monkeypatch.setattr(capture, "make_grid", lambda spec: builds.append(spec) or build(spec))
+        _, results = cli._reproduce_report("example1", 1e-3)
+        assert len(builds) == 1 and sum(result.counts.captured for result in results.values()) > 0
+        seeds = build(builds[0])
+        for result in results.values():
+            for c in result.captured:
+                assert c.seed.tobytes() == seeds[c.grid_i * builds[0].ny + c.grid_j].tobytes()
 
     def test_run_capture_is_called_once_per_map_in_listed_order(self, tmp_path, monkeypatch, capsys):
         # a caller that observes the scans through cli.run_capture sees one call per

@@ -1,8 +1,13 @@
 import math
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootmaps import (
     Box,
@@ -722,3 +727,94 @@ class TestPowerTables:
         assert problem.f(np.array([3.0])).tolist() == [1.5]
         assert problem.jacobian(np.array([3.0])).tolist() == [[0.0]]
         assert problem.jacobian(np.array([[3.0], [4.0]])).tolist() == [[[0.0]], [[0.0]]]
+
+
+# Systems whose components have unequal term counts, so that a shorter component
+# is padded with +0.0 past its last term.  A 1-D system has one component and one
+# partial, and no pad.  The n = 2 partials hold 1, 0, 4 and 4 terms;
+# x**7 and x**8 overflow at 1e45, and a -0.0 coordinate gives -0.0 products.
+UNEVEN_SYSTEMS = {
+    1: "poly 1 : 2.0 7 ; -1.0 0 ; 0.5 1 ; -3.0 2\n",
+    2: "poly 2 : -1.5 7 0\npoly 2 : 1.0 1 0 ; -1.0 0 1 ; 2.0 3 2 ; 0.25 0 0 ; -3.0 2 5 ; 1.0 1 1\n",
+    3: (
+        "poly 3 : 1.0 0 0 1 ; -2.0 2 0 0\n"
+        "poly 3 : 3.0 1 1 1\n"
+        "poly 3 : 1.0 8 0 0 ; -0.5 0 1 0 ; 2.0 1 2 3 ; -1.0 0 0 0 ; 4.0 3 0 1 ; 0.125 0 4 0 ; -2.0 1 1 0\n"
+    ),
+}
+
+
+def uneven_points(n):
+    """oracle_points, and the special coordinates where a component of one term meets -0.0."""
+    signed = [np.array(p, dtype=float) for p in ([-0.0] * n, [1.0] + [-0.0] * (n - 1), [-0.0] + [2.0] * (n - 1))]
+    return np.concatenate([oracle_points(n, 60 + n), signed])
+
+
+class TestTermPositions:
+    """The components of a loaded system sum together, one add per term position, a
+    shorter one padded with +0.0, in slabs of term positions: the term loop's values,
+    bit for bit, whatever the slab."""
+
+    @pytest.mark.parametrize("slab", [1, 7, problems._SLAB_VALUES])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_uneven_term_counts_match_term_loop(self, tmp_path, monkeypatch, n, slab):
+        # slabs of 1 value take one term position at a time, slabs of 7 a few at a
+        # time for one point, and the default ones all positions of a small batch
+        monkeypatch.setattr(problems, "_SLAB_VALUES", slab)
+        path = tmp_path / "uneven.poly"
+        path.write_text(UNEVEN_SYSTEMS[n])
+        problem = load_polynomial_problem(str(path))
+        ref_f, ref_jacobian = reference_problem(path)
+        points = uneven_points(n)
+        fails = assert_matches_oracle(problem.f, ref_f, points)
+        assert 0 < fails < len(points)
+        assert 0 < assert_matches_oracle(problem.jacobian, ref_jacobian, points) < len(points)
+
+    def test_a_short_component_keeps_a_negative_zero_sum_positive(self, tmp_path):
+        # at x = 0.0 the one-term component's product is -1.5 * 0.0 = -0.0, its sum
+        # from 0.0 is +0.0, and its +0.0 pads, while the long one sums on, keep it
+        path = tmp_path / "uneven.poly"
+        path.write_text(UNEVEN_SYSTEMS[2])
+        problem = load_polynomial_problem(str(path))
+        points = np.array([[0.0, 1.0], [0.0, -0.0]])
+        assert np.signbit(-1.5 * points[:, 0] ** 7).all()
+        for values in (problem.f(points), [problem.f(p) for p in points]):
+            assert [v.tobytes() for v in np.asarray(values)[:, 0]] == [np.float64(0.0).tobytes()] * 2
+        assert problem.f(np.array([1e45, 0.5]))[0] == -math.inf
+
+
+def term_systems():
+    """A random system: n = 1..3, 1..12 terms per component, exponents 0..9 and
+    coefficients that include signed zeros and +-1e300."""
+    coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]), st.floats(-4.0, 4.0))
+    return st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.tuples(coefficient, st.lists(st.integers(0, 9), min_size=n, max_size=n)), min_size=1, max_size=12),
+        min_size=n, max_size=n,
+    ))
+
+
+def points_for(n):
+    coordinate = st.one_of(st.sampled_from(SPECIAL_COORDINATES), st.floats(-2.0, 2.0))
+    return st.lists(st.lists(coordinate, min_size=n, max_size=n), min_size=1, max_size=8)
+
+
+class TestTermPositionProperties:
+    @given(st.data())
+    def test_batch_matches_term_loop(self, data):
+        system = data.draw(term_systems())
+        n = len(system)
+        points = np.array(data.draw(points_for(n)), dtype=float)
+        slab = data.draw(st.sampled_from([1, 2 * n, 5 * n * n, problems._SLAB_VALUES]))
+        text = "".join(f"poly {n} : " + " ; ".join(" ".join(map(repr, (c, *e))) for c, e in terms) + "\n"
+                       for terms in system)
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "random.poly"
+            path.write_text(text)
+            problem = load_polynomial_problem(str(path))
+            ref_f, ref_jacobian = reference_problem(path)
+        for fn, oracle in ((problem.f, ref_f), (problem.jacobian, ref_jacobian)):
+            with mock.patch.object(problems, "_SLAB_VALUES", slab):
+                batch = fn(points)
+            for point, row in zip(points, batch):
+                expected = reference_outcome(oracle, point)
+                assert outcome(row, expected) == expected, point

@@ -5,7 +5,7 @@ extension, and a two-iteration grid scan that localizes many zeros (or
 extrema of a gradient system) at once.
 """
 
-from .capture import CaptureConfig, CaptureCounts, GridSpec, run_capture
+from .capture import CaptureConfig, CaptureCounts, GridSpec, run_capture, two_steps
 from .coefficients import barycentric_coefficients
 from .maps1d import (
     EvaluationError,
@@ -45,6 +45,7 @@ __all__ = [
     "rutishauser",
     "scalar_problem",
     "scalar_test_set",
+    "two_steps",
     "vector_map_step",
     "vector_problem",
 ]

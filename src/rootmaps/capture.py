@@ -3,10 +3,10 @@
 Every grid vertex X0 goes through three filters: the Jacobian at X0 must be
 nonsingular, at least one of the two iterates X1, X2 must stay in the search
 box, and finally X2 is kept iff ||f(X2)|| <= tolerance.  All seeds pass
-through each filter together, as one batch (see mapsnd).  two_steps steps the
-seeds by several maps at once, as one walk of their step paths, so that the
-maps share the seeds' Newton step and every common step prefix; run_capture
-takes one map's entry, or steps its own map alone through the same walk.
+through each filter together, as one batch (see mapsnd).  A scan of one map
+or many takes one path: two_steps steps the seeds by every map at once, as one
+walk of their step paths, so that the maps share the seeds' Newton step and
+every common step prefix, and run_capture filters and clusters each map's entry.
 Captured points cluster near the fixed points of the map; a vectorised pass
 sets the isolated ones apart, and a greedy pass groups the rest.
 """
@@ -57,9 +57,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CaptureConfig:
+    """The settings that every map of a scan shares."""
+
     grid: GridSpec
     tolerance: float
-    map: IterativeMap
     cluster_radius: float = DEFAULT_CLUSTER_RADIUS
     norm: str = "max"
 
@@ -290,19 +291,15 @@ def two_steps(problem: VectorProblem, grid: GridSpec, maps: list[IterativeMap]) 
              Failures.join([nodes[path][1]], twin)) for path in paths]
 
 
-def run_capture(problem: VectorProblem, config: CaptureConfig, steps: tuple | None = None) -> CaptureResult:
-    """Scan the grid with two iterations of the configured map.
+def run_capture(problem: VectorProblem, config: CaptureConfig, steps: tuple) -> CaptureResult:
+    """The scan of one map from steps, its entry of two_steps on config.grid.
 
     All seeds go through each stage as one batch (see mapsnd); the singular
     filter's Newton solve is the first step's.  A seed's fate is the
     CaptureCounts field of the first stage that stopped it.  Captured points
     are clustered in grid-index order.
-
-    steps is config.map's entry of two_steps on the grid, as
-    reproduce steps the maps of an example together; by default the scan
-    steps its own map.
     """
-    seeds, singular, first, second, failures = steps or two_steps(problem, config.grid, [config.map])[0]
+    seeds, singular, first, second, failures = steps
     stepped = failures.live
     inside = stepped & (config.grid.domain.contains(first) | config.grid.domain.contains(second))
     rows = np.flatnonzero(inside & np.isfinite(second).all(axis=1))

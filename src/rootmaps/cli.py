@@ -214,6 +214,11 @@ def capture_result_to_dict(result: CaptureResult) -> dict:
     }
 
 
+def _scans(problem, config: CaptureConfig, maps: list[IterativeMap]) -> list[CaptureResult]:
+    """One run_capture per map, in order, of one two_steps walk of every map on config.grid."""
+    return [run_capture(problem, config, steps) for steps in two_steps(problem, config.grid, maps)]
+
+
 def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
     start = time.perf_counter()
     try:
@@ -229,14 +234,9 @@ def _cmd_capture(args, parser: argparse.ArgumentParser) -> int:
         raise ProblemFormatError(f"grid scans are 2-D; problem {args.problem!r} is {problem.n}-dimensional")
     if problem.domain is None:
         raise ProblemFormatError(f"problem {args.problem!r} declares no domain; add a `domain` line")
-    scan = CaptureConfig(
-        grid=GridSpec(domain=problem.domain, nx=args.nx, ny=args.ny),
-        tolerance=args.eps,
-        map=map_spec,
-        cluster_radius=args.cluster_radius,
-        norm=args.norm,
-    )
-    result = run_capture(problem, scan)
+    scan = CaptureConfig(grid=GridSpec(domain=problem.domain, nx=args.nx, ny=args.ny), tolerance=args.eps,
+                         cluster_radius=args.cluster_radius, norm=args.norm)
+    [result] = _scans(problem, scan, [map_spec])
     if args.format == "json":
         payload = capture_result_to_dict(result)
         payload["problem"] = args.problem
@@ -286,21 +286,17 @@ def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
     problem_name, nx, ny, eps, map_table = REPRODUCE_SETUPS[example]
     problem = vector_problem(problem_name)
     grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
-    configs = [CaptureConfig(grid=grid, tolerance=eps, map=parse_map_spec(spec_text), cluster_radius=cluster_radius)
-               for _, spec_text, _ in map_table]
-    # every map steps in one walk, then run_capture scans each map from its own iterates
-    stepped = two_steps(problem, grid, [config.map for config in configs])
-    maps, results = [], {}
-    for (label, spec_text, reference_count), config, steps in zip(map_table, configs, stepped):
-        result = results[label] = run_capture(problem, config, steps)
-        clusters = _cluster_rows(result, top=8)
-        # one objective call on the stacked representatives; the kernels do not depend on batch size
-        g = objectives(problem, np.array([[cl["x"], cl["y"]] for cl in clusters]))
-        maps.append({
-            "label": label, "map": spec_text, "captured": result.counts.captured, "reference_count": reference_count,
-            "counts": asdict(result.counts), "clusters": [{**cl, "g": v} for cl, v in zip(clusters, g)],
-            "total_clusters": len(result.clusters),
-        })
+    scans = _scans(problem, CaptureConfig(grid=grid, tolerance=eps, cluster_radius=cluster_radius),
+                   [parse_map_spec(spec_text) for _, spec_text, _ in map_table])
+    results = {label: result for (label, _, _), result in zip(map_table, scans)}
+    tops = [_cluster_rows(result, top=8) for result in scans]
+    # one objective call on every map's stacked top representatives; the kernels do not depend on batch size
+    g = iter(objectives(problem, np.array([[cl["x"], cl["y"]] for clusters in tops for cl in clusters])))
+    maps = [{
+        "label": label, "map": spec_text, "captured": result.counts.captured, "reference_count": reference_count,
+        "counts": asdict(result.counts), "clusters": [{**cl, "g": next(g)} for cl in clusters],
+        "total_clusters": len(result.clusters),
+    } for (label, spec_text, reference_count), result, clusters in zip(map_table, scans, tops)]
     report = {"example": example, "problem": problem_name, "nx": nx, "ny": ny, "dx": grid.dx, "dy": grid.dy,
               "eps": eps, "cluster_radius": cluster_radius, "maps": maps}
     return report, results

@@ -299,16 +299,6 @@ def paths_rows(problem: VectorProblem, x: np.ndarray, failures: Failures, paths:
     return nodes
 
 
-def map_rows(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray, failures: Failures) -> np.ndarray:
-    """The (N, n) next points of one step of a Newton, barycentric or composed map from each
-    live row of x, its step_orders as one path of paths_rows; a failed row's next point is NaN,
-    and failures gets the failure of each row that fails."""
-    path = step_orders(iter_map)
-    next_, own = paths_rows(problem, x, failures, [path])[path]
-    failures.put(~own.live, own.errors[~own.live])
-    return next_
-
-
 def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarray) -> np.ndarray:
     """The (n,) next point of one step of a Newton, barycentric, or composed map from x.
 
@@ -318,8 +308,8 @@ def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarra
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"need a point of shape {(problem.n,)}, got shape {x.shape}")
-    failures = Failures(1)
-    next_ = map_rows(problem, iter_map, x[None], failures)[0]
+    path = step_orders(iter_map)  # one path of paths_rows, from a batch of one
+    next_, failures = paths_rows(problem, x[None], Failures(1), [path])[path]
     if not failures.live[0]:
         raise failures.errors[0]
-    return next_
+    return next_[0]

@@ -23,7 +23,6 @@ from rootmaps import (
     newton_barycentric,
     newton_taylor,
     recursive_map_step,
-    run_capture,
     scalar_test_set,
     vector_map_step,
 )
@@ -31,9 +30,12 @@ from rootmaps.coefficients import build_system, solve_coefficients
 from rootmaps.cli import render_capture_csv
 from rootmaps.maps1d import InsufficientDataError
 from rootmaps.problems import ackley_gradient, rutishauser
+from test_capture import scan_one
 from test_coefficients import alternating_binomial_sum
 
 CUBIC, EXP2, SINE = scalar_test_set()
+T32 = compose(newton_barycentric(3), newton_barycentric(2))
+T54 = compose(newton_barycentric(5), newton_barycentric(4))
 
 TABLE_WEIGHTS = {
     1: (Fraction(1, 2), Fraction(1, 2)),
@@ -84,9 +86,8 @@ def rutishauser_capture():
     config = CaptureConfig(
         grid=GridSpec(domain=problem.domain, nx=19, ny=19),
         tolerance=0.001,
-        map=compose(newton_barycentric(3), newton_barycentric(2)),
     )
-    return problem, config, run_capture(problem, config)
+    return problem, config, scan_one(problem, config, T32)
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +96,9 @@ def ackley_fine_capture():
     config = CaptureConfig(
         grid=GridSpec(domain=problem.domain, nx=41, ny=41),
         tolerance=0.1,
-        map=compose(newton_barycentric(5), newton_barycentric(4)),
     )
     start = time.perf_counter()
-    result = run_capture(problem, config)
+    result = scan_one(problem, config, T54)
     elapsed = time.perf_counter() - start
     return problem, config, result, elapsed
 
@@ -265,9 +265,9 @@ def test_c8_run_determinism(rutishauser_capture, ackley_fine_capture):
     _, rut_config, rut_result = rutishauser_capture
     _, ack_config, ack_result, _ = ackley_fine_capture
     # a second scan on fresh problem objects must repeat the first byte for byte
-    rut_csv_again = render_capture_csv(run_capture(rutishauser(), rut_config))
+    rut_csv_again = render_capture_csv(scan_one(rutishauser(), rut_config, T32))
     assert render_capture_csv(rut_result) == rut_csv_again
-    ack_csv_again = render_capture_csv(run_capture(ackley_gradient(), ack_config))
+    ack_csv_again = render_capture_csv(scan_one(ackley_gradient(), ack_config, T54))
     assert render_capture_csv(ack_result) == ack_csv_again
     _report(8, "capture CSVs are byte-identical across two runs on fresh problems")
 

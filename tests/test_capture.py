@@ -51,6 +51,12 @@ from test_problems import (
 )
 
 
+def scan_one(problem, config, iter_map):
+    """run_capture of one map, from its entry of two_steps on config.grid."""
+    [steps] = two_steps(problem, config.grid, [iter_map])
+    return run_capture(problem, config, steps)
+
+
 def affine_problem():
     a = np.array([[3.0, 1.0], [1.0, 2.0]])
     c = np.array([1.0, -1.0])
@@ -487,7 +493,7 @@ class TestClusterPointsAgainstReference:
         # points per reproduce example, summed over its maps, are the same for
         # reach 1 and 3 and for the exact test, no other point within reach cells
         width = 2 * DEFAULT_CLUSTER_RADIUS
-        cells = [np.floor(np.array([c.point for c in run_capture(*scan.values).captured]) / width).astype(np.int64)
+        cells = [np.floor(np.array([c.point for c in scan_one(*scan.values).captured]) / width).astype(np.int64)
                  for scan in reproduce_configs(example)]
         assert sum(map(len, cells)) == captured
         for reach in (1, 3):
@@ -500,8 +506,8 @@ class TestClusterPointsAgainstReference:
         problem = vector_problem(problem_name)
         grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
         for _, spec, _ in map_table:
-            config = CaptureConfig(grid=grid, tolerance=eps, map=parse_map_spec(spec))
-            points = [c.point for c in run_capture(problem, config).captured]
+            config = CaptureConfig(grid=grid, tolerance=eps)
+            points = [c.point for c in scan_one(problem, config, parse_map_spec(spec)).captured]
             assert points
             assert_matches_reference(points, DEFAULT_CLUSTER_RADIUS)
 
@@ -513,9 +519,8 @@ class TestRunCapture:
         config = CaptureConfig(
             grid=GridSpec(domain=problem.domain, nx=9, ny=9),
             tolerance=1e-8,
-            map=newton_map(),
         )
-        result = run_capture(problem, config)
+        result = scan_one(problem, config, newton_map())
         assert result.counts.captured == 81
         assert result.counts.skipped_singular == 0
         assert len(result.clusters) == 1 and result.labels.tolist() == [0] * 81
@@ -526,9 +531,8 @@ class TestRunCapture:
         config = CaptureConfig(
             grid=GridSpec(domain=problem.domain, nx=7, ny=7),
             tolerance=1e-3,
-            map=newton_barycentric(1),
         )
-        counts = run_capture(problem, config).counts
+        counts = scan_one(problem, config, newton_barycentric(1)).counts
         assert counts.seeded == 49
         assert counts.seeded == (
             counts.skipped_singular
@@ -543,9 +547,8 @@ class TestRunCapture:
         config = CaptureConfig(
             grid=GridSpec(domain=problem.domain, nx=9, ny=9),
             tolerance=1e-3,
-            map=newton_barycentric(2),
         )
-        result = run_capture(problem, config)
+        result = scan_one(problem, config, newton_barycentric(2))
         assert result.counts.captured > 0
         for captured in result.captured:
             assert np.max(np.abs(problem.f(captured.point))) <= 1e-3
@@ -556,8 +559,8 @@ class TestRunCapture:
         problem = rutishauser()
         grid = GridSpec(domain=problem.domain, nx=9, ny=9)
         spec = newton_barycentric(1)
-        loose = run_capture(problem, CaptureConfig(grid=grid, tolerance=1e-3, map=spec))
-        tight = run_capture(problem, CaptureConfig(grid=grid, tolerance=1e-5, map=spec))
+        loose = scan_one(problem, CaptureConfig(grid=grid, tolerance=1e-3), spec)
+        tight = scan_one(problem, CaptureConfig(grid=grid, tolerance=1e-5), spec)
         tight_keys = {(c.grid_i, c.grid_j) for c in tight.captured}
         loose_keys = {(c.grid_i, c.grid_j) for c in loose.captured}
         assert tight_keys <= loose_keys
@@ -568,10 +571,10 @@ class TestRunCapture:
         calls = []
         counting = dataclasses.replace(problem, objective=lambda p: calls.append(p.shape) or problem.objective(p))
         grid = GridSpec(domain=problem.domain, nx=5, ny=5)
-        none = run_capture(counting, CaptureConfig(grid=grid, tolerance=1e-300, map=newton_barycentric(1)))
+        none = scan_one(counting, CaptureConfig(grid=grid, tolerance=1e-300), newton_barycentric(1))
         assert none.counts.captured == 0 and calls == []
         grid = GridSpec(domain=problem.domain, nx=9, ny=9)
-        some = run_capture(counting, CaptureConfig(grid=grid, tolerance=1e-3, map=newton_barycentric(1)))
+        some = scan_one(counting, CaptureConfig(grid=grid, tolerance=1e-3), newton_barycentric(1))
         assert some.counts.captured > 0 and calls == [(some.counts.captured, 2)]
         assert all(c.objective is not None for c in some.captured)
 
@@ -580,18 +583,15 @@ class TestRunCapture:
         config = CaptureConfig(
             grid=GridSpec(domain=problem.domain, nx=3, ny=3),
             tolerance=1e-3,
-            map=newton_map(),
         )
-        result = run_capture(problem, config)
+        result = scan_one(problem, config, newton_map())
         assert result.counts.skipped_singular >= 1
 
     def test_two_iterations_reproduce_step_sequence(self):
         problem = rutishauser()
         t1 = newton_barycentric(1)
-        config = CaptureConfig(
-            grid=GridSpec(domain=problem.domain, nx=9, ny=9), tolerance=1e-3, map=t1
-        )
-        result = run_capture(problem, config)
+        config = CaptureConfig(grid=GridSpec(domain=problem.domain, nx=9, ny=9), tolerance=1e-3)
+        result = scan_one(problem, config, t1)
         assert result.captured
         for captured in result.captured:
             first = vector_map_step(problem, t1, captured.seed)
@@ -609,10 +609,8 @@ class TestRunCapture:
             jacobian=lambda p: np.where(~p.any(axis=-1)[..., None, None], jacobian_at_zero, np.eye(2)),
             domain=Box(lo=(-1.0, -1.0), hi=(1.0, 1.0)),
         )
-        config = CaptureConfig(
-            grid=GridSpec(domain=problem.domain, nx=3, ny=3), tolerance=1e-3, map=newton_map()
-        )
-        counts = run_capture(problem, config).counts
+        config = CaptureConfig(grid=GridSpec(domain=problem.domain, nx=3, ny=3), tolerance=1e-3)
+        counts = scan_one(problem, config, newton_map()).counts
         assert (counts.seeded, counts.skipped_singular, counts.step_failures) == (9, 1, 8)
 
     def test_captured_list_ordered_by_grid_index(self):
@@ -620,9 +618,8 @@ class TestRunCapture:
         config = CaptureConfig(
             grid=GridSpec(domain=problem.domain, nx=9, ny=9),
             tolerance=1e-3,
-            map=newton_barycentric(1),
         )
-        result = run_capture(problem, config)
+        result = scan_one(problem, config, newton_barycentric(1))
         keys = [(c.grid_i, c.grid_j) for c in result.captured]
         assert keys == sorted(keys)
 
@@ -630,16 +627,16 @@ class TestRunCapture:
         problem = affine_problem()
         grid = GridSpec(domain=problem.domain, nx=3, ny=3)
         with pytest.raises(ValueError):
-            CaptureConfig(grid=grid, tolerance=0.0, map=newton_map())
+            CaptureConfig(grid=grid, tolerance=0.0)
         with pytest.raises(ValueError):
-            CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map(), cluster_radius=-1.0)
+            CaptureConfig(grid=grid, tolerance=1e-3, cluster_radius=-1.0)
         with pytest.raises(ValueError):
-            CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map(), norm="l7")
+            CaptureConfig(grid=grid, tolerance=1e-3, norm="l7")
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                CaptureConfig(grid=grid, tolerance=bad, map=newton_map())
+                CaptureConfig(grid=grid, tolerance=bad)
             with pytest.raises(ValueError):
-                CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map(), cluster_radius=bad)
+                CaptureConfig(grid=grid, tolerance=1e-3, cluster_radius=bad)
 
     def test_overflowing_iterates_are_counted_not_raised(self):
         # steep polynomial: f = x^7 - 2 + 0*y-ish second component, iterates
@@ -659,9 +656,8 @@ class TestRunCapture:
         config = CaptureConfig(
             grid=GridSpec(domain=problem.domain, nx=3, ny=3),
             tolerance=1e-3,
-            map=newton_map(),
         )
-        counts = run_capture(problem, config).counts
+        counts = scan_one(problem, config, newton_map()).counts
         assert counts.seeded == 9
         assert counts.seeded == (
             counts.skipped_singular
@@ -680,8 +676,8 @@ class TestRunCapture:
             jacobian=lambda p: np.where((p % 1.0 == 0.5).all(axis=-1), 1e-160, 1.0)[..., None, None] * np.eye(2),
             domain=Box((0.0, 0.0), (10.0, 10.0)),
         )
-        config = CaptureConfig(grid=GridSpec(domain=problem.domain, nx=11, ny=11), tolerance=1e-3, map=newton_map())
-        result, _ = assert_scan_matches_reference(problem, config, oracle=problem)
+        config = CaptureConfig(grid=GridSpec(domain=problem.domain, nx=11, ny=11), tolerance=1e-3)
+        result, _ = assert_scan_matches_reference(problem, config, newton_map(), oracle=problem)
         assert result.counts == CaptureCounts(seeded=121, skipped_outside=21, rejected_tolerance=100)
         assert result.captured == [] and result.clusters.shape == (0, 2) and result.labels.shape == (0,)
 
@@ -690,8 +686,8 @@ class TestRunCapture:
         # captured, grid_i, grid_j and point of each record, len of clusters
         problem = rutishauser()
         grid = GridSpec(domain=problem.domain, nx=9, ny=9)
-        some = run_capture(problem, CaptureConfig(grid=grid, tolerance=1e-3, map=newton_barycentric(1)))
-        none = run_capture(problem, CaptureConfig(grid=grid, tolerance=1e-300, map=newton_barycentric(1)))
+        some = scan_one(problem, CaptureConfig(grid=grid, tolerance=1e-3), newton_barycentric(1))
+        none = scan_one(problem, CaptureConfig(grid=grid, tolerance=1e-300), newton_barycentric(1))
         assert type(some.captured) is list and some.captured
         assert CapturedPoint._fields == ("grid_i", "grid_j", "seed", "point", "fnorm", "objective")
         for c in some.captured:
@@ -710,10 +706,8 @@ class TestRunCapture:
         problem = rutishauser()
         grid = GridSpec(domain=problem.domain, nx=9, ny=9)
         spec = newton_barycentric(1)
-        by_max = run_capture(problem, CaptureConfig(grid=grid, tolerance=1e-3, map=spec))
-        by_euclid = run_capture(
-            problem, CaptureConfig(grid=grid, tolerance=1e-3, map=spec, norm="euclidean")
-        )
+        by_max = scan_one(problem, CaptureConfig(grid=grid, tolerance=1e-3), spec)
+        by_euclid = scan_one(problem, CaptureConfig(grid=grid, tolerance=1e-3, norm="euclidean"), spec)
         euclid_keys = {(c.grid_i, c.grid_j) for c in by_euclid.captured}
         max_keys = {(c.grid_i, c.grid_j) for c in by_max.captured}
         assert euclid_keys <= max_keys
@@ -839,9 +833,9 @@ def _reference_map_step(problem, iter_map, x, skipped, filtered=False):
     return x + delta
 
 
-def _reference_classify_seed(problem, config, grid_i, grid_j, seed, skipped, stepper=None):
-    """The seed's fate and captured point; stepper (default problem) runs the singular filter
-    and the steps, and problem the residual."""
+def _reference_classify_seed(problem, config, iter_map, grid_i, grid_j, seed, skipped, stepper=None):
+    """The seed's fate and captured point under two steps of iter_map; stepper (default problem)
+    runs the singular filter and the steps, and problem the residual."""
     stepper = stepper or problem
     try:
         _reference_evaluate(stepper.f, seed)
@@ -849,8 +843,8 @@ def _reference_classify_seed(problem, config, grid_i, grid_j, seed, skipped, ste
     except StepFailureError:
         return "skipped_singular", None
     try:
-        first = _reference_map_step(stepper, config.map, seed, skipped, filtered=True)
-        second = _reference_map_step(stepper, config.map, first, skipped)
+        first = _reference_map_step(stepper, iter_map, seed, skipped, filtered=True)
+        second = _reference_map_step(stepper, iter_map, first, skipped)
     except StepFailureError:
         return "step_failures", None
     domain = config.grid.domain
@@ -872,8 +866,8 @@ def _reference_classify_seed(problem, config, grid_i, grid_j, seed, skipped, ste
     return "captured", CapturedPoint(grid_i, grid_j, seed, second, fnorm, objective)
 
 
-def _reference_run_capture(problem, config, skipped=None, copied=None):
-    """The per-seed scan.  copied, if given, is a pair (mask, stepper): each vertex that the
+def _reference_run_capture(problem, config, iter_map, skipped=None, copied=None):
+    """The per-seed scan of iter_map.  copied, if given, is a pair (mask, stepper): each vertex that the
     (nx, ny) mask marks runs its singular filter and steps on stepper and tallies no skips."""
     skipped = Counter() if skipped is None else skipped
     grid = config.grid
@@ -881,8 +875,8 @@ def _reference_run_capture(problem, config, skipped=None, copied=None):
     ys = _axis_vertices(grid.domain.lo[1], grid.domain.hi[1], grid.ny)
     mask, stepper = copied or (np.zeros((grid.nx, grid.ny), dtype=bool), None)
     outcomes = [
-        _reference_classify_seed(problem, config, i, j, np.array([xs[i], ys[j]]), Counter(), stepper) if mask[i, j]
-        else _reference_classify_seed(problem, config, i, j, np.array([xs[i], ys[j]]), skipped)
+        _reference_classify_seed(problem, config, iter_map, i, j, np.array([xs[i], ys[j]]), Counter(), stepper)
+        if mask[i, j] else _reference_classify_seed(problem, config, iter_map, i, j, np.array([xs[i], ys[j]]), skipped)
         for i in range(grid.nx)
         for j in range(grid.ny)
     ]
@@ -914,17 +908,17 @@ def stepped_vertices(problem, grid):
     return mask
 
 
-def assert_scan_matches_reference(problem, config, oracle=None):
-    """run_capture against the per-seed oracle run on the per-point kernels
+def assert_scan_matches_reference(problem, config, iter_map, oracle=None):
+    """The scan of iter_map against the per-seed oracle run on the per-point kernels
     (default: those of a built-in problem, else the problem itself): counts,
     every captured value's bytes, the clusters and the number of points f and
     the Jacobian are evaluated at.  That is the oracle's less those skipped,
     with the filter and steps counted only at the vertices the scan steps."""
     got_calls, want_calls, skipped = Counter(), Counter(), Counter()
-    got = run_capture(counting_problem(problem, got_calls), config)
+    got = scan_one(counting_problem(problem, got_calls), config, iter_map)
     oracle = oracle or oracle_of(problem)
     copied = ~stepped_vertices(problem, config.grid), oracle
-    want = _reference_run_capture(counting_problem(oracle, want_calls), config, skipped, copied)
+    want = _reference_run_capture(counting_problem(oracle, want_calls), config, iter_map, skipped, copied)
     assert got.counts == want.counts
     assert got_calls == want_calls - skipped
     assert len(got.captured) == len(want.captured)
@@ -953,19 +947,19 @@ def reproduce_configs(example):
     problem = vector_problem(problem_name)
     grid = GridSpec(domain=problem.domain, nx=nx, ny=ny)
     return [
-        pytest.param(problem, CaptureConfig(grid=grid, tolerance=eps, map=parse_map_spec(spec)), id=label)
+        pytest.param(problem, CaptureConfig(grid=grid, tolerance=eps), parse_map_spec(spec), id=label)
         for label, spec, _ in map_table
     ]
 
 
 class TestBatchedScanAgainstReference:
-    @pytest.mark.parametrize("problem, config", reproduce_configs("example1"))
-    def test_example1(self, problem, config):
-        assert_scan_matches_reference(problem, config)
+    @pytest.mark.parametrize("problem, config, iter_map", reproduce_configs("example1"))
+    def test_example1(self, problem, config, iter_map):
+        assert_scan_matches_reference(problem, config, iter_map)
 
-    @pytest.mark.parametrize("problem, config", reproduce_configs("example2-coarse"))
-    def test_example2_coarse(self, problem, config):
-        result, _ = assert_scan_matches_reference(problem, config)
+    @pytest.mark.parametrize("problem, config, iter_map", reproduce_configs("example2-coarse"))
+    def test_example2_coarse(self, problem, config, iter_map):
+        result, _ = assert_scan_matches_reference(problem, config, iter_map)
         # the origin vertex, where the Ackley Jacobian is NaN, is one of them
         assert result.counts.skipped_singular >= 1
 
@@ -973,15 +967,13 @@ class TestBatchedScanAgainstReference:
     @pytest.mark.parametrize("norm", ["max", "euclidean"])
     def test_newton(self, problem, norm):
         grid = GridSpec(domain=problem.domain, nx=15, ny=15)
-        assert_scan_matches_reference(
-            problem, CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map(), norm=norm)
-        )
+        assert_scan_matches_reference(problem, CaptureConfig(grid=grid, tolerance=1e-3, norm=norm), newton_map())
 
     def test_euclidean_norm(self):
         problem = rutishauser()
         grid = GridSpec(domain=problem.domain, nx=19, ny=19)
-        config = CaptureConfig(grid=grid, tolerance=1e-3, map=parse_map_spec("bary:2"), norm="euclidean")
-        assert_scan_matches_reference(problem, config)
+        config = CaptureConfig(grid=grid, tolerance=1e-3, norm="euclidean")
+        assert_scan_matches_reference(problem, config, parse_map_spec("bary:2"))
 
     @pytest.mark.parametrize("spec", ["newton", "bary:2", "compose:bary:1,bary:1"])
     def test_ackley_origin(self, spec):
@@ -990,7 +982,7 @@ class TestBatchedScanAgainstReference:
         for size in (3, 5, 7):
             grid = GridSpec(domain=Box(lo=(-2.0, -2.0), hi=(2.0, 2.0)), nx=size, ny=size)
             result, _ = assert_scan_matches_reference(
-                problem, CaptureConfig(grid=grid, tolerance=1e-2, map=parse_map_spec(spec))
+                problem, CaptureConfig(grid=grid, tolerance=1e-2), parse_map_spec(spec)
             )
             assert result.counts.skipped_singular >= 1
 
@@ -1008,7 +1000,7 @@ class TestBatchedScanAgainstReference:
         )
         grid = GridSpec(domain=problem.domain, nx=5, ny=5)
         result, _ = assert_scan_matches_reference(
-            problem, CaptureConfig(grid=grid, tolerance=1e-3, map=parse_map_spec(spec))
+            problem, CaptureConfig(grid=grid, tolerance=1e-3), parse_map_spec(spec)
         )
         assert (result.counts.skipped_singular, result.counts.step_failures) == (1, 24)
 
@@ -1030,13 +1022,13 @@ class TestBatchedScanAgainstReference:
             return value
 
         grid = GridSpec(domain=problem.domain, nx=11, ny=11)
-        config = CaptureConfig(grid=grid, tolerance=1e-3, map=parse_map_spec(spec))
+        config, iter_map = CaptureConfig(grid=grid, tolerance=1e-3), parse_map_spec(spec)
         oracle = dataclasses.replace(problem, f=ref_f, jacobian=logged_jacobian)
-        _reference_run_capture(oracle, config)
+        _reference_run_capture(oracle, config, iter_map)
         # in the one-point scan a sample that raises right after a sample that
         # did not lies inside one assembly
         assert ("ok", "raised") in set(zip(jacobian_calls, jacobian_calls[1:]))
-        result, _ = assert_scan_matches_reference(problem, config, oracle)
+        result, _ = assert_scan_matches_reference(problem, config, iter_map, oracle)
         assert result.counts.step_failures > 0
 
     @pytest.mark.parametrize("spec", ["newton", "bary:1", "bary:3", "compose:bary:2,bary:1"])
@@ -1066,8 +1058,8 @@ class TestBatchedScanAgainstReference:
         assert got_calls == want_calls - skipped
         assert any(isinstance(o, bytes) for o in got) and any(isinstance(o, str) for o in got)
         # all the points as one batch: the same next points and failures
-        failures = Failures(len(points))
-        batched = mapsnd.map_rows(problem, iter_map, points, failures)
+        path = mapsnd.step_orders(iter_map)
+        batched, failures = mapsnd.paths_rows(problem, points, Failures(len(points)), [path])[path]
         for row, failure, expected in zip(batched, failures.errors, want):
             assert (row.tobytes() if failure is None else f"{type(failure).__name__}: {failure}") == expected
 
@@ -1135,7 +1127,8 @@ class TestBatchSizeIndependence:
         failed = sum(len(fate) == 3 for fate in whole)
         assert failed < len(seeds) / 2 and (failed > 0) == (problem_name == "ackley")
         # and a batch of none steps to none
-        assert mapsnd.map_rows(problem, iter_map, seeds[:0], Failures(0)).shape == (0, 2)
+        path = mapsnd.step_orders(iter_map)
+        assert mapsnd.paths_rows(problem, seeds[:0], Failures(0), [path])[path][0].shape == (0, 2)
 
     def test_rows_stopping_at_each_stage(self):
         # one seed per letter: F and S stop in the singular filter at f and
@@ -1190,9 +1183,9 @@ def scan_signature(result):
 
 def stepped_scans(scans):
     """The scans of one problem on one grid, their maps stepped together by two_steps."""
-    problem, config = scans[0]
-    stepped = two_steps(problem, config.grid, [config.map for _, config in scans])
-    return [scan_signature(run_capture(problem, config, steps)) for (problem, config), steps in zip(scans, stepped)]
+    problem, config, _ = scans[0]
+    stepped = two_steps(problem, config.grid, [iter_map for _, _, iter_map in scans])
+    return [scan_signature(run_capture(problem, config, steps)) for (problem, config, _), steps in zip(scans, stepped)]
 
 
 class TestSharedScans:
@@ -1204,7 +1197,7 @@ class TestSharedScans:
     def examples(self):
         scans = {example: [param.values for param in reproduce_configs(example)]
                  for example in ("example1", "example2-coarse")}
-        solo = {example: [scan_signature(run_capture(*scan)) for scan in scans[example]] for example in scans}
+        solo = {example: [scan_signature(scan_one(*scan)) for scan in scans[example]] for example in scans}
         return scans, solo
 
     @pytest.mark.parametrize("example", ["example1", "example2-coarse"])
@@ -1226,11 +1219,11 @@ class TestSharedScans:
         # never evaluates (x + h_3 is t_2(x), where its second step starts):
         # bary:3..5 stop those seeds in their first step and bary:2 keeps them,
         # though one recursion runs the orders of all four first steps
-        problem, config = reproduce_configs("example1")[5].values
-        assert config.map == newton_barycentric(5)
+        problem, config, iter_map = reproduce_configs("example1")[5].values
+        assert iter_map == newton_barycentric(5)
         calls = []
         logged = dataclasses.replace(problem, jacobian=lambda p: calls.append(p) or problem.jacobian(p))
-        run_capture(logged, config)
+        scan_one(logged, config, iter_map)
         # J calls of the first step: at the seeds, then i = 1..j for order j = 1, 2, 3
         assert len(calls[0]) == len(calls[6]) == config.grid.size
         region = calls[6][::37]
@@ -1240,9 +1233,9 @@ class TestSharedScans:
             return np.where(inside[..., None, None], np.nan, problem.jacobian(p))
 
         poisoned = dataclasses.replace(problem, jacobian=jacobian)
-        scans = [(poisoned, dataclasses.replace(config, map=newton_barycentric(k))) for k in range(2, 6)]
-        solo = [scan_signature(run_capture(*scan)) for scan in scans]
-        clean = scan_signature(run_capture(problem, scans[0][1]))
+        scans = [(poisoned, config, newton_barycentric(k)) for k in range(2, 6)]
+        solo = [scan_signature(scan_one(*scan)) for scan in scans]
+        clean = scan_signature(scan_one(problem, config, newton_barycentric(2)))
         assert solo[0] == clean and clean[0].step_failures == 0
         assert [counts.step_failures for counts, *_ in solo[1:]] == [len(region)] * 3
         assert stepped_scans(scans) == solo
@@ -1337,10 +1330,8 @@ class TestWorkCounters:
         counts = Counter()
         problem = counting_problem(problem, counts)
         self.count_solves(counts, monkeypatch)
-        config = CaptureConfig(
-            grid=GridSpec(domain=problem.domain, nx=grid, ny=grid), tolerance=eps, map=parse_map_spec(spec)
-        )
-        result = run_capture(problem, config)
+        config = CaptureConfig(grid=GridSpec(domain=problem.domain, nx=grid, ny=grid), tolerance=eps)
+        result = scan_one(problem, config, parse_map_spec(spec))
         return dict(counts, seeds=result.counts.seeded, captured=result.counts.captured)
 
     def test_example1_t32(self, monkeypatch):

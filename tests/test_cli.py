@@ -4,6 +4,8 @@ import io
 import json
 import os
 import platform
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +287,8 @@ class TestCaptureCommand:
         def no_scan(*args):
             raise AssertionError("the scan ran before --out was checked")
 
+        # the walk, two_steps, is the costly part of a scan, and it runs before run_capture
+        monkeypatch.setattr("rootmaps.cli.two_steps", no_scan)
         monkeypatch.setattr("rootmaps.cli.run_capture", no_scan)
         scan = ["capture", "--problem", "ackley", "--map", "compose:bary:5,bary:4", "--nx", "41", "--ny", "41",
                 "--eps", "0.1"]
@@ -444,17 +448,18 @@ class TestReproduceCommand:
         assert "reference counts: 12, 28, 60, 64, 52, 208" in out
         assert "t_54" in out
 
-    def test_report_objective_is_one_call_per_map(self, monkeypatch):
-        # after run_capture's own call, one call on the stacked top representatives,
-        # whose values are the one-point ones bit for bit; no call without a cluster
+    def test_report_objective_is_one_call_per_example(self, monkeypatch):
+        # after each run_capture's own call, one call on every map's stacked top
+        # representatives, whose values are the one-point ones bit for bit; no call
+        # without a cluster
         calls = []
         problem = cli.vector_problem("rutishauser")
         counting = dataclasses.replace(problem, objective=lambda p: calls.append(p.shape) or problem.objective(p))
         monkeypatch.setattr(cli, "vector_problem", lambda name: counting)
         report, results = cli._reproduce_report("example1", 1e-3)
-        expected = []
-        for row, result in zip(report["maps"], results.values()):
-            expected += [(result.counts.captured, 2), (len(row["clusters"]), 2)]
+        expected = [(result.counts.captured, 2) for result in results.values()]
+        expected.append((sum(len(row["clusters"]) for row in report["maps"]), 2))
+        for row in report["maps"]:
             for cl in row["clusters"]:
                 assert repr(cl["g"]) == repr(float(problem.objective(np.array([cl["x"], cl["y"]]))))
         assert calls == expected and all(row["clusters"] for row in report["maps"])
@@ -479,23 +484,31 @@ class TestReproduceCommand:
 
     def test_run_capture_is_called_once_per_map_in_listed_order(self, tmp_path, monkeypatch, capsys):
         # a caller that observes the scans through cli.run_capture sees one call per
-        # map, in listed order, and each returned result is the one in that map's CSV
-        returned, rendered = [], []
+        # map, on the maps' entries of one walk in listed order, and each returned
+        # result is the one in that map's CSV
+        walked, returned, rendered = [], [], []
 
-        def run_capture(problem, config, steps=None, run=cli.run_capture):
-            returned.append((config.map.describe(), run(problem, config, steps)))
+        def two_steps(problem, grid, maps, walk=cli.two_steps):
+            walked.append(([iter_map.describe() for iter_map in maps], walk(problem, grid, maps)))
+            return walked[-1][1]
+
+        def run_capture(problem, config, steps, run=cli.run_capture):
+            returned.append((steps, run(problem, config, steps)))
             return returned[-1][1]
 
         def render_capture_csv(result, render=cli.render_capture_csv):
             rendered.append(result)
             return render(result)
 
+        monkeypatch.setattr(cli, "two_steps", two_steps)
         monkeypatch.setattr(cli, "run_capture", run_capture)
         monkeypatch.setattr(cli, "render_capture_csv", render_capture_csv)
         assert main(["reproduce", "--example", "example1", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         listed = cli.REPRODUCE_SETUPS["example1"][4]
-        assert [spec for spec, _ in returned] == [spec for _, spec, _ in listed]
+        [(specs, entries)] = walked
+        assert specs == [spec for _, spec, _ in listed]
+        assert len(returned) == len(entries) and all(a is b for (a, _), b in zip(returned, entries))
         assert len(rendered) == len(listed) and all(a is b for a, (_, b) in zip(rendered, returned))
         for (label, _, _), (_, result) in zip(listed, returned):
             csv_text = (tmp_path / f"example1-{label}.csv").read_text(encoding="utf-8")
@@ -508,3 +521,44 @@ class TestReproduceCommand:
         problem, nx, ny, eps, maps = REPRODUCE_SETUPS["example2-fine"]
         assert (problem, nx, ny, eps) == ("ackley", 41, 41, 0.1)
         assert maps == [("t_54", "compose:bary:5,bary:4", 664)]
+
+
+def load_benchmark_workloads():
+    """perfbench/workloads.py, the benchmark's scans and output checks, loaded by path; nothing is
+    written beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("benchmark_workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+WORKLOADS = load_benchmark_workloads()
+
+
+class TestBenchmarkSeam:
+    """The benchmark runs each scan through cli.main and checks every pass on the results it
+    observes through cli.run_capture (perfbench/worker.py): one call per map, in listed order."""
+
+    @pytest.mark.parametrize("name", list(WORKLOADS.SCANS))
+    def test_scan_passes_the_benchmark_checks(self, name, tmp_path, monkeypatch, capsys):
+        scan = WORKLOADS.SCANS[name]
+        poly_file, poly_coeffs = tmp_path / "problem.poly", None
+        if scan.problem == WORKLOADS.POLY_FILE:
+            poly_coeffs = WORKLOADS.poly_coefficients(1)
+            WORKLOADS.write_poly_file(poly_coeffs, poly_file)
+        results = []
+
+        def observed(*args, run=cli.run_capture):
+            results.append(run(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_capture", observed)
+        out = tmp_path / "out"
+        out.mkdir()
+        csv_path = out / "captured.csv"
+        argv = WORKLOADS.scan_argv(scan, out if scan.args[0] == "reproduce" else csv_path, str(poly_file))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert WORKLOADS.check_scan(scan, results, poly_coeffs) == []
+        if scan.args[0] == "capture":
+            assert csv_path.read_text(encoding="utf-8").count("\n") - 1 == results[0].counts.captured

@@ -22,11 +22,12 @@ from rootmaps import (
     newton_taylor,
     run_capture,
     rutishauser,
+    two_steps,
     vector_map_step,
 )
 from rootmaps.maps1d import ScalarProblem, barycentric_model
 from rootmaps import mapsnd
-from rootmaps.mapsnd import PIVOT_RTOL, Failures, _model_matrix, evaluate_rows, map_rows, solve_rows
+from rootmaps.mapsnd import PIVOT_RTOL, Failures, _model_matrix, evaluate_rows, solve_rows
 from rootmaps.problems import ackley_gradient, load_polynomial_problem
 from test_problems import write_random_gradient_file
 
@@ -293,16 +294,16 @@ class TestValueShapes:
             n=2, f=lambda x: x - 0.5, jacobian=np.ones_like, domain=Box(lo=(0.0, 0.0), hi=(1.0, 1.0))
         )
         grid = GridSpec(domain=problem.domain, nx=3, ny=3)
-        config = CaptureConfig(grid=grid, tolerance=1e-3, map=newton_map())
+        config = CaptureConfig(grid=grid, tolerance=1e-3)
         with pytest.raises(ValueError, match=re.escape("expected (9, 2, 2), got (9, 2)")):
-            run_capture(problem, config)
+            run_capture(problem, config, *two_steps(problem, grid, [newton_map()]))
 
     def test_mis_shaped_objective_raises(self):
         # an objective of shape (m, 1) would give list-valued objective fields
         problem = dataclasses.replace(AFFINE, objective=lambda p: p[..., :1])
-        config = CaptureConfig(grid=GridSpec(AFFINE.domain, 3, 3), tolerance=1e-8, map=newton_map())
+        config = CaptureConfig(grid=GridSpec(AFFINE.domain, 3, 3), tolerance=1e-8)
         with pytest.raises(ValueError, match=re.escape("expected (9,), got (9, 1)")):
-            run_capture(problem, config)
+            run_capture(problem, config, *two_steps(problem, config.grid, [newton_map()]))
 
 
 class TestNewtonStep:
@@ -395,8 +396,8 @@ class TestBarycentricStep:
 
     def test_numpy_warning_in_a_user_jacobian_is_a_step_failure(self):
         grid = GridSpec(domain=Box(lo=(-10.0, -1.0), hi=(-9.0, 1.0)), nx=2, ny=3)
-        config = CaptureConfig(grid=grid, tolerance=1e-3, map=newton_barycentric(2))
-        counts = run_capture(EXP_JACOBIAN, config).counts
+        config = CaptureConfig(grid=grid, tolerance=1e-3)
+        counts = run_capture(EXP_JACOBIAN, config, *two_steps(EXP_JACOBIAN, grid, [newton_barycentric(2)])).counts
         assert (counts.seeded, counts.skipped_singular, counts.step_failures) == (6, 0, 6)
 
     def test_numpy_warning_in_a_user_objective_is_an_infinite_objective(self):
@@ -404,8 +405,8 @@ class TestBarycentricStep:
         problem = dataclasses.replace(
             AFFINE, objective=lambda p: np.exp(2000.0 * p[..., 0]), domain=Box((-3.0, -3.0), (3.0, 3.0))
         )
-        config = CaptureConfig(grid=GridSpec(problem.domain, 3, 3), tolerance=1e-8, map=newton_map())
-        result = run_capture(problem, config)
+        config = CaptureConfig(grid=GridSpec(problem.domain, 3, 3), tolerance=1e-8)
+        result = run_capture(problem, config, *two_steps(problem, config.grid, [newton_map()]))
         assert result.counts.captured == 9 and {c.objective for c in result.captured} == {math.inf}
 
     def test_scalar_embedding_matches_scalar_model(self):
@@ -477,25 +478,18 @@ class TestMapDispatch:
         assert (combined - x).tobytes() == (outer - x).tobytes()
 
     @pytest.mark.parametrize(
-        "iter_map", [newton_barycentric(2), compose(newton_barycentric(3), newton_barycentric(2))]
+        "iter_map", [newton_barycentric(2), compose(newton_barycentric(3), newton_barycentric(2)), newton_map()]
     )
     def test_delta_is_next_minus_x(self, iter_map):
         problem = rutishauser()
-        # the step returns the (n,) next point alone, a new array; its displacement is step - x
+        # the step returns the (n,) next point alone, a new array; its displacement is step - x,
+        # as it is for the batched step, the node of the map's path in paths_rows
         xs = np.random.default_rng(5).uniform([-0.5, -0.7], [1.1, 1.1], size=(20, 2))
-        for x, row in zip(xs, map_rows(problem, iter_map, xs, Failures(len(xs)))):
+        path = mapsnd.step_orders(iter_map)
+        for x, row in zip(xs, mapsnd.paths_rows(problem, xs, Failures(len(xs)), [path])[path][0]):
             step = vector_map_step(problem, iter_map, x)
             assert step.shape == x.shape and not np.shares_memory(step, x)
-            assert (step - x).tobytes() == (row - x).tobytes()
-
-    def test_map_rows_returns_the_next_points(self):
-        problem = rutishauser()
-        x = np.random.default_rng(6).uniform([-0.5, -0.7], [1.1, 1.1], size=(5, 2))
-        for iter_map in (newton_map(), newton_barycentric(2), compose(newton_barycentric(3), newton_barycentric(2))):
-            rows = map_rows(problem, iter_map, x, Failures(len(x)))
-            assert isinstance(rows, np.ndarray) and rows.shape == (5, 2)
-            for row, point in zip(rows, x):
-                assert row.tobytes() == vector_map_step(problem, iter_map, point).tobytes()
+            assert step.tobytes() == row.tobytes() and (step - x).tobytes() == (row - x).tobytes()
 
     def test_non_finite_next_point_is_returned(self):
         # J = 1e-160 * I against f = -1e200 solves to an infinite delta: returned, not raised
@@ -577,8 +571,8 @@ def described(failures):
 
 class TestStackedNodes:
     """paths_rows stacks the rows of every node a level steps from into one
-    recursion.  Each node keeps its own failures, and each node is what a chain
-    of map_rows steps gives alone."""
+    recursion.  Each node keeps its own failures, and each node is what its
+    path gives walked alone."""
 
     X = np.array([[0.3, 0.4], [0.6, 0.9], [0.9, 0.1]])
 
@@ -588,7 +582,7 @@ class TestStackedNodes:
         step from row 1 of X."""
         samples = []
         logged = VectorProblem(n=2, f=f, jacobian=lambda p: samples.append(p) or constant(np.eye(2))(p))
-        map_rows(logged, newton_barycentric(2), TestStackedNodes.X, Failures(3))
+        mapsnd.paths_rows(logged, TestStackedNodes.X, Failures(3), [(2,)])
         poison = samples[3][1]
         return VectorProblem(n=2, f=f, jacobian=lambda p: np.where(
             (p == poison).all(axis=-1)[..., None, None], np.nan, constant(np.eye(2))(p)))
@@ -618,8 +612,7 @@ class TestStackedNodes:
             return self.root(error)
 
         def solo(inner, outer):
-            failures = root()
-            next_ = map_rows(problem, compose(newton_barycentric(outer), newton_barycentric(inner)), x, failures)
+            next_, failures = mapsnd.paths_rows(problem, x, root(), [(inner, outer)])[(inner, outer)]
             return next_.tobytes(), described(failures.errors)
 
         want = {(1, 2): solo(1, 2), (2, 2): solo(2, 2)}
@@ -633,7 +626,7 @@ class TestStackedNodes:
             assert counts["f"] == 5
             assert np.isfinite(nodes[(1,)][0][1:]).all() and np.isnan(nodes[(2,)][0][:2]).all()
 
-    def test_each_failure_is_one_object_from_node_to_caller(self, monkeypatch):
+    def test_each_failure_is_one_object_from_node_to_caller(self):
         # row 0 failed before the walk, row 1 fails in t_2(x): each keeps one
         # exception object through every stacked level and back to the caller
         problem = self.poisoned(lambda p: p - 0.5)
@@ -643,18 +636,6 @@ class TestStackedNodes:
         inner = nodes[(2,)][1].errors[1]
         assert isinstance(inner, EvaluationError) and nodes[(2, 2)][1].errors[1] is inner
         assert nodes[(1,)][1].live[1] and nodes[(1, 2)][1].live[1]
-        # map_rows hands its node's objects to the caller's record
-        seen = {}
-
-        def paths_rows(*args, walk=mapsnd.paths_rows):
-            seen.update(walk(*args))
-            return seen
-
-        monkeypatch.setattr(mapsnd, "paths_rows", paths_rows)
-        failures = self.root(error)
-        map_rows(problem, compose(newton_barycentric(2), newton_barycentric(2)), self.X, failures)
-        assert failures.errors[0] is error and failures.errors[1] is seen[(2, 2)][1].errors[1]
-        assert isinstance(failures.errors[1], EvaluationError) and failures.live.tolist() == [False, False, True]
 
     def test_each_row_leaves_after_its_last_order(self):
         # J at the rows (order 0), then at i = 1 of order 1 for rows with last >= 1,

@@ -267,21 +267,27 @@ def two_steps(problem: VectorProblem, grid: GridSpec, maps: list[IterativeMap]) 
     On each axis of problem.mirror_axes that the grid spans symmetrically, only the vertices of
     index at least (count - 1) / 2 step, and each other vertex copies its mirror twin's row,
     with 0.0 - v for each coordinate v it mirrors: a full scan gives -v, or +0.0 where v
-    cancels to +0.0, as x + (-x) does.  With no such axis the slices copy nothing."""
-    counts = (grid.nx, grid.ny)
+    cancels to +0.0, as x + (-x) does.  If the problem declares swap_axes and the grid's two
+    axes have the same vertices, bit for bit, a vertex (i, j) with i < j after that copies (j, i),
+    its columns swapped before the mirror.  With no such symmetry the slices copy nothing."""
+    counts, seeds = (grid.nx, grid.ny), make_grid(grid)
     axes = [a for a in problem.mirror_axes if _symmetric(grid.domain.lo[a], grid.domain.hi[a])]
     twins = np.indices(counts).reshape(2, -1)
     flips = {a: twins[a] < (counts[a] - 1) / 2 for a in axes}
     for a, flip in flips.items():
         twins[a, flip] = counts[a] - 1 - twins[a, flip]
-    stepped, twin = np.unique(np.ravel_multi_index(twins, counts), return_inverse=True) if axes else [slice(None)] * 2
+    square = grid.nx == grid.ny and seeds[:: grid.ny, 0].tobytes() == seeds[: grid.ny, 1].tobytes()
+    swapped = np.flatnonzero((twins[0] < twins[1]) & bool(problem.swap_axes and square))
+    twins[:, swapped] = twins[::-1, swapped]
+    stepped, twin = (np.unique(np.ravel_multi_index(twins, counts), return_inverse=True) if axes or len(swapped)
+                     else [slice(None)] * 2)
     paths = [step_orders(iter_map) * 2 for iter_map in maps]
-    seeds = make_grid(grid)
     starts = seeds[stepped]
     nodes = paths_rows(problem, starts, Failures(len(starts)), [(0,), *paths])
 
     def mirrored(points):
         points = points[twin]
+        points[swapped] = points[swapped, ::-1]
         for a, flip in flips.items():
             points[flip, a] = 0.0 - points[flip, a]
         return points

@@ -19,15 +19,16 @@ order, so each row's result is the one-point result bit for bit; the
 one-point step, vector_map_step, runs a batch of one.
 
 A step evaluates each point once: f and J at x, and J(x) is the i = 0 term
-of every model matrix it assembles.  A map is a path of steps, its
-step_orders (a composition is its inner steps, then its outer ones), and
-paths_rows steps the trie of several paths from one x level by level: a
-level runs one recursion on the stacked rows of every distinct node that a
-step starts from, as a bary:j step is the first j + 1 orders of a bary:k one
-(j < k), and each row leaves after the highest order asked of its node.  Every
-node keeps its own failures.  The i = 0 sample x + 0*h differs from x only
-in the sign of a zero coordinate, and the assembly adds a_0 * J(x) to 0.0,
-which erases the sign of a zero, so the model matrices keep their bits.
+of every model matrix it assembles; an order's samples x + i*h, i = 1..j, go
+to J stacked, in calls of at most _SAMPLE_ROWS points.  A map is a path of
+steps, its step_orders (a composition is its inner steps, then its outer
+ones), and paths_rows steps the trie of several paths from one x level by
+level: a level runs one recursion on the stacked rows of every distinct node
+that a step starts from, as a bary:j step is the first j + 1 orders of a
+bary:k one (j < k), and each row leaves after the highest order asked of its
+node.  Every node keeps its own failures.  The i = 0 sample x + 0*h differs
+from x only in the sign of a zero coordinate, and the assembly adds a_0 * J(x)
+to 0.0, which erases the sign of a zero, so the model matrices keep their bits.
 """
 
 import itertools
@@ -42,6 +43,8 @@ from .maps1d import EvaluationError, IterativeMap, MapFamily, SingularModelError
 
 # Pivots below 1e-12 times the matrix row norm are treated as singular.
 PIVOT_RTOL = 1e-12
+# An order's Jacobian samples go to J stacked, in calls of at most this many points (README)
+_SAMPLE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,10 @@ class VectorProblem:
     step there raises EvaluationError, and a scan skips such a seed as singular.
     The engine calls them with numpy's floating-point warnings off.
     Flipping the sign of x_a, for each axis a of mirror_axes, flips f_a and J's row and column
-    a but (a, a), bit for bit (where x_a is 0 they are zeros of either sign); a grid scan steps
-    one side of such an axis (see capture.two_steps).
+    a but (a, a), bit for bit up to the sign of a zero (as where x_a is 0); a grid scan steps
+    one side of such an axis (see capture.two_steps).  Exchanging x_a and x_b, for the pair
+    swap_axes = (a, b), exchanges f_a and f_b and J's rows a, b and columns a, b, bit for bit;
+    a grid scan steps one side of the diagonal.
     """
 
     n: int
@@ -88,11 +93,15 @@ class VectorProblem:
     domain: Box | None = None
     name: str = ""
     mirror_axes: tuple[int, ...] = ()
+    swap_axes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for i, axis in enumerate(self.mirror_axes):
-            if not (isinstance(axis, numbers.Integral) and 0 <= axis < self.n) or axis in self.mirror_axes[:i]:
-                raise ValueError(f"mirror_axes must be distinct axes in range({self.n}), got {axis!r}")
+        for name, axes in (("mirror_axes", self.mirror_axes), ("swap_axes", self.swap_axes)):
+            for i, axis in enumerate(axes):
+                if not (isinstance(axis, numbers.Integral) and 0 <= axis < self.n) or axis in axes[:i]:
+                    raise ValueError(f"{name} must be distinct axes in range({self.n}), got {axis!r}")
+        if len(self.swap_axes) not in (0, 2):
+            raise ValueError(f"swap_axes must be empty or a pair of axes, got {self.swap_axes!r}")
 
 
 class Failures:
@@ -137,21 +146,24 @@ def shaped(value, shape: tuple) -> np.ndarray:
 
 
 def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: Failures, at=None) -> np.ndarray:
-    """fn at the live rows of points in one call, as an array of shape (len(points), *shape).
+    """fn at the live rows of points in one call, as an array of shape (*points.shape[:-1], *shape).
 
-    fn takes points itself when every row is live, else only the live rows (the others read
-    0.0), and is not called without one; it runs with numpy's floating-point warnings off.
-    A live row whose value is not finite fails with an EvaluationError naming at[r] (default
-    points[r]); a value of another shape raises ValueError.
+    points is (N, n), or (N, g, n) for g points to a row.  fn takes the points of every row
+    when all are live, else of the live rows only (the others read 0.0), as one (M, n) array,
+    and is not called without one; it runs with numpy's floating-point warnings off.  A live
+    row with a value that is not finite fails with an EvaluationError naming at[r] (default
+    points[r]); a value of another shape than (M, *shape) raises ValueError.
     """
     rows = np.flatnonzero(failures.live)
     if not len(rows):
-        return np.zeros((len(points), *shape))
+        return np.zeros((*points.shape[:-1], *shape))
     dense = len(rows) == len(points)
+    live = points if dense else points.take(rows, axis=0)
     with np.errstate(all="ignore"):
-        values = value = shaped(fn(points if dense else points.take(rows, axis=0)), (len(rows), *shape))
+        value = shaped(fn(live.reshape(-1, live.shape[-1])), (live.size // live.shape[-1], *shape))
+    values = value = value.reshape(*live.shape[:-1], *shape)
     if not dense:
-        values = np.zeros((len(points), *shape))
+        values = np.zeros((*points.shape[:-1], *shape))
         values[rows] = value
     return _finite(values, points if at is None else at, failures)
 
@@ -200,22 +212,25 @@ def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
                 failures.put(r, exc)
         return x
     # Determinant form instead of row-swapping elimination: it is bitwise
-    # equivariant under signed coordinate permutations, so mirror-symmetric
-    # problems scanned from mirror-symmetric seeds stay exactly symmetric.
-    # The pivot magnitudes tested are the ones partial pivoting would use.
+    # equivariant under signed coordinate permutations, so mirror- and
+    # swap-symmetric problems scanned from symmetric seeds stay exactly
+    # symmetric.  The pivots tested are the ones partial pivoting would use in
+    # either column order, and a row fails where either order's test fails:
+    # pivot1 is a column's largest entry, and the second pivot det / pivot1.
     (m00, m01), (m10, m11) = a.transpose(1, 2, 0)
+    (a00, a01), (a10, a11) = abs(a).transpose(1, 2, 0)
     b0, b1 = b.T
     with np.errstate(all="ignore"):
-        row0, row1 = abs(m00) + abs(m01), abs(m10) + abs(m11)
+        row0, row1 = a00 + a01, a10 + a11
         scale = np.maximum(row0, row1)
         failures.fail((scale == 0.0) | ~(np.isfinite(row0) & np.isfinite(row1)),
               lambda r: SingularModelError("matrix has zero or non-finite row norms"))
         pivot_floor = PIVOT_RTOL * scale
         det = m00 * m11 - m01 * m10
-        pivot1 = np.maximum(abs(m00), abs(m10))
+        pivot1 = np.maximum(a00, a10), np.maximum(a01, a11)  # in either column order
+        small = (np.minimum(*pivot1) < pivot_floor) | (abs(det) < pivot_floor * np.maximum(*pivot1))
         # a zero determinant passes the second test when pivot_floor * pivot1 underflows
-        failures.fail((pivot1 < pivot_floor) | (abs(det) < pivot_floor * pivot1) | (det == 0.0),
-              lambda r: SingularModelError(f"2x2 pivots below floor {pivot_floor[r]:.3e}"))
+        failures.fail(small | (det == 0.0), lambda r: SingularModelError(f"2x2 pivots below floor {pivot_floor[r]:.3e}"))
         x = np.empty(b.shape)
         x[:, 0], x[:, 1] = (b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det
         return x
@@ -224,12 +239,18 @@ def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
 def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.ndarray, jx: np.ndarray,
                   failures: Failures) -> np.ndarray:
     """Each live row's sum_i a_i * J_f(x + i*h) from 0.0 in order of i, with jx = J_f(x)
-    as the i = 0 term; a row whose sample is not finite fails there and takes no more.
+    as the i = 0 term.  J takes the samples i = 1, 2, ... of every row stacked, an (N, g, n)
+    array of as many samples g as keep a call within _SAMPLE_ROWS points (one at least); a row
+    fails at a sample that is not finite, though that call evaluated its other samples too.
     The caller checks the sum for finiteness."""
     with np.errstate(all="ignore"):
         phi = 0.0 + weights[0] * jx
-        for i in range(1, len(weights)):
-            phi += weights[i] * evaluate_rows(problem.jacobian, phi.shape[1:], x + i * h, failures, at=x)
+        group = max(1, _SAMPLE_ROWS // max(len(x), 1))
+        for first in range(1, len(weights), group):
+            i = np.arange(first, min(first + group, len(weights)))
+            values = evaluate_rows(problem.jacobian, phi.shape[1:], x[:, None] + i[:, None] * h[:, None], failures, at=x)
+            for k, a in enumerate(i.tolist()):
+                phi += weights[a] * values[:, k]
     return phi
 
 

@@ -155,8 +155,9 @@ def _ackley_jacobian(p: np.ndarray) -> np.ndarray:
             -_ACKLEY_RADIAL * e_radial * (1.0 / r - v * v / r3 - _ACKLEY_DECAY * v * v / r2)
             - (_ACKLEY_WAVE * e_wave * (_TWO_PI * c - math.pi * s * s))
         )
-    j12 = _ACKLEY_RADIAL * e_radial * x * y * (_ACKLEY_DECAY / r2 + 1.0 / r3)
-    jacobian[..., 0, 1] = jacobian[..., 1, 0] = j12 + _ACKLEY_WAVE * math.pi * e_wave * sx * sy
+    # (x * y) and (sx * sy) first: IEEE products commute, so J(y, x) is J(x, y) swapped, bit for bit
+    j12 = _ACKLEY_RADIAL * e_radial * (x * y) * (_ACKLEY_DECAY / r2 + 1.0 / r3)
+    jacobian[..., 0, 1] = jacobian[..., 1, 0] = j12 + _ACKLEY_WAVE * math.pi * e_wave * (sx * sy)
     jacobian[r == 0.0] = math.nan
     return jacobian
 
@@ -172,7 +173,8 @@ def _ackley_objective(p: np.ndarray) -> np.ndarray:
 def ackley_gradient() -> VectorProblem:
     """Gradient of the negated Ackley function on the standard search box."""
     domain = Box(lo=(-32.768, -32.768), hi=(32.768, 32.768))
-    return VectorProblem(2, _ackley_f, _ackley_jacobian, _ackley_objective, domain, "ackley", mirror_axes=(0, 1))
+    return VectorProblem(2, _ackley_f, _ackley_jacobian, _ackley_objective, domain, "ackley",
+                         mirror_axes=(0, 1), swap_axes=(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -787,9 +787,10 @@ def _reference_lu_solve(matrix, rhs):
             raise SingularModelError("matrix has zero or non-finite row norms")
         pivot_floor = PIVOT_RTOL * scale
         det = m00 * m11 - m01 * m10
-        pivot1 = max(abs(m00), abs(m10))
-        if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1 or det == 0.0:
-            raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
+        # partial pivoting's pivots in either column order
+        for pivot1 in (max(abs(m00), abs(m10)), max(abs(m11), abs(m01))):
+            if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1 or det == 0.0:
+                raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
         b0, b1 = rhs.tolist()
         return np.array([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -900,11 +901,15 @@ def oracle_of(problem):
 
 def stepped_vertices(problem, grid):
     """The (nx, ny) mask of the vertices a scan steps: on each of the problem's mirror axes
-    whose grid span runs from -h to h, those from the middle up; the others copy their twins."""
-    mask = np.ones((grid.nx, grid.ny), dtype=bool)
+    whose grid span runs from -h to h, those from the middle up, and if it declares the swap
+    and both axes have the same bounds and count, those of x index at least their y index;
+    the others copy their twins."""
+    mask, (lo, hi) = np.ones((grid.nx, grid.ny), dtype=bool), (grid.domain.lo, grid.domain.hi)
     for axis in problem.mirror_axes:
-        if grid.domain.lo[axis] == -grid.domain.hi[axis]:
+        if lo[axis] == -hi[axis]:
             mask &= 2 * np.indices(mask.shape)[axis] >= mask.shape[axis] - 1
+    if problem.swap_axes and (lo[0], hi[0], grid.nx) == (lo[1], hi[1], grid.ny):
+        mask &= np.indices(mask.shape)[0] >= np.indices(mask.shape)[1]
     return mask
 
 
@@ -1062,6 +1067,37 @@ class TestBatchedScanAgainstReference:
         batched, failures = mapsnd.paths_rows(problem, points, Failures(len(points)), [path])[path]
         for row, failure, expected in zip(batched, failures.errors, want):
             assert (row.tobytes() if failure is None else f"{type(failure).__name__}: {failure}") == expected
+
+    @pytest.mark.parametrize("budget", [1, 100, mapsnd._SAMPLE_ROWS])
+    def test_three_dimensional_failure_inside_an_order(self, tmp_path, budget, monkeypatch):
+        # a diagonal x**7 system on the n = 3 path, stepped by bary:3 as one batch of 41 rows
+        # with each order's samples stacked in calls of at most budget points (1, 2 or all
+        # samples a call): each row's next point or failure is its own one-point step's, bit
+        # for bit, message for message
+        path = tmp_path / "seventh3.poly"
+        path.write_text("".join(f"poly 3 : {c} {e} ; -1.0 0 0 0\n" for c, e in
+                                [(1.5, "7 0 0"), (1.25, "0 7 0"), (0.75, "0 0 7")]))
+        problem = load_polynomial_problem(str(path))
+        monkeypatch.setattr(mapsnd, "_SAMPLE_ROWS", budget)
+        rng = np.random.default_rng(65)
+        # at the last row J is finite at x + h_3, and overflows at x + 2*h_3, the order-3 sample i = 2
+        last = [2.980978476705309e-09, -2.1894484120474456e-09, 4.9892421977178355e-09]
+        x = np.concatenate([rng.uniform(-1e-7, 1e-7, size=(40, 3)), [last]])
+        steps = mapsnd.orders_rows(problem, x[-1:], Failures(1), np.array([3]))
+        _, at, h = next(itertools.islice(steps, 2, None))  # h_3, the delta after order 2
+        assert np.isfinite(problem.jacobian(at + h)).all() and not np.isfinite(problem.jacobian(at + 2 * h)).all()
+        iter_map = newton_barycentric(3)
+        batched, failures = mapsnd.paths_rows(problem, x, Failures(len(x)), [(3,)])[(3,)]
+        fates = Counter()
+        for point, row, failure in zip(x, batched, failures.errors):
+            try:
+                want = vector_map_step(problem, iter_map, point).tobytes()
+            except StepFailureError as exc:
+                want = f"{type(exc).__name__}: {exc}"
+            fates[type(failure).__name__] += 1
+            assert (row.tobytes() if failure is None else f"{type(failure).__name__}: {failure}") == want
+        assert str(failures.errors[-1]) == f"non-finite evaluation at x={x[-1]!r}"
+        assert fates["NoneType"] > 0 and fates["EvaluationError"] > 1
 
 
 def batched_steps(problem, iter_map, seeds, size):
@@ -1221,12 +1257,12 @@ class TestSharedScans:
         # though one recursion runs the orders of all four first steps
         problem, config, iter_map = reproduce_configs("example1")[5].values
         assert iter_map == newton_barycentric(5)
-        calls = []
-        logged = dataclasses.replace(problem, jacobian=lambda p: calls.append(p) or problem.jacobian(p))
-        scan_one(logged, config, iter_map)
-        # J calls of the first step: at the seeds, then i = 1..j for order j = 1, 2, 3
-        assert len(calls[0]) == len(calls[6]) == config.grid.size
-        region = calls[6][::37]
+        # the order-3 samples x + 3*h_3 of the first step, h_3 being the delta after order 2
+        size = config.grid.size
+        steps = mapsnd.orders_rows(problem, make_grid(config.grid), Failures(size), np.full(size, 3))
+        rows, x, h = next(itertools.islice(steps, 2, None))
+        assert len(rows) == size
+        region = (x + 3 * h)[::37]
 
         def jacobian(p):
             inside = (p[..., None, :] == region).all(axis=-1).any(axis=-1)
@@ -1245,19 +1281,34 @@ class TestSharedScans:
 MIRROR_MAPS = ["newton", *(f"bary:{k}" for k in range(1, 6)), "compose:bary:2,bary:1", "compose:bary:5,bary:4"]
 
 
-def mirrored_and_full_steps(box, nx, ny):
-    """two_steps of MIRROR_MAPS for ackley_gradient(), and for it with no mirror axes, on an
-    nx x ny grid of box (default the problem's): each with its f and J calls, ("f" or "J", rows)."""
-    problem = ackley_gradient()
+def mirrored_and_full_steps(box, nx, ny, **declared):
+    """two_steps of MIRROR_MAPS for ackley_gradient() with its symmetries (or those declared),
+    and for it with none, on an nx x ny grid of box (default the problem's): each with its f
+    and J calls, ("f" or "J", rows)."""
+    problem = dataclasses.replace(ackley_gradient(), **declared)
     grid = GridSpec(domain=box or problem.domain, nx=nx, ny=ny)
     maps = [parse_map_spec(spec) for spec in MIRROR_MAPS]
     runs = []
-    for candidate in (problem, dataclasses.replace(problem, mirror_axes=())):
+    for candidate in (problem, dataclasses.replace(problem, mirror_axes=(), swap_axes=())):
         calls = []
         logged = dataclasses.replace(candidate, f=lambda p, f=candidate.f: calls.append(("f", len(p))) or f(p),
                                      jacobian=lambda p, j=candidate.jacobian: calls.append(("J", len(p))) or j(p))
         runs.append((two_steps(logged, grid, maps), calls))
     return grid, *runs
+
+
+def assert_same_steps(grid, got, want, stepped):
+    """got, the steps and calls of two_steps with symmetries declared, has want's masks, failure
+    types and iterates, bit for bit, from stepped seeds; with none copied, the same calls."""
+    (got, got_calls), (want, want_calls) = got, want
+    for (seeds, singular, first, second, failures), (seeds_, singular_, first_, second_, failures_) in zip(got, want):
+        assert seeds.tobytes() == seeds_.tobytes() == make_grid(grid).tobytes()
+        assert singular.tobytes() == singular_.tobytes() and failures.live.tobytes() == failures_.live.tobytes()
+        assert list(map(type, failures.errors)) == list(map(type, failures_.errors))
+        assert (first.tobytes(), second.tobytes()) == (first_.tobytes(), second_.tobytes())
+    # the walk starts from the stepped seeds; with nothing copied it makes the same calls
+    assert (got_calls[0], want_calls[0]) == (("f", stepped), ("f", grid.size))
+    assert (got_calls == want_calls) == (stepped == grid.size)
 
 
 class TestMirroredSteps:
@@ -1275,15 +1326,7 @@ class TestMirroredSteps:
         (Box((-3.0, -2.0), (2.5, 3.0)), 11, 11, 11 * 11),  # nothing is
     ])
     def test_same_as_stepping_every_vertex(self, box, nx, ny, stepped):
-        grid, (got, got_calls), (want, want_calls) = mirrored_and_full_steps(box, nx, ny)
-        for (seeds, singular, first, second, failures), (seeds_, singular_, first_, second_, failures_) in zip(got, want):
-            assert seeds.tobytes() == seeds_.tobytes() == make_grid(grid).tobytes()
-            assert singular.tobytes() == singular_.tobytes() and failures.live.tobytes() == failures_.live.tobytes()
-            assert list(map(type, failures.errors)) == list(map(type, failures_.errors))
-            assert (first.tobytes(), second.tobytes()) == (first_.tobytes(), second_.tobytes())
-        # the walk starts from the stepped seeds; with nothing mirrored it makes the same calls
-        assert (got_calls[0], want_calls[0]) == (("f", stepped), ("f", grid.size))
-        assert (got_calls == want_calls) == (stepped == grid.size)
+        assert_same_steps(*mirrored_and_full_steps(box, nx, ny, swap_axes=()), stepped)
 
     def test_an_image_that_cancels_onto_an_axis_is_positive_zero(self):
         # on the 61x61 grid of +-10, t_54's second iterate from 4 vertices off the axes and left
@@ -1295,12 +1338,33 @@ class TestMirroredSteps:
         assert images.sum() == 4 and not np.signbit(second[images]).any()
 
 
+class TestSwappedSteps:
+    """If a problem declares the x <-> y swap and a grid's axes have the same bounds and count,
+    two_steps steps only the vertices (i, j) with i >= j of those it would step for the mirrors,
+    and copies each other vertex from (j, i), columns swapped: the singular masks, failures and
+    iterates are those of stepping every vertex with no symmetry declared."""
+
+    @pytest.mark.parametrize("box, nx, ny, declared, stepped", [
+        (None, 41, 41, {}, 21 * 22 // 2),
+        (None, 20, 20, {}, 10 * 11 // 2),  # no vertex on an axis, 10 on the diagonal
+        (Box((-2.0, -2.0), (2.0, 2.0)), 7, 7, {}, 4 * 5 // 2),  # the origin is on the diagonal
+        (Box((-10.0, -10.0), (10.0, 10.0)), 61, 61, {}, 31 * 32 // 2),
+        (Box((-3.0, -3.0), (2.5, 2.5)), 9, 9, {}, 9 * 10 // 2),  # mirrors nothing, swaps
+        (None, 11, 11, {"mirror_axes": ()}, 11 * 12 // 2),  # only the swap is declared
+        (None, 31, 19, {}, 16 * 10),  # unequal counts: mirrors, swaps nothing
+        (Box((-2.0, -3.0), (2.0, 3.0)), 9, 9, {}, 5 * 5),  # unequal bounds
+        (Box((-3.0, -2.0), (2.5, 3.0)), 11, 11, {}, 11 * 11),  # nothing is symmetric
+    ])
+    def test_same_as_stepping_every_vertex(self, box, nx, ny, declared, stepped):
+        assert_same_steps(*mirrored_and_full_steps(box, nx, ny, **declared), stepped)
+
+
 # Points of f and the Jacobian and linear solves per pass of each reproduce
 # example; the README quotes them, and test_readme checks that it does.
 REPRODUCE_WORK = {
     "example1": {"jacobian": 28519, "f": 6365, "solves": 14801},
-    "example2-coarse": {"jacobian": 6733, "f": 2885, "solves": 3168},
-    "example2-fine": {"jacobian": 23761, "f": 3393, "solves": 9680},
+    "example2-coarse": {"jacobian": 3673, "f": 2525, "solves": 1728},
+    "example2-fine": {"jacobian": 12421, "f": 2553, "solves": 5060},
 }
 
 
@@ -1340,12 +1404,12 @@ class TestWorkCounters:
         assert counts == {"seeds": 361, "jacobian": 7942, "f": 1744, "solves": 5054, "captured": 156}
 
     def test_example2_fine_t54(self, monkeypatch):
-        # bary:5 then bary:4 is 27 J points and 11 solves a step.  Ackley mirrors both axes, so
-        # only the 21 * 21 seeds with no negative coordinate step, and the others copy them (see
-        # capture.two_steps).  The origin seed is singular after its f and J: 440 * 54 + 1 J,
-        # 440 * 4 + 1 f + 1632 residuals (those are at every seed), 440 * 22 solves
+        # bary:5 then bary:4 is 27 J points and 11 solves a step.  Ackley mirrors both axes and
+        # swaps them, so only the 21 * 22 / 2 seeds (x, y) with x >= y >= 0 step, and the others
+        # copy them (see capture.two_steps).  The origin seed is singular after its f and J:
+        # 230 * 54 + 1 J, 230 * 4 + 1 f + 1632 residuals (those are at every seed), 230 * 22 solves
         counts = self.scan_counts(ackley_gradient(), "compose:bary:5,bary:4", 41, 0.1, monkeypatch)
-        assert counts == {"seeds": 1681, "jacobian": 23761, "f": 3393, "solves": 9680, "captured": 1600}
+        assert counts == {"seeds": 1681, "jacobian": 12421, "f": 2553, "solves": 5060, "captured": 1600}
 
     def test_polynomial_file(self, tmp_path, monkeypatch):
         problem = load_polynomial_problem(str(write_random_gradient_file(tmp_path / "p.poly", 61)))
@@ -1369,11 +1433,11 @@ class TestWorkCounters:
         # bary:4 and bary:5), per live seed: level 1 to order 4: 11 J, 1 f, 5
         # solves; level 2 from t_0..t_4(x) to orders 0, 1, 2, 3 and 5: 30 J,
         # 5 f, 16 solves; levels 3 and 4, bary:4 and bary:5: 27 J, 2 f, 11
-        # solves.  Ackley mirrors both axes, so only the 10 * 10 seeds with no
-        # negative coordinate step.  The origin seed is singular after its f
-        # and J, so 99 * 68 + 1 J, 99 * 8 + 1 f + 2092 residuals (at every
-        # seed) and 99 * 32 solves.  example2-fine has one map, which steps as
-        # a scan of it alone does
+        # solves.  Ackley mirrors both axes and swaps them, so only the
+        # 10 * 11 / 2 seeds (x, y) with x >= y >= 0 step.  The origin seed is
+        # singular after its f and J, so 54 * 68 + 1 J, 54 * 8 + 1 f + 2092
+        # residuals (at every seed) and 54 * 32 solves.  example2-fine has one
+        # map, which steps as a scan of it alone does
         counts = Counter()
         problem = counting_problem(vector_problem(REPRODUCE_SETUPS[example][0]), counts)
         monkeypatch.setattr(cli, "vector_problem", lambda name: problem)
@@ -1382,12 +1446,14 @@ class TestWorkCounters:
         assert counts == work
 
     def test_example1_batched_jacobian_calls(self, monkeypatch):
-        # one call per order and sample of each level's stacked recursion: orders 0..5
-        # from the seeds and from t_0..t_5(x) (1 + 15 each), then orders 0..2 (bary:1
-        # and bary:2 steps, 1 + 3) and orders 0..3 (bary:2 and bary:3 steps, 1 + 6)
+        # one call per order of each level's stacked recursion, its samples stacked in calls
+        # of at most 2048 points: orders 0..5 from the 361 seeds (6 calls); from t_0..t_5(x),
+        # order 0 at 2166 points, then 5, 5, 4, 2 and 1 nodes to orders 1..5 (1 + 1 + 2 + 3 +
+        # 2 + 1 calls); then orders 0..2 (bary:1 and bary:2 steps, 3 calls) and orders 0..3
+        # (bary:2 and bary:3 steps, 4 calls)
         calls = []
         problem = vector_problem("rutishauser")
         logged = dataclasses.replace(problem, jacobian=lambda p: calls.append(len(p)) or problem.jacobian(p))
         monkeypatch.setattr(cli, "vector_problem", lambda name: logged)
         cli._reproduce_report("example1", DEFAULT_CLUSTER_RADIUS)
-        assert len(calls) == 16 + 16 + 4 + 7 and sum(calls) == REPRODUCE_WORK["example1"]["jacobian"]
+        assert len(calls) == 6 + 10 + 3 + 4 and sum(calls) == REPRODUCE_WORK["example1"]["jacobian"]

@@ -121,7 +121,8 @@ def _reference_lu_solve_2x2(matrix, rhs):
     """The 2x2 branch of the one-system solve on numpy arrays, as it was before the 2-D
     kernel: the oracle of that kernel's bits and of its failures.  A zero
     determinant is singular also where the pivot floor underflows; before,
-    the division raised ZeroDivisionError there."""
+    the division raised ZeroDivisionError there.  The pivots are tested in
+    either column order, so that swapping the axes keeps each decision."""
     a = np.array(matrix, dtype=float)
     b = np.array(rhs, dtype=float)
     with np.errstate(over="ignore"):
@@ -132,9 +133,9 @@ def _reference_lu_solve_2x2(matrix, rhs):
     m00, m01 = float(a[0, 0]), float(a[0, 1])
     m10, m11 = float(a[1, 0]), float(a[1, 1])
     det = m00 * m11 - m01 * m10
-    pivot1 = max(abs(m00), abs(m10))
-    if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1 or det == 0.0:
-        raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
+    for pivot1 in (max(abs(m00), abs(m10)), max(abs(m11), abs(m01))):
+        if pivot1 < pivot_floor or abs(det) < pivot_floor * pivot1 or det == 0.0:
+            raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
     b0, b1 = float(b[0]), float(b[1])
     return np.array([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det])
 
@@ -209,6 +210,33 @@ class TestTwoByTwoKernel:
         x = solve_rows(np.stack([matrix, np.eye(2)]), np.ones((2, 2)), failures)
         assert isinstance(failures.errors[0], SingularModelError) and failures.errors[1] is None
         assert x[1].tolist() == [1.0, 1.0]
+
+    def test_a_swapped_batch_gives_swapped_solutions_and_the_same_failures(self):
+        # exchanging the axes (m00 <-> m11, m01 <-> m10, b0 <-> b1) swaps each live row's
+        # solution, bit for bit, and fails the same rows with the same messages
+        rng = np.random.default_rng(55)
+        a = rng.normal(size=(2000, 2, 2)) * 10.0 ** rng.integers(-160, 160, size=(2000, 2, 2))
+        # matrices that one column order's pivot tests pass and the other's fail: a second
+        # column below the floor, whose elimination leaves a pivot above it, and a
+        # determinant that overflows to inf, where the first pivot is above the floor
+        disagree = np.array([[[1.0, -0.9e-12], [1.0, 0.9e-12]], [[1e300, 0.0], [0.0, 1e10]]])
+
+        def first_order_passes(m):
+            (m00, m01), (m10, m11) = m.tolist()
+            floor = PIVOT_RTOL * max(abs(m00) + abs(m01), abs(m10) + abs(m11))
+            det, pivot1 = m00 * m11 - m01 * m10, max(abs(m00), abs(m10))
+            return not (pivot1 < floor or abs(det) < floor * pivot1 or det == 0.0)
+
+        assert [first_order_passes(m) for m in disagree] == [True, True]
+        assert [first_order_passes(m[::-1, ::-1]) for m in disagree] == [False, False]
+        a = np.concatenate([a, disagree, disagree[:, ::-1, ::-1]])
+        b = rng.normal(size=(len(a), 2))
+        failures, swapped = Failures(len(a)), Failures(len(a))
+        x, y = solve_rows(a, b, failures), solve_rows(a[:, ::-1, ::-1], b[:, ::-1], swapped)
+        assert failures.live.tobytes() == swapped.live.tobytes()
+        assert 0 < failures.live.sum() < len(a) - 4 and not failures.live[-4:].any()
+        assert described(failures.errors) == described(swapped.errors)
+        assert x[failures.live].tobytes() == y[failures.live][:, ::-1].tobytes()
 
     def test_zero_pivot_passing_the_floor_on_the_elimination_path(self):
         matrix = np.zeros((3, 3))
@@ -527,6 +555,24 @@ class TestMirrorAxes:
         assert AFFINE.mirror_axes == ()
 
 
+class TestSwapAxes:
+    """swap_axes must be empty or a pair of distinct axes of the problem, checked like mirror_axes."""
+
+    @pytest.mark.parametrize("axes, message", [
+        ((0, 0), r"distinct axes in range\(2\), got 0$"),
+        ((0, 2), r"distinct axes in range\(2\), got 2$"),
+        ((0, 1.0), r"distinct axes in range\(2\), got 1.0$"),
+        ((1,), r"empty or a pair of axes, got \(1,\)$"),
+    ])
+    def test_bad_axes_raise(self, axes, message):
+        with pytest.raises(ValueError, match=f"swap_axes must be {message}"):
+            dataclasses.replace(AFFINE, swap_axes=axes)
+
+    def test_a_pair_in_range_is_kept(self):
+        assert dataclasses.replace(AFFINE, swap_axes=(1, 0)).swap_axes == (1, 0)
+        assert AFFINE.swap_axes == ()
+
+
 class TestFailures:
     """A Failures record keeps two columns over the same rows: live is the mask
     of the rows whose error is None, and each error is the object put there."""
@@ -579,11 +625,8 @@ class TestStackedNodes:
     @staticmethod
     def poisoned(f):
         """The problem of f and J = I, but with J NaN at the order-2 sample x + 2*h of a bary:2
-        step from row 1 of X."""
-        samples = []
-        logged = VectorProblem(n=2, f=f, jacobian=lambda p: samples.append(p) or constant(np.eye(2))(p))
-        mapsnd.paths_rows(logged, TestStackedNodes.X, Failures(3), [(2,)])
-        poison = samples[3][1]
+        step from row 1 of X: every model matrix is I, so each order's h is -f(x)."""
+        poison = TestStackedNodes.X[1] + 2 * -f(TestStackedNodes.X[1:])[0]
         return VectorProblem(n=2, f=f, jacobian=lambda p: np.where(
             (p == poison).all(axis=-1)[..., None, None], np.nan, constant(np.eye(2))(p)))
 
@@ -639,13 +682,13 @@ class TestStackedNodes:
 
     def test_each_row_leaves_after_its_last_order(self):
         # J at the rows (order 0), then at i = 1 of order 1 for rows with last >= 1,
-        # then at i = 1, 2 of order 2 for the row with last 2
+        # then at i = 1, 2 of order 2 for the row with last 2, stacked in one call
         calls = []
         problem = dataclasses.replace(rutishauser(), jacobian=lambda p, j=rutishauser().jacobian: calls.append(len(p)) or j(p))
         x = np.array([[0.3, 0.4], [0.6, 0.5], [0.9, 0.1]])
         steps = mapsnd.orders_rows(problem, x, Failures(len(x)), np.array([2, 0, 1]))
         rows = [next(steps)[0].tolist() for _ in range(3)]
-        assert rows == [[0, 1, 2], [0, 2], [0]] and calls == [3, 2, 1, 1]
+        assert rows == [[0, 1, 2], [0, 2], [0]] and calls == [3, 2, 2]
         # and each row's points after its last order are its own bary:k step's
         nodes = mapsnd.paths_rows(rutishauser(), x, Failures(len(x)), [(2,), (0,), (1,)])
         for r, k in enumerate([2, 0, 1]):

@@ -128,7 +128,7 @@ class TestAckley:
     def test_sign_symmetries_are_exact(self):
         # each built-in problem's declared mirror axes: x_a -> -x_a flips the sign of f_a and of
         # J's row and column a but (a, a), bit for bit (tobytes, so signed zeros count)
-        assert (RUT.mirror_axes, ACK.mirror_axes) == ((), (0, 1))
+        assert (RUT.mirror_axes, ACK.mirror_axes, RUT.swap_axes, ACK.swap_axes) == ((), (0, 1), (), (0, 1))
         rng = np.random.default_rng(36)
         for name in ("rutishauser", "ackley"):
             problem = vector_problem(name)
@@ -154,6 +154,51 @@ class TestAckley:
                     assert (f[:, a] == 0.0).all() and (jacobian[:, cross] == 0.0).all()
                 assert np.delete(fs[0], a, axis=1).tobytes() == np.delete(fs[1], a, axis=1).tobytes()
                 assert jacobians[0][:, ~cross].tobytes() == jacobians[1][:, ~cross].tobytes()
+
+
+# Coordinates from every range a scan can reach: signed zeros, the search box and
+# magnitudes up to 1e300, whose squares and powers overflow
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-40.0, 40.0), st.floats(-1e300, 1e300))
+SYMMETRY_POINTS = st.one_of(
+    st.tuples(COORDINATES, COORDINATES),
+    COORDINATES.map(lambda v: (v, v)),  # on the diagonal
+    st.tuples(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0])),  # the origin
+)
+
+
+def agree(got, want, zeros=False):
+    """Elementwise: the same bits, or both NaN (a NaN fails evaluation whatever its sign and
+    payload), or both zeros of any sign where zeros is set."""
+    same = got.view(np.int64) == want.view(np.int64)
+    return same | (np.isnan(got) & np.isnan(want)) | (zeros & (got == 0.0) & (want == 0.0))
+
+
+class TestDeclaredSymmetries:
+    """Each built-in problem's declared symmetries hold for f and J bit for bit at any point:
+    flipping x_a for a mirror axis a flips f_a and J's row and column a but (a, a), up to the
+    sign of a zero, and exchanging the swap axes exchanges f's components and J's rows and
+    columns."""
+
+    @pytest.mark.parametrize("name", ["rutishauser", "ackley"])
+    @given(points=st.lists(SYMMETRY_POINTS, min_size=1, max_size=16), seed=st.integers(0, 2**32 - 1))
+    def test_mirrors_and_swap_hold_bit_for_bit(self, name, points, seed):
+        problem = vector_problem(name)
+        # and a seeded block of generic points: Ackley's J with x * y * c for (x * y) * c breaks
+        # the swap at about 0.5 % of them, and few drawn points are that generic
+        block = np.random.default_rng(seed).uniform(-40.0, 40.0, size=(256, 2))
+        p = np.concatenate([np.array(points, dtype=float), block])
+        f, jacobian = problem.f(p), problem.jacobian(p)
+        for a in problem.mirror_axes:
+            flipped, sign = p.copy(), np.ones(problem.n)
+            flipped[:, a], sign[a] = -p[:, a], -1.0
+            # a flipped value that is a zero, as on the axis, may keep its sign
+            assert agree(problem.f(flipped), f * sign, sign < 0.0).all()
+            assert agree(problem.jacobian(flipped), jacobian * np.outer(sign, sign), np.outer(sign, sign) < 0.0).all()
+        if problem.swap_axes:
+            order = np.arange(problem.n)
+            order[list(problem.swap_axes)] = problem.swap_axes[::-1]
+            assert agree(problem.f(p[:, order]), f[:, order]).all()
+            assert agree(problem.jacobian(p[:, order]), jacobian[:, order][:, :, order]).all()
 
 
 class TestScalarSet:
@@ -435,8 +480,8 @@ def _ackley_jacobian(p):
     j22 = -_ACKLEY_RADIAL * e_radial * (1.0 / r - y * y / r3 - _ACKLEY_DECAY * y * y / r2) - (
         _ACKLEY_WAVE * e_wave * (_TWO_PI * cy - math.pi * sy * sy)
     )
-    j12 = _ACKLEY_RADIAL * e_radial * x * y * (_ACKLEY_DECAY / r2 + 1.0 / r3) + (
-        _ACKLEY_WAVE * math.pi * e_wave * sx * sy
+    j12 = _ACKLEY_RADIAL * e_radial * (x * y) * (_ACKLEY_DECAY / r2 + 1.0 / r3) + (
+        _ACKLEY_WAVE * math.pi * e_wave * (sx * sy)
     )
     return np.array([[j11, j12], [j12, j22]])
 

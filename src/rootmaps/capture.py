@@ -8,7 +8,8 @@ or many takes one path: two_steps steps the seeds by every map at once, as one
 walk of their step paths, so that the maps share the seeds' Newton step and
 every common step prefix, and run_capture filters and clusters each map's entry.
 Captured points cluster near the fixed points of the map; a vectorised pass
-sets the isolated ones apart, and a greedy pass groups the rest.
+sets the isolated ones apart, and a greedy pass groups the rest.  A result
+holds them as read-only columns; reading its captured property builds records.
 """
 
 import itertools
@@ -93,10 +94,22 @@ class CaptureCounts:
 
 
 class CaptureResult(NamedTuple):
-    captured: list[CapturedPoint]
+    grid_i: np.ndarray  # the captured points as read-only columns in grid-index order: (m,) int64 vertex indices,
+    grid_j: np.ndarray
+    seeds: np.ndarray  # (m, 2) seeds and second iterates,
+    points: np.ndarray
+    fnorms: np.ndarray  # (m,) residual norms and objectives, or None for a problem with no objective
+    objectives: np.ndarray | None
     clusters: np.ndarray  # (C, n) representatives, and labels each captured point's cluster (see cluster_points)
     counts: CaptureCounts
     labels: np.ndarray
+
+    @property
+    def captured(self) -> list[CapturedPoint]:
+        """One record per captured point, built from the columns on each access: seed and point are row views."""
+        g = [None] * len(self.fnorms) if self.objectives is None else self.objectives.tolist()
+        return list(map(CapturedPoint, self.grid_i.tolist(), self.grid_j.tolist(), self.seeds, self.points,
+                        self.fnorms.tolist(), g))
 
 
 def _symmetric(lo: float, hi: float) -> bool:
@@ -249,13 +262,13 @@ def _residual_norms(residuals: np.ndarray, norm: str) -> np.ndarray:
     return np.abs(residuals).max(axis=1)
 
 
-def objectives(problem: VectorProblem, points: np.ndarray) -> list:
-    """The objective at each row of points as floats, with numpy's warnings off and its shape
-    checked like f's, or None at each if the problem has none; it is not called without a row."""
+def objectives(problem: VectorProblem, points: np.ndarray) -> np.ndarray | None:
+    """The objective at each row of points as an (m,) float array, with numpy's warnings off and its
+    shape checked like f's, or None if the problem has none; it is not called without a row."""
     if problem.objective is None or not len(points):
-        return [None] * len(points)
+        return None if problem.objective is None else np.empty(0)
     with np.errstate(all="ignore"):
-        return shaped(problem.objective(points), (len(points),)).tolist()
+        return np.array(shaped(problem.objective(points), (len(points),)))  # a copy the result may freeze
 
 
 def two_steps(problem: VectorProblem, grid: GridSpec, maps: list[IterativeMap]) -> list[tuple]:
@@ -317,7 +330,8 @@ def run_capture(problem: VectorProblem, config: CaptureConfig, steps: tuple) -> 
     fates[rows] = 4
     counts = CaptureCounts(len(seeds), *np.bincount(fates, minlength=5).tolist())
     points = second[rows]
-    grid_i, grid_j = np.divmod(rows, config.grid.ny)
-    columns = grid_i.tolist(), grid_j.tolist(), list(seeds[rows]), list(points), fnorms.tolist(), objectives(problem, points)
+    columns = *np.divmod(rows, config.grid.ny), seeds[rows], points, fnorms, objectives(problem, points)
+    for column in [column for column in columns if column is not None]:
+        column.setflags(write=False)
     labels, clusters = cluster_points(points, config.cluster_radius)
-    return CaptureResult(list(map(CapturedPoint, *columns)), clusters, counts, labels)
+    return CaptureResult(*columns, clusters, counts, labels)

@@ -178,10 +178,8 @@ CAPTURE_COLUMNS = ("grid_i", "grid_j", "x0", "y0", "x2", "y2", "fnorm", "g")
 
 def _captured_columns(result: CaptureResult) -> list:
     """The captured points as the columns of CAPTURE_COLUMNS: ints and floats, and None for no objective."""
-    i, j, seeds, points, fnorms, objectives = zip(*result.captured) if result.captured else [()] * 6
-    # the empty piece keeps np.concatenate defined when nothing was captured
-    (x0, y0), (x2, y2) = np.concatenate([*seeds, *points, ()]).reshape(2, -1, 2).transpose(0, 2, 1).tolist()
-    return [i, j, x0, y0, x2, y2, fnorms, objectives]
+    g = [None] * len(result.fnorms) if result.objectives is None else result.objectives.tolist()
+    return [c.tolist() for c in (result.grid_i, result.grid_j, *result.seeds.T, *result.points.T, result.fnorms)] + [g]
 
 
 def _cluster_rows(result: CaptureResult, top: int | None = None) -> list[dict]:
@@ -197,11 +195,14 @@ def _cluster_rows(result: CaptureResult, top: int | None = None) -> list[dict]:
 
 
 def render_capture_csv(result: CaptureResult) -> str:
-    """CSV rows for captured points; coordinates carry 6 decimals.  No field
-    holds a comma, a quote or a newline, so none is quoted."""
-    *columns, objectives = _captured_columns(result)
-    columns.append(["" if g is None else "%.6f" % g for g in objectives])
-    lines = [",".join(CAPTURE_COLUMNS), *map("%d,%d,%.6f,%.6f,%.6f,%.6f,%.9e,%s".__mod__, zip(*columns))]
+    """CSV rows for captured points; coordinates carry 6 decimals, and each distinct seed coordinate, a grid
+    vertex, is formatted once, keyed by its bits.  No field holds a comma, a quote or a newline, so none is quoted."""
+    columns, row = _captured_columns(result), "%d,%d,%s,%s,%.6f,%.6f,%.9e,%.6f"
+    bits, at = np.unique(result.seeds.view(np.int64), return_inverse=True)
+    columns[2:4] = np.array(["%.6f" % v for v in bits.view(float).tolist()], dtype=object)[at.reshape(-1, 2).T].tolist()
+    if result.objectives is None:  # an empty g field
+        columns, row = columns[:-1], row[:-4]
+    lines = [",".join(CAPTURE_COLUMNS), *map(row.__mod__, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -291,7 +292,7 @@ def _reproduce_report(example: str, cluster_radius: float) -> tuple[dict, dict]:
     results = {label: result for (label, _, _), result in zip(map_table, scans)}
     tops = [_cluster_rows(result, top=8) for result in scans]
     # one objective call on every map's stacked top representatives; the kernels do not depend on batch size
-    g = iter(objectives(problem, np.array([[cl["x"], cl["y"]] for clusters in tops for cl in clusters])))
+    g = iter(objectives(problem, np.array([[cl["x"], cl["y"]] for clusters in tops for cl in clusters])).tolist())
     maps = [{
         "label": label, "map": spec_text, "captured": result.counts.captured, "reference_count": reference_count,
         "counts": asdict(result.counts), "clusters": [{**cl, "g": next(g)} for cl in clusters],

@@ -702,6 +702,63 @@ class TestRunCapture:
             some.clusters = None
         assert type(none.captured) is list and not none.captured and len(none.clusters) == 0
 
+    def test_captured_columns(self):
+        # the captured points are columns in grid-index order, and captured builds its
+        # records from them, bit for bit, on each access
+        problem = rutishauser()
+        grid = GridSpec(domain=problem.domain, nx=9, ny=9)
+        result = scan_one(problem, CaptureConfig(grid=grid, tolerance=1e-3), newton_barycentric(1))
+        m = result.counts.captured
+        columns = result.grid_i, result.grid_j, result.seeds, result.points, result.fnorms, result.objectives
+        assert m > 0 and [(c.dtype, c.shape) for c in columns] == [
+            (np.int64, (m,)), (np.int64, (m,)), (np.float64, (m, 2)), (np.float64, (m, 2)), (np.float64, (m,)),
+            (np.float64, (m,))]
+        rows = result.grid_i * grid.ny + result.grid_j
+        assert (np.diff(rows) > 0).all() and result.seeds.tobytes() == make_grid(grid)[rows].tobytes()
+        assert result.objectives.tobytes() == problem.objective(result.points).tobytes()
+        records = result.captured
+        assert [(c.grid_i, c.grid_j, c.seed.tobytes(), c.point.tobytes(), repr(c.fnorm), repr(c.objective))
+                for c in records] == list(zip(result.grid_i.tolist(), result.grid_j.tolist(),
+                                              map(np.ndarray.tobytes, result.seeds),
+                                              map(np.ndarray.tobytes, result.points),
+                                              map(repr, result.fnorms.tolist()), map(repr, result.objectives.tolist())))
+        assert all(type(c.fnorm) is type(c.objective) is float for c in records)
+        assert result.captured is not records
+
+    def test_empty_capture_has_empty_columns(self):
+        problem = rutishauser()
+        grid = GridSpec(domain=problem.domain, nx=5, ny=5)
+        result = scan_one(problem, CaptureConfig(grid=grid, tolerance=1e-300), newton_barycentric(1))
+        columns = result.grid_i, result.grid_j, result.seeds, result.points, result.fnorms, result.objectives
+        assert [(c.dtype, c.shape) for c in columns] == [
+            (np.int64, (0,)), (np.int64, (0,)), (np.float64, (0, 2)), (np.float64, (0, 2)), (np.float64, (0,)),
+            (np.float64, (0,))]
+        assert result.captured == [] and result.counts.captured == 0
+
+    def test_no_objective_is_none_in_the_columns_and_records(self, tmp_path):
+        problem = load_polynomial_problem(str(write_random_gradient_file(tmp_path / "random.poly", 3)))
+        grid = GridSpec(domain=problem.domain, nx=15, ny=15)
+        result = scan_one(problem, CaptureConfig(grid=grid, tolerance=1e-6), newton_barycentric(2))
+        assert problem.objective is None and result.objectives is None and result.counts.captured > 0
+        assert [c.objective for c in result.captured] == [None] * result.counts.captured
+
+    def test_columns_and_records_are_read_only(self):
+        # a record's seed and point are views into the columns: a write to either would change
+        # every later record and render, so none is taken; the objective's own array stays writable
+        problem, returned = rutishauser(), []
+        keeping = dataclasses.replace(problem, objective=lambda p: returned.append(problem.objective(p)) or returned[0])
+        grid = GridSpec(domain=problem.domain, nx=9, ny=9)
+        result = scan_one(keeping, CaptureConfig(grid=grid, tolerance=1e-3), newton_barycentric(1))
+        before = result.points.tobytes()
+        for column in (result.grid_i, result.grid_j, result.seeds, result.points, result.fnorms, result.objectives):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        record = result.captured[0]
+        for array in (record.seed, record.point):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert result.points.tobytes() == before and [r.flags.writeable for r in returned] == [True]
+
     def test_euclidean_norm_is_stricter(self):
         problem = rutishauser()
         grid = GridSpec(domain=problem.domain, nx=9, ny=9)
@@ -884,7 +941,11 @@ def _reference_run_capture(problem, config, iter_map, skipped=None, copied=None)
     counts = CaptureCounts(seeded=len(outcomes), **Counter(kind for kind, _ in outcomes))
     captured = [point for _, point in outcomes if point is not None]
     labels, means = _reference_cluster_points([c.point for c in captured], config.cluster_radius)
-    return CaptureResult(captured, np.array(means).reshape(-1, 2), counts, np.array(labels, dtype=np.int64))
+    i, j, seeds, points, fnorms, objectives = zip(*captured) if captured else [()] * 6
+    g = None if problem.objective is None else np.array(objectives, dtype=float)
+    return CaptureResult(np.array(i, dtype=np.int64), np.array(j, dtype=np.int64), np.reshape(seeds, (-1, 2)),
+                         np.reshape(points, (-1, 2)), np.array(fnorms, dtype=float), g,
+                         np.array(means).reshape(-1, 2), counts, np.array(labels, dtype=np.int64))
 
 
 def counting_problem(problem, calls):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import test_golden
 from rootmaps import capture, cli
 from rootmaps.capture import CaptureCounts, CaptureResult, cluster_points
 from rootmaps.maps1d import MapFamily
@@ -229,6 +231,38 @@ class TestCaptureCommand:
         ) == 0
         out = capsys.readouterr().out
         assert out.startswith("grid_i,grid_j,x0,y0,x2,y2,fnorm,g")
+
+    def test_empty_capture_renders_no_rows(self, capsys):
+        argv = ["capture", "--problem", "rutishauser", "--map", "bary:1", "--nx", "5", "--ny", "5", "--eps", "1e-300"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "grid_i,grid_j,x0,y0,x2,y2,fnorm,g\n"
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["captured"] == [] and payload["clusters"] == [] and payload["counts"]["captured"] == 0
+
+    def test_no_objective_renders_an_empty_g_field_and_null(self, tmp_path, capsys):
+        poly = tmp_path / "affine.poly"
+        poly.write_text("domain -2 2 -2 2\n"
+                        "poly 2 : 3.0 1 0 ; 1.0 0 1 ; -1.0 0 0\npoly 2 : 1.0 1 0 ; 2.0 0 1 ; 1.0 0 0\n")
+        argv = ["capture", "--problem", str(poly), "--map", "newton", "--nx", "3", "--ny", "4", "--eps", "1e-6"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 13 and all(row.count(",") == 7 and row.endswith(",") for row in rows[1:])
+        assert main([*argv, "--format", "json"]) == 0
+        captured = json.loads(capsys.readouterr().out)["captured"]
+        assert len(captured) == 12 and [row["g"] for row in captured] == [None] * 12
+
+    def test_rows_keep_the_sign_of_a_zero(self):
+        # a seed coordinate of -0.0 is formatted apart from one of 0.0, and -0.0 keeps its sign in both outputs
+        columns = np.array([3, 3]), np.array([0, 4]), np.array([[-0.0, 0.25], [0.0, -0.0]]), np.array(
+            [[-1e-9, -0.0], [0.0, 2.5]]), np.array([1e-4, 0.0]), np.array([-0.0, 0.0])
+        result = CaptureResult(*columns, np.array([[0.0, 0.0]]), CaptureCounts(seeded=2, captured=2), np.zeros(2, int))
+        assert cli.render_capture_csv(result).splitlines()[1:] == [
+            "3,0,-0.000000,0.250000,-0.000000,-0.000000,1.000000000e-04,-0.000000",
+            "3,4,0.000000,-0.000000,0.000000,2.500000,0.000000000e+00,0.000000",
+        ]
+        rows = cli.capture_result_to_dict(result)["captured"]
+        assert [repr(row["x0"]) for row in rows] == ["-0.0", "0.0"] and json.dumps(rows[0]["g"]) == "-0.0"
 
     def test_usage_errors_exit_two(self, tmp_path, capsys):
         existing = tmp_path / "existing"
@@ -464,7 +498,9 @@ class TestReproduceCommand:
                 assert repr(cl["g"]) == repr(float(problem.objective(np.array([cl["x"], cl["y"]]))))
         assert calls == expected and all(row["clusters"] for row in report["maps"])
         calls.clear()
-        empty = CaptureResult([], np.empty((0, 2)), CaptureCounts(seeded=361, skipped_outside=361), np.zeros(0, int))
+        no_rows = np.zeros(0, int), np.zeros(0, int), np.empty((0, 2)), np.empty((0, 2)), np.empty(0), np.empty(0)
+        counts = CaptureCounts(seeded=361, skipped_outside=361)
+        empty = CaptureResult(*no_rows, np.empty((0, 2)), counts, np.zeros(0, int))
         monkeypatch.setattr(cli, "run_capture", lambda problem, config, steps: empty)
         report, _ = cli._reproduce_report("example1", 1e-3)
         assert calls == [] and [row["clusters"] for row in report["maps"]] == [[]] * 8
@@ -562,3 +598,31 @@ class TestBenchmarkSeam:
         assert WORKLOADS.check_scan(scan, results, poly_coeffs) == []
         if scan.args[0] == "capture":
             assert csv_path.read_text(encoding="utf-8").count("\n") - 1 == results[0].counts.captured
+
+
+class TestRendersFromColumns:
+    """Every CLI output is rendered from a scan's columns: with CapturedPoint raising,
+    capture and reproduce still exit 0 with their golden bytes."""
+
+    @pytest.fixture(autouse=True)
+    def no_records(self, monkeypatch):
+        def refuse(*fields):
+            raise AssertionError("a CLI pass built a CapturedPoint record")
+
+        monkeypatch.setattr(capture, "CapturedPoint", refuse)
+
+    CAPTURES = [pair for pair in test_golden.GOLDEN if pair[0].startswith("capture")]
+
+    @pytest.mark.parametrize("command, digest", CAPTURES, ids=[command for command, _ in CAPTURES])
+    def test_capture(self, command, digest, capsys):
+        test_golden.test_output_digest(command, digest, capsys)
+
+    def test_reproduce_out(self, tmp_path, capsys):
+        test_golden.test_reproduce_csv_file_digest(tmp_path, capsys)
+        digests = dict(test_golden.GOLDEN)
+        for example in cli.REPRODUCE_SETUPS:
+            out = tmp_path / example
+            assert main(["reproduce", "--example", example, "--out", str(out)]) == 0
+            text = capsys.readouterr().out
+            assert hashlib.sha256(text.encode()).hexdigest() == digests[f"reproduce --example {example}"]
+            assert len(list(out.glob("*.csv"))) == len(cli.REPRODUCE_SETUPS[example][4])

@@ -194,15 +194,22 @@ def _cluster_rows(result: CaptureResult, top: int | None = None) -> list[dict]:
     return [{"x": x, "y": y, "count": count, "members": members[start:end]} for (x, y), count, start, end in rows]
 
 
+def _texts(values: np.ndarray, fmt: str) -> np.ndarray:
+    """fmt % v for each of values (float64 or int64), in an object array of their shape; each distinct value,
+    keyed by its bits, is formatted once, so -0.0 and 0.0 keep their own texts."""
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([fmt % v for v in bits.view(values.dtype).tolist()], dtype=object)[at.reshape(values.shape)]
+
+
 def render_capture_csv(result: CaptureResult) -> str:
-    """CSV rows for captured points; coordinates carry 6 decimals, and each distinct seed coordinate, a grid
-    vertex, is formatted once, keyed by its bits.  No field holds a comma, a quote or a newline, so none is quoted."""
-    columns, row = _captured_columns(result), "%d,%d,%s,%s,%.6f,%.6f,%.9e,%.6f"
-    bits, at = np.unique(result.seeds.view(np.int64), return_inverse=True)
-    columns[2:4] = np.array(["%.6f" % v for v in bits.view(float).tolist()], dtype=object)[at.reshape(-1, 2).T].tolist()
-    if result.objectives is None:  # an empty g field
-        columns, row = columns[:-1], row[:-4]
-    lines = [",".join(CAPTURE_COLUMNS), *map(row.__mod__, zip(*columns))]
+    """CSV rows for captured points: grid indices as %d, coordinates and g as %.6f (g empty for a problem with
+    no objective), fnorm as %.9e.  Each distinct value of a column group is formatted once, keyed by its bits,
+    so the bytes are those of formatting each row.  No field holds a comma, a quote or a newline, so none is quoted."""
+    g = () if result.objectives is None else (result.objectives,)
+    decimals = _texts(np.column_stack([result.seeds, result.points, *g]), "%.6f").T.tolist()
+    columns = [*_texts(np.column_stack([result.grid_i, result.grid_j]), "%d").T.tolist(), *decimals[:4],
+               _texts(result.fnorms, "%.9e").tolist(), decimals[4] if g else [""] * len(result.fnorms)]
+    lines = [",".join(CAPTURE_COLUMNS), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -413,8 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # the parser main reuses, built on its first call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
     commands = {"coeffs": _cmd_coeffs, "order": _cmd_order, "capture": _cmd_capture, "reproduce": _cmd_reproduce}

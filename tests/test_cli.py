@@ -6,10 +6,14 @@ import json
 import os
 import platform
 import types
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import test_golden
 from rootmaps import capture, cli
@@ -448,6 +452,73 @@ class TestCaptureCommand:
         }
         assert main(argv) == 0
         assert capsys.readouterr().out == "grid_i,grid_j,x0,y0,x2,y2,fnorm,g\n"
+
+
+# Zeros of both signs, values that round to +-0.000000, subnormals, and values near the float range's ends.
+EDGE_FLOATS = [0.0, -0.0, 4e-7, -4e-7, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300,
+               1.7976931348623157e308, 0.5, -2.5, 1234.5678905]
+
+
+@st.composite
+def capture_results(draw):
+    """A CaptureResult of m <= 40 rows whose floats mostly come from a pool of at most 6, so values repeat
+    heavily within and across columns, with the edge values above and any float mixed in."""
+    m = draw(st.integers(0, 40))
+    pool = draw(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), min_size=1, max_size=6))
+    elements = st.one_of(st.sampled_from(pool), st.sampled_from(EDGE_FLOATS), st.floats())
+    floats = partial(hnp.arrays, np.float64, elements=elements)
+    indices = partial(hnp.arrays, np.int64, m, elements=st.one_of(st.integers(0, 40), st.integers(0, 2**62)))
+    objectives = draw(st.one_of(st.none(), floats(m)))
+    return CaptureResult(draw(indices()), draw(indices()), draw(floats((m, 2))), draw(floats((m, 2))),
+                         draw(floats(m)), objectives, np.zeros((0, 2)), CaptureCounts(seeded=m, captured=m),
+                         np.zeros(m, np.int64))
+
+
+def per_row_csv(result):
+    """The CSV as each row's own format: one % of 8 fields, or of 7 with an empty g field."""
+    row = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.9e," + ("" if result.objectives is None else "%.6f")
+    g = [] if result.objectives is None else [result.objectives.tolist()]
+    rows = zip(result.grid_i.tolist(), result.grid_j.tolist(), *result.seeds.T.tolist(), *result.points.T.tolist(),
+               result.fnorms.tolist(), *g)
+    return "".join([",".join(cli.CAPTURE_COLUMNS) + "\n", *(row % fields + "\n" for fields in rows)])
+
+
+EMPTY_RESULT = CaptureResult(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros((0, 2)),
+                             np.zeros(0), None, np.zeros((0, 2)), CaptureCounts(), np.zeros(0, np.int64))
+
+
+class TestRenderCaptureCsv:
+    @given(capture_results())
+    @example(EMPTY_RESULT)
+    @example(EMPTY_RESULT._replace(objectives=np.zeros(0)))
+    def test_matches_per_row_formatting(self, result):
+        # each distinct value is formatted once, keyed by its bits; the bytes are those of formatting every row
+        assert cli.render_capture_csv(result) == per_row_csv(result)
+
+
+class TestParserReuse:
+    """main builds its parser on its first call, from the module's build_parser, and reuses it."""
+
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        monkeypatch.setattr(cli, "_parser", None)
+        assert main(["coeffs", "--k", "2"]) == 0 and main(["coeffs", "--k", "3", "--format", "csv"]) == 0
+        assert len(builds) == 1
+        assert "a_0 = 5/12" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["coeffs", "--k", "-2"],
+                                      ["capture", "--problem", "rutishauser", "--map", "halley", "--eps", "0.1"]],
+                             ids=["parse-time", "command-time"])
+    def test_a_usage_error_repeats(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_parser", None)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1] and messages[0].startswith("usage: rootmaps ")
 
 
 class TestReproduceCommand:

@@ -1,10 +1,12 @@
-"""Exact barycentric coefficient systems.
+"""Exact barycentric weights.
 
 The order-k barycentric model function averages first derivatives sampled at
-x + i*h with weights a_0..a_k.  The weights are the unique solution of a
-(k+1)x(k+1) linear system with integer matrix entries and harmonic right-hand
-side, solved here in exact rational arithmetic so the published coefficient
-tables are reproduced digit for digit.
+x + i*h with weights a_0..a_k.  The paper defines them by a (k+1)x(k+1)
+system: row 0 is all ones, row i has entries (1 - j)**i, j = 0..k, and the
+right-hand side is 1/(i+1).  It is a Vandermonde system in the nodes
+s_j = 1 - j, so a_j is the integral over [0, 1] of the j-th Lagrange basis
+polynomial on them: the Adams-Moulton weights (k = 2: 5/12, 8/12, -1/12),
+exact in rational arithmetic, as the published tables give them.
 """
 
 from dataclasses import dataclass
@@ -14,19 +16,6 @@ from functools import cached_property, lru_cache
 # Beyond this index the maps are limited by floating-point evaluation noise,
 # not coefficient accuracy.
 MAX_ORDER_INDEX = 20
-
-
-class SingularSystemError(ArithmeticError):
-    """Exact elimination found no usable pivot (corrupted system)."""
-
-
-@dataclass(frozen=True)
-class BarycentricSystem:
-    """The linear system whose solution is the weight vector for order k."""
-
-    k: int
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -42,60 +31,26 @@ class BarycentricCoefficients:
         return tuple(float(v) for v in self.a)
 
 
-def build_system(k: int) -> BarycentricSystem:
-    """Build the order-k weight system.
-
-    Row 0 is all ones (the weights are barycentric: they sum to 1); row i
-    for i >= 1 has entries (1 - j)**i, j = 0..k.  The right-hand side is
-    (1, 1/2, ..., 1/(k+1)).
-    """
+def solve_coefficients(k: int) -> BarycentricCoefficients:
+    """The order-k weights in closed form: a_j integrates prod_{m != j} (s - s_m) / (s_j - s_m),
+    s_m = 1 - m, over [0, 1], term by term from the numerator's integer coefficients."""
     if k < 0:
         raise ValueError(f"order index must be >= 0, got {k}")
-    rows = [tuple(Fraction(1) for _ in range(k + 1))]
-    for i in range(1, k + 1):
-        rows.append(tuple(Fraction(1 - j) ** i for j in range(k + 1)))
-    rhs = tuple(Fraction(1, i + 1) for i in range(k + 1))
-    return BarycentricSystem(k=k, matrix=tuple(rows), rhs=rhs)
-
-
-def solve_coefficients(system: BarycentricSystem) -> BarycentricCoefficients:
-    """Solve the system exactly by fractional Gaussian elimination.
-
-    Partial (max-magnitude) pivoting; raises SingularSystemError if a pivot
-    column is identically zero, which cannot happen for systems produced by
-    build_system.
-    """
-    n = system.k + 1
-    a = [list(row) for row in system.matrix]
-    b = list(system.rhs)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            raise SingularSystemError(f"zero pivot in column {col}")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return BarycentricCoefficients(k=system.k, a=tuple(x))
+    weights = []
+    for j in range(k + 1):
+        poly, scale = [1], 1  # prod_{m != j} (s - s_m), lowest power first, and its value at s_j
+        for m in range(k + 1):
+            if m != j:
+                poly = [c * (m - 1) + lower for c, lower in zip(poly + [0], [0] + poly)]
+                scale *= m - j
+        weights.append(sum(Fraction(c, p + 1) for p, c in enumerate(poly)) / scale)
+    return BarycentricCoefficients(k=k, a=tuple(weights))
 
 
 @lru_cache(maxsize=None)
 def barycentric_coefficients(k: int) -> BarycentricCoefficients:
-    """Cached exact weights for order index k, 0 <= k <= MAX_ORDER_INDEX (build_system
+    """Cached exact weights for order index k, 0 <= k <= MAX_ORDER_INDEX (solve_coefficients
     rejects k < 0; a raised error is not cached)."""
     if k > MAX_ORDER_INDEX:
         raise ValueError(f"order index {k} exceeds the supported maximum {MAX_ORDER_INDEX}")
-    return solve_coefficients(build_system(k))
-
+    return solve_coefficients(k)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rootmaps import barycentric_coefficients
-from rootmaps.coefficients import SingularSystemError, build_system, solve_coefficients
+from rootmaps.coefficients import solve_coefficients
 
 
 def alternating_binomial_sum(m: int) -> Fraction:
@@ -19,7 +19,17 @@ def alternating_binomial_sum(m: int) -> Fraction:
     for i in range(m + 1):
         total += Fraction((-1) ** i * math.comb(m, i), i + 1)
     return total
-from rootmaps.coefficients import BarycentricSystem
+
+
+def paper_system(k: int) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The paper's order-k weight system, which the closed form must solve.
+
+    Row 0 is all ones (the weights sum to 1); row i for i >= 1 has entries
+    (1 - j)**i, j = 0..k.  The right-hand side is (1, 1/2, ..., 1/(k+1)).
+    """
+    matrix = [[Fraction(1 - j) ** i for j in range(k + 1)] for i in range(k + 1)]
+    return matrix, [Fraction(1, i + 1) for i in range(k + 1)]
+
 
 # Published weight tables for the first five barycentric maps.
 TABLE_WEIGHTS = {
@@ -45,57 +55,49 @@ TABLE_WEIGHTS = {
 
 
 def test_build_system_k0():
-    system = build_system(0)
-    assert system.matrix == ((Fraction(1),),)
-    assert system.rhs == (Fraction(1),)
+    # the paper's system, built by the test-local paper_system
+    assert paper_system(0) == ([[1]], [1])
 
 
 def test_build_system_k2_matches_displayed_matrix():
-    system = build_system(2)
-    assert system.matrix == (
-        (1, 1, 1),
-        (1, 0, -1),
-        (1, 0, 1),
-    )
-    assert system.rhs == (Fraction(1), Fraction(1, 2), Fraction(1, 3))
+    matrix, rhs = paper_system(2)
+    assert matrix == [
+        [1, 1, 1],
+        [1, 0, -1],
+        [1, 0, 1],
+    ]
+    assert rhs == [Fraction(1), Fraction(1, 2), Fraction(1, 3)]
 
 
 def test_build_system_k3_last_row():
     # (1-j)^3 for j = 0..3 by hand: 1, 0, -1, -8.
-    system = build_system(3)
-    assert system.matrix[3] == (1, 0, -1, -8)
+    matrix, _ = paper_system(3)
+    assert matrix[3] == [1, 0, -1, -8]
 
 
-def test_build_system_rejects_negative_k():
-    with pytest.raises(ValueError):
-        build_system(-1)
+def test_solve_rejects_negative_k():
+    with pytest.raises(ValueError, match=r"^order index must be >= 0, got -1$"):
+        solve_coefficients(-1)
 
 
 @pytest.mark.parametrize("k", sorted(TABLE_WEIGHTS))
 def test_solve_matches_published_table(k):
-    coeffs = solve_coefficients(build_system(k))
+    coeffs = solve_coefficients(k)
+    assert coeffs.k == k
     assert list(coeffs.a) == TABLE_WEIGHTS[k]
 
 
 @pytest.mark.parametrize("k", range(21))
 def test_weights_sum_to_one_and_residual_vanishes(k):
-    system = build_system(k)
-    coeffs = solve_coefficients(system)
+    matrix, rhs = paper_system(k)
+    coeffs = solve_coefficients(k)
     assert sum(coeffs.a) == 1
-    for row, b in zip(system.matrix, system.rhs):
+    for row, b in zip(matrix, rhs):
         assert sum(r * a for r, a in zip(row, coeffs.a)) == b
 
 
 def test_solve_is_deterministic():
-    assert build_system(6) == build_system(6)
-    assert solve_coefficients(build_system(6)) == solve_coefficients(build_system(6))
-
-
-def test_singular_system_raises():
-    zero = Fraction(0)
-    broken = BarycentricSystem(k=1, matrix=((zero, zero), (zero, zero)), rhs=(zero, zero))
-    with pytest.raises(SingularSystemError):
-        solve_coefficients(broken)
+    assert solve_coefficients(6) == solve_coefficients(6)
 
 
 def test_cached_lookup_validates_index():
@@ -104,8 +106,9 @@ def test_cached_lookup_validates_index():
         barycentric_coefficients(21)
     with pytest.raises(ValueError):
         barycentric_coefficients(-1)
-    # the uncapped solve still works
-    assert sum(solve_coefficients(build_system(25)).a) == 1
+    # the uncapped solve still works, and still solves the paper's system
+    matrix, rhs = paper_system(25)
+    assert [sum(r * a for r, a in zip(row, solve_coefficients(25).a)) for row in matrix] == rhs
 
 
 def test_alternating_binomial_sum_small_cases():

@@ -4,7 +4,7 @@ The oracle takes the engine's step in mpmath arithmetic: f and J from the
 exact decimal coefficients, the exact barycentric weights, a 2x2 solve and
 the same h recursion (h_1 is the Newton delta, h_{j+1} the delta solved for
 t_j).  Far below float64 rounding it shows the order k + 2 of a bary:k step,
-which float64 iterates near the minimum cannot reach.
+which float64 iterates near a critical point cannot reach.
 """
 
 import numpy as np
@@ -16,6 +16,14 @@ mpmath = pytest.importorskip("mpmath")
 mpf = mpmath.mpf
 
 START = [0.693716, 0.459591]  # near the Rutishauser minimum where g = 0.167974
+# Starts close to each critical point, as (id prefix, start): both minima (the
+# problem is symmetric under x <-> y) and the saddle on the diagonal.  A start
+# farther off, such as [0.594, 0.5939] by the saddle, leaves k = 0 pre-asymptotic.
+STARTS = [("", START), ("swap-", [0.459591, 0.693716]), ("saddle-", [0.593976, 0.593977])]
+CASES = [pytest.param(start, k, id=f"{prefix}{k}") for prefix, start in STARTS for k in range(6)]
+# The third difference of bary:k at START is about 1e-139 for k = 3, 1e-200 for
+# k = 4 and 1e-272 for k = 5; each working precision resolves it with digits to spare.
+DIGITS = {4: 250, 5: 400}
 
 
 def _component(u, v):
@@ -51,7 +59,6 @@ def oracle_step(k, x):
 
 @pytest.fixture
 def digits():
-    # 200 digits resolve the third difference of bary:3, about 1e-139 here
     with mpmath.workdps(200):
         yield
 
@@ -63,21 +70,24 @@ def test_oracle_is_the_engine_problem(digits):
     assert jacobian == pytest.approx(problem.jacobian(np.array(START)).ravel().tolist(), abs=1e-14)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_acoc_is_k_plus_two(digits, k):
+@pytest.mark.parametrize("start, k", CASES)
+def test_acoc_is_k_plus_two(start, k):
     # the ACOC of Cordero & Torregrosa (2007) needs no root: with d_n = ||x_n - x_{n-1}||,
-    # ln(d_3 / d_2) / ln(d_2 / d_1) tends to the order
-    iterates = [mpmath.matrix(START)]
-    for _ in range(3):
-        iterates.append(oracle_step(k, iterates[-1]))
-    d1, d2, d3 = (mpmath.norm(b - a) for a, b in zip(iterates, iterates[1:]))
-    assert abs(float(mpmath.log(d3 / d2) / mpmath.log(d2 / d1)) - (k + 2)) < 0.3
+    # ln(d_3 / d_2) / ln(d_2 / d_1) tends to the order.  Order k + 2 needs the exact
+    # weights of every order up to k.
+    with mpmath.workdps(DIGITS.get(k, 200)):
+        iterates = [mpmath.matrix(start)]
+        for _ in range(3):
+            iterates.append(oracle_step(k, iterates[-1]))
+        d1, d2, d3 = (mpmath.norm(b - a) for a, b in zip(iterates, iterates[1:]))
+        assert abs(float(mpmath.log(d3 / d2) / mpmath.log(d2 / d1)) - (k + 2)) < 0.3
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_float64_step_is_within_16_ulps_of_the_oracle(digits, k):
+@pytest.mark.parametrize("start, k", CASES)
+def test_float64_step_is_within_16_ulps_of_the_oracle(start, k):
     # the bound covers the engine's rounding and its binary coefficients (1.2, 4.08, ...);
-    # 6 ulps were seen at this start for each k
-    got = vector_map_step(rutishauser(), newton_barycentric(k), np.array(START))
-    want = np.array([float(v) for v in oracle_step(k, mpmath.matrix(START))])
+    # at most 6 ulps were seen over these cases
+    got = vector_map_step(rutishauser(), newton_barycentric(k), np.array(start))
+    with mpmath.workdps(DIGITS.get(k, 200)):
+        want = np.array([float(v) for v in oracle_step(k, mpmath.matrix(start))])
     assert (np.abs(got - want) <= 16 * np.spacing(want)).all(), (got - want) / np.spacing(want)

@@ -1,6 +1,7 @@
 """The README's CLI and Library examples run as written."""
 
 import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -48,6 +49,17 @@ def test_the_exports_are_the_imports_and_are_documented():
                 for alias in node.names]
     assert sorted(rootmaps.__all__) == sorted(imported)
     assert [name for name in rootmaps.__all__ if not re.search(rf"\b{name}\b", README)] == []
+
+
+def test_the_module_names_listed_exist():
+    # each `rootmaps.<module>` item under "Everything else is imported from its module"
+    # names only attributes that module has, so a deleted name cannot stay documented
+    section = re.search(r"Everything else\s+is imported from its module:\n\n(.*?)\n\n", README, re.S).group(1)
+    items = re.findall(r"^- `rootmaps\.(\w+)`:(.*?)(?=^- |\Z)", section, re.M | re.S)
+    assert items
+    missing = [f"{module}.{name}" for module, names in items for name in re.findall(r"`(\w+)`", names)
+               if not hasattr(importlib.import_module(f"rootmaps.{module}"), name)]
+    assert missing == []
 
 
 def test_quoted_work_counts_are_the_pinned_ones():

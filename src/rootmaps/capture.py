@@ -138,10 +138,6 @@ def make_grid(spec: GridSpec) -> np.ndarray:
 # quarter, so coordinates within radius still floor to adjacent cells; clamped
 # ones share the end cell of their axis.
 _MAX_CELL_INDEX = 2.0**52
-# np.linalg.norm squares the offsets, and a square below the normal range
-# loses its relative accuracy: offsets under about 2**-511 can pass any radius.
-# Cells at least this wide keep such offsets within the neighbouring cells.
-_MIN_CELL_WIDTH = 2.0**-500
 # A cell's key is sum_a index_a * _KEY_BASE**a.  A neighbour's index is at most
 # 2**52 + 1 < _KEY_BASE / 2 in magnitude, so the key is one-to-one, and as it
 # is linear, a neighbour's key is the home key plus the offset's key.
@@ -171,10 +167,12 @@ def _isolated(cells: np.ndarray, reach: int) -> np.ndarray:
     spans = (coarse.max(axis=0) + 2).tolist()
     if not 0 < len(spans) <= 3 or math.prod(spans) >= 2**63:
         return np.zeros(len(cells), dtype=bool)
-    strides = np.cumprod([1, *spans])[:-1]
-    occupied, home, counts = np.unique(coarse @ strides, return_inverse=True, return_counts=True)
+    strides = np.cumprod([1, *spans])[:-1].tolist()
     offsets = np.array([o for o in itertools.product((-1, 0, 1), repeat=len(spans)) if any(o)], dtype=np.int64)
-    neighbours = (offsets @ strides)[:, None] + occupied  # ascending rows keep searchsorted's bisections short
+    # a key is sum_a index_a * strides[a], exact in int64, taken one column at a time
+    keys, steps = (sum(rows[:, a] * stride for a, stride in enumerate(strides)) for rows in (coarse, offsets))
+    occupied, home, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    neighbours = steps[:, None] + occupied  # ascending rows keep searchsorted's bisections short
     found = occupied[np.searchsorted(occupied, neighbours).clip(max=len(occupied) - 1)] == neighbours
     return ((counts == 1) & ~found.any(axis=0))[home]
 
@@ -183,26 +181,25 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> tupl
     """Greedy clustering in input order of points, read as one (m, n) array: an array or a list of (n,) points.
 
     A point joins the lowest-index cluster whose representative, the member
-    mean recomputed on join, lies within radius (Euclidean), or starts one.
+    mean recomputed on join, lies within radius by math.dist, or starts one; a
+    distance that is NaN or inf keeps them apart.
     Returns each point's cluster number, an (m,) int64 array numbering the
     clusters in order of their first member, and their (C, n) representatives;
     one whose running sum overflows is not finite and warns.
 
     First _isolated makes a singleton of each point with no other within
-    K = 2 + ceil(m * 2**-52 * max|coord| / w) cells of width w >= 2*radius on
+    K = 2 + ceil(m * 2**-52 * max|coord| / w) cells of width w = 2*radius on
     every axis (of none for n > 3 or a K past the index range).  The t-th
     member q moves the mean so that q - mean_t = (q - mean_{t-1}) * (1 - 1/t),
-    so a point that joins lies within 2*radius <= w of the latest member: one
+    so a point that joins lies within 2*radius = w of the latest member: one
     cell covers w, one the floors and the last term the running sum's rounding.
     Then a greedy loop tests each other point only against the clusters in the
     3**n cells around its own, in index order, re-bucketing a mean that moves.
-    It joins by math.dist, and by np.linalg.norm, the reference rule, only
-    within a relative 1e-9 of radius or where the norm's squares under- or
-    overflow; sums and means are float lists, numpy's IEEE adds and divides.
+    Sums and means are float lists, numpy's IEEE adds and divides.
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    width = max(2.0 * radius, _MIN_CELL_WIDTH)
+    width = 2.0 * radius
     rows = np.array(points, dtype=float)  # a private copy; a ragged list raises numpy's ValueError
     if rows.ndim != 2 or not len(rows):
         if not rows.size:
@@ -219,33 +216,29 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> tupl
     crowd = np.flatnonzero(~isolated)
     homes = _key(indices[crowd].T.astype(object), np.zeros(len(crowd), dtype=object)).tolist()
     offsets = [_key(offset) for offset in itertools.product((-1, 0, 1), repeat=rows.shape[1])]
-    # below lo a distance joins, above hi it does not: np.linalg.norm's squares are normal from 2**-500 to 2**500
-    lo, hi = min(radius, 2.0**500) * (1.0 - 1e-9) - 2.0**-500, radius * (1.0 + 1e-9) + 2.0**-500
     # float lists: a singleton's mean is its point, as point / 1.0 is point, and sums start at two
     means, sums, sizes, cells, grid, starts, labels = [], {}, [], [], {}, [], []
-    with np.errstate(over="ignore"):  # an offset past the double range is inf, and its points stay apart
-        for position, point, home in zip(crowd.tolist(), rows[crowd].tolist(), homes):
-            for idx in sorted([idx for offset in offsets for idx in grid.get(home + offset, ())]):
-                mean = means[idx]
-                distance = math.dist(point, mean)
-                if distance > hi or distance >= lo and not np.linalg.norm(np.subtract(point, mean)) <= radius:
-                    continue
-                total = sums[idx] = [a + b for a, b in zip(sums.get(idx, mean), point)]
-                sizes[idx] += 1
-                means[idx] = mean = [v / sizes[idx] for v in total]
-                cell = _cell(mean, width)
-                if cell != cells[idx]:
-                    grid[cells[idx]].remove(idx)
-                    grid.setdefault(cell, []).append(idx)
-                    cells[idx] = cell
-                break
-            else:
-                grid.setdefault(home, []).append(idx := len(means))
-                means.append(point)
-                sizes.append(1)
-                starts.append(position)  # the crowded clusters' first members
-                cells.append(home)
-            labels.append(idx)  # the point's crowded cluster, numbered in order of starts
+    for position, point, home in zip(crowd.tolist(), rows[crowd].tolist(), homes):
+        for idx in sorted([idx for offset in offsets for idx in grid.get(home + offset, ())]):
+            mean = means[idx]
+            if not math.dist(point, mean) <= radius:  # an offset past the double range is inf
+                continue
+            total = sums[idx] = [a + b for a, b in zip(sums.get(idx, mean), point)]
+            sizes[idx] += 1
+            means[idx] = mean = [v / sizes[idx] for v in total]
+            cell = _cell(mean, width)
+            if cell != cells[idx]:
+                grid[cells[idx]].remove(idx)
+                grid.setdefault(cell, []).append(idx)
+                cells[idx] = cell
+            break
+        else:
+            grid.setdefault(home, []).append(idx := len(means))
+            means.append(point)
+            sizes.append(1)
+            starts.append(position)  # the crowded clusters' first members
+            cells.append(home)
+        labels.append(idx)  # the point's crowded cluster, numbered in order of starts
     if not all(map(math.isfinite, itertools.chain.from_iterable(sums.values()))):  # the points are finite
         warnings.warn("overflow in a cluster's running sum: its representative is not finite", RuntimeWarning)
     rows[starts] = np.array(means).reshape(len(means), rows.shape[1])  # each crowded cluster's mean in its first row
@@ -257,8 +250,7 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> tupl
 
 def _residual_norms(residuals: np.ndarray, norm: str) -> np.ndarray:
     if norm == "euclidean":
-        # per row: np.linalg.norm of a vector is a BLAS dot, whose rounding may differ from a batched form
-        return np.array([np.linalg.norm(vec) for vec in residuals])
+        return np.hypot.reduce(residuals, axis=1)  # the C library's hypot, as the kernels take its pow
     return np.abs(residuals).max(axis=1)
 
 

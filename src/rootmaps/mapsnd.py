@@ -16,7 +16,8 @@ in which a row failed; f and the Jacobian take the batch (or its live rows,
 after a failure earlier in the order) in one call, and one isfinite test
 covers the values.  The arithmetic is one point's IEEE operations in the same
 order, so each row's result is the one-point result bit for bit; the
-one-point step, vector_map_step, runs a batch of one.
+one-point step, vector_map_step, runs a batch of one.  No sum goes through
+BLAS, whose kernel, and so its rounding, depends on the CPU.
 
 A step evaluates each point once: f and J at x, and J(x) is the i = 0 term
 of every model matrix it assembles; an order's samples x + i*h, i = 1..j, go
@@ -168,34 +169,32 @@ def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: Fail
     return _finite(values, points if at is None else at, failures)
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """solve_rows for n != 2: Gaussian elimination with partial pivoting."""
+def _eliminate(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
+    """solve_rows for n != 2: Gaussian elimination with partial pivoting on every row at once, each
+    row's IEEE operations in one system's order; the back-substitution sums left to right from 0.0."""
     # Overflow is caught by the finiteness test on the scale or shows in the
     # solution, as on the 2-D path; numpy must not warn about it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b = a.copy(), b.copy()
-        n = b.size
-        scale = float(np.abs(a).sum(axis=1).max())
+    with np.errstate(all="ignore"):
+        scale = np.abs(a).sum(axis=2).max(axis=1)
+        failures.fail((scale == 0.0) | ~np.isfinite(scale),
+                      lambda r: SingularModelError("matrix has zero or non-finite row norms"))
         pivot_floor = PIVOT_RTOL * scale
-        if scale == 0.0 or not np.isfinite(scale):
-            raise SingularModelError("matrix has zero or non-finite row norms")
+        ab, rows, n = np.concatenate([a, b[:, :, None]], axis=2), np.arange(len(b)), b.shape[1]  # [a | b]
         for col in range(n):
-            piv = col + int(np.argmax(np.abs(a[col:, col])))
-            pivot = abs(a[piv, col])
+            piv = col + np.argmax(np.abs(ab[:, col:, col]), axis=1)
+            pivot = np.abs(ab[rows, piv, col])
             # a zero pivot passes when pivot_floor underflows to 0.0
-            if pivot < pivot_floor or pivot == 0.0:
-                raise SingularModelError(f"pivot {pivot:.3e} below floor {pivot_floor:.3e}")
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-                b[[col, piv]] = b[[piv, col]]
+            failures.fail((pivot < pivot_floor) | (pivot == 0.0),
+                          lambda r: SingularModelError(f"pivot {pivot[r]:.3e} below floor {pivot_floor[r]:.3e}"))
+            ab[rows, col], ab[rows, piv] = ab[rows, piv], ab[rows, col]
             for r in range(col + 1, n):
-                factor = a[r, col] / a[col, col]
-                if factor != 0.0:
-                    a[r, col + 1 :] -= factor * a[col, col + 1 :]
-                    b[r] -= factor * b[col]
-        x = np.zeros(n)
+                factor = ab[:, r, col] / ab[:, col, col]
+                step = factor != 0.0
+                ab[step, r, col + 1 :] -= factor[step, None] * ab[step, col, col + 1 :]
+        x = np.zeros(b.shape)
         for r in range(n - 1, -1, -1):
-            x[r] = (b[r] - a[r, r + 1 :] @ x[r + 1 :]) / a[r, r]
+            total = sum((ab[:, r, c] * x[:, c] for c in range(r + 1, n)), np.zeros(len(b)))
+            x[:, r] = (ab[:, r, n] - total) / ab[:, r, r]
         return x
 
 
@@ -204,13 +203,7 @@ def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
     its best available pivot is below PIVOT_RTOL times the max row norm of a[r], so near-singular
     systems fail loudly instead of amplifying noise."""
     if a.shape[1:] != (2, 2):
-        x = np.zeros(b.shape)
-        for r in np.flatnonzero(failures.live).tolist():
-            try:
-                x[r] = _eliminate(a[r], b[r])
-            except SingularModelError as exc:
-                failures.put(r, exc)
-        return x
+        return _eliminate(a, b, failures)
     # Determinant form instead of row-swapping elimination: it is bitwise
     # equivariant under signed coordinate permutations, so mirror- and
     # swap-symmetric problems scanned from symmetric seeds stay exactly

@@ -42,7 +42,7 @@ from rootmaps.cli import REPRODUCE_SETUPS, parse_map_spec
 from rootmaps import cli, mapsnd
 from rootmaps.mapsnd import PIVOT_RTOL, Failures
 from rootmaps.problems import ackley_gradient, load_polynomial_problem, rutishauser
-from test_mapsnd import constant
+from test_mapsnd import _reference_eliminate, constant
 from test_problems import (
     reference_ackley,
     reference_problem,
@@ -116,7 +116,8 @@ class TestMakeGrid:
 
 def _reference_cluster_points(points, radius):
     """The O(N*C) greedy loop that cluster_points must match bit for bit:
-    each point's cluster number and each cluster's member mean."""
+    each point's cluster number and each cluster's member mean.  A point
+    joins where math.dist to the mean is within radius."""
     sums = []
     sizes = []
     labels = []
@@ -125,7 +126,7 @@ def _reference_cluster_points(points, radius):
             point = np.asarray(point, dtype=float)
             for idx in range(len(sums)):
                 rep = sums[idx] / sizes[idx]
-                if float(np.linalg.norm(point - rep)) <= radius:
+                if math.dist(point, rep) <= radius:
                     sums[idx] = sums[idx] + point
                     sizes[idx] += 1
                     break
@@ -158,7 +159,8 @@ class TestClusterPoints:
         assert len(representatives) == 2 and labels.tolist() == [0, 1]
 
     def test_offset_whose_square_overflows_stays_apart(self):
-        # both points clamp to the end cell of the x axis; the norm of their offset is inf
+        # both points clamp to the end cell of the x axis; the squares of their offset overflow,
+        # but math.dist scales them, and the distance 1e300 is far past the radius
         points = np.array([[1e200, 0.0], [1e300, 0.0]])
         assert assert_matches_reference(points, 1e-3)[0].tolist() == [0, 1]
 
@@ -253,7 +255,8 @@ def lattice_point_sets(draw):
         points[at:at] = chain
     if draw(st.booleans()):
         far = draw(lattice)
-        # beyond 2**52 cells from zero; the squares of 1e300 overflow in np.linalg.norm
+        # beyond 2**52 cells from zero; the squares of 1e300 overflow, and math.dist scales the
+        # offsets before it squares them
         sign, magnitude = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([2.0**54 * radius, 1e150, 1e300]))
         far[draw(st.integers(0, dim - 1))] = sign * magnitude
         points.insert(draw(st.integers(0, len(points))), far)
@@ -396,7 +399,9 @@ class TestClusterPointsAgainstReference:
 
     def test_overflowing_cell_index(self):
         # the coordinate over the cell width is far beyond 2**52, and for
-        # 1e200 it overflows to inf; the index is clamped instead
+        # 1e200 it overflows to inf; the index is clamped instead.  In that
+        # end cell y = 1e-170 stays apart from y = 0.0, as math.dist gives
+        # their true distance, which is past the radius
         radius = 1e-300
         big = 1e10
         points = [
@@ -413,16 +418,16 @@ class TestClusterPointsAgainstReference:
         assert np.bincount(labels).tolist() == [3, 1, 2, 1, 1]
         points = [np.array([1e200, y]) for y in (0.0, 1e-3, 1e-170, 1e-3, -1e-3, 0.0)]
         labels, _ = assert_matches_reference(points, radius)
-        assert np.bincount(labels).tolist() == [3, 2, 1]
+        assert np.bincount(labels).tolist() == [2, 2, 1, 1]
 
     def test_underflowing_offsets(self):
         # offsets below about 1e-154 square to less than the smallest normal
-        # double in np.linalg.norm, so the reference joins them whatever the
-        # radius; 1e-150 squares to a normal number and stays apart
+        # double, but math.dist does not square them: each offset is decided by
+        # its true distance, so only 1e-300 joins 0.0 within a radius of 1e-300
         radius = 1e-300
         points = [np.array([v]) for v in (0.0, 1e-300, 1e-290, -2e-290, 1e-170, 1e-150)]
         labels, _ = assert_matches_reference(points, radius)
-        assert np.bincount(labels).tolist() == [5, 1]
+        assert np.bincount(labels).tolist() == [2, 1, 1, 1, 1]
 
     def test_large_coordinates_near_clamp(self):
         rng = np.random.default_rng(7)
@@ -850,28 +855,7 @@ def _reference_lu_solve(matrix, rhs):
                 raise SingularModelError(f"2x2 pivots below floor {pivot_floor:.3e}")
         b0, b1 = rhs.tolist()
         return np.array([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det])
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b = matrix.copy(), rhs.copy()
-        scale = float(np.abs(a).sum(axis=1).max())
-        pivot_floor = PIVOT_RTOL * scale
-        if scale == 0.0 or not np.isfinite(scale):
-            raise SingularModelError("matrix has zero or non-finite row norms")
-        for col in range(n):
-            piv = col + int(np.argmax(np.abs(a[col:, col])))
-            if abs(a[piv, col]) < pivot_floor or a[piv, col] == 0.0:
-                raise SingularModelError(f"pivot {abs(a[piv, col]):.3e} below floor {pivot_floor:.3e}")
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-                b[[col, piv]] = b[[piv, col]]
-            for r in range(col + 1, n):
-                factor = a[r, col] / a[col, col]
-                if factor != 0.0:
-                    a[r, col + 1 :] -= factor * a[col, col + 1 :]
-                    b[r] -= factor * b[col]
-        x = np.zeros(n)
-        for r in range(n - 1, -1, -1):
-            x[r] = (b[r] - a[r, r + 1 :] @ x[r + 1 :]) / a[r, r]
-        return x
+    return _reference_eliminate(matrix, rhs)  # the back-substitution sums left to right
 
 
 def _reference_map_step(problem, iter_map, x, skipped, filtered=False):
@@ -915,7 +899,7 @@ def _reference_classify_seed(problem, config, iter_map, grid_i, grid_j, seed, sk
     except EvaluationError:
         return "rejected_tolerance", None
     if config.norm == "euclidean":
-        fnorm = float(np.linalg.norm(residual))
+        fnorm = float(np.hypot(*residual))
     else:
         fnorm = float(np.max(np.abs(residual)))
     if not fnorm <= config.tolerance:

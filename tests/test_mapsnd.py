@@ -140,6 +140,37 @@ def _reference_lu_solve_2x2(matrix, rhs):
     return np.array([(b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det])
 
 
+def _reference_eliminate(matrix, rhs):
+    """One n x n system by Gaussian elimination with partial pivoting, each back-substitution
+    sum taken left to right from 0.0: the oracle of solve_rows' bits and failures for n != 2."""
+    with np.errstate(all="ignore"):
+        a, b = np.array(matrix, dtype=float), np.array(rhs, dtype=float)
+        n = len(b)
+        scale = float(np.abs(a).sum(axis=1).max())
+        pivot_floor = PIVOT_RTOL * scale
+        if scale == 0.0 or not np.isfinite(scale):
+            raise SingularModelError("matrix has zero or non-finite row norms")
+        for col in range(n):
+            piv = col + int(np.argmax(np.abs(a[col:, col])))
+            pivot = abs(a[piv, col])
+            if pivot < pivot_floor or pivot == 0.0:
+                raise SingularModelError(f"pivot {pivot:.3e} below floor {pivot_floor:.3e}")
+            a[[col, piv]] = a[[piv, col]]
+            b[[col, piv]] = b[[piv, col]]
+            for r in range(col + 1, n):
+                factor = a[r, col] / a[col, col]
+                if factor != 0.0:
+                    a[r, col + 1 :] -= factor * a[col, col + 1 :]
+                    b[r] -= factor * b[col]
+        x = np.zeros(n)
+        for r in range(n - 1, -1, -1):
+            total = 0.0
+            for c in range(r + 1, n):
+                total += a[r, c] * x[c]
+            x[r] = (b[r] - total) / a[r, r]
+        return x
+
+
 def _reference_model_matrix(problem, coeffs, h, x):
     """The model matrix summed in numpy, the oracle of _model_matrix's bits."""
     phi = np.zeros((problem.n, problem.n))
@@ -158,6 +189,38 @@ def solve_outcome(solve, matrix, rhs):
         return solve(matrix, rhs).tobytes()
     except SingularModelError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+class TestBatchedElimination:
+    """solve_rows for n != 2 eliminates every row at once; each live row is the one-system
+    elimination bit for bit, and each failure has the same type and message."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5])
+    def test_matches_one_system_at_a_time(self, n):
+        rng = np.random.default_rng(60 + n)
+        size = 600
+        a = rng.normal(size=(size, n, n)) * 10.0 ** rng.integers(-3, 3, size=(size, n, n))
+        a[rng.random((size, n, n)) < 0.15] = rng.choice([0.0, -0.0])  # factors of zero, and zero pivots
+        a[:40] *= 10.0 ** rng.integers(-160, 160, size=(40, 1, 1))  # overflow, and floors that underflow
+        a[40:80, -1] = a[40:80, 0] * rng.choice([1.0, -2.0, 1e-13], size=(40, 1))  # singular or nearly so
+        a[80:100] = rng.choice([0.0, -0.0], size=(20, n, n))  # zero row norms
+        a[100:130, rng.integers(0, n, 30), rng.integers(0, n, 30)] = rng.choice([np.nan, np.inf, -np.inf, 1e308], size=30)
+        b = rng.normal(size=(size, n)) * 10.0 ** rng.integers(-20, 20, size=(size, n))
+        b[rng.random((size, n)) < 0.15] = rng.choice([0.0, -0.0])  # zeros whose sign a step must keep
+        failures = Failures(size)
+        earlier = [EvaluationError(f"failed before, row {r}") for r in range(130, 160)]
+        failures.put(np.arange(130, 160), earlier)
+        x = solve_rows(a, b, failures)
+        want = [solve_outcome(_reference_eliminate, a[r], b[r]) for r in range(size)]
+        got = [x[r].tobytes() if error is None else f"{type(error).__name__}: {error}"
+               for r, error in enumerate(failures.errors)]
+        assert list(failures.errors[130:160]) == earlier
+        assert got[:130] + got[160:] == want[:130] + want[160:]
+        live = sum(isinstance(outcome, bytes) for outcome in got)
+        assert size / 2 < live < size - 60  # most rows are solved
+        # every kind of failure occurs; one pivot is the whole row norm when n is 1
+        kinds = {outcome.split(" ")[1] for outcome in got if isinstance(outcome, str) and "Singular" in outcome}
+        assert kinds == ({"matrix", "pivot"} if n > 1 else {"matrix"})
 
 
 class TestTwoByTwoKernel:

@@ -17,12 +17,12 @@ class ProblemFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # Every VectorProblem callable below maps a (..., n) array of points with the
 # operations, in the same order, of evaluating one point in Python floats.
-# Products, sums, np.sqrt, np.sin and np.cos are vectorised, as numpy rounds
-# them as libm does, and so are powers: np.float_power loops over libm's pow,
-# as Python's float ** int does (numpy's ** rounds otherwise), and so are
-# exponentials: numpy's complex exp calls libm's cexp, which gives exp's bits
-# (np.exp rounds otherwise).  The tests guard all three.  An overflowing power
-# is an infinite element, so only the rows using it are not finite; no batch raises.
+# Products, sums, np.sqrt, np.sin and np.cos are vectorised, as numpy rounds them as
+# libm does, and the Rutishauser powers are products (_Powers).  The loader alone keeps
+# libm's pow: np.float_power loops over it as Python's float ** int does (numpy's **
+# rounds otherwise).  numpy's complex exp calls libm's cexp, which gives exp's bits
+# (np.exp rounds otherwise).  The tests guard pow, sin, cos and exp.  An overflowing
+# power is an infinite element, so only the rows using it are not finite; no batch raises.
 # ---------------------------------------------------------------------------
 
 _quiet = np.errstate(all="ignore")
@@ -35,18 +35,26 @@ def _exp(values: np.ndarray) -> np.ndarray:
 
 
 def _power_table(values: np.ndarray, exponents) -> np.ndarray:
-    """v ** e (libm pow, as Python float ** int; ±inf where a finite base overflows) at every
-    element v of values, one row per e in exponents: shape (len(exponents), *values.shape)."""
+    """The loader's v ** e (libm pow, as Python float ** int; ±inf where a finite base overflows) at
+    every element v of values, one row per e in exponents: shape (len(exponents), *values.shape)."""
     column = np.asarray(exponents, dtype=float).reshape(-1, *(1,) * values.ndim)
     with np.errstate(over="ignore"):
         return np.float_power(values, column)
 
 
-def _coordinates(points: np.ndarray, exponents: tuple) -> tuple:
-    """x, y and their power tables {e: v ** e}, as views of a (..., 2) array and its table."""
+class _Powers(dict):
+    """{e: v ** e} from v = self[1], each power made on its first read by one fixed chain of IEEE
+    products, not libm pow: v2 = v*v, v3 = v2*v, v4 = v2*v2, v5 = v4*v, v6 = v4*v2, v7 = v6*v."""
+
+    def __missing__(self, e: int) -> np.ndarray:
+        a, b = {2: (1, 1), 3: (2, 1), 4: (2, 2), 5: (4, 1), 6: (4, 2), 7: (6, 1)}[e]
+        return self.setdefault(e, self[a] * self[b])
+
+
+def _coordinates(points: np.ndarray) -> tuple:
+    """x and y, as views of a (..., 2) array, and their _Powers: the Rutishauser kernels' product chain."""
     points = np.asarray(points, dtype=float)
-    table = dict(zip(exponents, _power_table(points, exponents)))
-    return points[..., 0], points[..., 1], *({e: row[..., a] for e, row in table.items()} for a in (0, 1))
+    return points[..., 0], points[..., 1], *(_Powers({1: points[..., a]}) for a in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +84,7 @@ def _rutishauser_diag(u, v, pu, pv):
 
 @_quiet
 def _rutishauser_f(p: np.ndarray) -> np.ndarray:
-    x, y, px, py = _coordinates(p, (3, 4, 5, 7))
+    x, y, px, py = _coordinates(p)
     f = np.empty((*x.shape, 2))
     f[..., 0], f[..., 1] = _rutishauser_component(x, y, px, py), _rutishauser_component(y, x, py, px)
     return f
@@ -84,7 +92,7 @@ def _rutishauser_f(p: np.ndarray) -> np.ndarray:
 
 @_quiet
 def _rutishauser_jacobian(p: np.ndarray) -> np.ndarray:
-    x, y, px, py = _coordinates(p, (3, 4, 6))
+    x, y, px, py = _coordinates(p)
     jacobian = np.empty((*x.shape, 2, 2))
     jacobian[..., 0, 1] = jacobian[..., 1, 0] = 2.0 + 8.0 * x * y + 18.0 * x * x * y * y + 32.0 * px[3] * py[3]
     jacobian[..., 0, 0], jacobian[..., 1, 1] = _rutishauser_diag(x, y, px, py), _rutishauser_diag(y, x, py, px)
@@ -93,7 +101,7 @@ def _rutishauser_jacobian(p: np.ndarray) -> np.ndarray:
 
 @_quiet
 def _rutishauser_objective(p: np.ndarray) -> np.ndarray:
-    x, y, px, py = _coordinates(p, (3, 4))
+    x, y, px, py = _coordinates(p)
     s1 = x + y - 1.0
     s2 = x * x + y * y - 0.8
     s3 = px[3] + py[3] - 0.68

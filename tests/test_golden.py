@@ -6,7 +6,14 @@ The digests were recorded before problems became array-in/array-out, and
 the CSV ones before exponentials left math.exp; an intended change of output
 must update them and say why.  The four that cover Ackley's Jacobian on a
 grid were restated when its cross term took the products (x * y) and
-(sx * sy) first, which makes the x <-> y swap exact.
+(sx * sy) first, which makes the x <-> y swap exact.  The three that cover
+the Rutishauser kernels' values (`reproduce --example example1 --format
+json` and both Rutishauser `capture` commands) were restated when those
+kernels took v^3..v^7 by a product chain instead of libm's pow: about 19 %
+of the Jacobian's elements change their last bits, 71 floats of the example1
+JSON move by at most 1.4e-15, and every captured and cluster count stays.
+The text `reproduce --example example1` digest prints no such float and
+stands unedited.
 """
 
 import hashlib
@@ -33,7 +40,7 @@ GOLDEN = [
     ),
     (
         "reproduce --example example1 --format json",
-        "4dfd6f4cd1744bfd0ed8ab40ee09bcef89cf664b58c9cff148940c80501ff5c8",
+        "17f46439c6a5a7b6176307e2355f07d103924d7ff5132266467a5df092199de0",
     ),
     (
         "reproduce --example example2-coarse --format json",
@@ -45,7 +52,7 @@ GOLDEN = [
     ),
     (
         f"{CAPTURE} rutishauser --map compose:bary:3,bary:2",
-        "1adba295575bf2319971c3c6161816f1600f098c56cdb91fbfaaaae350fae7ae",
+        "e2a56081fa0d2ba8f2ff6650878f5b781cd8d3687ac6f8fd5f5ae08919dd6cf0",
     ),
     (
         f"{CAPTURE} ackley --map compose:bary:5,bary:4 --nx 31 --ny 31",
@@ -57,7 +64,7 @@ GOLDEN = [
     ),
     (
         "capture --problem rutishauser --map compose:bary:3,bary:2 --eps 0.001",
-        "df5304ac9c6aaed8631a9dd88d3eb837e2032acc5144ff4c6332e923f5254326",
+        "887f575f93ba80b3d1ce77bb4493ca8eb0cb4935dee34b710141d986b5d0e1ee",
     ),
     ("coeffs --k 5", "fb552866d6debe2fb42255902a593a04ee7eb4e58d12b4e456dbd43f535ff629"),
     ("coeffs --k 5 --format json", "ab213e6e59bca495de0f0c50c715819c63267fac291a4d8b31e9ca0a4b25278f"),

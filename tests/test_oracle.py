@@ -28,24 +28,29 @@ CASES = [pytest.param(start, k, id=f"{prefix}{k}") for prefix, start in STARTS f
 DIGITS = {4: 250, 5: 400}
 
 
+# The terms of f_1, of J_11 and of J_12 = J_21, in the kernels' order; f_2 and J_22 swap u and v.
 def _component(u, v):
-    return (-2 - mpf("1.2") * u + 2 * v - mpf("4.08") * u**2 + mpf("3.92") * u**3 + 4 * u * v**2
-            + 6 * u**5 + 6 * u**2 * v**3 + 8 * u**7 + 8 * u**3 * v**4)
+    return [-2, -mpf("1.2") * u, 2 * v, -mpf("4.08") * u**2, mpf("3.92") * u**3, 4 * u * v**2,
+            6 * u**5, 6 * u**2 * v**3, 8 * u**7, 8 * u**3 * v**4]
 
 
 def _diagonal(u, v):
-    return (mpf("-1.2") - mpf("8.16") * u + mpf("11.76") * u**2 + 4 * v**2
-            + 30 * u**4 + 12 * u * v**3 + 56 * u**6 + 24 * u**2 * v**4)
+    return [mpf("-1.2"), -mpf("8.16") * u, mpf("11.76") * u**2, 4 * v**2,
+            30 * u**4, 12 * u * v**3, 56 * u**6, 24 * u**2 * v**4]
+
+
+def _cross(x, y):
+    return [2, 8 * x * y, 18 * x**2 * y**2, 32 * x**3 * y**3]
 
 
 def oracle_f(p):
-    return mpmath.matrix([_component(p[0], p[1]), _component(p[1], p[0])])
+    return mpmath.matrix([mpmath.fsum(_component(p[0], p[1])), mpmath.fsum(_component(p[1], p[0]))])
 
 
 def oracle_jacobian(p):
     x, y = p[0], p[1]
-    off = 2 + 8 * x * y + 18 * x**2 * y**2 + 32 * x**3 * y**3
-    return mpmath.matrix([[_diagonal(x, y), off], [off, _diagonal(y, x)]])
+    off = mpmath.fsum(_cross(x, y))
+    return mpmath.matrix([[mpmath.fsum(_diagonal(x, y)), off], [off, mpmath.fsum(_diagonal(y, x))]])
 
 
 def oracle_step(k, x, f=oracle_f, jacobian=oracle_jacobian):
@@ -70,6 +75,36 @@ def test_oracle_is_the_engine_problem(digits):
     assert [float(v) for v in oracle_f(start)] == pytest.approx(problem.f(np.array(START)).tolist(), abs=1e-14)
     jacobian = [float(v) for v in oracle_jacobian(start)]  # row by row
     assert jacobian == pytest.approx(problem.jacobian(np.array(START)).ravel().tolist(), abs=1e-14)
+
+
+# A first-order bound on the float64 kernels' error, in units of 2**-53 times the sum of the
+# terms' absolute values: each term's decimal coefficient rounds once, its products round once
+# each, a power v^e carries the roundings of the product chain v2 = v*v, v3 = v2*v, v4 = v2*v2,
+# v5 = v4*v, v6 = v4*v2, v7 = v6*v (1, 2, 3, 4, 5 and 6), and the left-to-right sum rounds it
+# once per add it passes through.  The most is 11 for f (1.2 * u: 1 + 1 + 9 adds) and 9 for J
+# (8.16 * u and 11.76 * u * u).  At the test's 2000 points the chain reads at most 3.80 for f
+# and 3.69 for J (means 0.54 and 0.50); libm's pow, which the kernels took before, read the same
+# maxima (means 0.48 and 0.45).
+ROUNDING_BOUND = {"f": 11, "jacobian": 9}
+
+
+@pytest.mark.parametrize("field", ["f", "jacobian"])
+def test_float64_kernels_are_within_the_rounding_bound(field):
+    problem = rutishauser()
+    points = np.random.default_rng(95).uniform(problem.domain.lo, problem.domain.hi, size=(2000, 2))
+    got = getattr(problem, field)(points).reshape(len(points), -1)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for (x, y), row in zip(points.tolist(), got.tolist()):
+            x, y = mpf(x), mpf(y)
+            if field == "f":
+                entries = [_component(x, y), _component(y, x)]
+            else:
+                entries = [_diagonal(x, y), _cross(x, y), _cross(y, x), _diagonal(y, x)]
+            for terms, value in zip(entries, row):
+                error = abs(value - mpmath.fsum(terms)) / mpmath.fsum(abs(t) for t in terms)
+                worst = max(worst, float(error * 2**53))
+    assert 0 < worst <= ROUNDING_BOUND[field]
 
 
 @pytest.mark.parametrize("start, k", CASES)

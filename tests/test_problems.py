@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import test_golden
 from rootmaps import (
     Box,
     EvaluationError,
@@ -384,43 +385,56 @@ def reference_problem(path):
 
 
 # ---------------------------------------------------------------------------
-# The per-point kernels of the built-in problems, in plain Python floats, as
-# they were before the problems took arrays of points: the oracles of the
-# array-in problems.  They raise OverflowError or ValueError where a point
-# cannot be evaluated.
+# The per-point kernels of the built-in problems, in plain Python floats: the
+# oracles of the array-in problems.  The Ackley ones are as they were before the
+# problems took arrays of points, and raise OverflowError or ValueError where a
+# point cannot be evaluated.  The Rutishauser ones take their powers by the
+# kernels' product chain, not by **, so they never raise: an overflowing power
+# is a signed infinity, as in the kernels.
 # ---------------------------------------------------------------------------
 
 
+def _chain(v):
+    """v ** e for e = 3..7 by the kernels' product chain, not pow: v2 = v*v, v3 = v2*v,
+    v4 = v2*v2, v5 = v4*v, v6 = v4*v2, v7 = v6*v."""
+    v2 = v * v
+    v4 = v2 * v2
+    v6 = v4 * v2
+    return {3: v2 * v, 4: v4, 5: v4 * v, 6: v6, 7: v6 * v}
+
+
 def _rutishauser_component(u, v):
+    pu, pv = _chain(u), _chain(v)
     return (
         -2.0
         - 1.2 * u
         + 2.0 * v
         - 4.08 * u * u
-        + 3.92 * u**3
+        + 3.92 * pu[3]
         + 4.0 * u * v * v
-        + 6.0 * u**5
-        + 6.0 * u * u * v**3
-        + 8.0 * u**7
-        + 8.0 * u**3 * v**4
+        + 6.0 * pu[5]
+        + 6.0 * u * u * pv[3]
+        + 8.0 * pu[7]
+        + 8.0 * pu[3] * pv[4]
     )
 
 
 def _rutishauser_diag(u, v):
+    pu, pv = _chain(u), _chain(v)
     return (
         -1.2
         - 8.16 * u
         + 11.76 * u * u
         + 4.0 * v * v
-        + 30.0 * u**4
-        + 12.0 * u * v**3
-        + 56.0 * u**6
-        + 24.0 * u * u * v**4
+        + 30.0 * pu[4]
+        + 12.0 * u * pv[3]
+        + 56.0 * pu[6]
+        + 24.0 * u * u * pv[4]
     )
 
 
 def _rutishauser_cross(u, v):
-    return 2.0 + 8.0 * u * v + 18.0 * u * u * v * v + 32.0 * u**3 * v**3
+    return 2.0 + 8.0 * u * v + 18.0 * u * u * v * v + 32.0 * _chain(u)[3] * _chain(v)[3]
 
 
 def _rutishauser_f(p):
@@ -438,8 +452,8 @@ def _rutishauser_objective(p):
     x, y = float(p[0]), float(p[1])
     s1 = x + y - 1.0
     s2 = x * x + y * y - 0.8
-    s3 = x**3 + y**3 - 0.68
-    s4 = x**4 + y**4 - 0.01
+    s3 = _chain(x)[3] + _chain(y)[3] - 0.68
+    s4 = _chain(x)[4] + _chain(y)[4] - 0.01
     return s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4
 
 
@@ -589,9 +603,13 @@ class TestBuiltinsAgainstOracles:
         sets = [grid_points(problem.domain, 19), grid_points(problem.domain, 41)]
         sets += [np.random.default_rng(90).uniform(lo, hi, size=(500, 2)), oracle_points(2, 91), np.zeros((1, 2))]
         fails = [assert_matches_oracle(getattr(problem, field), getattr(oracle, field), s) for s in sets]
-        # the special coordinates include points no kernel can evaluate; at
-        # the origin, alone as a (2,) point, Ackley's f is 0 and its J is NaN
-        assert fails[3] > 0 and fails[:3] + fails[4:] == [0, 0, 0, 0]
+        # the special coordinates include points no kernel can evaluate: the Ackley
+        # oracle raises there, and the Rutishauser one gives the same non-finite
+        # values as its kernel, compared like any others; at the origin, alone as
+        # a (2,) point, Ackley's f is 0 and its J is NaN
+        finite = np.isfinite(getattr(problem, field)(sets[3])).all()
+        assert fails[3] > 0 if name == "ackley" else (fails[3] == 0 and not finite)
+        assert fails[:3] + fails[4:] == [0, 0, 0, 0]
         if name == "ackley":
             assert ACK.f(np.zeros(2)).tolist() == [0.0, 0.0] and np.isnan(ACK.jacobian(np.zeros(2))).all()
 
@@ -628,8 +646,26 @@ class TestBuiltinsAgainstOracles:
             expected = np.array([math_fn(a) for a in arguments.tolist()])
             assert numpy_fn(arguments).tobytes() == expected.tobytes()
 
+    def test_rutishauser_takes_no_pow(self, monkeypatch, capsys):
+        # its powers are the product chain: with np.float_power raising, its
+        # kernels and a whole example1 pass still give their values and bytes
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Rutishauser kernel called np.float_power")
+
+        points = grid_points(RUT.domain, 19)
+        want = [getattr(RUT, field)(points).tobytes() for field in ("f", "jacobian", "objective")]
+        monkeypatch.setattr(problems.np, "float_power", refuse)
+        assert [getattr(RUT, field)(points).tobytes() for field in ("f", "jacobian", "objective")] == want
+        command = "reproduce --example example1"
+        test_golden.test_output_digest(command, dict(test_golden.GOLDEN)[command], capsys)
+
+    def test_rutishauser_overflow_is_a_signed_infinity(self):
+        # (-1e60)**7 overflows to -inf, the C library's pow's value, in its own row only
+        values = RUT.f(np.array([[0.5, 0.5], [-1e60, 0.5]]))
+        assert values[1, 0] == -math.inf and values[0].tobytes() == RUT.f(np.array([0.5, 0.5])).tobytes()
+
     def test_numpy_float_power_matches_python_pow(self):
-        # the power tables take np.float_power (libm pow) for Python's
+        # the loader's power tables take np.float_power (libm pow) for Python's
         # float ** int; a numpy build whose float_power rounds otherwise
         # fails here, not in the scan outputs
         square = Box(lo=(-1.0, -1.0), hi=(1.0, 1.0))

@@ -144,13 +144,8 @@ _MAX_CELL_INDEX = 2.0**52
 _KEY_BASE = 2**54
 
 
-def _key(indices, start=0):
-    """start + sum_a indices[a] * _KEY_BASE**a, elementwise for columns of Python-int object arrays."""
-    return sum((index * _KEY_BASE**axis for axis, index in enumerate(indices)), start)
-
-
 def _cell(point, width: float) -> int:
-    key = 0  # _key of the clamped cell indices by Horner's rule; min and max run only out of range
+    key = 0  # the key of the clamped cell indices by Horner's rule; min and max run only out of range
     for v in reversed(point):
         q = v / width
         key = key * _KEY_BASE + math.floor(q if -_MAX_CELL_INDEX <= q <= _MAX_CELL_INDEX else
@@ -214,11 +209,11 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> tupl
     drift = len(rows) * 2.0**-52 * float(np.abs(rows).max(initial=0.0)) / width  # inf past the double range
     isolated = _isolated(indices, 2 + math.ceil(drift)) if drift <= _MAX_CELL_INDEX else np.zeros(len(rows), bool)
     crowd = np.flatnonzero(~isolated)
-    homes = _key(indices[crowd].T.astype(object), np.zeros(len(crowd), dtype=object)).tolist()
-    offsets = [_key(offset) for offset in itertools.product((-1, 0, 1), repeat=rows.shape[1])]
+    offsets = [_cell(offset, 1.0) for offset in itertools.product((-1, 0, 1), repeat=rows.shape[1])]
     # float lists: a singleton's mean is its point, as point / 1.0 is point, and sums start at two
     means, sums, sizes, cells, grid, starts, labels = [], {}, [], [], {}, [], []
-    for position, point, home in zip(crowd.tolist(), rows[crowd].tolist(), homes):
+    for position, point in zip(crowd.tolist(), rows[crowd].tolist()):
+        home = _cell(point, width)
         for idx in sorted([idx for offset in offsets for idx in grid.get(home + offset, ())]):
             mean = means[idx]
             if not math.dist(point, mean) <= radius:  # an offset past the double range is inf

@@ -336,7 +336,7 @@ def _cmd_reproduce(args, parser: argparse.ArgumentParser) -> int:
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     report, results = _reproduce_report(args.example, args.cluster_radius)
-    report_json = json.dumps(report, indent=2) + "\n"
+    report_json = json.dumps(report, indent=2) + "\n" if args.format == "json" or args.out is not None else None
     sys.stdout.write(report_json if args.format == "json" else _render_report_text(report))
     if args.out is not None:
         prefix = os.path.join(args.out, args.example)

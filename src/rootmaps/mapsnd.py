@@ -169,56 +169,53 @@ def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: Fail
     return _finite(values, points if at is None else at, failures)
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
-    """solve_rows for n != 2: Gaussian elimination with partial pivoting on every row at once, each
-    row's IEEE operations in one system's order; the back-substitution sums left to right from 0.0."""
-    # Overflow is caught by the finiteness test on the scale or shows in the
-    # solution, as on the 2-D path; numpy must not warn about it.
-    with np.errstate(all="ignore"):
-        scale = np.abs(a).sum(axis=2).max(axis=1)
-        failures.fail((scale == 0.0) | ~np.isfinite(scale),
-                      lambda r: SingularModelError("matrix has zero or non-finite row norms"))
-        pivot_floor = PIVOT_RTOL * scale
-        ab, rows, n = np.concatenate([a, b[:, :, None]], axis=2), np.arange(len(b)), b.shape[1]  # [a | b]
-        for col in range(n):
-            piv = col + np.argmax(np.abs(ab[:, col:, col]), axis=1)
-            pivot = np.abs(ab[rows, piv, col])
-            # a zero pivot passes when pivot_floor underflows to 0.0
-            failures.fail((pivot < pivot_floor) | (pivot == 0.0),
-                          lambda r: SingularModelError(f"pivot {pivot[r]:.3e} below floor {pivot_floor[r]:.3e}"))
-            ab[rows, col], ab[rows, piv] = ab[rows, piv], ab[rows, col]
-            for r in range(col + 1, n):
-                factor = ab[:, r, col] / ab[:, col, col]
-                step = factor != 0.0
-                ab[step, r, col + 1 :] -= factor[step, None] * ab[step, col, col + 1 :]
-        x = np.zeros(b.shape)
-        for r in range(n - 1, -1, -1):
-            total = sum((ab[:, r, c] * x[:, c] for c in range(r + 1, n)), np.zeros(len(b)))
-            x[:, r] = (ab[:, r, n] - total) / ab[:, r, r]
-        return x
+def _eliminate(a: np.ndarray, b: np.ndarray, pivot_floor: np.ndarray, failures: Failures) -> np.ndarray:
+    """solve_rows for n != 2 after its row-norm test: Gaussian elimination with partial pivoting on all rows
+    at once, each row's IEEE operations in one system's order; back-substitution sums left to right from 0.0."""
+    ab, rows, n = np.concatenate([a, b[:, :, None]], axis=2), np.arange(len(b)), b.shape[1]  # [a | b]
+    for col in range(n):
+        piv = col + np.argmax(np.abs(ab[:, col:, col]), axis=1)
+        pivot = np.abs(ab[rows, piv, col])
+        # a zero pivot passes when pivot_floor underflows to 0.0
+        failures.fail((pivot < pivot_floor) | (pivot == 0.0),
+                      lambda r: SingularModelError(f"pivot {pivot[r]:.3e} below floor {pivot_floor[r]:.3e}"))
+        ab[rows, col], ab[rows, piv] = ab[rows, piv], ab[rows, col]
+        for r in range(col + 1, n):
+            factor = ab[:, r, col] / ab[:, col, col]
+            step = factor != 0.0
+            ab[step, r, col + 1 :] -= factor[step, None] * ab[step, col, col + 1 :]
+    x = np.zeros(b.shape)
+    for r in range(n - 1, -1, -1):
+        total = sum((ab[:, r, c] * x[:, c] for c in range(r + 1, n)), np.zeros(len(b)))
+        x[:, r] = (ab[:, r, n] - total) / ab[:, r, r]
+    return x
 
 
 def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
     """Each live row's solution of a[r] @ x = b[r].  A row fails with SingularModelError where
     its best available pivot is below PIVOT_RTOL times the max row norm of a[r], so near-singular
     systems fail loudly instead of amplifying noise."""
-    if a.shape[1:] != (2, 2):
-        return _eliminate(a, b, failures)
-    # Determinant form instead of row-swapping elimination: it is bitwise
-    # equivariant under signed coordinate permutations, so mirror- and
-    # swap-symmetric problems scanned from symmetric seeds stay exactly
-    # symmetric.  The pivots tested are the ones partial pivoting would use in
-    # either column order, and a row fails where either order's test fails:
-    # pivot1 is a column's largest entry, and the second pivot det / pivot1.
-    (m00, m01), (m10, m11) = a.transpose(1, 2, 0)
-    (a00, a01), (a10, a11) = abs(a).transpose(1, 2, 0)
-    b0, b1 = b.T
+    # Overflow is caught by the finiteness test on the scale or shows in the
+    # solution; numpy must not warn about it.
     with np.errstate(all="ignore"):
-        row0, row1 = a00 + a01, a10 + a11
-        scale = np.maximum(row0, row1)
-        failures.fail((scale == 0.0) | ~(np.isfinite(row0) & np.isfinite(row1)),
-              lambda r: SingularModelError("matrix has zero or non-finite row norms"))
+        if two := a.shape[1:] == (2, 2):  # elementwise: at 2x2 the reduction below is 4-15x slower
+            (a00, a01), (a10, a11) = abs(a).transpose(1, 2, 0)
+            scale = np.maximum(a00 + a01, a10 + a11)
+        else:
+            scale = np.abs(a).sum(axis=2).max(axis=1)
+        failures.fail((scale == 0.0) | ~np.isfinite(scale),
+                      lambda r: SingularModelError("matrix has zero or non-finite row norms"))
         pivot_floor = PIVOT_RTOL * scale
+        if not two:
+            return _eliminate(a, b, pivot_floor, failures)
+        # Determinant form instead of row-swapping elimination: it is bitwise
+        # equivariant under signed coordinate permutations, so mirror- and
+        # swap-symmetric problems scanned from symmetric seeds stay exactly
+        # symmetric.  The pivots tested are the ones partial pivoting would use in
+        # either column order, and a row fails where either order's test fails:
+        # pivot1 is a column's largest entry, and the second pivot det / pivot1.
+        (m00, m01), (m10, m11) = a.transpose(1, 2, 0)
+        b0, b1 = b.T
         det = m00 * m11 - m01 * m10
         pivot1 = np.maximum(a00, a10), np.maximum(a01, a11)  # in either column order
         small = (np.minimum(*pivot1) < pivot_floor) | (abs(det) < pivot_floor * np.maximum(*pivot1))
@@ -297,11 +294,10 @@ def paths_rows(problem: VectorProblem, x: np.ndarray, failures: Failures, paths:
     for m in range(max(map(len, paths), default=0)):
         children = sorted(dict.fromkeys(path[: m + 1] for path in paths if len(path) > m), key=lambda c: c[-1])
         last = {child[:-1]: child[-1] for child in children}  # in order, so each start's highest
-        sizes = [len(nodes[start][0]) for start in last]
-        cuts = dict(zip(last, itertools.starmap(slice, itertools.pairwise(np.cumsum([0, *sizes]).tolist()))))
+        cuts = {start: slice(i * len(x), (i + 1) * len(x)) for i, start in enumerate(last)}  # every node has x's rows
         stacked = Failures.join([nodes[start][1] for start in last])
         points = np.concatenate([nodes[start][0] for start in last])
-        steps = orders_rows(problem, points, stacked, np.repeat(list(last.values()), sizes))
+        steps = orders_rows(problem, points, stacked, np.repeat(list(last.values()), len(x)))
         for j, (rows, at, delta) in zip(range(children[-1][-1] + 1), steps):
             if ends := [child for child in children if child[-1] == j]:
                 next_ = np.full(points.shape, np.nan)

@@ -27,12 +27,12 @@ from rootmaps import (
 )
 from rootmaps.capture import (
     DEFAULT_CLUSTER_RADIUS,
+    _KEY_BASE,
     CapturedPoint,
     CaptureResult,
     _axis_vertices,
     _cell,
     _isolated,
-    _key,
     cluster_points,
     make_grid,
     two_steps,
@@ -468,16 +468,26 @@ class TestClusterPointsAgainstReference:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_cell_keys_are_one_to_one_and_linear(self, dim):
+        # the reference key of cell indices; cluster_points keys a neighbour
+        # as the home key plus _cell(offset, 1.0), and the neighbours of the
+        # clamped end cells +-2**52 have the indices +-(2**52 + 1)
+        def key(indices):
+            return sum(index * _KEY_BASE**axis for axis, index in enumerate(indices))
+
         indices = [-(2**52) - 1, -(2**52), -(2**52) + 1, -1, 0, 1, 2**52 - 1, 2**52, 2**52 + 1]
         cells = list(itertools.product(indices, repeat=dim))
-        keys = [_key(cell) for cell in cells]
+        keys = [key(cell) for cell in cells]
         assert len(set(keys)) == len(cells)
         for offset in itertools.product((-1, 0, 1), repeat=dim):
+            assert _cell(offset, 1.0) == key(offset)
             for cell in cells[::7]:
-                assert _key(cell) + _key(offset) == _key(map(sum, zip(cell, offset)))
+                assert key(cell) + key(offset) == key(map(sum, zip(cell, offset)))
+        for cell in cells:
+            if max(map(abs, cell)) <= 2**52:  # every index in range is its own cell at width 1
+                assert _cell(np.array(cell, dtype=float), 1.0) == key(cell)
         for point in ([2.0**60], [-(2.0**60), 0.3], [1e300, -0.75, 2.5]):
             clamped = [math.floor(min(max(v, -(2.0**52)), 2.0**52)) for v in point]
-            assert _cell(np.array(point), 1.0) == _key(clamped)
+            assert _cell(np.array(point), 1.0) == key(clamped)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_array_input_matches_list_input(self, dim):

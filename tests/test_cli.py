@@ -547,6 +547,16 @@ class TestReproduceCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_report_is_encoded_only_where_it_is_read(self, tmp_path, monkeypatch, capsys):
+        # text to stdout reads no JSON; --format json prints one encoding, and
+        # --out writes the report's and the manifest's
+        calls = []
+        monkeypatch.setattr(cli.json, "dumps", lambda *a, dumps=json.dumps, **kw: calls.append(a) or dumps(*a, **kw))
+        for argv, encodings in ([[], 0], [["--format", "json"], 1], [["--out", str(tmp_path)], 2]):
+            calls.clear()
+            assert main(["reproduce", "--example", "example1", *argv]) == 0
+            assert len(calls) == encodings and capsys.readouterr().out
+
     def test_example2_coarse_report(self, capsys):
         assert main(["reproduce", "--example", "example2-coarse"]) == 0
         out = capsys.readouterr().out

@@ -27,6 +27,7 @@ from rootmaps import (
 )
 from rootmaps.capture import (
     DEFAULT_CLUSTER_RADIUS,
+    _ISOLATE_FROM,
     _KEY_BASE,
     CapturedPoint,
     CaptureResult,
@@ -332,6 +333,25 @@ class TestClusterPointsAgainstReference:
         labels, _ = assert_matches_reference(points, radius)
         assert np.bincount(labels).tolist() == [len(points)]
 
+    def test_registry_follows_a_mean_across_a_cell_edge(self):
+        # 2-D, cell width 0.5: each point sits 0.17 up and right of the mean so
+        # far (0.2404 away), so the mean leaves the first member's cell (0, 0)
+        # for (1, 1).  A cluster is listed under the keys of the 3x3 cells
+        # around its mean's cell; the probe's cell (2, 2) is among them only
+        # if the cluster left the keys around (0, 0) and joined those around
+        # (1, 1) when its mean moved
+        radius, width = 0.25, 0.5
+        step = np.array([0.17, 0.17])
+        points = [np.array([0.45, 0.45])]
+        while np.floor((sum(points) / len(points) + step) / width).tolist() != [2.0, 2.0]:
+            points.append(sum(points) / len(points) + step)
+        mean = sum(points) / len(points)
+        probe = mean + step
+        assert np.floor(points[0] / width).tolist() == [0.0, 0.0] and np.floor(mean / width).tolist() == [1.0, 1.0]
+        assert math.dist(probe, mean) <= radius and len(points) < _ISOLATE_FROM  # the greedy loop takes every point
+        labels, _ = assert_matches_reference([*points, probe], radius)
+        assert labels.tolist() == [0] * (len(points) + 1)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_probe_far_from_the_first_member_joins_the_drifted_mean(self, dim):
         # each point sits just within radius above the mean so far, so the mean
@@ -525,6 +545,55 @@ class TestClusterPointsAgainstReference:
             points = [c.point for c in scan_one(problem, config, parse_map_spec(spec)).captured]
             assert points
             assert_matches_reference(points, DEFAULT_CLUSTER_RADIUS)
+
+
+class TestIsolatedPrePassCut:
+    """_isolated runs from _ISOLATE_FROM points, where it can save what it costs; below, the greedy loop
+    alone gives the same clusters."""
+
+    @staticmethod
+    def calls(monkeypatch):
+        """Each _isolated call's row count and count of isolated rows, recorded as cluster_points makes them."""
+        calls = []
+
+        def counted(cells, reach):
+            isolated = _isolated(cells, reach)
+            calls.append((len(cells), int(isolated.sum())))
+            return isolated
+
+        monkeypatch.setattr("rootmaps.capture._isolated", counted)
+        return calls
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("crowded", [False, True])
+    def test_both_sides_of_the_cut_match_the_reference(self, dim, crowded, monkeypatch):
+        # lone points lie on a shuffled lattice 25 cells apart, past the reach
+        # K = 3 of the pre-pass; crowded ones form one tight knot
+        calls = self.calls(monkeypatch)
+        radius = 1e-3
+        rng = np.random.default_rng(80 + dim + 10 * crowded)
+        for count in (1, _ISOLATE_FROM - 1, _ISOLATE_FROM, _ISOLATE_FROM + 1, 3 * _ISOLATE_FROM):
+            if crowded:
+                points = 0.5 + rng.normal(scale=radius / 10, size=(count, dim))
+            else:
+                side = math.ceil(count ** (1 / dim))
+                lattice = np.stack(np.meshgrid(*[np.arange(side) * 50 * radius] * dim, indexing="ij"), axis=-1)
+                points = rng.permutation(lattice.reshape(-1, dim))[:count]
+            calls.clear()
+            labels, representatives = assert_matches_reference(points, radius)
+            if count < _ISOLATE_FROM:
+                assert calls == []
+            else:
+                assert calls == [(count, 0 if crowded else count)]
+            assert len(representatives) == (1 if crowded else count)
+
+    def test_example2_fine_runs_the_pre_pass(self, monkeypatch):
+        # the vectorised pre-pass stays where it pays: it sets apart 1576 of
+        # the 1600 points that example2-fine captures, in one call
+        calls = self.calls(monkeypatch)
+        [scan] = reproduce_configs("example2-fine")
+        assert len(scan_one(*scan.values).clusters) == 1588
+        assert calls == [(1600, 1576)]
 
 
 class TestRunCapture:

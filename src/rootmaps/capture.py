@@ -187,12 +187,10 @@ def _isolated(cells: np.ndarray, reach: int) -> np.ndarray:
 def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy clustering in input order of points, read as one (m, n) array: an array or a list of (n,) points.
 
-    A point joins the lowest-index cluster whose representative, the member
-    mean recomputed on join, lies within radius by math.dist, or starts one; a
-    distance that is NaN or inf keeps them apart.
-    Returns each point's cluster number, an (m,) int64 array numbering the
-    clusters in order of their first member, and their (C, n) representatives;
-    one whose running sum overflows is not finite and warns.
+    A point joins the lowest-index cluster whose representative, the member mean recomputed on join, lies within
+    radius by math.dist, or starts one; a distance that is NaN or inf keeps them apart.  Returns each point's cluster
+    number, an (m,) int64 array numbering the clusters in order of their first member, and their (C, n)
+    representatives; one whose running sum overflows is not finite and warns.
 
     From _ISOLATE_FROM points, _isolated first makes a singleton of each point with no other within
     K = 2 + ceil(m * 2**-52 * max|coord| / w) cells of width w = 2*radius on every axis (of none for n > 3 or
@@ -200,8 +198,7 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> tupl
     so a point that joins lies within 2*radius = w of the latest member: one cell covers w, one the floors and
     the last term the running sum's rounding.  Then a greedy loop tests each other point against the clusters
     listed, in index order, under its cell's key: each under the 3**n cells around its mean's, moving with it.
-    Sums and means are float lists, numpy's IEEE adds and divides.
-    """
+    Sums and means are float lists, numpy's IEEE adds and divides."""
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     width = 2.0 * radius
@@ -210,9 +207,8 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> tupl
         if not rows.size:
             return np.zeros(0, dtype=np.int64), np.empty((0, rows.shape[1] if rows.ndim == 2 else 0))
         raise ValueError(f"points must be an (m, n) array, got shape {rows.shape}")
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        position = int(np.argmin(finite))
+    if not np.isfinite(rows).all():  # the flat test: only a failing call needs the rows' mask
+        position = int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise ValueError(f"point {position} has a non-finite coordinate: {rows[position]}")
     isolated = np.zeros(len(rows), dtype=bool)
     drift = len(rows) * 2.0**-52 * float(np.abs(rows).max(initial=0.0)) / width  # inf past the double range
@@ -261,7 +257,7 @@ def cluster_points(points: np.ndarray | list[np.ndarray], radius: float) -> tupl
 def _residual_norms(residuals: np.ndarray, norm: str) -> np.ndarray:
     if norm == "euclidean":
         return np.hypot.reduce(residuals, axis=1)  # the C library's hypot, as the kernels take its pow
-    return np.abs(residuals).max(axis=1)
+    return functools.reduce(np.maximum, map(np.abs, residuals.T))  # np.abs(residuals).max(axis=1), column-wise
 
 
 def objectives(problem: VectorProblem, points: np.ndarray) -> np.ndarray | None:
@@ -274,38 +270,33 @@ def objectives(problem: VectorProblem, points: np.ndarray) -> np.ndarray | None:
 
 
 def two_steps(problem: VectorProblem, grid: GridSpec, maps: list[IterativeMap]) -> list[tuple]:
-    """Two steps of each map from the grid's seeds, in one paths_rows walk: per map the seeds
-    (one array for all), the singular filter's mask, the first and the second iterates, and the
-    Failures after both.  A map's path is its step_orders twice; the singular filter is the
-    path (0,), the seeds' Newton step, which is order 0 of every first step.
+    """Two steps of each map from the grid's seeds, in one paths_rows walk: per map the seeds (one array for all),
+    the singular filter's mask, the first and the second iterates, and the Failures after both.  A map's path is its
+    step_orders twice; the singular filter is the path (0,), the seeds' Newton step, order 0 of every first step.
 
-    On each axis of problem.mirror_axes that the grid spans symmetrically, only the vertices of
-    index at least (count - 1) / 2 step, and each other vertex copies its mirror twin's row,
-    with 0.0 - v for each coordinate v it mirrors: a full scan gives -v, or +0.0 where v
-    cancels to +0.0, as x + (-x) does.  If the problem declares swap_axes and the grid's two
-    axes have the same vertices, bit for bit, a vertex (i, j) with i < j after that copies (j, i),
-    its columns swapped before the mirror.  With no such symmetry the slices copy nothing."""
+    On each axis of problem.mirror_axes that the grid spans symmetrically, only the vertices of index at least
+    (count - 1) / 2 step, and each other vertex copies its mirror twin's row, with 0.0 - v for each coordinate v it
+    mirrors: a full scan gives -v, or +0.0 where v cancels to +0.0, as x + (-x) does.  If the problem declares
+    swap_axes and the grid's two axes have the same vertices, bit for bit, a vertex (i, j) with i < j after that
+    copies (j, i), its columns swapped before the mirror.  With no such symmetry every vertex copies itself."""
     counts, seeds = (grid.nx, grid.ny), make_grid(grid)
     axes = [a for a in problem.mirror_axes if _symmetric(grid.domain.lo[a], grid.domain.hi[a])]
-    twins = np.indices(counts).reshape(2, -1)
-    flips = {a: twins[a] < (counts[a] - 1) / 2 for a in axes}
-    for a, flip in flips.items():
+    twins, sign = np.indices(counts).reshape(2, -1), np.zeros((grid.size, 2), dtype=bool)  # where a copy takes 0.0 - v
+    for a in axes:
+        flip = sign[:, a] = twins[a] < (counts[a] - 1) / 2
         twins[a, flip] = counts[a] - 1 - twins[a, flip]
     square = grid.nx == grid.ny and seeds[:: grid.ny, 0].tobytes() == seeds[: grid.ny, 1].tobytes()
-    swapped = np.flatnonzero((twins[0] < twins[1]) & bool(problem.swap_axes and square))
+    swapped = (twins[0] < twins[1]) & bool(problem.swap_axes and square)
     twins[:, swapped] = twins[::-1, swapped]
-    stepped, twin = (np.unique(np.ravel_multi_index(twins, counts), return_inverse=True) if axes or len(swapped)
-                     else [slice(None)] * 2)
+    stepped, twin = np.unique(np.ravel_multi_index(twins, counts), return_inverse=True)
+    gather = 2 * twin[:, None] + np.where(swapped[:, None], [1, 0], [0, 1])  # each coordinate's flat index in starts
     paths = [step_orders(iter_map) * 2 for iter_map in maps]
     starts = seeds[stepped]
     nodes = paths_rows(problem, starts, Failures(len(starts)), [(0,), *paths])
 
     def mirrored(points):
-        points = points[twin]
-        points[swapped] = points[swapped, ::-1]
-        for a, flip in flips.items():
-            points[flip, a] = 0.0 - points[flip, a]
-        return points
+        points = points.take(gather)
+        return np.subtract(0.0, points, out=points, where=sign)
 
     singular = ~nodes[(0,)][1].live[twin]
     return [(seeds, singular, mirrored(nodes[path[: len(path) // 2]][0]), mirrored(nodes[path][0]),
@@ -315,15 +306,13 @@ def two_steps(problem: VectorProblem, grid: GridSpec, maps: list[IterativeMap]) 
 def run_capture(problem: VectorProblem, config: CaptureConfig, steps: tuple) -> CaptureResult:
     """The scan of one map from steps, its entry of two_steps on config.grid.
 
-    All seeds go through each stage as one batch (see mapsnd); the singular
-    filter's Newton solve is the first step's.  A seed's fate is the
-    CaptureCounts field of the first stage that stopped it.  Captured points
-    are clustered in grid-index order.
-    """
+    All seeds go through each stage as one batch (see mapsnd), and a row test runs one column at a time; the
+    singular filter's Newton solve is the first step's.  A seed's fate is the CaptureCounts field of the first
+    stage that stopped it.  Captured points are clustered in grid-index order."""
     seeds, singular, first, second, failures = steps
     stepped = failures.live
     inside = stepped & (config.grid.domain.contains(first) | config.grid.domain.contains(second))
-    rows = np.flatnonzero(inside & np.isfinite(second).all(axis=1))
+    rows = np.flatnonzero(functools.reduce(np.logical_and, map(np.isfinite, second.T), inside))
     fnorms = _residual_norms(evaluate_rows(problem.f, (problem.n,), second[rows], Failures(len(rows))), config.norm)
     passed = fnorms <= config.tolerance  # a residual that is not finite has a NaN or infinite norm
     rows, fnorms = rows[passed], fnorms[passed]

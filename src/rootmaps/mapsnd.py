@@ -9,29 +9,30 @@ orders_rows, and a bary:k step is its order k.  Only barycentric maps extend
 this way; Taylor maps would need higher derivative tensors.
 
 The recursion runs on a batch: an (N, n) array of points and a Failures
-record of two array columns, errors[r], None while row r is live, else the
-StepFailureError that stopped it, and live, the mask of the None rows.  A
-step runs on a dense batch of the live rows, gathered again after each order
-in which a row failed; f and the Jacobian take the batch (or its live rows,
-after a failure earlier in the order) in one call, and one isfinite test
-covers the values.  The arithmetic is one point's IEEE operations in the same
-order, so each row's result is the one-point result bit for bit; the
+record, the mask of the live rows and the StepFailureError of each other row.
+A step runs on a dense batch of the live rows, gathered again after each
+order in which a row failed; f and the Jacobian take the batch (or its live
+rows, after a failure earlier in the order) in one call, and one isfinite
+test covers the values.  The arithmetic is one point's IEEE operations in the
+same order, so each row's result is the one-point result bit for bit; the
 one-point step, vector_map_step, runs a batch of one.  No sum goes through
-BLAS, whose kernel, and so its rounding, depends on the CPU.
+BLAS, whose kernel, and so its rounding, depends on the CPU, and no hot
+operation loops innermost over the n coordinates.
 
 A step evaluates each point once: f and J at x, and J(x) is the i = 0 term
 of every model matrix it assembles; an order's samples x + i*h, i = 1..j, go
-to J stacked, in calls of at most _SAMPLE_ROWS points.  A map is a path of
-steps, its step_orders (a composition is its inner steps, then its outer
-ones), and paths_rows steps the trie of several paths from one x level by
-level: a level runs one recursion on the stacked rows of every distinct node
-that a step starts from, as a bary:j step is the first j + 1 orders of a
-bary:k one (j < k), and each row leaves after the highest order asked of its
-node.  Every node keeps its own failures.  The i = 0 sample x + 0*h differs
-from x only in the sign of a zero coordinate, and the assembly adds a_0 * J(x)
-to 0.0, which erases the sign of a zero, so the model matrices keep their bits.
+to J as one (j, N, n) stack, order-major, in calls of at most _SAMPLE_ROWS
+points.  A map is a path of steps, its step_orders (a composition is its inner
+steps, then its outer ones), and paths_rows steps the trie of several paths
+from one x level by level: a level runs one recursion on the stacked rows of
+every distinct node that a step starts from, as a bary:j step is the first
+j + 1 orders of a bary:k one (j < k), and each row leaves after the highest
+order asked of its node.  Every node keeps its own failures.  The i = 0 sample
+x + 0*h differs from x only in the sign of a zero coordinate; the assembly
+adds a_0 * J(x) to 0.0, which erases it, so the model matrices keep their bits.
 """
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -66,25 +67,23 @@ class Box:
         return len(self.lo)
 
     def contains(self, points) -> np.ndarray:
-        """Membership of a point, or of each row of an array of points."""
-        return np.all((np.asarray(self.lo) <= points) & (points <= np.asarray(self.hi)), axis=-1)
+        """Membership of a point, or of each row of an array of points, tested one axis (one column) at a time."""
+        axes = zip(self.lo, self.hi, np.asarray(points).T, strict=True)
+        return functools.reduce(np.logical_and, [(lo <= v) & (v <= hi) for lo, hi, v in axes])
 
 
 @dataclass(frozen=True)
 class VectorProblem:
     """An R^n -> R^n function with its Jacobian.
 
-    Each callable maps a (..., n) array of points: f to (..., n), jacobian to
-    (..., n, n) and objective, the scalar whose gradient is f (only reported),
-    to (...).  Where a point cannot be evaluated (a non-differentiable point,
-    an overflow) its own row is non-finite and the call does not raise; a
-    step there raises EvaluationError, and a scan skips such a seed as singular.
-    The engine calls them with numpy's floating-point warnings off.
-    Flipping the sign of x_a, for each axis a of mirror_axes, flips f_a and J's row and column
-    a but (a, a), bit for bit up to the sign of a zero (as where x_a is 0); a grid scan steps
-    one side of such an axis (see capture.two_steps).  Exchanging x_a and x_b, for the pair
-    swap_axes = (a, b), exchanges f_a and f_b and J's rows a, b and columns a, b, bit for bit;
-    a grid scan steps one side of the diagonal.
+    Each callable maps a (..., n) array of points: f to (..., n), jacobian to (..., n, n) and objective, the scalar
+    whose gradient is f (only reported), to (...).  Where a point cannot be evaluated (a non-differentiable point,
+    an overflow) its own row is non-finite and the call does not raise; a step there raises EvaluationError, and a
+    scan skips such a seed as singular.  The engine calls them with numpy's floating-point warnings off.  Flipping
+    the sign of x_a, for each axis a of mirror_axes, flips f_a and J's row and column a but (a, a), bit for bit up
+    to the sign of a zero (as where x_a is 0); a grid scan steps one side of such an axis (see capture.two_steps).
+    Exchanging x_a and x_b, for the pair swap_axes = (a, b), exchanges f_a and f_b and J's rows a, b and columns a,
+    b, bit for bit; a grid scan steps one side of the diagonal.
     """
 
     n: int
@@ -106,34 +105,45 @@ class VectorProblem:
 
 
 class Failures:
-    """Two arrays over the same rows: errors[r] is None while row r is live, else the StepFailureError
-    that stopped it, and live is the mask of the None rows.  Only put writes them, so they agree."""
+    """The rows' live mask, and failed, the StepFailureError that stopped each other row, by row.  Only put writes
+    them, so a row is in failed exactly where live is False."""
 
     def __init__(self, size: int):
-        self.errors, self.live = np.full(size, None), np.ones(size, dtype=bool)
+        self.live, self.failed = np.ones(size, dtype=bool), {}
+
+    @property
+    def errors(self) -> np.ndarray:
+        """Each row's StepFailureError, None while it is live: a read-only object array built on each read."""
+        errors = np.full(len(self.live), None)
+        errors[list(self.failed)] = list(self.failed.values())
+        errors.setflags(write=False)
+        return errors
 
     def put(self, rows, errors) -> None:
-        """Give the rows (an index, index array, mask or slice) the StepFailureErrors errors."""
-        self.errors[rows] = errors
+        """Give the rows (an index, index array, mask or slice) errors, a list of one StepFailureError each, or one."""
+        rows = np.arange(len(self.live))[rows]
+        self.failed.update(zip(rows.ravel().tolist(), errors if isinstance(errors, list) else itertools.repeat(errors)))
         self.live[rows] = False
 
     def fail(self, mask: np.ndarray, failure: Callable[[int], Exception]) -> None:
         """Give failure(r) to every live row r that the boolean mask marks."""
-        rows = np.flatnonzero(mask & self.live)
-        self.put(rows, [failure(r) for r in rows.tolist()])
+        if len(rows := np.flatnonzero(mask & self.live)):
+            self.put(rows, [failure(r) for r in rows.tolist()])
 
     @staticmethod
     def join(parts: list, cut=slice(None)) -> "Failures":
         """A new Failures of the rows cut (a slice or an index array) of each of parts in turn."""
         joined = Failures(0)
-        joined.errors = np.concatenate([part.errors[cut] for part in parts])
         joined.live = np.concatenate([part.live[cut] for part in parts])
+        if lost := [part.failed[r] for part in parts if part.failed  # the failed rows' errors in order
+                    for r in np.arange(len(part.live))[cut][~part.live[cut]].tolist()]:
+            joined.failed = dict(zip(np.flatnonzero(~joined.live).tolist(), lost))
         return joined
 
 
-def _finite(values: np.ndarray, at: np.ndarray, failures: Failures) -> np.ndarray:
+def _finite(values: np.ndarray, at: np.ndarray, failures: Failures, axis: int = 0) -> np.ndarray:
     if not np.isfinite(values).all():
-        failures.fail(~np.isfinite(values).all(axis=tuple(range(1, values.ndim))),
+        failures.fail(~np.moveaxis(np.isfinite(values), axis, 0).reshape(len(at), -1).all(axis=1),
                       lambda r: EvaluationError(f"non-finite evaluation at x={at[r]!r}"))
     return values
 
@@ -149,24 +159,23 @@ def shaped(value, shape: tuple) -> np.ndarray:
 def evaluate_rows(fn: Callable, shape: tuple, points: np.ndarray, failures: Failures, at=None) -> np.ndarray:
     """fn at the live rows of points in one call, as an array of shape (*points.shape[:-1], *shape).
 
-    points is (N, n), or (N, g, n) for g points to a row.  fn takes the points of every row
-    when all are live, else of the live rows only (the others read 0.0), as one (M, n) array,
-    and is not called without one; it runs with numpy's floating-point warnings off.  A live
-    row with a value that is not finite fails with an EvaluationError naming at[r] (default
-    points[r]); a value of another shape than (M, *shape) raises ValueError.
-    """
-    rows = np.flatnonzero(failures.live)
+    points is (N, n), or (g, N, n) for g points to a row, its rows on axis -2.  fn takes the points of every
+    row when all are live, else of the live rows only (the others read 0.0), as one (M, n) array, and is
+    not called without one; it runs with numpy's floating-point warnings off.  A live row with a value that
+    is not finite fails with an EvaluationError naming at[r] (default points[r]); a value of another shape
+    than (M, *shape) raises ValueError."""
+    rows, axis = np.flatnonzero(failures.live), points.ndim - 2
     if not len(rows):
         return np.zeros((*points.shape[:-1], *shape))
-    dense = len(rows) == len(points)
-    live = points if dense else points.take(rows, axis=0)
+    dense = len(rows) == points.shape[axis]
+    live = points if dense else points.take(rows, axis=axis)
     with np.errstate(all="ignore"):
         value = shaped(fn(live.reshape(-1, live.shape[-1])), (live.size // live.shape[-1], *shape))
     values = value = value.reshape(*live.shape[:-1], *shape)
     if not dense:
         values = np.zeros((*points.shape[:-1], *shape))
-        values[rows] = value
-    return _finite(values, points if at is None else at, failures)
+        values[(slice(None),) * axis + (rows,)] = value
+    return _finite(values, points if at is None else at, failures, axis)
 
 
 def _eliminate(a: np.ndarray, b: np.ndarray, pivot_floor: np.ndarray, failures: Failures) -> np.ndarray:
@@ -203,10 +212,10 @@ def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
             scale = np.maximum(a00 + a01, a10 + a11)
         else:
             scale = np.abs(a).sum(axis=2).max(axis=1)
-        failures.fail((scale == 0.0) | ~np.isfinite(scale),
-                      lambda r: SingularModelError("matrix has zero or non-finite row norms"))
+        flat = (scale == 0.0) | ~np.isfinite(scale)
         pivot_floor = PIVOT_RTOL * scale
         if not two:
+            failures.fail(flat, lambda r: SingularModelError("matrix has zero or non-finite row norms"))
             return _eliminate(a, b, pivot_floor, failures)
         # Determinant form instead of row-swapping elimination: it is bitwise
         # equivariant under signed coordinate permutations, so mirror- and
@@ -218,9 +227,11 @@ def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
         b0, b1 = b.T
         det = m00 * m11 - m01 * m10
         pivot1 = np.maximum(a00, a10), np.maximum(a01, a11)  # in either column order
-        small = (np.minimum(*pivot1) < pivot_floor) | (abs(det) < pivot_floor * np.maximum(*pivot1))
         # a zero determinant passes the second test when pivot_floor * pivot1 underflows
-        failures.fail(small | (det == 0.0), lambda r: SingularModelError(f"2x2 pivots below floor {pivot_floor[r]:.3e}"))
+        small = (np.minimum(*pivot1) < pivot_floor) | (abs(det) < pivot_floor * np.maximum(*pivot1)) | (det == 0.0)
+        if (flat | small).any():  # one test for both; a row norm's failure first, as for n != 2
+            failures.fail(flat, lambda r: SingularModelError("matrix has zero or non-finite row norms"))
+            failures.fail(small, lambda r: SingularModelError(f"2x2 pivots below floor {pivot_floor[r]:.3e}"))
         x = np.empty(b.shape)
         x[:, 0], x[:, 1] = (b0 * m11 - m01 * b1) / det, (m00 * b1 - m10 * b0) / det
         return x
@@ -228,19 +239,19 @@ def solve_rows(a: np.ndarray, b: np.ndarray, failures: Failures) -> np.ndarray:
 
 def _model_matrix(problem: VectorProblem, weights: tuple, h: np.ndarray, x: np.ndarray, jx: np.ndarray,
                   failures: Failures) -> np.ndarray:
-    """Each live row's sum_i a_i * J_f(x + i*h) from 0.0 in order of i, with jx = J_f(x)
-    as the i = 0 term.  J takes the samples i = 1, 2, ... of every row stacked, an (N, g, n)
-    array of as many samples g as keep a call within _SAMPLE_ROWS points (one at least); a row
-    fails at a sample that is not finite, though that call evaluated its other samples too.
+    """Each live row's sum_i a_i * J_f(x + i*h) from 0.0 in order of i, with jx = J_f(x) as the i = 0 term.
+    J takes the samples i = 1, 2, ... of every row stacked order-major, a (g, N, n) array of as many samples
+    g as keep a call within _SAMPLE_ROWS points (one at least), so each add reads a contiguous (N, n, n)
+    slice; a row fails at a sample that is not finite, though that call evaluated its other samples too.
     The caller checks the sum for finiteness."""
     with np.errstate(all="ignore"):
         phi = 0.0 + weights[0] * jx
         group = max(1, _SAMPLE_ROWS // max(len(x), 1))
         for first in range(1, len(weights), group):
             i = np.arange(first, min(first + group, len(weights)))
-            values = evaluate_rows(problem.jacobian, phi.shape[1:], x[:, None] + i[:, None] * h[:, None], failures, at=x)
+            values = evaluate_rows(problem.jacobian, phi.shape[1:], x + i[:, None, None] * h, failures, at=x)
             for k, a in enumerate(i.tolist()):
-                phi += weights[a] * values[:, k]
+                phi += weights[a] * values[k]
     return phi
 
 
@@ -248,7 +259,7 @@ def _compact(failures: Failures, rows: np.ndarray, batch: Failures, keep: np.nda
     """Hand the failed rows of batch back to failures at rows; cut rows, batch and arrays to keep (within batch.live)."""
     if keep.all():
         return rows, batch, *arrays
-    failures.put(rows[~batch.live], batch.errors[~batch.live])
+    failures.put(rows[list(batch.failed)], list(batch.failed.values()))
     keep = np.flatnonzero(keep)
     return rows[keep], Failures(len(keep)), *(a.take(keep, axis=0) for a in arrays)
 
@@ -321,5 +332,5 @@ def vector_map_step(problem: VectorProblem, iter_map: IterativeMap, x: np.ndarra
     path = step_orders(iter_map)  # one path of paths_rows, from a batch of one
     next_, failures = paths_rows(problem, x[None], Failures(1), [path])[path]
     if not failures.live[0]:
-        raise failures.errors[0]
+        raise failures.failed[0]
     return next_[0]

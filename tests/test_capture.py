@@ -34,6 +34,7 @@ from rootmaps.capture import (
     _axis_vertices,
     _cell,
     _isolated,
+    _residual_norms,
     cluster_points,
     make_grid,
     two_steps,
@@ -594,6 +595,64 @@ class TestIsolatedPrePassCut:
         [scan] = reproduce_configs("example2-fine")
         assert len(scan_one(*scan.values).clusters) == 1588
         assert calls == [(1600, 1576)]
+
+
+COLUMN_BOX = Box(lo=(-1.5, 0.0), hi=(2.0, 3.25))
+# coordinates on and next to the box's faces, signed zeros, NaN of either sign and the infinities
+column_value = st.one_of(
+    st.sampled_from([v for face in (-1.5, 0.0, 2.0, 3.25) for v in (face, np.nextafter(face, -5), np.nextafter(face, 5))]
+                    + [-0.0, math.nan, -math.nan, math.inf, -math.inf]),
+    st.floats(-4.0, 5.0),
+    st.floats(allow_nan=False),
+)
+
+
+def column_rows(n, min_size=0, max_size=12):
+    return st.lists(st.lists(column_value, min_size=n, max_size=n), min_size=min_size, max_size=max_size).map(
+        lambda rows: np.array(rows, dtype=float).reshape(len(rows), n))
+
+
+def box_rows(box, points):
+    """Box.contains in its row form, one reduction over the coordinate axis."""
+    return np.all((np.asarray(box.lo) <= points) & (points <= np.asarray(box.hi)), axis=-1)
+
+
+class TestColumnForms:
+    """The scan's row tests run one column at a time; each gives the bits of its row form."""
+
+    @given(column_rows(2))
+    def test_box_contains(self, points):
+        got = COLUMN_BOX.contains(points)
+        assert got.dtype == bool and got.shape == (len(points),)
+        assert got.tobytes() == box_rows(COLUMN_BOX, points).tobytes()
+        assert [COLUMN_BOX.contains(point) for point in points] == got.tolist()
+
+    @given(st.integers(1, 4).flatmap(column_rows))
+    def test_max_norm(self, residuals):
+        got = _residual_norms(residuals, "max")
+        assert got.dtype == float and got.tobytes() == np.abs(residuals).max(axis=1).tobytes()
+
+    @given(st.data())
+    def test_finiteness_mask(self, data):
+        nx, ny = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+        grid = GridSpec(domain=COLUMN_BOX, nx=nx, ny=ny)
+        first, second = data.draw(column_rows(2, nx * ny, nx * ny)), data.draw(column_rows(2, nx * ny, nx * ny))
+        singular = np.array(data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)))
+        failures = Failures(nx * ny)
+        failures.put(singular | np.array(data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))),
+                     EvaluationError("failed"))
+        evaluated = []
+        # a residual of 1.0 rejects every row that reaches f
+        record = lambda p: evaluated.append(p.copy()) or np.ones(p.shape)
+        problem = VectorProblem(n=2, f=record, jacobian=constant(np.eye(2)))
+        counts = run_capture(problem, CaptureConfig(grid=grid, tolerance=0.5),
+                             (make_grid(grid), singular, first, second, failures)).counts
+        stepped = failures.live
+        inside = stepped & (box_rows(COLUMN_BOX, first) | box_rows(COLUMN_BOX, second))
+        rows = inside & np.isfinite(second).all(axis=1)
+        assert b"".join(p.tobytes() for p in evaluated) == second[rows].tobytes() and len(evaluated) == rows.any()
+        fates = np.where(singular, 0, np.where(stepped, np.where(inside, 3, 2), 1))
+        assert counts == CaptureCounts(nx * ny, *np.bincount(fates, minlength=5).tolist())
 
 
 class TestRunCapture:

@@ -557,6 +557,50 @@ class TestJacobianReuse:
         assert (jacobians_differ > 0) == (name == "ackley")
 
 
+class TestOrderMajorSamples:
+    """_model_matrix stacks an order's samples order-major: a call to J takes sample i of every
+    live row, then sample i + 1, and so on.  However _SAMPLE_ROWS cuts the stack, each live row's
+    phi is its per-sample sum from 0.0 in order of i, and a row fails at its first sample that
+    is not finite, with an EvaluationError that names x."""
+
+    @pytest.mark.parametrize("budget", [1, 23, 46, 2048])  # one sample a call, len(x), 2 * len(x), the default
+    def test_every_budget_gives_the_per_sample_sum(self, budget, monkeypatch):
+        ackley, weights = ackley_gradient(), barycentric_coefficients(5).floats
+        rng = np.random.default_rng(67)
+        x = rng.uniform(-2.0, 2.0, size=(23, 2))
+        h = rng.normal(size=(23, 2)) * 10.0 ** rng.integers(-6, 0, size=(23, 1))
+        # samples i = 1 of row 4 and i = 3 of row 9 are Ackley's origin, where J is NaN
+        x[4], x[9] = -h[4], -(3 * h[9])
+        fails_at = {4: 1, 9: 3}
+        want = {}
+        for r in sorted(set(range(len(x))) - set(fails_at)):
+            phi = 0.0 + weights[0] * ackley.jacobian(x[r])
+            for i in range(1, len(weights)):
+                phi += weights[i] * ackley.jacobian(x[r] + i * h[r])
+            want[r] = phi
+        assert all(not np.isfinite(ackley.jacobian(x[r] + i * h[r])).all() for r, i in fails_at.items())
+
+        calls = []
+        problem = dataclasses.replace(ackley, jacobian=lambda p: calls.append(p.copy()) or ackley.jacobian(p))
+        monkeypatch.setattr(mapsnd, "_SAMPLE_ROWS", budget)
+        failures = Failures(len(x))
+        jx = ackley.jacobian(x)
+        phi = _model_matrix(problem, weights, h, x, jx, failures)
+
+        assert np.array(list(want.values())).tobytes() == phi[list(want)].tobytes()
+        assert failures.live.tolist() == [r not in fails_at for r in range(len(x))]
+        for r in fails_at:
+            assert type(failures.errors[r]) is EvaluationError
+            assert str(failures.errors[r]) == f"non-finite evaluation at x={x[r]!r}"
+        group = max(1, budget // len(x))
+        firsts = range(1, len(weights), group)
+        assert len(calls) == len(firsts)
+        for call, first in zip(calls, firsts):
+            rows = [r for r in range(len(x)) if fails_at.get(r, len(weights)) >= first]  # live at the call
+            samples = [x[rows] + i * h[rows] for i in range(first, min(first + group, len(weights)))]
+            assert call.tobytes() == np.concatenate(samples).tobytes()
+
+
 class TestMapDispatch:
     def test_composition_matches_sequential_steps(self):
         problem = rutishauser()
